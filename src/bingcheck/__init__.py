@@ -34,9 +34,7 @@ from .seifert import (
 )
 from .cover import (
     branched_cover_homology_order,
-    cable_presentation,
     covering_seifert_matrix,
-    satellite_presentation,
 )
 from .witt import (
     NO_OBSTRUCTION_FOUND,
@@ -74,7 +72,7 @@ __all__ = [
     "SeifertMatrix", "alexander", "arf", "connected_sum",
     "determinant_invariant", "fox_milnor", "mirror", "signature_at",
     "signature_function", "branched_cover_homology_order",
-    "cable_presentation", "covering_seifert_matrix", "satellite_presentation",
+    "covering_seifert_matrix",
     "NO_OBSTRUCTION_FOUND", "NOT_ALG_SLICE", "BingReport",
     "ObstructionReport", "WittPresentation", "bing_double_verdict",
     "cyclotomic_factors", "from_seifert", "jpq_presentation",

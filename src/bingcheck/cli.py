@@ -25,6 +25,7 @@ from .witt import (
     presentation_battery,
 )
 from .catalog import (
+    _csv_blocks,
     builtin_catalog,
     catalog_lookup,
     format_report,
@@ -51,15 +52,19 @@ def _add_knot_arguments(sp):
                     help="read the Seifert matrix from a file instead")
 
 
+def _read_seifert_file(path) -> SeifertMatrix:
+    """Parse a matrix file; an unnamed matrix takes the file's basename."""
+    with open(path, encoding="utf-8") as fh:
+        s = parse_seifert(fh.read())
+    if not s.name:
+        s = SeifertMatrix(s.entries, name=os.path.basename(path),
+                          integral=True if s.integral else False)
+    return s
+
+
 def _load_seifert(args) -> SeifertMatrix:
     if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            s = parse_seifert(fh.read())
-        if not s.name:
-            name = os.path.basename(args.file)
-            s = SeifertMatrix(s.entries, name=name,
-                              integral=True if s.integral else False)
-        return s
+        return _read_seifert_file(args.file)
     if args.knot:
         return catalog_lookup(args.knot).seifert
     raise ValueError("a catalog knot name or --file is required")
@@ -67,17 +72,6 @@ def _load_seifert(args) -> SeifertMatrix:
 
 def _emit(text: str) -> None:
     sys.stdout.write(text)
-
-
-def _sigfn_text(sig) -> str:
-    lines = ["arcs:", "u_lo,u_hi,signature"]
-    for u_lo, u_hi, s in sig.arc_rows():
-        lines.append("%s,%s,%s" % (u_lo, u_hi, s))
-    lines.append("jumps:")
-    lines.append("u_lo,u_hi,nullity")
-    for u_lo, u_hi, n in sig.jump_rows():
-        lines.append("%s,%s,%s" % (u_lo, u_hi, n))
-    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,11 +240,7 @@ def _dispatch(args) -> None:
     if cmd == "batch":
         reports = []
         for path in args.files:
-            with open(path, encoding="utf-8") as fh:
-                s = parse_seifert(fh.read())
-            if not s.name:
-                s = SeifertMatrix(s.entries, name=os.path.basename(path),
-                                  integral=True if s.integral else False)
+            s = _read_seifert_file(path)
             reports.append(format_report(obstruction_battery(s)))
         _emit("\n".join(reports))
         return
@@ -261,7 +251,7 @@ def _dispatch(args) -> None:
     elif cmd == "alexander":
         _emit("alexander = %s\n" % alexander(s))
     elif cmd == "sigfn":
-        _emit(_sigfn_text(signature_function(s)))
+        _emit("\n".join(_csv_blocks(signature_function(s))) + "\n")
     elif cmd == "arf":
         _emit("arf = %d\n" % arf(s))
     elif cmd == "foxmilnor":

@@ -1,5 +1,4 @@
-"""Branched covers and companionship: homology order, covering Seifert
-matrix, cable and satellite presentation transforms.
+"""Branched covers: homology order and covering Seifert matrix.
 
 For the p-fold cyclic cover of S^3 branched over a knot with Alexander
 polynomial Delta, the first homology has order |prod_{i=1..p-1} Delta(zeta^i)|
@@ -15,17 +14,10 @@ Gamma = (A - A^T)^{-1} A as
 provided Gamma^p - (Gamma-I)^p is nonsingular; Atilde may have rational
 entries and only determines the rational-coefficient Witt class, so it comes
 back flagged rational.
-
-Cabling with winding n substitutes t -> t^n into a presentation matrix; a
-satellite with companion winding w is the block sum of the pattern
-presentation with the companion presentation at t -> t^w.  Winding 0
-evaluates the companion at t = 1 (for an Alexander-module presentation that
-block has unit determinant, so the satellite order is the pattern's alone).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 from .errors import FormulaHypothesisError
@@ -37,9 +29,7 @@ from .seifert import SeifertMatrix
 __all__ = [
     "INFINITE",
     "branched_cover_homology_order",
-    "cable_presentation",
     "covering_seifert_matrix",
-    "satellite_presentation",
 ]
 
 
@@ -129,27 +119,3 @@ def covering_seifert_matrix(s: SeifertMatrix, p: int) -> SeifertMatrix:
             "covering matrix fails det(A - A^T) != 0; the formula hypothesis was violated"
         )
     return SeifertMatrix(atilde, integral=False)
-
-
-def cable_presentation(p_mat: ExactMatrix, n: int) -> ExactMatrix:
-    """Presentation of the n-cable: substitute t -> t^n entrywise (n >= 1)."""
-    if n < 1:
-        raise ValueError("cables need winding n >= 1")
-    if p_mat.det() == 0:
-        raise ValueError("presentation must have nonzero determinant")
-    if n == 1:
-        return p_mat
-    return p_mat.substitute_power(n)
-
-
-def satellite_presentation(p1: ExactMatrix, p2: ExactMatrix, w: int) -> ExactMatrix:
-    """Presentation of a satellite: pattern block p1 plus companion block
-    p2 at t -> t^w.  Winding w = 0 evaluates the companion at t = 1."""
-    if p1.det() == 0 or p2.det() == 0:
-        raise ValueError("presentations must have nonzero determinant")
-    if w == 0:
-        evaluated = p2.map(
-            lambda e: LaurentPoly({0: e(Fraction(1))})
-        )
-        return p1.block_sum(evaluated)
-    return p1.block_sum(p2.substitute_power(w))

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InternalInvariantError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _strip, dense_divmod
 from .intpoly import IntPoly, divmod_exact, squarefree_decomposition
 
 __all__ = ["factor_rational", "zassenhaus"]
@@ -36,14 +36,8 @@ __all__ = ["factor_rational", "zassenhaus"]
 
 # -- dense arithmetic mod p (lists of ints in [0, p), ascending) ---------------
 
-def _gf_strip(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _gf_from_int(f: IntPoly, p: int):
-    return _gf_strip([c % p for c in f.coeffs])
+    return _strip([c % p for c in f.coeffs])
 
 
 def _gf_to_int_sym(a, p: int) -> IntPoly:
@@ -58,7 +52,7 @@ def _gf_add(a, b, p):
         out[i] = c
     for i, c in enumerate(b):
         out[i] = (out[i] + c) % p
-    return _gf_strip(out)
+    return _strip(out)
 
 
 def _gf_sub(a, b, p):
@@ -73,7 +67,7 @@ def _gf_mul(a, b, p):
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    return _gf_strip(out)
+    return _strip(out)
 
 
 def _gf_divmod(a, b, p):
@@ -89,8 +83,8 @@ def _gf_divmod(a, b, p):
         for j, y in enumerate(b):
             rem[k + j] = (rem[k + j] - c * y) % p
         rem.pop()
-        _gf_strip(rem)
-    return _gf_strip(q), rem
+        _strip(rem)
+    return _strip(q), rem
 
 
 def _gf_monic(a, p):
@@ -134,7 +128,7 @@ def _gf_pow_mod(a, e, m, p):
 
 
 def _gf_deriv(a, p):
-    return _gf_strip([i * c % p for i, c in enumerate(a)][1:])
+    return _strip([i * c % p for i, c in enumerate(a)][1:])
 
 
 def _gf_is_squarefree(a, p):
@@ -176,7 +170,7 @@ def _gf_equal_degree(f, d, p, rng):
             out.append(f)
             continue
         while True:
-            a = _gf_strip([rng.randrange(p) for _ in range(n)])
+            a = _strip([rng.randrange(p) for _ in range(n)])
             if len(a) < 2:
                 continue
             g = _gf_gcd(a, f, p)
@@ -218,37 +212,18 @@ def _trunc_sym(f: IntPoly, m: int) -> IntPoly:
     return IntPoly(out)
 
 
-def _divmod_monic(f: IntPoly, g: IntPoly):
-    """Integer quotient and remainder by a monic divisor."""
-    rem = list(f.coeffs)
-    dg = g.degree
-    q = [0] * max(f.degree - dg + 1, 0)
-    while len(rem) - 1 >= dg and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dg:
-            break
-        c = rem[-1]
-        k = len(rem) - 1 - dg
-        q[k] = c
-        for j, y in enumerate(g.coeffs):
-            rem[k + j] -= c * y
-        rem.pop()
-    return IntPoly(q), IntPoly(rem)
-
-
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic lift: from f = g h and s g + t h = 1 (mod m), with h
     monic, to the same congruences mod m^2."""
     M = m * m
     e = _trunc_sym(f - g * h, M)
-    q, r = _divmod_monic(s * e, h)
-    q, r = _trunc_sym(q, M), _trunc_sym(r, M)
+    q, r = dense_divmod((s * e).coeffs, h.coeffs)
+    q, r = _trunc_sym(IntPoly(q), M), _trunc_sym(IntPoly(r), M)
     G = _trunc_sym(g + t * e + q * g, M)
     H = _trunc_sym(h + r, M)
     b = _trunc_sym(s * G + t * H - IntPoly([1]), M)
-    c, d = _divmod_monic(s * b, H)
-    c, d = _trunc_sym(c, M), _trunc_sym(d, M)
+    c, d = dense_divmod((s * b).coeffs, H.coeffs)
+    c, d = _trunc_sym(IntPoly(c), M), _trunc_sym(IntPoly(d), M)
     S = _trunc_sym(s - d, M)
     T = _trunc_sym(t - t * b - c * G, M)
     return G, H, S, T

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalInvariantError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _strip, dense_divmod
 from .intpoly import IntPoly, cyclotomic, euler_phi
 
 __all__ = [
@@ -109,29 +109,6 @@ def cos_enclosure(a: Fraction, bits: int):
 
 # -- quotient fields of Q[x] ---------------------------------------------------
 
-def _dense_strip(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _dense_divmod(a, b):
-    """Quotient and remainder of dense Fraction lists (b nonzero)."""
-    rem = list(a)
-    q = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        c = rem[-1] / b[-1]
-        k = len(rem) - len(b)
-        q[k] = c
-        for j, y in enumerate(b):
-            rem[k + j] -= c * y
-        rem.pop()
-        _dense_strip(rem)
-        if not rem:
-            break
-    return _dense_strip(q), rem
-
-
 class QuotientElement:
     """An element of Q[x]/(m), stored as a dense coefficient tuple of length
     deg(m); arithmetic delegates to the owning field."""
@@ -200,7 +177,7 @@ class PolyQuotientField:
     def element(self, coeffs) -> QuotientElement:
         c = [Fraction(x) for x in coeffs]
         if len(c) >= len(self._mod):
-            _, c = _dense_divmod(c, self._mod)
+            _, c = dense_divmod(c, self._mod)
         c += [Fraction(0)] * (self.degree - len(c))
         return QuotientElement(self, c)
 
@@ -224,16 +201,16 @@ class PolyQuotientField:
     def inv(self, a: QuotientElement) -> QuotientElement:
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
-        r0, r1 = list(self._mod), _dense_strip(list(a.coeffs))
+        r0, r1 = list(self._mod), _strip(list(a.coeffs))
         t0, t1 = [], [Fraction(1)]
         while r1:
-            q, r = _dense_divmod(r0, r1)
+            q, r = dense_divmod(r0, r1)
             r0, r1 = r1, r
             prod = [Fraction(0)] * (len(q) + len(t1) - 1) if q and t1 else []
             for i, x in enumerate(q):
                 for j, y in enumerate(t1):
                     prod[i + j] += x * y
-            t0, t1 = t1, _dense_strip(
+            t0, t1 = t1, _strip(
                 [p - qq for p, qq in
                  zip(t0 + [Fraction(0)] * max(0, len(prod) - len(t0)),
                      prod + [Fraction(0)] * max(0, len(t0) - len(prod)))]

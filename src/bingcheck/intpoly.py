@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd as int_gcd
 
 from .errors import InternalInvariantError
-from .laurent import LaurentPoly, parse_poly
+from .laurent import LaurentPoly, dense_divmod, parse_poly
 
 __all__ = [
     "IntPoly",
@@ -198,25 +198,10 @@ class IntPoly:
 
 def divmod_exact(f: IntPoly, g: IntPoly) -> IntPoly:
     """Quotient f/g known to be exact over Z; raises if it is not."""
-    if g.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    if f.is_zero:
-        return IntPoly()
-    if f.degree < g.degree:
+    quot, rem = dense_divmod(f.coeffs, g.coeffs)
+    if rem or any(q.denominator != 1 for q in quot):
         raise ValueError("division is not exact")
-    rem = [Fraction(c) for c in f.coeffs]
-    den = g.coeffs
-    qn = f.degree - g.degree + 1
-    quot = [Fraction(0)] * qn
-    for i in range(qn - 1, -1, -1):
-        q = rem[i + len(den) - 1] / den[-1]
-        quot[i] = q
-        if q:
-            for j, d in enumerate(den):
-                rem[i + j] -= q * d
-    if any(rem[: len(den) - 1]) or any(q.denominator != 1 for q in quot):
-        raise ValueError("division is not exact")
-    return IntPoly([q.numerator for q in quot])
+    return IntPoly(quot)
 
 
 def pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -427,29 +412,6 @@ def cyclotomic(d: int) -> IntPoly:
 
 # -- Sturm sequences and real root isolation ----------------------------------
 
-def _qstrip(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _qrem(f, g):
-    """Remainder of f by g over Q (dense Fraction lists, ascending)."""
-    rem = list(f)
-    dg = len(g) - 1
-    while len(rem) - 1 >= dg:
-        q = rem[-1] / g[-1]
-        k = len(rem) - 1 - dg
-        for j, c in enumerate(g):
-            rem[k + j] -= q * c
-        rem.pop()
-        rem = _qstrip(rem)
-        if not rem:
-            break
-    return rem
-
-
 def sturm_chain(f: IntPoly):
     """Sturm chain of f as dense Fraction lists (f should be squarefree)."""
     f0 = [Fraction(c) for c in f.coeffs]
@@ -459,7 +421,7 @@ def sturm_chain(f: IntPoly):
         return chain
     chain.append(f1)
     while len(chain[-1]) > 1:
-        r = _qrem(chain[-2], chain[-1])
+        _, r = dense_divmod(chain[-2], chain[-1])
         if not r:
             break
         chain.append([-c for c in r])

@@ -28,6 +28,7 @@ __all__ = [
     "LaurentPoly",
     "T",
     "as_fraction",
+    "dense_divmod",
     "is_two_local",
     "normalize_unit",
     "parse_poly",
@@ -54,6 +55,45 @@ def is_two_local(r) -> bool:
     False
     """
     return as_fraction(r).denominator % 2 == 1
+
+
+def _strip(c):
+    """Drop the trailing zeros of a dense coefficient list in place; return it."""
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def dense_divmod(num, den):
+    """Long division of dense ascending coefficient lists over Q.
+
+    Returns (quot, rem) with num == quot * den + rem and len(rem) < len(den),
+    both as lists without trailing zeros.  den must end in a nonzero entry.
+    Entries may be ints or Fractions.  A monic den divides by nothing, so
+    integer input keeps integer digits; otherwise each digit is a Fraction.
+
+    >>> dense_divmod([-1, 0, 0, 1], [-1, 1])      # t^3 - 1 = (t^2 + t + 1)(t - 1)
+    ([1, 1, 1], [])
+    >>> dense_divmod([1, 0, 1], [1, 2])           # t^2 + 1 = (t/2 - 1/4)(2t + 1) + 5/4
+    ([Fraction(-1, 4), Fraction(1, 2)], [Fraction(5, 4)])
+    """
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    n = len(den) - 1
+    monic = den[-1] == 1
+    lc = Fraction(den[-1])  # an int / int digit would be a float
+    rem = list(num)
+    quot = [0] * max(len(rem) - n, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        q = rem[k + n]
+        if not q:
+            continue
+        if not monic:
+            q = q / lc
+        quot[k] = q
+        for j, d in enumerate(den):
+            rem[k + j] -= q * d
+    return _strip(quot), _strip(rem[:n])
 
 
 class LaurentPoly:
@@ -293,18 +333,8 @@ class LaurentPoly:
             return LaurentPoly.zero()
         num, nlo = self.coeff_list()
         den, dlo = other.coeff_list()
-        # ordinary long division, exact by assumption
-        quot = [Fraction(0)] * (len(num) - len(den) + 1)
-        if len(num) < len(den):
-            raise ValueError("division is not exact")
-        rem = list(num)
-        for i in range(len(quot) - 1, -1, -1):
-            q = rem[i + len(den) - 1] / den[-1]
-            quot[i] = q
-            if q:
-                for j, d in enumerate(den):
-                    rem[i + j] -= q * d
-        if any(rem[: len(den) - 1]):
+        quot, rem = dense_divmod(num, den)
+        if rem:
             raise ValueError("division is not exact")
         return LaurentPoly.from_coeffs(quot, nlo - dlo)
 

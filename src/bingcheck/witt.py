@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import AdmissibilityError, InternalInvariantError
-from .laurent import LaurentPoly, is_two_local, normalize_unit
+from .laurent import LaurentPoly, dense_divmod, is_two_local, normalize_unit
 from .intpoly import IntPoly, cyclotomic, euler_phi
 from .matrices import ExactMatrix
 from .fields import evaluated_hermitian_signature
@@ -168,20 +168,6 @@ def jpq_presentation(s: SeifertMatrix, p: int, q: int) -> WittPresentation:
     return witt_sum(phi(base, p), witt_sum(phi(base, p + q), phi(base, q)))
 
 
-def _monic_divides(g: IntPoly, f: IntPoly) -> bool:
-    """Whether the monic g divides f over the integers."""
-    rem = list(f.coeffs)
-    dg = g.degree
-    while len(rem) - 1 >= dg:
-        lead = rem[-1]
-        if lead:
-            shift = len(rem) - 1 - dg
-            for i, c in enumerate(g.coeffs):
-                rem[shift + i] -= lead * c
-        rem.pop()
-    return not any(rem)
-
-
 def cyclotomic_factors(delta: LaurentPoly):
     """Sorted list of all d with the d-th cyclotomic polynomial dividing
     delta (d = 1 means t - 1; d = 2 means t + 1), found by trial division
@@ -200,7 +186,7 @@ def cyclotomic_factors(delta: LaurentPoly):
     out = []
     # euler_phi(d) >= sqrt(d/2), so phi(d) <= deg forces d <= 2 deg^2 + 1
     for d in range(1, 2 * deg * deg + 2):
-        if euler_phi(d) <= deg and _monic_divides(cyclotomic(d), f):
+        if euler_phi(d) <= deg and not dense_divmod(f.coeffs, cyclotomic(d).coeffs)[1]:
             out.append(d)
     return out
 

@@ -174,6 +174,12 @@ class TestFilesAndErrors:
         code, out, _ = run(capsys, "alexander", "--file", str(path))
         assert code == 0 and out == "alexander = t^2 - t + 1\n"
 
+    def test_unnamed_file_takes_basename(self, capsys, tmp_path):
+        path = tmp_path / "unnamed.mat"
+        path.write_text(TREFOIL_FILE)
+        code, out, _ = run(capsys, "invariants", "--file", str(path))
+        assert code == 0 and out.startswith("name = unnamed.mat\n")
+
     def test_file_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.mat"
         path.write_text("2\n-1 x\n0 -1\n")

@@ -1,5 +1,4 @@
-"""Branched-cover calculus: homology orders, covering Seifert matrices,
-cable/satellite presentation transforms.
+"""Branched-cover calculus: homology orders and covering Seifert matrices.
 
 The homology-order oracle is independent of the resultant implementation:
 |H_1| of the p-fold branched cover equals |prod_{i=1..p-1} Delta(zeta_p^i)|,
@@ -9,19 +8,15 @@ computed directly in the cyclotomic field Q(zeta_p).
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bingcheck.cover import (
     INFINITE,
     branched_cover_homology_order,
-    cable_presentation,
     covering_seifert_matrix,
-    satellite_presentation,
 )
 from bingcheck.errors import FormulaHypothesisError
 from bingcheck.fields import cyclotomic_field
-from bingcheck.laurent import LaurentPoly, normalize_unit, parse_poly
-from bingcheck.matrices import ExactMatrix
+from bingcheck.laurent import LaurentPoly, parse_poly
 from bingcheck.seifert import SeifertMatrix, alexander, fox_milnor, signature_function
 
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
@@ -134,74 +129,3 @@ class TestCoveringSeifertMatrix:
     def test_p_below_two_rejected(self):
         with pytest.raises(ValueError):
             covering_seifert_matrix(TREFOIL, 1)
-
-
-class TestCablePresentation:
-    def test_identity_at_one(self):
-        b = TREFOIL.seifert_form()
-        assert cable_presentation(b, 1) == b
-
-    def test_determinant_substitutes(self):
-        b = TREFOIL.seifert_form()
-        for n in (2, 3, 5):
-            assert cable_presentation(b, n).det() == b.det().substitute_power(n)
-
-    def test_composition(self):
-        b = FIGURE_EIGHT.seifert_form()
-        assert cable_presentation(cable_presentation(b, 2), 3) == cable_presentation(b, 6)
-
-    def test_trefoil_alexander_order(self):
-        a = TREFOIL.matrix.to_laurent() - TREFOIL.matrix.transpose().to_laurent().scale(
-            parse_poly("t")
-        )
-        c = cable_presentation(a, 2)
-        assert normalize_unit(c.det()) == parse_poly("t^4 - t^2 + 1")
-
-    def test_rejects_bad_input(self):
-        b = TREFOIL.seifert_form()
-        with pytest.raises(ValueError):
-            cable_presentation(b, 0)
-        singular = ExactMatrix.zeros(1, 1, kind="laurent")
-        with pytest.raises(ValueError):
-            cable_presentation(singular, 2)
-
-
-class TestSatellitePresentation:
-    def alexander_presentation(self, s):
-        return s.matrix.to_laurent() - s.matrix.transpose().to_laurent().scale(
-            parse_poly("t")
-        )
-
-    def test_empty_blocks(self):
-        b = TREFOIL.seifert_form()
-        empty = ExactMatrix.zeros(0, 0, kind="laurent")
-        assert satellite_presentation(empty, b, 1) == b
-        assert satellite_presentation(b, empty, 3) == b
-
-    def test_order_multiplicative(self):
-        p1 = self.alexander_presentation(TREFOIL)
-        p2 = self.alexander_presentation(FIGURE_EIGHT)
-        for w in (1, 2, -1):
-            sat = satellite_presentation(p1, p2, w)
-            assert sat.det() == p1.det() * p2.det().substitute_power(w)
-
-    def test_winding_zero_leaves_pattern_order(self):
-        p1 = self.alexander_presentation(TREFOIL)
-        p2 = self.alexander_presentation(FIGURE_EIGHT)
-        sat = satellite_presentation(p1, p2, 0)
-        assert normalize_unit(sat.det()) == normalize_unit(p1.det())
-
-    def test_rejects_singular(self):
-        singular = ExactMatrix.zeros(1, 1, kind="laurent")
-        b = TREFOIL.seifert_form()
-        with pytest.raises(ValueError):
-            satellite_presentation(singular, b, 1)
-        with pytest.raises(ValueError):
-            satellite_presentation(b, singular, 1)
-
-
-@given(st.integers(2, 4), st.integers(2, 4))
-@settings(max_examples=10, deadline=None)
-def test_cable_composition_random(m, n):
-    b = STEVEDORE.seifert_form()
-    assert cable_presentation(cable_presentation(b, m), n) == cable_presentation(b, m * n)

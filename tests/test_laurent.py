@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bingcheck.errors import ParseError
-from bingcheck.laurent import LaurentPoly, T, is_two_local, parse_poly
+from bingcheck.laurent import LaurentPoly, T, dense_divmod, is_two_local, parse_poly
 
 
 def naive_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -185,3 +185,35 @@ def test_exact_div_recovers_factor(f, g):
     if f.is_zero or g.is_zero:
         return
     assert (f * g).exact_div(g) == f
+
+
+# -- the dense long-division kernel ------------------------------------------
+
+rationals = st.one_of(coeffs, st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+
+def assert_division(num, den, quot, rem):
+    """num == quot * den + rem exactly, rem shorter than den, no trailing zeros."""
+    assert all(isinstance(c, (int, Fraction)) for c in quot + rem)
+    dense = LaurentPoly.from_coeffs
+    assert naive_mul(dense(quot), dense(den)) + dense(rem) == dense(num)
+    assert len(rem) < len(den)
+    assert not quot or quot[-1] != 0
+    assert not rem or rem[-1] != 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rationals, max_size=7),
+       st.lists(rationals, min_size=1, max_size=4).filter(lambda c: c[-1] != 0))
+def test_dense_divmod_over_q(num, den):
+    quot, rem = dense_divmod(num, den)
+    assert_division(num, den, quot, rem)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(coeffs, max_size=8), st.lists(coeffs, max_size=3))
+def test_dense_divmod_monic_keeps_integers(num, low):
+    den = low + [1]
+    quot, rem = dense_divmod(num, den)
+    assert all(type(c) is int for c in quot + rem)
+    assert_division(num, den, quot, rem)
