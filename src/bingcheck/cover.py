@@ -18,8 +18,6 @@ back flagged rational.
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .errors import FormulaHypothesisError
 from .laurent import LaurentPoly
 from .intpoly import IntPoly, resultant

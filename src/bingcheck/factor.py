@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import InternalInvariantError

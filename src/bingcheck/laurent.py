@@ -114,10 +114,6 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def monomial(cls, coeff, exp=0) -> "LaurentPoly":
-        return cls({exp: coeff})
-
-    @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
 
@@ -153,11 +149,6 @@ class LaurentPoly:
         if not self._terms:
             raise ValueError("zero polynomial has no exponents")
         return max(self._terms)
-
-    @property
-    def span(self) -> int:
-        """max_exp - min_exp; the degree of the associated ordinary polynomial."""
-        return self.max_exp - self.min_exp
 
     def coeff_list(self):
         """Dense ascending coefficients from min_exp, plus min_exp itself."""
@@ -341,17 +332,9 @@ class LaurentPoly:
     # -- text --------------------------------------------------------------
 
     def __str__(self):
-        return self._format(spaced=True)
-
-    def compact(self) -> str:
-        """Whitespace-free rendering, e.g. for matrix entries: ``t^2-3t+1``."""
-        return self._format(spaced=False)
-
-    def _format(self, spaced: bool) -> str:
         if not self._terms:
             return "0"
         parts = []
-        sep_plus, sep_minus = (" + ", " - ") if spaced else ("+", "-")
         for k in sorted(self._terms, reverse=True):
             c = self._terms[k]
             mag = abs(c)
@@ -363,7 +346,7 @@ class LaurentPoly:
             if not parts:
                 parts.append(body if c > 0 else ("-" + body))
             else:
-                parts.append((sep_plus if c > 0 else sep_minus) + body)
+                parts.append((" + " if c > 0 else " - ") + body)
         return "".join(parts)
 
     def __repr__(self):

@@ -237,9 +237,6 @@ class ExactMatrix:
             groups.setdefault(find(i), []).append(i)
         return [tuple(g) for g in sorted(groups.values())]
 
-    def map(self, fn) -> "ExactMatrix":
-        return ExactMatrix([[fn(e) for e in r] for r in self._rows])
-
     # -- determinant, inverse, signature -------------------------------------
     def det(self):
         """Exact determinant by fraction-free (Bareiss) elimination."""

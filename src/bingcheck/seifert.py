@@ -148,7 +148,8 @@ def signature_at(s: SeifertMatrix, angle) -> tuple:
 
 def signature_function(s: SeifertMatrix) -> SignatureFunction:
     """The full signature step function on the upper semicircle."""
-    return signature_function_of_matrix(s.seifert_form())
+    b = s.seifert_form()
+    return signature_function_of_matrix(b, b.det())
 
 
 def arf(s: SeifertMatrix) -> int:

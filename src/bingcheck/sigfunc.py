@@ -274,8 +274,11 @@ def _sample_angle(left: _ArcBound, right: _ArcBound) -> Fraction:
     raise InternalInvariantError("no rational angle certified inside the arc")
 
 
-def signature_function_of_matrix(B) -> SignatureFunction:
-    """SignatureFunction of a Hermitian Laurent ExactMatrix with det != 0."""
+def signature_function_of_matrix(B, det_b: LaurentPoly) -> SignatureFunction:
+    """SignatureFunction of a Hermitian Laurent ExactMatrix B with det != 0,
+    given det_b = det B up to a unit +-t^k."""
+    if det_b.is_zero:
+        raise ValueError("determinant vanishes identically; no signature step function")
     n = B.rows
     if n == 0:
         return SignatureFunction(
@@ -283,9 +286,6 @@ def signature_function_of_matrix(B) -> SignatureFunction:
             jumps=(),
             size=0,
         )
-    det_b = B.to_laurent().det()
-    if det_b.is_zero:
-        raise ValueError("determinant vanishes identically; no signature step function")
 
     raw = []
     for p, g in circle_jump_factors(det_b):

@@ -39,6 +39,7 @@ from .seifert import (
     determinant_invariant,
     fox_milnor,
     FoxMilnorResult,
+    signature_function,
 )
 
 __all__ = [
@@ -77,7 +78,7 @@ _CROSSCHECK_ANGLES = (
 class WittPresentation:
     """Hermitian Laurent presentation with a coefficient-ring flag."""
 
-    __slots__ = ("_b", "_ring")
+    __slots__ = ("_b", "_ring", "_order")
 
     def __init__(self, b: ExactMatrix, ring: str = "Z"):
         if ring not in _RING_RANK:
@@ -92,7 +93,8 @@ class WittPresentation:
                     raise AdmissibilityError(
                         "presentation is not Hermitian for t -> 1/t"
                     )
-        if n and b.det().is_zero:
+        det = b.det()
+        if det.is_zero:
             raise AdmissibilityError("presentation determinant vanishes")
         if ring in ("Z", "Z2loc"):
             for row in b.entries:
@@ -105,6 +107,17 @@ class WittPresentation:
                             )
         self._b = b
         self._ring = ring
+        self._order = normalize_unit(det)
+
+    @classmethod
+    def _closed(cls, b: ExactMatrix, ring: str, order: LaurentPoly) -> "WittPresentation":
+        """A presentation derived from admissible ones, with its order given."""
+        # t -> t^n and block sum keep the Hermitian form, the ring and a
+        # nonzero det, and they keep a normalized order normalized (constant
+        # term positive, lowest exponent 0), so nothing is checked again.
+        pres = cls.__new__(cls)
+        pres._b, pres._ring, pres._order = b, ring, order
+        return pres
 
     @property
     def matrix(self) -> ExactMatrix:
@@ -121,9 +134,7 @@ class WittPresentation:
     def order(self) -> LaurentPoly:
         """Normalized determinant: the order of the presented torsion module
         (up to units)."""
-        if self.size == 0:
-            return LaurentPoly.one()
-        return normalize_unit(self._b.det())
+        return self._order
 
     def __eq__(self, other):
         if not isinstance(other, WittPresentation):
@@ -149,14 +160,18 @@ def phi(p: WittPresentation, n: int) -> WittPresentation:
         raise ValueError("phi needs n >= 1")
     if n == 1:
         return p
-    return WittPresentation(p.matrix.substitute_power(n), ring=p.ring)
+    return WittPresentation._closed(
+        p.matrix.substitute_power(n), p.ring, p.order().substitute_power(n)
+    )
 
 
 def witt_sum(p1: WittPresentation, p2: WittPresentation) -> WittPresentation:
     """Block sum; realizes addition of Witt classes.  Ring flags promote
     toward Q."""
     ring = max(p1.ring, p2.ring, key=_RING_RANK.get)
-    return WittPresentation(p1.matrix.block_sum(p2.matrix), ring=ring)
+    return WittPresentation._closed(
+        p1.matrix.block_sum(p2.matrix), ring, p1.order() * p2.order()
+    )
 
 
 def jpq_presentation(s: SeifertMatrix, p: int, q: int) -> WittPresentation:
@@ -254,7 +269,7 @@ def obstruction_battery(s: SeifertMatrix) -> ObstructionReport:
     order Fox-Milnor, signature function, Arf, determinant-square) as the
     certificate."""
     delta = alexander(s)
-    sigfn = signature_function_of_matrix(s.seifert_form())
+    sigfn = signature_function(s)
     arf_value = seifert_arf(s) if s.integral else None
     det_value = determinant_invariant(s) if s.integral else None
     return _assemble_report(
@@ -270,11 +285,12 @@ def obstruction_battery(s: SeifertMatrix) -> ObstructionReport:
 def presentation_battery(p: WittPresentation, name: str = "(presentation)") -> ObstructionReport:
     """The battery applied to a bare presentation: the order det(B) takes
     the Alexander polynomial's role, Arf and determinant do not apply."""
+    order = p.order()
     return _assemble_report(
         name,
         p.ring,
-        p.order(),
-        signature_function_of_matrix(p.matrix),
+        order,
+        signature_function_of_matrix(p.matrix, order),
         None,
         None,
     )
@@ -319,12 +335,10 @@ def _signature_at_multiple(b: ExactMatrix, theta: Fraction):
 def _phi_signature_function(base: WittPresentation, n: int):
     """Signature function of phi_n(base); n = 0 is the zero pairing, whose
     function vanishes identically."""
-    if n == 0:
-        return signature_function_of_matrix(
-            ExactMatrix.zeros(0, 0, kind="laurent")
-        ), ExactMatrix.zeros(0, 0, kind="laurent")
-    pres = phi(base, n)
-    return signature_function_of_matrix(pres.matrix), pres.matrix
+    pres = phi(base, n) if n else WittPresentation(
+        ExactMatrix.zeros(0, 0, kind="laurent")
+    )
+    return signature_function_of_matrix(pres.matrix, pres.order()), pres.matrix
 
 
 def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:

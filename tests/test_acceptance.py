@@ -189,6 +189,7 @@ def test_criterion_6_phi_laws():
             image = phi(pres, n)
             assert image.order() \
                 == normalize_unit(pres.order().substitute_power(n))
+            assert image.order() == normalize_unit(image.matrix.det())
             for theta in check_angles:
                 assert _sig_with_basepoint(image.matrix, theta) \
                     == _sig_with_basepoint(pres.matrix, n * theta)

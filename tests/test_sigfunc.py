@@ -12,7 +12,7 @@ import pytest
 
 from bingcheck.errors import InternalInvariantError
 from bingcheck.intpoly import IntPoly
-from bingcheck.laurent import LaurentPoly, parse_poly
+from bingcheck.laurent import LaurentPoly, normalize_unit, parse_poly
 from bingcheck.matrices import ExactMatrix
 from bingcheck.sigfunc import (
     SignatureFunction,
@@ -98,7 +98,8 @@ class TestCircleJumpFactors:
 
 class TestTrefoil:
     def test_profile(self):
-        f = signature_function_of_matrix(bmat(TREFOIL))
+        B = bmat(TREFOIL)
+        f = signature_function_of_matrix(B, B.det())
         assert f.arc_rows() == [
             (Fraction(-2), Fraction(1), -2),
             (Fraction(1), Fraction(2), 0),
@@ -110,13 +111,15 @@ class TestTrefoil:
         assert f.max_abs_signature() == 2
 
     def test_arc_next_to_omega_one_vanishes(self):
-        f = signature_function_of_matrix(bmat(TREFOIL))
+        B = bmat(TREFOIL)
+        f = signature_function_of_matrix(B, B.det())
         assert f.arcs[-1].signature == 0
 
 
 class TestFigureEight:
     def test_single_zero_arc(self):
-        f = signature_function_of_matrix(bmat(FIGURE_EIGHT))
+        B = bmat(FIGURE_EIGHT)
+        f = signature_function_of_matrix(B, B.det())
         assert f.arc_rows() == [(Fraction(-2), Fraction(2), 0)]
         assert f.jumps == ()
         assert f.is_zero
@@ -124,7 +127,8 @@ class TestFigureEight:
 
 class TestTorusKnot25:
     def test_profile(self):
-        f = signature_function_of_matrix(bmat(T25))
+        B = bmat(T25)
+        f = signature_function_of_matrix(B, B.det())
         assert [a.signature for a in f.arcs] == [-4, -2, 0]
         assert [j.nullity for j in f.jumps] == [1, 1]
         # jumps at the two roots of t^2 - t - 1 (u = (1 -+ sqrt 5)/2)
@@ -137,12 +141,14 @@ class TestTorusKnot25:
 
 class TestBlockSums:
     def test_double_trefoil_doubles_values_and_nullity(self):
-        f = signature_function_of_matrix(bmat(block_diag(TREFOIL, TREFOIL)))
+        B = bmat(block_diag(TREFOIL, TREFOIL))
+        f = signature_function_of_matrix(B, B.det())
         assert [a.signature for a in f.arcs] == [-4, 0]
         assert f.jump_rows() == [(Fraction(1), Fraction(1), 2)]
 
     def test_mixed_sum_is_pointwise_additive(self):
-        f = signature_function_of_matrix(bmat(block_diag(TREFOIL, T25)))
+        B = bmat(block_diag(TREFOIL, T25))
+        f = signature_function_of_matrix(B, B.det())
         assert [a.signature for a in f.arcs] == [-6, -4, -2, 0]
         assert [j.nullity for j in f.jumps] == [1, 1, 1]
         # middle jump is the exact rational root u = 1 from the trefoil factor
@@ -150,7 +156,8 @@ class TestBlockSums:
 
     def test_trefoil_plus_mirror_cancels(self):
         mirror = [[1, 0], [-1, 1]]  # -A^T for the trefoil matrix
-        f = signature_function_of_matrix(bmat(block_diag(TREFOIL, mirror)))
+        B = bmat(block_diag(TREFOIL, mirror))
+        f = signature_function_of_matrix(B, B.det())
         assert f.is_zero
         assert f.jump_rows() == [(Fraction(1), Fraction(1), 2)]
 
@@ -158,17 +165,20 @@ class TestBlockSums:
 class TestSameStepFunction:
     def test_same_matrix_twice(self):
         B1, B2 = bmat(T25), bmat(T25)
-        f, g = signature_function_of_matrix(B1), signature_function_of_matrix(B2)
+        f = signature_function_of_matrix(B1, B1.det())
+        g = signature_function_of_matrix(B2, B2.det())
         assert same_step_function(f, g, B1, B2)
 
     def test_distinct_functions_differ(self):
         B1, B2 = bmat(T25), bmat(TREFOIL)
-        f, g = signature_function_of_matrix(B1), signature_function_of_matrix(B2)
+        f = signature_function_of_matrix(B1, B1.det())
+        g = signature_function_of_matrix(B2, B2.det())
         assert not same_step_function(f, g, B1, B2)
 
     def test_zero_functions_equal_without_sampling(self):
         B1, B2 = bmat(FIGURE_EIGHT), bmat([[1, 1], [0, -2]])
-        f, g = signature_function_of_matrix(B1), signature_function_of_matrix(B2)
+        f = signature_function_of_matrix(B1, B1.det())
+        g = signature_function_of_matrix(B2, B2.det())
         assert f.is_zero and g.is_zero
         assert same_step_function(f, g, B1, B2)
 
@@ -176,24 +186,41 @@ class TestSameStepFunction:
         # trefoil vs trefoil # (figure-eight): same arc values, extra factor
         B1 = bmat(TREFOIL)
         B2 = bmat(block_diag(TREFOIL, FIGURE_EIGHT))
-        f, g = signature_function_of_matrix(B1), signature_function_of_matrix(B2)
+        f = signature_function_of_matrix(B1, B1.det())
+        g = signature_function_of_matrix(B2, B2.det())
         assert same_step_function(f, g, B1, B2)
+
+
+class TestGivenDeterminant:
+    def test_any_associate_gives_the_same_function(self):
+        B = bmat(block_diag(TREFOIL, T25))
+        det_b = B.det()
+        f = signature_function_of_matrix(B, det_b)
+        for d in (-det_b, det_b.shift(3), normalize_unit(det_b)):
+            assert signature_function_of_matrix(B, d) == f
+
+    def test_zero_determinant_rejected(self):
+        with pytest.raises(ValueError, match="vanishes"):
+            signature_function_of_matrix(bmat(TREFOIL), LaurentPoly.zero())
 
 
 class TestEmptyMatrix:
     def test_zero_by_zero(self):
-        f = signature_function_of_matrix(ExactMatrix.zeros(0, 0, kind="laurent"))
+        B = ExactMatrix.zeros(0, 0, kind="laurent")
+        f = signature_function_of_matrix(B, B.det())
         assert f.arc_rows() == [(Fraction(-2), Fraction(2), 0)]
         assert f.is_zero and f.jumps == ()
 
 
 class TestSampling:
     def test_sample_angles_avoid_jumps(self):
-        f = signature_function_of_matrix(bmat(T25))
+        B = bmat(T25)
+        f = signature_function_of_matrix(B, B.det())
         for arc in f.arcs:
             assert 0 < arc.sample_angle < Fraction(1, 2)
 
     def test_deterministic(self):
-        f = signature_function_of_matrix(bmat(T25))
-        g = signature_function_of_matrix(bmat(T25))
+        B1, B2 = bmat(T25), bmat(T25)
+        f = signature_function_of_matrix(B1, B1.det())
+        g = signature_function_of_matrix(B2, B2.det())
         assert f == g

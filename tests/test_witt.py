@@ -105,6 +105,7 @@ class TestPhi:
             assert phi(p, n).order() == normalize_unit(
                 p.order().substitute_power(n)
             )
+            assert phi(p, n).order() == normalize_unit(phi(p, n).matrix.det())
 
     def test_rejects_nonpositive(self):
         p = from_seifert(TREFOIL)
@@ -145,6 +146,8 @@ class TestWittSum:
         p1 = from_seifert(TREFOIL)
         p2 = from_seifert(STEVEDORE)
         assert witt_sum(p1, p2).order() == normalize_unit(p1.order() * p2.order())
+        s = witt_sum(p1, p2)
+        assert s.order() == normalize_unit(s.matrix.det())
 
     def test_signature_additive(self):
         p1 = from_seifert(TREFOIL)
@@ -163,11 +166,28 @@ class TestWittSum:
             total = base
             for _ in range(p - 1):
                 total = witt_sum(total, base)
-            f_base = signature_function_of_matrix(base.matrix)
-            f_total = signature_function_of_matrix(total.matrix)
+            f_base = signature_function_of_matrix(base.matrix, base.matrix.det())
+            f_total = signature_function_of_matrix(total.matrix, total.matrix.det())
             assert len(f_total.jumps) == len(f_base.jumps)
             assert [a.signature for a in f_total.arcs] \
                 == [p * a.signature for a in f_base.arcs]
+
+
+class TestClosedConstructions:
+    def test_public_checks_accept_derived_presentations(self):
+        # phi and witt_sum skip the admissibility checks and the det; the
+        # public constructor must accept what they build, with the same order
+        bases = [from_seifert(s) for s in CATALOG]
+        derived = [phi(p, n) for p in bases for n in range(2, 6)]
+        derived += [witt_sum(p1, p2) for p1 in bases for p2 in bases]
+        derived += [
+            jpq_presentation(s, p, q)
+            for s in CATALOG for p in (1, 2) for q in (1, 2)
+        ]
+        for x in derived:
+            rebuilt = WittPresentation(x.matrix, x.ring)
+            assert rebuilt == x
+            assert rebuilt.order() == x.order()
 
 
 class TestJpqPresentation:
