@@ -14,6 +14,7 @@ from bingcheck import (
     catalog_lookup,
     connected_sum,
     determinant_invariant,
+    factor_rational,
     fox_milnor,
     mirror,
 )
@@ -22,7 +23,7 @@ from bingcheck import (
 def describe(name):
     s = catalog_lookup(name).seifert
     delta = alexander(s)
-    fm = fox_milnor(delta)
+    fm = fox_milnor(delta, factor_rational(delta)[1])
     print("%-12s Delta = %-18s det = %-3d Arf = %d  Fox-Milnor %s"
           % (name, delta, determinant_invariant(s), arf(s),
              "pass (f = %s)" % fm.witness if fm.passes else "fail"))
@@ -41,8 +42,9 @@ print()
 print("== mirrors and connected sums ==")
 trefoil = catalog_lookup("3_1").seifert
 square_knot = connected_sum(trefoil, mirror(trefoil))
-print("K # -K (square knot): Delta =", alexander(square_knot))
-print("  Fox-Milnor:", "pass" if fox_milnor(alexander(square_knot)).passes
+delta = alexander(square_knot)
+print("K # -K (square knot): Delta =", delta)
+print("  Fox-Milnor:", "pass" if fox_milnor(delta, factor_rational(delta)[1]).passes
       else "fail")
 print("  Arf:", arf(square_knot), " (additive mod 2: 1 + 1 = 0)")
 

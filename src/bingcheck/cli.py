@@ -14,6 +14,7 @@ import os
 import sys
 
 from .errors import BingcheckError, InternalInvariantError
+from .factor import factor_rational
 from .seifert import SeifertMatrix, alexander, arf, fox_milnor, signature_function
 from .cover import branched_cover_homology_order, covering_seifert_matrix
 from .witt import (
@@ -255,7 +256,8 @@ def _dispatch(args) -> None:
     elif cmd == "arf":
         _emit("arf = %d\n" % arf(s))
     elif cmd == "foxmilnor":
-        result = fox_milnor(alexander(s))
+        delta = alexander(s)
+        result = fox_milnor(delta, factor_rational(delta)[1])
         _emit("fox_milnor = %s\n" % ("pass" if result.passes else "fail"))
         if result.passes:
             _emit("fox_milnor_witness = %s\n" % result.witness)

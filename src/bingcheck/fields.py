@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .errors import InternalInvariantError
 from .laurent import LaurentPoly, _strip, dense_divmod
-from .intpoly import IntPoly, cyclotomic, euler_phi
+from .intpoly import IntPoly, cyclotomic
 
 __all__ = [
     "CyclotomicField",

@@ -147,9 +147,13 @@ def signature_at(s: SeifertMatrix, angle) -> tuple:
 
 
 def signature_function(s: SeifertMatrix) -> SignatureFunction:
-    """The full signature step function on the upper semicircle."""
-    b = s.seifert_form()
-    return signature_function_of_matrix(b, b.det())
+    """The full signature step function on the upper semicircle.
+
+    det B = +-t^k (t - 1)^(2g) Delta(t) for the Seifert form B, and t - 1
+    has no root on the open arc, so the factors of Delta serve for det B."""
+    return signature_function_of_matrix(
+        s.seifert_form(), factor_rational(alexander(s))[1]
+    )
 
 
 def arf(s: SeifertMatrix) -> int:
@@ -198,8 +202,9 @@ def _pick_representative(p: IntPoly, q: IntPoly) -> IntPoly:
     return min((p, q), key=lambda f: f.coeffs)
 
 
-def fox_milnor(delta: LaurentPoly) -> FoxMilnorResult:
-    """Whether delta factors as +- t^k f(t) f(1/t), with a witness f.
+def fox_milnor(delta: LaurentPoly, factors) -> FoxMilnorResult:
+    """Whether delta factors as +- t^k f(t) f(1/t), with a witness f;
+    `factors` is factor_rational(delta)[1].
 
     The test is on multiplicities in the factorization over Q: every
     self-reciprocal irreducible factor must occur to even multiplicity, and
@@ -209,15 +214,16 @@ def fox_milnor(delta: LaurentPoly) -> FoxMilnorResult:
     the content of delta is a perfect square of a rational (always the case
     for the Alexander polynomial of an integral Seifert matrix).
 
-    >>> r = fox_milnor(parse_poly('2t^2 - 5t + 2'))
+    >>> delta = parse_poly('2t^2 - 5t + 2')
+    >>> r = fox_milnor(delta, factor_rational(delta)[1])
     >>> r.passes, str(r.witness)
     (True, '2t - 1')
-    >>> fox_milnor(parse_poly('t^2 - 3t + 1')).passes
+    >>> delta = parse_poly('t^2 - 3t + 1')
+    >>> fox_milnor(delta, factor_rational(delta)[1]).passes
     False
     """
     if delta.is_zero:
         raise ValueError("the zero polynomial has no Fox-Milnor factorization")
-    _, factors = factor_rational(delta)
     mult = dict(factors)
     witness = parse_poly("1")
     for p, m in factors:

@@ -8,7 +8,7 @@ factor P of det B other than t -+ 1 satisfies P(t) = t^(deg P/2) g(u) for an
 integer polynomial g, and the circle zeros of P correspond to the roots of g
 in (-2, 2).  The construction therefore:
 
-  1. factors det B over Q and forms the u-images of the relevant factors;
+  1. forms the u-images of the relevant irreducible factors of det B;
   2. isolates their real roots in (-2, 2) with Sturm sequences and refines
      the isolating intervals until pairwise disjoint -- these are the jumps,
      each carrying the nullity of B at the corresponding root (computed as a
@@ -32,9 +32,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import InternalInvariantError
-from .laurent import LaurentPoly
 from .intpoly import IntPoly, RootInterval, cyclotomic, sturm_isolate
-from .factor import factor_rational
 from .fields import cos_enclosure, evaluated_hermitian_signature, rank_over_factor
 
 __all__ = [
@@ -158,17 +156,16 @@ class SignatureFunction:
         ]
 
 
-def circle_jump_factors(det_b: LaurentPoly):
-    """(factor, u-image) for each self-reciprocal irreducible factor of
-    det_b other than t - 1 and t + 1; these are the only factors that can
-    vanish on the open upper semicircle.
+def circle_jump_factors(factors):
+    """(factor, u-image) for each self-reciprocal irreducible factor in
+    `factors` (pairs (factor, multiplicity)) other than t - 1 and t + 1;
+    these are the only factors that can vanish on the open upper semicircle.
 
     An irreducible factor vanishing at some omega with |omega| = 1 and
     omega != -+1 also vanishes at the distinct root 1/omega = conj(omega),
     so it agrees with its own reciprocal up to sign; the sign is + and the
     degree even, because p(t) = -t^deg p(1/t) would force p(1) = 0.
     """
-    _, factors = factor_rational(det_b)
     out = []
     for p, _mult in factors:
         # degree-1 self-reciprocal factors are t -+ 1 (roots at u = -+2)
@@ -274,11 +271,10 @@ def _sample_angle(left: _ArcBound, right: _ArcBound) -> Fraction:
     raise InternalInvariantError("no rational angle certified inside the arc")
 
 
-def signature_function_of_matrix(B, det_b: LaurentPoly) -> SignatureFunction:
+def signature_function_of_matrix(B, factors) -> SignatureFunction:
     """SignatureFunction of a Hermitian Laurent ExactMatrix B with det != 0,
-    given det_b = det B up to a unit +-t^k."""
-    if det_b.is_zero:
-        raise ValueError("determinant vanishes identically; no signature step function")
+    given the irreducible factors of det B as factor_rational(det B)[1]
+    lists them; t - 1 and t + 1 may be left out, having no root on the arc."""
     n = B.rows
     if n == 0:
         return SignatureFunction(
@@ -288,7 +284,7 @@ def signature_function_of_matrix(B, det_b: LaurentPoly) -> SignatureFunction:
         )
 
     raw = []
-    for p, g in circle_jump_factors(det_b):
+    for p, g in circle_jump_factors(factors):
         roots = sturm_isolate(g, Fraction(-2), Fraction(2))
         if not roots:
             continue

@@ -27,8 +27,9 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import AdmissibilityError, InternalInvariantError
-from .laurent import LaurentPoly, dense_divmod, is_two_local, normalize_unit
-from .intpoly import IntPoly, cyclotomic, euler_phi
+from .laurent import LaurentPoly, is_two_local, normalize_unit
+from .intpoly import cyclotomic_order
+from .factor import factor_rational
 from .matrices import ExactMatrix
 from .fields import evaluated_hermitian_signature
 from .sigfunc import SignatureFunction, same_step_function, signature_function_of_matrix
@@ -39,7 +40,6 @@ from .seifert import (
     determinant_invariant,
     fox_milnor,
     FoxMilnorResult,
-    signature_function,
 )
 
 __all__ = [
@@ -183,27 +183,18 @@ def jpq_presentation(s: SeifertMatrix, p: int, q: int) -> WittPresentation:
     return witt_sum(phi(base, p), witt_sum(phi(base, p + q), phi(base, q)))
 
 
-def cyclotomic_factors(delta: LaurentPoly):
-    """Sorted list of all d with the d-th cyclotomic polynomial dividing
-    delta (d = 1 means t - 1; d = 2 means t + 1), found by trial division
-    over the range phi(d) <= deg delta.
+def cyclotomic_factors(factors):
+    """Sorted list of all d with the d-th cyclotomic polynomial among the
+    irreducible factors of a polynomial (d = 1 means t - 1; d = 2 means
+    t + 1), given its factors as factor_rational lists them.
 
     >>> from .laurent import parse_poly
-    >>> cyclotomic_factors(parse_poly('t^2 - t + 1'))
+    >>> cyclotomic_factors(factor_rational(parse_poly('t^2 - t + 1'))[1])
     [6]
-    >>> cyclotomic_factors(parse_poly('t^2 - 3t + 1'))
+    >>> cyclotomic_factors(factor_rational(parse_poly('t^2 - 3t + 1'))[1])
     []
     """
-    if delta.is_zero:
-        raise ValueError("the zero polynomial has no factors")
-    f = IntPoly.from_laurent(delta * (1 / delta.content())).primitive()
-    deg = f.degree
-    out = []
-    # euler_phi(d) >= sqrt(d/2), so phi(d) <= deg forces d <= 2 deg^2 + 1
-    for d in range(1, 2 * deg * deg + 2):
-        if euler_phi(d) <= deg and not dense_divmod(f.coeffs, cyclotomic(d).coeffs)[1]:
-            out.append(d)
-    return out
+    return sorted(d for g, _ in factors if (d := cyclotomic_order(g)) is not None)
 
 
 @dataclass(frozen=True)
@@ -238,8 +229,13 @@ class ObstructionReport:
             raise InternalInvariantError("no certificate without an obstruction")
 
 
-def _assemble_report(name, ring, order, sigfn, arf_value, det_value) -> ObstructionReport:
-    fm = fox_milnor(order)
+def _assemble_report(name, ring, order, matrix, arf_value, det_value) -> ObstructionReport:
+    """The battery on `order` and the presentation `matrix`, whose det is
+    order times +-t^k (t - 1)^m; t - 1 has no root on the open arc, so the
+    one factorization of `order` serves every test that reads factors."""
+    _, factors = factor_rational(order)
+    fm = fox_milnor(order, factors)
+    sigfn = signature_function_of_matrix(matrix, factors)
     failures = {
         "fox_milnor": not fm.passes,
         "signature_function": not sigfn.is_zero,
@@ -257,7 +253,7 @@ def _assemble_report(name, ring, order, sigfn, arf_value, det_value) -> Obstruct
         signature=sigfn,
         arf=arf_value,
         determinant=det_value,
-        cyclotomic=tuple(cyclotomic_factors(order)),
+        cyclotomic=tuple(cyclotomic_factors(factors)),
         verdict=NOT_ALG_SLICE if certificate else NO_OBSTRUCTION_FOUND,
         certificate=certificate,
     )
@@ -268,15 +264,13 @@ def obstruction_battery(s: SeifertMatrix) -> ObstructionReport:
     a Seifert matrix; deterministic, with the first failing test (in the
     order Fox-Milnor, signature function, Arf, determinant-square) as the
     certificate."""
-    delta = alexander(s)
-    sigfn = signature_function(s)
     arf_value = seifert_arf(s) if s.integral else None
     det_value = determinant_invariant(s) if s.integral else None
     return _assemble_report(
         s.name or "(unnamed)",
         "Z" if s.integral else "Q",
-        delta,
-        sigfn,
+        alexander(s),
+        s.seifert_form(),
         arf_value,
         det_value,
     )
@@ -285,15 +279,7 @@ def obstruction_battery(s: SeifertMatrix) -> ObstructionReport:
 def presentation_battery(p: WittPresentation, name: str = "(presentation)") -> ObstructionReport:
     """The battery applied to a bare presentation: the order det(B) takes
     the Alexander polynomial's role, Arf and determinant do not apply."""
-    order = p.order()
-    return _assemble_report(
-        name,
-        p.ring,
-        order,
-        signature_function_of_matrix(p.matrix, order),
-        None,
-        None,
-    )
+    return _assemble_report(name, p.ring, p.order(), p.matrix, None, None)
 
 
 @dataclass(frozen=True)
@@ -338,7 +324,8 @@ def _phi_signature_function(base: WittPresentation, n: int):
     pres = phi(base, n) if n else WittPresentation(
         ExactMatrix.zeros(0, 0, kind="laurent")
     )
-    return signature_function_of_matrix(pres.matrix, pres.order()), pres.matrix
+    _, factors = factor_rational(pres.order())
+    return signature_function_of_matrix(pres.matrix, factors), pres.matrix
 
 
 def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:

@@ -4,10 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from bingcheck.errors import InternalInvariantError
 from bingcheck.fields import (
     PolyQuotientField,
     cos_enclosure,
@@ -16,7 +13,7 @@ from bingcheck.fields import (
     rank_over_factor,
 )
 from bingcheck.intpoly import IntPoly
-from bingcheck.laurent import LaurentPoly, parse_poly
+from bingcheck.laurent import parse_poly
 from bingcheck.matrices import ExactMatrix
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bingcheck.errors import AdmissibilityError
+from bingcheck.factor import factor_rational
 from bingcheck.laurent import LaurentPoly, normalize_unit, parse_poly
 from bingcheck.seifert import (
     SeifertMatrix,
@@ -30,6 +31,10 @@ TREFOIL = SeifertMatrix([[-1, 1], [0, -1]], name="3_1")
 FIGURE_EIGHT = SeifertMatrix([[1, 1], [0, -1]], name="4_1")
 STEVEDORE = SeifertMatrix([[1, 1], [0, -2]], name="6_1")
 UNKNOT = SeifertMatrix([], name="unknot")
+
+
+def fox_milnor_of(delta):
+    return fox_milnor(delta, factor_rational(delta)[1])
 
 
 def random_admissible_2x2(draw_entries):
@@ -168,17 +173,17 @@ class TestArfAndDeterminant:
 
 class TestFoxMilnor:
     def test_goldens(self):
-        r = fox_milnor(parse_poly("2t^2 - 5t + 2"))
+        r = fox_milnor_of(parse_poly("2t^2 - 5t + 2"))
         assert r.passes and r.witness == parse_poly("2t - 1")
-        assert not fox_milnor(parse_poly("t^2 - 3t + 1")).passes
-        r = fox_milnor(parse_poly("1"))
+        assert not fox_milnor_of(parse_poly("t^2 - 3t + 1")).passes
+        r = fox_milnor_of(parse_poly("1"))
         assert r.passes and r.witness == parse_poly("1")
-        assert not fox_milnor(alexander(TREFOIL)).passes
+        assert not fox_milnor_of(alexander(TREFOIL)).passes
 
     def test_witness_identity(self):
         for delta in ("2t^2 - 5t + 2", "t^4 - 2t^3 + 3t^2 - 2t + 1",
                       "4t^2 - 17t + 4"):
-            r = fox_milnor(parse_poly(delta))
+            r = fox_milnor_of(parse_poly(delta))
             assert r.passes
             prod = r.witness * r.witness.substitute_power(-1)
             assert normalize_unit(prod) == normalize_unit(parse_poly(delta))
@@ -186,22 +191,22 @@ class TestFoxMilnor:
     def test_rational_content_square(self):
         # (t+1)^2 / 4: passes with witness (t+1)/2, the identity exact
         delta = parse_poly("1/4t^2 + 1/2t + 1/4")
-        r = fox_milnor(delta)
+        r = fox_milnor_of(delta)
         assert r.passes and r.witness == parse_poly("1/2t + 1/2")
         prod = r.witness * r.witness.substitute_power(-1)
         assert normalize_unit(prod) == normalize_unit(delta)
 
     def test_odd_self_reciprocal_power_fails(self):
-        assert not fox_milnor(parse_poly("t^2 - t + 1") ** 3).passes
-        assert fox_milnor(parse_poly("t^2 - t + 1") ** 2).passes
+        assert not fox_milnor_of(parse_poly("t^2 - t + 1") ** 3).passes
+        assert fox_milnor_of(parse_poly("t^2 - t + 1") ** 2).passes
 
     def test_mismatched_partner_multiplicity_fails(self):
         delta = parse_poly("2t - 1") ** 2 * parse_poly("t - 2")
-        assert not fox_milnor(delta).passes
+        assert not fox_milnor_of(delta).passes
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            fox_milnor(LaurentPoly.zero())
+            fox_milnor(LaurentPoly.zero(), [])
 
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=3),
            st.integers(0, 2))
@@ -211,7 +216,7 @@ class TestFoxMilnor:
         if f.is_zero:
             return
         delta = f * f.substitute_power(-1)
-        r = fox_milnor(delta)
+        r = fox_milnor_of(delta)
         assert r.passes
         prod = r.witness * r.witness.substitute_power(-1)
         assert normalize_unit(prod) == normalize_unit(delta)
@@ -238,7 +243,7 @@ class TestSumAndMirror:
 
     def test_knot_plus_mirror_is_algebraically_invisible(self):
         s = connected_sum(TREFOIL, mirror(TREFOIL))
-        assert fox_milnor(alexander(s)).passes
+        assert fox_milnor_of(alexander(s)).passes
         assert signature_function(s).is_zero
         assert arf(s) == 0
 

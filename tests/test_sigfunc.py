@@ -6,16 +6,18 @@ semicircle, and for the figure-eight knot it vanishes identically because
 t^2 - 3t + 1 has no roots on the circle (u-image t - 3, root outside (-2, 2)).
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from bingcheck.errors import InternalInvariantError
+from bingcheck.catalog import builtin_catalog
+from bingcheck.factor import factor_rational
 from bingcheck.intpoly import IntPoly
-from bingcheck.laurent import LaurentPoly, normalize_unit, parse_poly
+from bingcheck.laurent import LaurentPoly, parse_poly
 from bingcheck.matrices import ExactMatrix
+from bingcheck.seifert import SeifertMatrix, alexander
 from bingcheck.sigfunc import (
-    SignatureFunction,
     circle_jump_factors,
     same_step_function,
     signature_function_of_matrix,
@@ -25,6 +27,10 @@ from bingcheck.sigfunc import (
 TREFOIL = [[-1, 1], [0, -1]]
 FIGURE_EIGHT = [[1, 1], [0, -1]]
 T25 = [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1]]
+
+
+def factor_list(f):
+    return factor_rational(f)[1]
 
 
 def bmat(a):
@@ -52,6 +58,17 @@ def block_diag(*mats):
                 out[off + i][off + j] = m[i][j]
         off += len(m)
     return out
+
+
+def random_genus_two(rng):
+    """Integral 4x4 Seifert matrix with A - A^T the standard symplectic form."""
+    rows = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        rows[i][i] = rng.randint(-3, 3)
+        for j in range(i + 1, 4):
+            rows[i][j] = rng.randint(-3, 3)
+            rows[j][i] = rows[i][j] - (1 if (i, j) in ((0, 1), (2, 3)) else 0)
+    return SeifertMatrix(rows)
 
 
 class TestUImage:
@@ -83,23 +100,23 @@ class TestUImage:
 class TestCircleJumpFactors:
     def test_trefoil_keeps_alexander_factor(self):
         d = bmat(TREFOIL).to_laurent().det()
-        fac = circle_jump_factors(d)
+        fac = circle_jump_factors(factor_list(d))
         assert [(str(p), str(g)) for p, g in fac] == [("t^2 - t + 1", "t - 1")]
 
     def test_reciprocal_pairs_are_dropped(self):
         # (2t - 1)(t - 2) has no roots on the circle and is not kept
         d = parse_poly("2t^2 - 5t + 2")
-        assert circle_jump_factors(d) == []
+        assert circle_jump_factors(factor_list(d)) == []
 
     def test_t_plus_minus_one_dropped(self):
         d = parse_poly("t^2 - 1")
-        assert circle_jump_factors(d) == []
+        assert circle_jump_factors(factor_list(d)) == []
 
 
 class TestTrefoil:
     def test_profile(self):
         B = bmat(TREFOIL)
-        f = signature_function_of_matrix(B, B.det())
+        f = signature_function_of_matrix(B, factor_list(B.det()))
         assert f.arc_rows() == [
             (Fraction(-2), Fraction(1), -2),
             (Fraction(1), Fraction(2), 0),
@@ -112,14 +129,14 @@ class TestTrefoil:
 
     def test_arc_next_to_omega_one_vanishes(self):
         B = bmat(TREFOIL)
-        f = signature_function_of_matrix(B, B.det())
+        f = signature_function_of_matrix(B, factor_list(B.det()))
         assert f.arcs[-1].signature == 0
 
 
 class TestFigureEight:
     def test_single_zero_arc(self):
         B = bmat(FIGURE_EIGHT)
-        f = signature_function_of_matrix(B, B.det())
+        f = signature_function_of_matrix(B, factor_list(B.det()))
         assert f.arc_rows() == [(Fraction(-2), Fraction(2), 0)]
         assert f.jumps == ()
         assert f.is_zero
@@ -128,7 +145,7 @@ class TestFigureEight:
 class TestTorusKnot25:
     def test_profile(self):
         B = bmat(T25)
-        f = signature_function_of_matrix(B, B.det())
+        f = signature_function_of_matrix(B, factor_list(B.det()))
         assert [a.signature for a in f.arcs] == [-4, -2, 0]
         assert [j.nullity for j in f.jumps] == [1, 1]
         # jumps at the two roots of t^2 - t - 1 (u = (1 -+ sqrt 5)/2)
@@ -142,13 +159,13 @@ class TestTorusKnot25:
 class TestBlockSums:
     def test_double_trefoil_doubles_values_and_nullity(self):
         B = bmat(block_diag(TREFOIL, TREFOIL))
-        f = signature_function_of_matrix(B, B.det())
+        f = signature_function_of_matrix(B, factor_list(B.det()))
         assert [a.signature for a in f.arcs] == [-4, 0]
         assert f.jump_rows() == [(Fraction(1), Fraction(1), 2)]
 
     def test_mixed_sum_is_pointwise_additive(self):
         B = bmat(block_diag(TREFOIL, T25))
-        f = signature_function_of_matrix(B, B.det())
+        f = signature_function_of_matrix(B, factor_list(B.det()))
         assert [a.signature for a in f.arcs] == [-6, -4, -2, 0]
         assert [j.nullity for j in f.jumps] == [1, 1, 1]
         # middle jump is the exact rational root u = 1 from the trefoil factor
@@ -157,7 +174,7 @@ class TestBlockSums:
     def test_trefoil_plus_mirror_cancels(self):
         mirror = [[1, 0], [-1, 1]]  # -A^T for the trefoil matrix
         B = bmat(block_diag(TREFOIL, mirror))
-        f = signature_function_of_matrix(B, B.det())
+        f = signature_function_of_matrix(B, factor_list(B.det()))
         assert f.is_zero
         assert f.jump_rows() == [(Fraction(1), Fraction(1), 2)]
 
@@ -165,20 +182,20 @@ class TestBlockSums:
 class TestSameStepFunction:
     def test_same_matrix_twice(self):
         B1, B2 = bmat(T25), bmat(T25)
-        f = signature_function_of_matrix(B1, B1.det())
-        g = signature_function_of_matrix(B2, B2.det())
+        f = signature_function_of_matrix(B1, factor_list(B1.det()))
+        g = signature_function_of_matrix(B2, factor_list(B2.det()))
         assert same_step_function(f, g, B1, B2)
 
     def test_distinct_functions_differ(self):
         B1, B2 = bmat(T25), bmat(TREFOIL)
-        f = signature_function_of_matrix(B1, B1.det())
-        g = signature_function_of_matrix(B2, B2.det())
+        f = signature_function_of_matrix(B1, factor_list(B1.det()))
+        g = signature_function_of_matrix(B2, factor_list(B2.det()))
         assert not same_step_function(f, g, B1, B2)
 
     def test_zero_functions_equal_without_sampling(self):
         B1, B2 = bmat(FIGURE_EIGHT), bmat([[1, 1], [0, -2]])
-        f = signature_function_of_matrix(B1, B1.det())
-        g = signature_function_of_matrix(B2, B2.det())
+        f = signature_function_of_matrix(B1, factor_list(B1.det()))
+        g = signature_function_of_matrix(B2, factor_list(B2.det()))
         assert f.is_zero and g.is_zero
         assert same_step_function(f, g, B1, B2)
 
@@ -186,28 +203,28 @@ class TestSameStepFunction:
         # trefoil vs trefoil # (figure-eight): same arc values, extra factor
         B1 = bmat(TREFOIL)
         B2 = bmat(block_diag(TREFOIL, FIGURE_EIGHT))
-        f = signature_function_of_matrix(B1, B1.det())
-        g = signature_function_of_matrix(B2, B2.det())
+        f = signature_function_of_matrix(B1, factor_list(B1.det()))
+        g = signature_function_of_matrix(B2, factor_list(B2.det()))
         assert same_step_function(f, g, B1, B2)
 
 
-class TestGivenDeterminant:
-    def test_any_associate_gives_the_same_function(self):
-        B = bmat(block_diag(TREFOIL, T25))
-        det_b = B.det()
-        f = signature_function_of_matrix(B, det_b)
-        for d in (-det_b, det_b.shift(3), normalize_unit(det_b)):
-            assert signature_function_of_matrix(B, d) == f
-
-    def test_zero_determinant_rejected(self):
-        with pytest.raises(ValueError, match="vanishes"):
-            signature_function_of_matrix(bmat(TREFOIL), LaurentPoly.zero())
+class TestGivenFactors:
+    def test_alexander_factors_give_the_same_function(self):
+        # det B = +-t^k (t - 1)^(2g) Delta and t - 1 has no root on the open
+        # arc, so the factors of Delta stand in for those of det B
+        rng = random.Random(20261018)
+        pool = [e.seifert for e in builtin_catalog()]
+        pool += [random_genus_two(rng) for _ in range(6)]
+        for s in pool:
+            B = s.seifert_form()
+            assert signature_function_of_matrix(B, factor_list(alexander(s))) \
+                == signature_function_of_matrix(B, factor_list(B.det()))
 
 
 class TestEmptyMatrix:
     def test_zero_by_zero(self):
         B = ExactMatrix.zeros(0, 0, kind="laurent")
-        f = signature_function_of_matrix(B, B.det())
+        f = signature_function_of_matrix(B, factor_list(B.det()))
         assert f.arc_rows() == [(Fraction(-2), Fraction(2), 0)]
         assert f.is_zero and f.jumps == ()
 
@@ -215,12 +232,12 @@ class TestEmptyMatrix:
 class TestSampling:
     def test_sample_angles_avoid_jumps(self):
         B = bmat(T25)
-        f = signature_function_of_matrix(B, B.det())
+        f = signature_function_of_matrix(B, factor_list(B.det()))
         for arc in f.arcs:
             assert 0 < arc.sample_angle < Fraction(1, 2)
 
     def test_deterministic(self):
         B1, B2 = bmat(T25), bmat(T25)
-        f = signature_function_of_matrix(B1, B1.det())
-        g = signature_function_of_matrix(B2, B2.det())
+        f = signature_function_of_matrix(B1, factor_list(B1.det()))
+        g = signature_function_of_matrix(B2, factor_list(B2.det()))
         assert f == g

@@ -1,13 +1,16 @@
 """Tests for Witt presentations, the obstruction battery, and the
 Bing-double verdict."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bingcheck.errors import AdmissibilityError, InternalInvariantError
-from bingcheck.laurent import parse_poly, normalize_unit
+from bingcheck.factor import factor_rational
+from bingcheck.intpoly import IntPoly, cyclotomic, euler_phi
+from bingcheck.laurent import LaurentPoly, dense_divmod, parse_poly, normalize_unit
 from bingcheck.matrices import ExactMatrix
 from bingcheck.fields import evaluated_hermitian_signature
 from bingcheck.sigfunc import signature_function_of_matrix
@@ -36,6 +39,10 @@ CATALOG = [UNKNOT, TREFOIL, FIGURE_EIGHT, STEVEDORE]
 
 ONE = parse_poly("1")
 T = parse_poly("t")
+
+
+def factor_list(f):
+    return factor_rational(f)[1]
 
 
 class TestWittPresentation:
@@ -166,8 +173,8 @@ class TestWittSum:
             total = base
             for _ in range(p - 1):
                 total = witt_sum(total, base)
-            f_base = signature_function_of_matrix(base.matrix, base.matrix.det())
-            f_total = signature_function_of_matrix(total.matrix, total.matrix.det())
+            f_base = signature_function_of_matrix(base.matrix, factor_list(base.matrix.det()))
+            f_total = signature_function_of_matrix(total.matrix, factor_list(total.matrix.det()))
             assert len(f_total.jumps) == len(f_base.jumps)
             assert [a.signature for a in f_total.arcs] \
                 == [p * a.signature for a in f_base.arcs]
@@ -220,35 +227,52 @@ class TestJpqPresentation:
             jpq_presentation(TREFOIL, 1, -2)
 
 
+# irreducible and not cyclotomic
+NON_CYCLOTOMIC = ("t^2 - 3t + 1", "2t - 1", "t^3 - t - 1", "3t^2 - 7t + 3", "t^2 + 2")
+
+
+def trial_division_scan(delta):
+    """Every d with Phi_d dividing delta: trial division by each Phi_d with
+    euler_phi(d) <= deg delta, as cyclotomic_factors once did."""
+    f = IntPoly.from_laurent(delta * (1 / delta.content())).primitive()
+    deg = f.degree
+    # euler_phi(d) >= sqrt(d/2), so phi(d) <= deg forces d <= 2 deg^2 + 1
+    return [
+        d for d in range(1, 2 * deg * deg + 2)
+        if euler_phi(d) <= deg and not dense_divmod(f.coeffs, cyclotomic(d).coeffs)[1]
+    ]
+
+
 class TestCyclotomicFactors:
     def test_trefoil(self):
-        assert cyclotomic_factors(alexander(TREFOIL)) == [6]
+        assert cyclotomic_factors(factor_list(alexander(TREFOIL))) == [6]
 
     def test_figure_eight(self):
-        assert cyclotomic_factors(alexander(FIGURE_EIGHT)) == []
+        assert cyclotomic_factors(factor_list(alexander(FIGURE_EIGHT))) == []
 
     def test_synthetic_product(self):
         f = parse_poly("t^4 + t^3 + t^2 + t + 1") * parse_poly("t^2 - t + 1")
-        assert cyclotomic_factors(f) == [5, 6]
+        assert cyclotomic_factors(factor_list(f)) == [5, 6]
 
     def test_t_minus_one_and_plus_one(self):
-        assert cyclotomic_factors(parse_poly("t - 1") * parse_poly("t^2 - t + 1")) \
-            == [1, 6]
-        assert cyclotomic_factors(parse_poly("1/4t^2 + 1/2t + 1/4")) == [2]
+        assert cyclotomic_factors(
+            factor_list(parse_poly("t - 1") * parse_poly("t^2 - t + 1"))
+        ) == [1, 6]
+        assert cyclotomic_factors(factor_list(parse_poly("1/4t^2 + 1/2t + 1/4"))) == [2]
 
     def test_unit_and_shift_blind(self):
-        assert cyclotomic_factors(parse_poly("t^-1 - 1 + t")) == [6]
-        assert cyclotomic_factors(parse_poly("7")) == []
+        assert cyclotomic_factors(factor_list(parse_poly("t^-1 - 1 + t"))) == [6]
+        assert cyclotomic_factors(factor_list(parse_poly("7"))) == []
 
     def test_jpq_order_factors(self):
         # (1-t)^2 (1-t^3)^2 (1-t^2)^2 Phi_6(t) Phi_6(t^3) Phi_6(t^2) yields
         # Phi_d for d in {1, 2, 3} from the units and {6, 18, 12} from Delta
         j = jpq_presentation(TREFOIL, 1, 2)
-        assert cyclotomic_factors(j.order()) == [1, 2, 3, 6, 12, 18]
+        assert cyclotomic_factors(factor_list(j.order())) == [1, 2, 3, 6, 12, 18]
 
     def test_no_prime_power_for_knots(self):
         for s in CATALOG:
-            for d in cyclotomic_factors(alexander(s)):
+            for d in cyclotomic_factors(factor_list(alexander(s))):
                 factors = set()
                 m = d
                 for p in range(2, m + 1):
@@ -259,7 +283,50 @@ class TestCyclotomicFactors:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            cyclotomic_factors(parse_poly("0"))
+            cyclotomic_factors(factor_list(parse_poly("0")))
+
+    @given(
+        st.lists(st.integers(1, 30), max_size=3),
+        st.lists(st.sampled_from(NON_CYCLOTOMIC), max_size=2),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+        st.integers(-3, 3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_trial_division_scan(self, orders, others, content, shift):
+        f = LaurentPoly({0: content}).shift(shift)
+        for d in orders:
+            f = f * cyclotomic(d).to_laurent()
+        for g in others:
+            f = f * parse_poly(g)
+        assert cyclotomic_factors(factor_list(f)) == trial_division_scan(f)
+
+
+class TestOneFactorization:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count factor_rational calls through every binding in the package."""
+        seen = []
+
+        def counting(f):
+            seen.append(f)
+            return factor_rational(f)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "bingcheck" \
+                    and vars(module).get("factor_rational") is factor_rational:
+                monkeypatch.setattr(module, "factor_rational", counting)
+        return seen
+
+    def test_presentation_battery_factors_once(self, calls):
+        j = jpq_presentation(TREFOIL, 1, 2)
+        r = presentation_battery(j)
+        assert calls == [j.order()]
+        assert r.cyclotomic == (1, 2, 3, 6, 12, 18)
+
+    def test_obstruction_battery_factors_once(self, calls):
+        r = obstruction_battery(STEVEDORE)
+        assert calls == [alexander(STEVEDORE)]
+        assert str(r.fox_milnor.witness) == "2t - 1"
 
 
 class TestObstructionBattery:
