@@ -238,7 +238,7 @@ def _hensel_lift(p, f, f_list, l):
         return [_trunc_sym(inv * f, p ** l)]
     m = p
     k = r // 2
-    steps = max(0, math.ceil(math.log2(l)))
+    steps = (l - 1).bit_length()  # ceil(log2(l)) quadratic lifting steps
     g = [lc % p]
     for fi in f_list[:k]:
         g = _gf_mul(g, fi, p)

@@ -156,6 +156,15 @@ def signature_function(s: SeifertMatrix) -> SignatureFunction:
     )
 
 
+def _delta_at_minus_one(s: SeifertMatrix) -> int:
+    """det(A + A^T), which is Delta(-1) up to the sign normalize_unit puts
+    on Delta; one rational det instead of a Laurent one."""
+    d = (s.matrix + s.matrix.transpose()).det()
+    if d.denominator != 1 or d.numerator % 2 == 0:
+        raise InternalInvariantError("Delta(-1) of an integral matrix must be odd")
+    return d.numerator
+
+
 def arf(s: SeifertMatrix) -> int:
     """Arf invariant: 0 iff Delta(-1) is congruent to +-1 mod 8.
 
@@ -163,18 +172,14 @@ def arf(s: SeifertMatrix) -> int:
     """
     if not s.integral:
         raise AdmissibilityError("Arf invariant needs an integral Seifert matrix")
-    d = alexander(s)(Fraction(-1))
-    if d.denominator != 1 or d.numerator % 2 == 0:
-        raise InternalInvariantError("Delta(-1) of an integral matrix must be odd")
-    return 0 if d.numerator % 8 in (1, 7) else 1
+    return 0 if _delta_at_minus_one(s) % 8 in (1, 7) else 1
 
 
 def determinant_invariant(s: SeifertMatrix) -> int:
     """|Delta(-1)|, the knot determinant (integral matrices only)."""
     if not s.integral:
         raise AdmissibilityError("the determinant invariant needs an integral Seifert matrix")
-    d = alexander(s)(Fraction(-1))
-    return abs(d.numerator)
+    return abs(_delta_at_minus_one(s))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ in (-2, 2).  The construction therefore:
      corank over the field Q[t]/(P), which is independent of the choice of
      root of P);
   3. samples one exact rational angle inside each remaining arc -- certified
-     by jointly refining the candidate's cosine enclosure and the adjacent
-     isolating intervals -- and evaluates the signature there exactly.
+     by a cosine enclosure strictly inside the open rational gap between the
+     adjacent isolating intervals -- and evaluates the signature there
+     exactly.
 
 Sampling prefers small denominators q because the evaluation works in the
 cyclotomic field of degree phi(q).  Values exactly at jump points are not
@@ -28,11 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .errors import InternalInvariantError
-from .intpoly import IntPoly, RootInterval, cyclotomic, sturm_isolate
+from .intpoly import IntPoly, RootInterval, sturm_isolate
 from .fields import cos_enclosure, evaluated_hermitian_signature, rank_over_factor
 
 __all__ = [
@@ -46,18 +46,11 @@ __all__ = [
 
 # width of printed isolating intervals for irrational jump locations
 _PRINT_WIDTH = Fraction(1, 2 ** 20)
-# sampling limits; exceeding them means two circle roots of det B are closer
-# than ~2^-100, far beyond anything a small presentation can produce
+# sampling limits; exceeding them means an arc too short to hold the u-value
+# of any angle a/q with q <= _SAMPLE_MAX_DEN, or such a u-value within
+# ~2^-768 of a gap end, far beyond anything a small presentation can produce
 _SAMPLE_MAX_DEN = 256
 _ENCLOSURE_BITS_CAP = 768
-_BOUND_WIDTH_CAP = Fraction(1, 2 ** 100)
-
-# angles in (0, 1/2) whose u = 2cos(2*pi*theta) is rational
-_EXACT_U = {
-    Fraction(1, 3): Fraction(-1),
-    Fraction(1, 4): Fraction(0),
-    Fraction(1, 6): Fraction(1),
-}
 
 
 def u_image(p: IntPoly) -> IntPoly:
@@ -191,83 +184,52 @@ def _separate_all(items):
     return items
 
 
-class _ArcBound:
-    """Refinable one-sided bound for an arc endpoint: an exact u-value (the
-    interval ends -2, 2 or a rational root) or a shrinking isolating interval
-    around an irrational one.  Shared between the two adjacent arcs so
-    refinement effort is reused."""
+def _gap(left: RootInterval | None, right: RootInterval | None):
+    """Open rational u-interval (lo, hi), nonempty and inside the arc between
+    two neighbouring jump roots; None stands for the end -2 or 2.
 
-    def __init__(self, value=None, root=None):
-        self.value = value
-        self.root = None if value is not None else root
-
-    @property
-    def lo(self) -> Fraction:
-        return self.value if self.value is not None else self.root.lo
-
-    @property
-    def hi(self) -> Fraction:
-        return self.value if self.value is not None else self.root.hi
-
-    def refine_step(self) -> bool:
-        if self.root is None or self.root.width <= _BOUND_WIDTH_CAP:
-            return False
-        self.root = self.root.refine(self.root.width / 4)
-        if self.root.exact is not None:
-            self.value, self.root = self.root.exact, None
-        return True
-
-
-@lru_cache(maxsize=None)
-def _cos_min_poly(q: int) -> IntPoly:
-    """Minimal polynomial of 2cos(2*pi*a/q) over Q for any a with
-    gcd(a, q) = 1 and q >= 3: the u-image of the q-th cyclotomic."""
-    return u_image(cyclotomic(q))
-
-
-def _certify_inside(theta: Fraction, left: _ArcBound, right: _ArcBound):
-    """True/False when 2cos(2*pi*theta) is certified inside/outside the open
-    arc between the bounded roots; None when the candidate's u-value is a
-    root of an endpoint's polynomial (it is then an endpoint itself, since
-    every root of a jump factor in (-2, 2) is a jump) or, failing that,
-    when refinement caps out."""
-    exact_u = _EXACT_U.get(theta)
-    if exact_u is None:
-        minpoly = _cos_min_poly(theta.denominator)
-        for bound in (left, right):
-            if bound.root is not None and bound.root.poly == minpoly:
-                return None
-    bits = 48
+    Each root lies strictly inside its isolating interval or equals its
+    exact value, so every u strictly between left.hi and right.lo lies in
+    the arc.  Neighbours that touch are refined as copies: the jumps keep
+    the intervals they print.
+    """
     while True:
-        if exact_u is not None:
-            el = eh = exact_u
-        else:
-            lo, hi = cos_enclosure(theta, bits)
-            el, eh = 2 * lo, 2 * hi
-        if left.hi < el and eh < right.lo:
-            return True
-        if eh <= left.lo or el >= right.hi:
-            return False
-        progressed = False
-        if exact_u is None and bits < _ENCLOSURE_BITS_CAP:
-            bits *= 2
-            progressed = True
-        progressed = left.refine_step() or progressed
-        progressed = right.refine_step() or progressed
-        if not progressed:
-            return None
+        lo = Fraction(-2) if left is None else left.hi
+        hi = Fraction(2) if right is None else right.lo
+        if lo < hi:
+            return lo, hi
+        if left is not None:
+            left = left.refine(left.width / 2)
+        if right is not None:
+            right = right.refine(right.width / 2)
 
 
-def _sample_angle(left: _ArcBound, right: _ArcBound) -> Fraction:
+def _sample_angle(lo: Fraction, hi: Fraction) -> Fraction:
     """Smallest-denominator reduced angle a/q in (0, 1/2) whose u-value is
-    certified inside the open arc (left, right)."""
+    certified inside the open interval (lo, hi).
+
+    A candidate whose u-value is a jump root lies in that jump's isolating
+    interval, outside (lo, hi), so it is rejected like any other outside
+    point; rational u-values (q = 3, 4, 6) have exact enclosures.
+    """
     for q in range(3, _SAMPLE_MAX_DEN + 1):
         for a in range(1, (q - 1) // 2 + 1):
             if gcd(a, q) != 1:
                 continue
             theta = Fraction(a, q)
-            if _certify_inside(theta, left, right) is True:
-                return theta
+            bits = 48
+            while True:
+                c_lo, c_hi = cos_enclosure(theta, bits)
+                el, eh = 2 * c_lo, 2 * c_hi
+                if lo < el and eh < hi:
+                    return theta
+                if eh <= lo or el >= hi:
+                    break
+                if bits >= _ENCLOSURE_BITS_CAP:
+                    raise InternalInvariantError(
+                        "cosine enclosure cannot decide a sample angle"
+                    )
+                bits *= 2
     raise InternalInvariantError("no rational angle certified inside the arc")
 
 
@@ -302,18 +264,14 @@ def signature_function_of_matrix(B, factors) -> SignatureFunction:
         for r, (p, nul) in _separate_all(raw)
     )
 
-    bounds = [_ArcBound(value=Fraction(-2))]
-    for j in jumps:
-        bounds.append(_ArcBound(value=j.exact, root=j.root))
-    bounds.append(_ArcBound(value=Fraction(2)))
-
+    ends = [None] + [j.root for j in jumps] + [None]
     printable = (
         [Fraction(-2)] + [j.printable_u() for j in jumps] + [Fraction(2)]
     )
 
     arcs = []
     for i in range(len(jumps) + 1):
-        theta = _sample_angle(bounds[i], bounds[i + 1])
+        theta = _sample_angle(*_gap(ends[i], ends[i + 1]))
         sig, nul = evaluated_hermitian_signature(B, theta)
         if nul != 0:
             raise InternalInvariantError("arc sample landed on a singular point")
@@ -321,36 +279,27 @@ def signature_function_of_matrix(B, factors) -> SignatureFunction:
     return SignatureFunction(arcs=tuple(arcs), jumps=jumps, size=n)
 
 
-def same_step_function(f: SignatureFunction, g: SignatureFunction, B_f, B_g) -> bool:
+def _value_changes(fn: SignatureFunction):
+    """[first arc value, ((factor, index), value after) for each jump where
+    the value changes]."""
+    count = {}
+    out = [fn.arcs[0].signature]
+    for j, before, after in zip(fn.jumps, fn.arcs, fn.arcs[1:]):
+        index = count.get(j.factor, 0)
+        count[j.factor] = index + 1
+        if after.signature != before.signature:
+            out.append(((j.factor, index), after.signature))
+    return out
+
+
+def same_step_function(f: SignatureFunction, g: SignatureFunction) -> bool:
     """Whether two signature step functions agree away from their jumps.
 
-    Both functions are constant on each piece of the common refinement of
-    their arc partitions, so comparing one certified sample per refined piece
-    decides equality exactly.
+    A jump is named by its factor and its index among that factor's jumps:
+    each function isolates every circle root of each factor it jumps at, and
+    distinct irreducible factors share no root, so equal names are equal
+    points and the names order the same way in both functions.  A step
+    function is then determined by its first arc value and the jumps where
+    its value changes, with the value after each; no matrix is evaluated.
     """
-    if f is g or (f.is_zero and g.is_zero):
-        return True
-    # cut points: roots of the distinct jump factors of either function.  The
-    # same factor may appear in both; each function carries a complete root
-    # isolation for it, so one copy suffices (equal roots cannot be separated).
-    roots_by_factor = {}
-    for fn in (f, g):
-        for j in fn.jumps:
-            roots_by_factor.setdefault(j.factor, []).append((id(fn), j.root))
-    cuts = []
-    for tagged in roots_by_factor.values():
-        first = tagged[0][0]
-        cuts.extend(r for tag, r in tagged if tag == first)
-    cuts = [r for r, _ in _separate_all((r, None) for r in cuts)]
-
-    bounds = [_ArcBound(value=Fraction(-2))]
-    for r in cuts:
-        bounds.append(_ArcBound(value=r.exact, root=r))
-    bounds.append(_ArcBound(value=Fraction(2)))
-    for i in range(len(bounds) - 1):
-        theta = _sample_angle(bounds[i], bounds[i + 1])
-        sf, _ = evaluated_hermitian_signature(B_f, theta)
-        sg, _ = evaluated_hermitian_signature(B_g, theta)
-        if sf != sg:
-            return False
-    return True
+    return _value_changes(f) == _value_changes(g)

@@ -177,9 +177,13 @@ def witt_sum(p1: WittPresentation, p2: WittPresentation) -> WittPresentation:
 def jpq_presentation(s: SeifertMatrix, p: int, q: int) -> WittPresentation:
     """Presentation of the infection J(p, q) on companion S:
     phi_p + phi_{p+q} + phi_q of the knot's presentation."""
+    return _jpq(from_seifert(s), p, q)
+
+
+def _jpq(base: WittPresentation, p: int, q: int) -> WittPresentation:
+    """phi_p + phi_{p+q} + phi_q of the companion's presentation `base`."""
     if p < 1 or q < 1:
         raise ValueError("J(p, q) needs p, q >= 1")
-    base = from_seifert(s)
     return witt_sum(phi(base, p), witt_sum(phi(base, p + q), phi(base, q)))
 
 
@@ -325,7 +329,7 @@ def _phi_signature_function(base: WittPresentation, n: int):
         ExactMatrix.zeros(0, 0, kind="laurent")
     )
     _, factors = factor_rational(pres.order())
-    return signature_function_of_matrix(pres.matrix, factors), pres.matrix
+    return signature_function_of_matrix(pres.matrix, factors)
 
 
 def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
@@ -352,7 +356,7 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
     telescoping_violation = False
     for p in range(1, check_range + 1):
         for q in range(1, check_range + 1):
-            jp = jpq_presentation(s, p, q)
+            jp = _jpq(base, p, q)
             additivity = "pass"
             for theta in _CROSSCHECK_ANGLES:
                 lhs = _signature_at_multiple(jp.matrix, theta)
@@ -367,11 +371,10 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
                     )
             j_battery = presentation_battery(jp)
             if j_battery.verdict == NO_OBSTRUCTION_FOUND and j_battery.signature.is_zero:
-                f_lo, b_lo = _phi_signature_function(base, q - 1)
-                f_hi, b_hi = _phi_signature_function(base, q + 1)
+                f_lo = _phi_signature_function(base, q - 1)
+                f_hi = _phi_signature_function(base, q + 1)
                 telescoping = (
-                    "verified" if same_step_function(f_lo, f_hi, b_lo, b_hi)
-                    else "violated"
+                    "verified" if same_step_function(f_lo, f_hi) else "violated"
                 )
                 if telescoping == "violated":
                     telescoping_violation = True

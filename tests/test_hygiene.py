@@ -1,9 +1,14 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and the package
+computes without floating point.
 
 A stdlib-only stand-in for a linter's unused-import rule.  Only imports at
 module level are checked.  A name counts as used when the module reads it
 anywhere (annotations included) or lists it in ``__all__``; ``from
 __future__`` imports are exempt.
+
+The float check reads every module of the package (not the tests, whose
+oracles may use floats): no float literal, no use of the name ``float``,
+and nothing from ``math`` but the integer functions ``gcd`` and ``isqrt``.
 """
 
 import ast
@@ -12,7 +17,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(ROOT.glob("src/bingcheck/*.py")) + sorted(ROOT.glob("tests/*.py"))
+PACKAGE = sorted(ROOT.glob("src/bingcheck/*.py"))
+MODULES = PACKAGE + sorted(ROOT.glob("tests/*.py"))
+INTEGER_MATH = {"gcd", "isqrt"}
 
 
 def unused_imports(source):
@@ -54,4 +61,48 @@ def test_no_unused_imports(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert not unused, "%s: unused imports %s" % (
         path.relative_to(ROOT), ", ".join("%s (line %d)" % (n, l) for l, n in unused)
+    )
+
+
+def float_uses(source):
+    """(line, what) for each float literal, read of the name ``float`` and
+    ``math`` function other than gcd and isqrt in `source`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, "float literal %r" % node.value))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and node.attr not in INTEGER_MATH):
+            found.append((node.lineno, "math.%s" % node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.extend((node.lineno, "math.%s" % alias.name)
+                         for alias in node.names if alias.name not in INTEGER_MATH)
+    return sorted(found)
+
+
+def test_checker_finds_float_uses():
+    source = (
+        "import math\n"
+        "from math import gcd, log2, isqrt as r\n"
+        "x = 2 ** 20\n"
+        "y = 1e-3 + float(x)\n"
+        "z = math.ceil(math.log2(x)) + math.isqrt(x) + math.gcd(x, 6)\n"
+        "s = '1.5'\n"
+    )
+    assert float_uses(source) == [
+        (2, "math.log2"),
+        (4, "float"),
+        (4, "float literal 0.001"),
+        (5, "math.ceil"),
+        (5, "math.log2"),
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_floating_point(path):
+    found = float_uses(path.read_text(encoding="utf-8"))
+    assert not found, "%s: floating point at %s" % (
+        path.relative_to(ROOT), ", ".join("%s (line %d)" % (w, l) for l, w in found)
     )

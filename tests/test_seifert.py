@@ -170,6 +170,15 @@ class TestArfAndDeterminant:
     def test_determinant_odd(self, s):
         assert determinant_invariant(s) % 2 == 1
 
+    @given(admissible_2x2, admissible_2x2)
+    @settings(max_examples=40, deadline=None)
+    def test_read_from_alexander_at_minus_one(self, s1, s2):
+        # both read det(A + A^T), which is Delta(-1) up to sign
+        for s in (s1, connected_sum(s1, s2)):
+            d = alexander(s)(Fraction(-1))
+            assert determinant_invariant(s) == abs(d)
+            assert arf(s) == (0 if d % 8 in (1, 7) else 1)
+
 
 class TestFoxMilnor:
     def test_goldens(self):

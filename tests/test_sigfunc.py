@@ -10,19 +10,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bingcheck.catalog import builtin_catalog
 from bingcheck.factor import factor_rational
-from bingcheck.intpoly import IntPoly
+from bingcheck.fields import cos_enclosure, evaluated_hermitian_signature
+from bingcheck.intpoly import IntPoly, RootInterval
 from bingcheck.laurent import LaurentPoly, parse_poly
 from bingcheck.matrices import ExactMatrix
-from bingcheck.seifert import SeifertMatrix, alexander
+from bingcheck.seifert import SeifertMatrix, alexander, mirror
 from bingcheck.sigfunc import (
+    JumpPoint,
+    _gap,
+    _sample_angle,
+    _separate_all,
     circle_jump_factors,
     same_step_function,
     signature_function_of_matrix,
     u_image,
 )
+from bingcheck.witt import from_seifert, phi, witt_sum
 
 TREFOIL = [[-1, 1], [0, -1]]
 FIGURE_EIGHT = [[1, 1], [0, -1]]
@@ -60,15 +67,56 @@ def block_diag(*mats):
     return out
 
 
+def symplectic_seifert(genus, upper):
+    """Integral 2g x 2g Seifert matrix with A - A^T the standard symplectic
+    form, its upper triangle (diagonal included) read row by row from
+    `upper`."""
+    n = 2 * genus
+    entries = iter(upper)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = next(entries)
+            if j > i:
+                rows[j][i] = rows[i][j] - (1 if j == i + 1 and i % 2 == 0 else 0)
+    return SeifertMatrix(rows)
+
+
 def random_genus_two(rng):
     """Integral 4x4 Seifert matrix with A - A^T the standard symplectic form."""
-    rows = [[0] * 4 for _ in range(4)]
-    for i in range(4):
-        rows[i][i] = rng.randint(-3, 3)
-        for j in range(i + 1, 4):
-            rows[i][j] = rng.randint(-3, 3)
-            rows[j][i] = rows[i][j] - (1 if (i, j) in ((0, 1), (2, 3)) else 0)
-    return SeifertMatrix(rows)
+    return symplectic_seifert(2, [rng.randint(-3, 3) for _ in range(10)])
+
+
+# entries drawn evenly: st.integers favours 0, whose forms mostly have a
+# vanishing signature function
+admissible_forms = st.integers(1, 2).flatmap(
+    lambda g: st.lists(
+        st.sampled_from(range(-3, 4)), min_size=g * (2 * g + 1), max_size=g * (2 * g + 1)
+    ).map(lambda upper: symplectic_seifert(g, upper))
+)
+
+
+def function_of(pres):
+    return signature_function_of_matrix(pres.matrix, factor_list(pres.order()))
+
+
+def resampling_oracle(f, g, B_f, B_g):
+    """Equality of two step functions decided by evaluation: one certified
+    angle per piece of the common refinement of both arc partitions, with
+    both matrices evaluated there.  Each factor's roots are cut once, from
+    the first function that jumps at it (equal roots cannot be separated)."""
+    owner = {}
+    for fn in (f, g):
+        for j in fn.jumps:
+            owner.setdefault(j.factor, fn)
+    cuts = [(j.root, None) for fn in (f, g) for j in fn.jumps if owner[j.factor] is fn]
+    ends = [None] + [r for r, _ in _separate_all(cuts)] + [None]
+    for left, right in zip(ends, ends[1:]):
+        theta = _sample_angle(*_gap(left, right))
+        if (evaluated_hermitian_signature(B_f, theta)[0]
+                != evaluated_hermitian_signature(B_g, theta)[0]):
+            return False
+    return True
 
 
 class TestUImage:
@@ -184,20 +232,20 @@ class TestSameStepFunction:
         B1, B2 = bmat(T25), bmat(T25)
         f = signature_function_of_matrix(B1, factor_list(B1.det()))
         g = signature_function_of_matrix(B2, factor_list(B2.det()))
-        assert same_step_function(f, g, B1, B2)
+        assert same_step_function(f, g)
 
     def test_distinct_functions_differ(self):
         B1, B2 = bmat(T25), bmat(TREFOIL)
         f = signature_function_of_matrix(B1, factor_list(B1.det()))
         g = signature_function_of_matrix(B2, factor_list(B2.det()))
-        assert not same_step_function(f, g, B1, B2)
+        assert not same_step_function(f, g)
 
     def test_zero_functions_equal_without_sampling(self):
         B1, B2 = bmat(FIGURE_EIGHT), bmat([[1, 1], [0, -2]])
         f = signature_function_of_matrix(B1, factor_list(B1.det()))
         g = signature_function_of_matrix(B2, factor_list(B2.det()))
         assert f.is_zero and g.is_zero
-        assert same_step_function(f, g, B1, B2)
+        assert same_step_function(f, g)
 
     def test_equal_away_from_different_jump_sets(self):
         # trefoil vs trefoil # (figure-eight): same arc values, extra factor
@@ -205,7 +253,81 @@ class TestSameStepFunction:
         B2 = bmat(block_diag(TREFOIL, FIGURE_EIGHT))
         f = signature_function_of_matrix(B1, factor_list(B1.det()))
         g = signature_function_of_matrix(B2, factor_list(B2.det()))
-        assert same_step_function(f, g, B1, B2)
+        assert same_step_function(f, g)
+
+    def test_changes_at_different_roots_of_one_factor(self):
+        # K has Delta = t^4 - t^3 + t^2 - t + 1 like T(2,5), with arc values
+        # [0, 2, 0]: T(2,5) + K reads [-4, 0, 0] and T(2,5) + mirror K reads
+        # [-4, -4, 0], each one change to 0, at the two different roots
+        K = [[2, 1, -3, -3], [0, 0, 1, 0], [-3, 1, -1, -1], [-3, 0, -2, 1]]
+        mirror_K = [[-K[j][i] for j in range(4)] for i in range(4)]
+        B1, B2 = bmat(block_diag(T25, K)), bmat(block_diag(T25, mirror_K))
+        f = signature_function_of_matrix(B1, factor_list(B1.det()))
+        g = signature_function_of_matrix(B2, factor_list(B2.det()))
+        assert [a.signature for a in f.arcs] == [-4, 0, 0]
+        assert [a.signature for a in g.arcs] == [-4, -4, 0]
+        assert not same_step_function(f, g)
+
+    @given(admissible_forms, admissible_forms, st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from(["phi", "sum", "cancel"]))
+    @example(SeifertMatrix(TREFOIL), SeifertMatrix(FIGURE_EIGHT), 2, 4, "phi")
+    @example(SeifertMatrix(TREFOIL), SeifertMatrix(T25), 1, 1, "sum")
+    @example(SeifertMatrix(T25), SeifertMatrix(TREFOIL), 2, 3, "cancel")
+    @settings(max_examples=20, deadline=None)
+    def test_agrees_with_resampling_oracle(self, s1, s2, a, b, kind):
+        # phi: phi_a B1 against phi_b B1; sum: phi_a B1 + phi_b B2 against
+        # phi_a B1 (equal iff phi_b B2 has zero signature); cancel: phi_a B1
+        # against phi_a B1 + phi_b B2 + phi_b mirror(B2), always equal
+        p1, p2 = from_seifert(s1), from_seifert(s2)
+        first = phi(p1, a)
+        if kind == "phi":
+            second = phi(p1, b)
+        elif kind == "sum":
+            first, second = witt_sum(first, phi(p2, b)), first
+        else:
+            second = witt_sum(first, witt_sum(
+                phi(p2, b), phi(from_seifert(mirror(s2)), b)))
+        f, g = function_of(first), function_of(second)
+        expected = resampling_oracle(f, g, first.matrix, second.matrix)
+        assert same_step_function(f, g) == expected
+        if kind == "cancel":
+            assert expected
+
+
+class TestGap:
+    # sqrt 2 and sqrt 3 isolated by intervals that touch at 3/2
+    SQRT2 = RootInterval(Fraction(1), Fraction(3, 2), IntPoly("t^2 - 2"))
+    SQRT3 = RootInterval(Fraction(3, 2), Fraction(2), IntPoly("t^2 - 3"))
+    ONE = RootInterval(Fraction(1), Fraction(1), IntPoly("t - 1"), exact=Fraction(1))
+
+    def check(self, left, right, lo_bound, hi_bound):
+        """_gap of the two jumps is nonempty, lies in [lo_bound, hi_bound]
+        given as predicates on its ends, and leaves the jumps as they were."""
+        jumps = [JumpPoint(root=r, factor=r.poly, nullity=1)
+                 for r in (left, right) if r is not None]
+        printed = [(j.root.lo, j.root.hi, j.root.exact) for j in jumps]
+        lo, hi = _gap(left, right)
+        assert lo < hi
+        assert lo_bound(lo) and hi_bound(hi)
+        assert [(j.root.lo, j.root.hi, j.root.exact) for j in jumps] == printed
+        return lo, hi
+
+    def test_touching_intervals(self):
+        self.check(self.SQRT2, self.SQRT3,
+                   lambda lo: lo > 0 and lo * lo > 2,
+                   lambda hi: hi * hi < 3)
+
+    def test_interval_starting_at_exact_neighbour(self):
+        lo, _ = self.check(self.ONE, self.SQRT2,
+                           lambda lo: lo >= 1, lambda hi: hi * hi < 2)
+        assert lo == 1
+
+    def test_ends_of_the_circle(self):
+        assert _gap(None, None) == (Fraction(-2), Fraction(2))
+        self.check(None, RootInterval(Fraction(-2), Fraction(-1), IntPoly("t^2 - 2")),
+                   lambda lo: lo == -2, lambda hi: hi < 0 and hi * hi > 2)
+        self.check(RootInterval(Fraction(1), Fraction(2), IntPoly("t^2 - 2")), None,
+                   lambda lo: lo > 0 and lo * lo > 2, lambda hi: hi == 2)
 
 
 class TestGivenFactors:
@@ -231,10 +353,17 @@ class TestEmptyMatrix:
 
 class TestSampling:
     def test_sample_angles_avoid_jumps(self):
-        B = bmat(T25)
-        f = signature_function_of_matrix(B, factor_list(B.det()))
-        for arc in f.arcs:
-            assert 0 < arc.sample_angle < Fraction(1, 2)
+        # each sample's u = 2cos(2 pi theta) is enclosed strictly between the
+        # isolating intervals of the neighbouring jumps (or the ends -2, 2)
+        for a in (T25, block_diag(TREFOIL, T25)):
+            B = bmat(a)
+            f = signature_function_of_matrix(B, factor_list(B.det()))
+            ends = ([Fraction(-2)] + [x for j in f.jumps for x in (j.root.lo, j.root.hi)]
+                    + [Fraction(2)])
+            for arc, lo, hi in zip(f.arcs, ends[::2], ends[1::2]):
+                assert 0 < arc.sample_angle < Fraction(1, 2)
+                c_lo, c_hi = cos_enclosure(arc.sample_angle, 200)
+                assert lo < 2 * c_lo <= 2 * c_hi < hi
 
     def test_deterministic(self):
         B1, B2 = bmat(T25), bmat(T25)

@@ -329,6 +329,42 @@ class TestOneFactorization:
         assert str(r.fox_milnor.witness) == "2t - 1"
 
 
+class TestOneAlexanderPerBattery:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count alexander calls through every binding in the package."""
+        seen = []
+
+        def counting(s):
+            seen.append(s)
+            return alexander(s)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "bingcheck" \
+                    and vars(module).get("alexander") is alexander:
+                monkeypatch.setattr(module, "alexander", counting)
+        return seen
+
+    @pytest.mark.parametrize("s", CATALOG, ids=lambda s: s.name)
+    def test_obstruction_battery_takes_one_alexander(self, calls, s):
+        obstruction_battery(s)
+        assert calls == [s]
+
+    def test_verdict_builds_one_base_presentation(self, calls, monkeypatch):
+        import bingcheck.witt as witt
+
+        built = []
+
+        def counting(s):
+            built.append(s)
+            return from_seifert(s)
+
+        monkeypatch.setattr(witt, "from_seifert", counting)
+        bing_double_verdict(FIGURE_EIGHT, 3)
+        assert built == [FIGURE_EIGHT]
+        assert calls == [FIGURE_EIGHT]
+
+
 class TestObstructionBattery:
     def test_stevedore_no_obstruction(self):
         r = obstruction_battery(STEVEDORE)
