@@ -58,8 +58,6 @@ from .catalog import (
     format_report,
     parse_seifert,
     print_seifert,
-    read_report,
-    write_report,
 )
 
 __version__ = "0.1.0"
@@ -78,6 +76,6 @@ __all__ = [
     "cyclotomic_factors", "from_seifert", "jpq_presentation",
     "obstruction_battery", "phi", "presentation_battery", "witt_sum",
     "CatalogEntry", "builtin_catalog", "catalog_lookup", "format_report",
-    "parse_seifert", "print_seifert", "read_report", "write_report",
+    "parse_seifert", "print_seifert",
     "errors", "__version__",
 ]

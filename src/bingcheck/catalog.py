@@ -1,4 +1,4 @@
-"""Built-in knot catalog, Seifert-matrix file ingestion, and report I/O.
+"""Built-in knot catalog, Seifert-matrix file ingestion, and report text.
 
 Matrix text format: an optional header line ``# name: <string>``, a size
 line ``n`` (or ``n m``), then n whitespace-separated rows with integer or
@@ -7,9 +7,9 @@ Parse errors carry the 1-based line (and column where it applies); the
 admissibility error for a singular pairing names the line the matrix
 starts on.
 
-Report serialization is line-oriented ``key = value`` pairs followed by two
-CSV blocks (``u_lo,u_hi,signature`` arcs and ``u_lo,u_hi,nullity`` jumps),
-UTF-8 with LF line endings, byte-identical across runs on equal inputs.
+The report text is line-oriented ``key = value`` pairs followed by two CSV
+blocks (``u_lo,u_hi,signature`` arcs and ``u_lo,u_hi,nullity`` jumps), with
+LF line endings, byte-identical across runs on equal inputs.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ __all__ = [
     "format_report",
     "parse_seifert",
     "print_seifert",
-    "read_report",
-    "write_report",
 ]
 
 
@@ -239,59 +237,3 @@ def format_report(report) -> str:
         lines += _csv_blocks(b.signature)
         return "\n".join(lines) + "\n"
     raise TypeError("unsupported report type %r" % type(report).__name__)
-
-
-def write_report(report, destination) -> None:
-    """Write the serialized report to a path or text file object."""
-    text = format_report(report)
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
-    with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _typed_value(key: str, value: str):
-    if value == "not-applicable":
-        return None
-    if key in ("arf", "determinant", "check_range"):
-        return int(value)
-    if key in ("signature_zero", "determinant_square", "arf_certificate"):
-        return value == "true"
-    if key == "cyclotomic_factors":
-        if value == "(none)":
-            return ()
-        return tuple(int(x) for x in value.split(", "))
-    return value
-
-
-def read_report(source) -> dict:
-    """Parse a serialized report back into a dict of machine-readable
-    fields; `arcs` and `jumps` hold (Fraction, Fraction, int) rows."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = source
-    fields = {"arcs": [], "jumps": []}
-    block = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        if raw == "arcs:" or raw == "jumps:":
-            block = raw[:-1]
-            continue
-        if block is not None:
-            if raw.startswith("u_lo,"):
-                continue
-            parts = raw.split(",")
-            if len(parts) != 3:
-                raise ParseError("malformed CSV row", line=lineno)
-            fields[block].append(
-                (Fraction(parts[0]), Fraction(parts[1]), int(parts[2]))
-            )
-            continue
-        if " = " not in raw:
-            raise ParseError("expected `key = value`", line=lineno)
-        key, value = raw.split(" = ", 1)
-        fields[key] = _typed_value(key, value)
-    return fields

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import InternalInvariantError
-from .laurent import LaurentPoly, _strip, dense_divmod
+from .laurent import LaurentPoly, _strip, dense_divmod, dense_mul
 from .intpoly import IntPoly, cyclotomic
 
 __all__ = [
     "CyclotomicField",
     "PolyQuotientField",
-    "QuotientElement",
     "cos_enclosure",
     "cyclotomic_field",
     "evaluated_hermitian_signature",
@@ -109,59 +109,12 @@ def cos_enclosure(a: Fraction, bits: int):
 
 # -- quotient fields of Q[x] ---------------------------------------------------
 
-class QuotientElement:
-    """An element of Q[x]/(m), stored as a dense coefficient tuple of length
-    deg(m); arithmetic delegates to the owning field."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = tuple(coeffs)
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientElement):
-            return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((id(self.field), self.coeffs))
-
-    def __add__(self, other):
-        return QuotientElement(
-            self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other):
-        return QuotientElement(
-            self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self):
-        return QuotientElement(self.field, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        return self.field.mul(self, other)
-
-    def __truediv__(self, other):
-        return self.field.mul(self, self.field.inv(other))
-
-    def scale(self, c) -> "QuotientElement":
-        return QuotientElement(self.field, [x * c for x in self.coeffs])
-
-    def conj(self):
-        return self.field.conj(self)
-
-    def __repr__(self):
-        terms = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c]
-        return " + ".join(terms) if terms else "0"
-
-
 class PolyQuotientField:
-    """Q[x]/(m) for an irreducible m with m(0) != 0, so x is invertible."""
+    """Q[x]/(m) for an irreducible m with m(0) != 0, so x is invertible.
+
+    An element is the tuple of its deg m reduced Fraction coefficients,
+    ascending; the field does all arithmetic on such tuples.
+    """
 
     def __init__(self, modulus: IntPoly):
         if modulus.degree < 1:
@@ -172,73 +125,34 @@ class PolyQuotientField:
         self.degree = modulus.degree
         lc = Fraction(modulus.lc)
         self._mod = [Fraction(c) / lc for c in modulus.coeffs]
-        self._xinv = None
 
-    def element(self, coeffs) -> QuotientElement:
+    def element(self, coeffs) -> tuple:
+        """The element a polynomial (dense ascending coefficients) reduces to."""
         c = [Fraction(x) for x in coeffs]
         if len(c) >= len(self._mod):
             _, c = dense_divmod(c, self._mod)
-        c += [Fraction(0)] * (self.degree - len(c))
-        return QuotientElement(self, c)
+        return tuple(c) + (Fraction(0),) * (self.degree - len(c))
 
-    def zero(self) -> QuotientElement:
-        return QuotientElement(self, [Fraction(0)] * self.degree)
+    def sub(self, a: tuple, b: tuple) -> tuple:
+        return tuple(x - y for x, y in zip(a, b))
 
-    def one(self) -> QuotientElement:
-        return self.element([1])
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        return self.element(dense_mul(a, b))
 
-    def scalar(self, c) -> QuotientElement:
-        return self.element([Fraction(c)])
-
-    def mul(self, a: QuotientElement, b: QuotientElement) -> QuotientElement:
-        out = [Fraction(0)] * (2 * self.degree - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    out[i + j] += x * y
-        return self.element(out)
-
-    def inv(self, a: QuotientElement) -> QuotientElement:
-        if not a:
+    def inv(self, a: tuple) -> tuple:
+        if not any(a):
             raise ZeroDivisionError("inverse of zero field element")
-        r0, r1 = list(self._mod), _strip(list(a.coeffs))
+        r0, r1 = self._mod, _strip(list(a))
         t0, t1 = [], [Fraction(1)]
         while r1:
             q, r = dense_divmod(r0, r1)
             r0, r1 = r1, r
-            prod = [Fraction(0)] * (len(q) + len(t1) - 1) if q and t1 else []
-            for i, x in enumerate(q):
-                for j, y in enumerate(t1):
-                    prod[i + j] += x * y
             t0, t1 = t1, _strip(
-                [p - qq for p, qq in
-                 zip(t0 + [Fraction(0)] * max(0, len(prod) - len(t0)),
-                     prod + [Fraction(0)] * max(0, len(t0) - len(prod)))]
+                [x - y for x, y in zip_longest(t0, dense_mul(q, t1), fillvalue=0)]
             )
         if len(r0) != 1:
             raise InternalInvariantError("modulus was not irreducible")
         return self.element([c / r0[0] for c in t0])
-
-    def x_power(self, k: int) -> QuotientElement:
-        """x^k for any integer k (negative powers via the inverse of x)."""
-        if k >= 0:
-            return self.element([0] * k + [1])
-        if self._xinv is None:
-            self._xinv = self.inv(self.element([0, 1]))
-        out = self.one()
-        for _ in range(-k):
-            out = self.mul(out, self._xinv)
-        return out
-
-    def from_laurent(self, f: LaurentPoly) -> QuotientElement:
-        """Image of f under t -> x."""
-        out = self.zero()
-        for k, c in f.items():
-            out = out + self.x_power(k).scale(c)
-        return out
-
-    def conj(self, a):
-        raise NotImplementedError("conjugation needs a cyclotomic modulus")
 
 
 class CyclotomicField(PolyQuotientField):
@@ -250,46 +164,43 @@ class CyclotomicField(PolyQuotientField):
             raise ValueError("root-of-unity order must be >= 1")
         self.q = q
         super().__init__(cyclotomic(q))
-        x = self.element([0, 1])
+        power = self.element([1])
         self._xpow = []
-        cur = self.one()
         for _ in range(q):
-            self._xpow.append(cur)
-            cur = self.mul(cur, x)
+            self._xpow.append(power)
+            power = self.element((0,) + power)  # times x
 
-    def x_power(self, k: int) -> QuotientElement:
-        return self._xpow[k % self.q]
+    def _fold(self, terms) -> tuple:
+        """The sum of c * x^k over the (k, c) in terms, k read mod q."""
+        out = [Fraction(0)] * self.degree
+        for k, c in terms:
+            for i, x in enumerate(self._xpow[k % self.q]):
+                if x:
+                    out[i] += c * x
+        return tuple(out)
 
-    def root_image(self, f: LaurentPoly, a: int = 1) -> QuotientElement:
+    def root_image(self, f: LaurentPoly, a: int = 1) -> tuple:
         """Image of f(t) under t -> zeta_q^a, i.e. t^k -> x^(k*a mod q)."""
-        out = self.zero()
-        for k, c in f.items():
-            out = out + self._xpow[(k * a) % self.q].scale(c)
-        return out
+        return self._fold((k * a, c) for k, c in f.items())
 
-    from_laurent = root_image
+    def conj(self, e: tuple) -> tuple:
+        """Complex conjugate: x^i -> x^(-i)."""
+        return self._fold((-i, c) for i, c in enumerate(e) if c)
 
-    def conj(self, e: QuotientElement) -> QuotientElement:
-        out = self.zero()
-        for i, c in enumerate(e.coeffs):
-            if c:
-                out = out + self._xpow[(self.q - i) % self.q].scale(c)
-        return out
-
-    def real_sign(self, e: QuotientElement) -> int:
+    def real_sign(self, e: tuple) -> int:
         """Sign (-1, 0, +1) of the real number e maps to under x -> zeta_q.
 
         Requires e to be fixed by conjugation.  A nonzero element embeds to a
         nonzero real, so refining the enclosure must eventually decide.
         """
-        if not e:
+        if not any(e):
             return 0
         if self.conj(e) != e:
             raise ValueError("sign of a non-real element")
         bits = 48
         while bits <= 6144:
             lo = hi = Fraction(0)
-            for i, c in enumerate(e.coeffs):
+            for i, c in enumerate(e):
                 if not c:
                     continue
                 clo, chi = cos_enclosure(Fraction(i, self.q), bits)
@@ -315,14 +226,14 @@ def cyclotomic_field(q: int) -> CyclotomicField:
 # -- Hermitian signatures at roots of unity ------------------------------------
 
 def _hermitian_signature(field: CyclotomicField, H):
-    """(signature, nullity) of a Hermitian matrix of QuotientElements, by
+    """(signature, nullity) of a Hermitian matrix of field elements, by
     exact congruence: real diagonal pivots first, hyperbolic planes when the
     live diagonal vanishes, kernel at the end."""
     n = len(H)
     active = list(range(n))
     pos = neg = null = 0
     while active:
-        k = next((a for a in active if H[a][a]), None)
+        k = next((a for a in active if any(H[a][a])), None)
         if k is not None:
             p = H[k][k]
             s = field.real_sign(p)
@@ -333,12 +244,12 @@ def _hermitian_signature(field: CyclotomicField, H):
             active.remove(k)
             pinv = field.inv(p)
             for r in active:
-                if H[r][k]:
+                if any(H[r][k]):
                     f = field.mul(H[r][k], pinv)
                     for c in active:
-                        H[r][c] = H[r][c] - field.mul(f, H[k][c])
+                        H[r][c] = field.sub(H[r][c], field.mul(f, H[k][c]))
             continue
-        pair = next(((i, j) for i in active for j in active if i < j and H[i][j]),
+        pair = next(((i, j) for i in active for j in active if i < j and any(H[i][j])),
                     None)
         if pair is None:
             null += len(active)
@@ -357,8 +268,10 @@ def _hermitian_signature(field: CyclotomicField, H):
         cols_j = {r: H[r][j] for r in active}
         for r in active:
             for c in active:
-                H[r][c] = H[r][c] - field.mul(field.mul(cols_i[r], bbarinv), rows_j[c]) \
-                    - field.mul(field.mul(cols_j[r], binv), rows_i[c])
+                H[r][c] = field.sub(
+                    field.sub(H[r][c], field.mul(field.mul(cols_i[r], bbarinv), rows_j[c])),
+                    field.mul(field.mul(cols_j[r], binv), rows_i[c]),
+                )
     return pos - neg, null
 
 
@@ -396,24 +309,32 @@ def evaluated_hermitian_signature(M, angle: Fraction):
     return sig, null
 
 
+def _coeffs_times_power(f: LaurentPoly, s: int):
+    """Dense ascending coefficients of t^s f from t^0; s >= -min_exp(f)."""
+    return [f.coeff(k - s) for k in range(f.max_exp + s + 1)] if f else []
+
+
 @lru_cache(maxsize=8192)
 def _whole_rank_over_factor(M, modulus: IntPoly) -> int:
     field = PolyQuotientField(modulus)
     lm = M.to_laurent()
-    rows = [[field.from_laurent(lm[i, j]) for j in range(M.cols)]
-            for i in range(M.rows)]
+    entries = [[lm[i, j] for j in range(M.cols)] for i in range(M.rows)]
+    # t is a unit modulo the modulus, so one t^s that clears every negative
+    # exponent keeps the rank
+    s = max([0] + [-f.min_exp for row in entries for f in row if f])
+    rows = [[field.element(_coeffs_times_power(f, s)) for f in row] for row in entries]
     rank = 0
     row = 0
     for col in range(M.cols):
-        pivot = next((r for r in range(row, M.rows) if rows[r][col]), None)
+        pivot = next((r for r in range(row, M.rows) if any(rows[r][col])), None)
         if pivot is None:
             continue
         rows[row], rows[pivot] = rows[pivot], rows[row]
         pinv = field.inv(rows[row][col])
         for r in range(row + 1, M.rows):
-            if rows[r][col]:
+            if any(rows[r][col]):
                 f = field.mul(rows[r][col], pinv)
-                rows[r] = [x - field.mul(f, y) for x, y in zip(rows[r], rows[row])]
+                rows[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[r], rows[row])]
         rank += 1
         row += 1
         if row == M.rows:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd as int_gcd
 
 from .errors import InternalInvariantError
-from .laurent import LaurentPoly, dense_divmod, parse_poly
+from .laurent import LaurentPoly, dense_divmod, dense_mul, parse_poly
 
 __all__ = [
     "IntPoly",
@@ -103,14 +103,7 @@ class IntPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly([other * x for x in self._c])
-        if self.is_zero or other.is_zero:
-            return IntPoly()
-        out = [0] * (len(self._c) + len(other._c) - 1)
-        for i, a in enumerate(self._c):
-            if a:
-                for j, b in enumerate(other._c):
-                    out[i + j] += a * b
-        return IntPoly(out)
+        return IntPoly(dense_mul(self._c, other._c))
 
     __rmul__ = __mul__
 
@@ -157,19 +150,6 @@ class IntPoly:
         while c and c[0] == 0:
             c.pop(0)
         return IntPoly(list(reversed(c)))
-
-    def is_self_reciprocal(self) -> bool:
-        r = self.reverse()
-        return r == self or r == -self
-
-    def shift_out_roots_at_zero(self):
-        """(k, g) with f = t^k g and g(0) != 0."""
-        k = 0
-        c = list(self._c)
-        while c and c[0] == 0:
-            c.pop(0)
-            k += 1
-        return k, IntPoly(c)
 
     def to_laurent(self) -> LaurentPoly:
         return LaurentPoly.from_coeffs(self._c, 0)

@@ -7,9 +7,7 @@ is the empty mapping.  Coefficients are fractions.Fraction throughout, so all
 arithmetic is exact; nothing in this module touches floating point.
 
 Units of Z[t, 1/t] are +-t^k.  normalize_unit picks the canonical associate:
-minimum exponent 0 and positive coefficient there.  A polynomial f is
-self-reciprocal when f(1/t) is a unit multiple of f(t); Alexander polynomials
-of knots always are.
+minimum exponent 0 and positive coefficient there.
 
 Textual syntax (round-trips through parse_poly / str): terms like
 ``t^-2 - 3 + t^2`` or ``2t^2 - 5t + 2``; coefficients are integers or
@@ -29,6 +27,7 @@ __all__ = [
     "T",
     "as_fraction",
     "dense_divmod",
+    "dense_mul",
     "is_two_local",
     "normalize_unit",
     "parse_poly",
@@ -62,6 +61,25 @@ def _strip(c):
     while c and c[-1] == 0:
         c.pop()
     return c
+
+
+def dense_mul(a, b):
+    """Product of dense ascending coefficient lists over Q.
+
+    Entries may be ints or Fractions, and integer input keeps integer
+    entries.  The product of two lists without trailing zeros has none.
+
+    >>> dense_mul([1, 1], [-1, 1])               # (1 + t)(t - 1) = t^2 - 1
+    [-1, 0, 1]
+    """
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def dense_divmod(num, den):
@@ -259,10 +277,6 @@ class LaurentPoly:
             raise ValueError("substitute_power requires a nonzero exponent")
         return LaurentPoly({k * n: c for k, c in self._terms.items()})
 
-    def reciprocal(self) -> "LaurentPoly":
-        """f(1/t)."""
-        return self.substitute_power(-1)
-
     def __call__(self, value) -> Fraction:
         """Exact evaluation at a nonzero rational (t is a unit, so 0 is out)."""
         value = as_fraction(value)
@@ -295,12 +309,6 @@ class LaurentPoly:
         if f.coeff(0) < 0:
             f = -f
         return f
-
-    def is_self_reciprocal(self) -> bool:
-        """True when f(1/t) = +-t^k f(t); zero counts as self-reciprocal."""
-        if not self._terms:
-            return True
-        return self.normalize_unit() == self.reciprocal().normalize_unit()
 
     def content(self) -> Fraction:
         """Positive rational c with f = c * (primitive integer Laurent poly)."""

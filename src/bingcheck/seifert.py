@@ -156,13 +156,15 @@ def signature_function(s: SeifertMatrix) -> SignatureFunction:
     )
 
 
-def _delta_at_minus_one(s: SeifertMatrix) -> int:
-    """det(A + A^T), which is Delta(-1) up to the sign normalize_unit puts
-    on Delta; one rational det instead of a Laurent one."""
+def _arf_and_determinant(s: SeifertMatrix) -> tuple:
+    """(Arf invariant, knot determinant) of an integral Seifert matrix, from
+    one det(A + A^T): that is Delta(-1) up to the sign normalize_unit puts on
+    Delta, and a rational det instead of a Laurent one.  Arf is 0 iff
+    Delta(-1) is congruent to +-1 mod 8; the determinant is |Delta(-1)|."""
     d = (s.matrix + s.matrix.transpose()).det()
     if d.denominator != 1 or d.numerator % 2 == 0:
         raise InternalInvariantError("Delta(-1) of an integral matrix must be odd")
-    return d.numerator
+    return (0 if d.numerator % 8 in (1, 7) else 1), abs(d.numerator)
 
 
 def arf(s: SeifertMatrix) -> int:
@@ -172,14 +174,14 @@ def arf(s: SeifertMatrix) -> int:
     """
     if not s.integral:
         raise AdmissibilityError("Arf invariant needs an integral Seifert matrix")
-    return 0 if _delta_at_minus_one(s) % 8 in (1, 7) else 1
+    return _arf_and_determinant(s)[0]
 
 
 def determinant_invariant(s: SeifertMatrix) -> int:
     """|Delta(-1)|, the knot determinant (integral matrices only)."""
     if not s.integral:
         raise AdmissibilityError("the determinant invariant needs an integral Seifert matrix")
-    return abs(_delta_at_minus_one(s))
+    return _arf_and_determinant(s)[1]
 
 
 @dataclass(frozen=True)

@@ -133,9 +133,6 @@ class SignatureFunction:
     def is_zero(self) -> bool:
         return all(a.signature == 0 for a in self.arcs)
 
-    def max_abs_signature(self) -> int:
-        return max((abs(a.signature) for a in self.arcs), default=0)
-
     def arc_rows(self):
         """(u_lo, u_hi, signature) rows with printable rational bounds."""
         return [(a.u_lo, a.u_hi, a.signature) for a in self.arcs]
@@ -238,13 +235,6 @@ def signature_function_of_matrix(B, factors) -> SignatureFunction:
     given the irreducible factors of det B as factor_rational(det B)[1]
     lists them; t - 1 and t + 1 may be left out, having no root on the arc."""
     n = B.rows
-    if n == 0:
-        return SignatureFunction(
-            arcs=(Arc(Fraction(-2), Fraction(2), 0, Fraction(1, 3)),),
-            jumps=(),
-            size=0,
-        )
-
     raw = []
     for p, g in circle_jump_factors(factors):
         roots = sturm_isolate(g, Fraction(-2), Fraction(2))

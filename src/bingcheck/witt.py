@@ -35,9 +35,8 @@ from .fields import evaluated_hermitian_signature
 from .sigfunc import SignatureFunction, same_step_function, signature_function_of_matrix
 from .seifert import (
     SeifertMatrix,
+    _arf_and_determinant,
     alexander,
-    arf as seifert_arf,
-    determinant_invariant,
     fox_milnor,
     FoxMilnorResult,
 )
@@ -268,8 +267,7 @@ def obstruction_battery(s: SeifertMatrix) -> ObstructionReport:
     a Seifert matrix; deterministic, with the first failing test (in the
     order Fox-Milnor, signature function, Arf, determinant-square) as the
     certificate."""
-    arf_value = seifert_arf(s) if s.integral else None
-    det_value = determinant_invariant(s) if s.integral else None
+    arf_value, det_value = _arf_and_determinant(s) if s.integral else (None, None)
     return _assemble_report(
         s.name or "(unnamed)",
         "Z" if s.integral else "Q",
@@ -313,25 +311,6 @@ class BingReport:
     certificate: str | None
 
 
-def _signature_at_multiple(b: ExactMatrix, theta: Fraction):
-    """(signature, nullity) of B at angle theta, with angle 0 giving the
-    zero form by convention (B(1) = 0 for Seifert-form presentations)."""
-    theta = theta - theta.numerator // theta.denominator  # reduce mod 1
-    if theta == 0:
-        return (0, b.rows)
-    return evaluated_hermitian_signature(b, theta)
-
-
-def _phi_signature_function(base: WittPresentation, n: int):
-    """Signature function of phi_n(base); n = 0 is the zero pairing, whose
-    function vanishes identically."""
-    pres = phi(base, n) if n else WittPresentation(
-        ExactMatrix.zeros(0, 0, kind="laurent")
-    )
-    _, factors = factor_rational(pres.order())
-    return signature_function_of_matrix(pres.matrix, factors)
-
-
 def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
     """Decide what the implemented obstructions say about the Bing double
     of the knot with Seifert matrix `s` (integral required).
@@ -351,17 +330,31 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
     battery = obstruction_battery(s)
     base = from_seifert(s)
     b = base.matrix
+    # signature function of phi_k(base) by k, each built once; B(1) = 0 makes
+    # phi_0 the zero pairing, whose function vanishes identically
+    phi_functions = {1: battery.signature}
+
+    def phi_function(k):
+        if k not in phi_functions:
+            if k == 0:
+                m, factors = ExactMatrix.zeros(0, 0, kind="laurent"), []
+            else:
+                pres = phi(base, k)
+                m, factors = pres.matrix, factor_rational(pres.order())[1]
+            phi_functions[k] = signature_function_of_matrix(m, factors)
+        return phi_functions[k]
 
     crosschecks = []
-    telescoping_violation = False
+    telescoping_of = {}  # q -> telescoping result, which does not depend on p
     for p in range(1, check_range + 1):
         for q in range(1, check_range + 1):
             jp = _jpq(base, p, q)
             additivity = "pass"
+            # at angle 0 (k * theta an integer) B(1) = 0 gives (0, size)
             for theta in _CROSSCHECK_ANGLES:
-                lhs = _signature_at_multiple(jp.matrix, theta)
+                lhs = evaluated_hermitian_signature(jp.matrix, theta)
                 parts = [
-                    _signature_at_multiple(b, k * theta) for k in (p, p + q, q)
+                    evaluated_hermitian_signature(b, k * theta) for k in (p, p + q, q)
                 ]
                 rhs = (sum(x[0] for x in parts), sum(x[1] for x in parts))
                 if lhs != rhs:
@@ -371,19 +364,17 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
                     )
             j_battery = presentation_battery(jp)
             if j_battery.verdict == NO_OBSTRUCTION_FOUND and j_battery.signature.is_zero:
-                f_lo = _phi_signature_function(base, q - 1)
-                f_hi = _phi_signature_function(base, q + 1)
-                telescoping = (
-                    "verified" if same_step_function(f_lo, f_hi) else "violated"
-                )
-                if telescoping == "violated":
-                    telescoping_violation = True
+                if q not in telescoping_of:
+                    same = same_step_function(phi_function(q - 1), phi_function(q + 1))
+                    telescoping_of[q] = "verified" if same else "violated"
+                telescoping = telescoping_of[q]
             else:
                 telescoping = "skipped"
             crosschecks.append(CrossCheck(p, q, additivity, telescoping))
 
     verdict = battery.verdict
     certificate = battery.certificate
+    telescoping_violation = any(c.telescoping == "violated" for c in crosschecks)
     if verdict == NO_OBSTRUCTION_FOUND and telescoping_violation:
         verdict = NOT_ALG_SLICE
         certificate = "telescoping"

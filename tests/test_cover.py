@@ -33,12 +33,12 @@ def fox_milnor_of(delta):
 def order_by_field_product(delta, p):
     """Independent oracle: |prod Delta(zeta^i)| in Q(zeta_p)."""
     field = cyclotomic_field(p)
-    prod = field.one()
+    prod = field.element([1])
     for i in range(1, p):
-        prod = prod * field.root_image(delta, i)
-    tail = prod.coeffs[1:] if len(prod.coeffs) > 1 else ()
+        prod = field.mul(prod, field.root_image(delta, i))
+    tail = prod[1:] if len(prod) > 1 else ()
     assert all(c == 0 for c in tail), "product must be rational"
-    val = abs(prod.coeffs[0]) if prod.coeffs else Fraction(0)
+    val = abs(prod[0]) if prod else Fraction(0)
     return val
 
 

@@ -1,9 +1,16 @@
-"""Cyclotomic fields, certified cosine enclosures, Hermitian signatures."""
+"""Cyclotomic fields, certified cosine enclosures, Hermitian signatures.
 
+The property tests at the end check the exact field layer past the 2x2 case
+against numpy, a floating-point oracle used only here.
+"""
+
+import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bingcheck.fields import (
     PolyQuotientField,
@@ -13,7 +20,7 @@ from bingcheck.fields import (
     rank_over_factor,
 )
 from bingcheck.intpoly import IntPoly
-from bingcheck.laurent import parse_poly
+from bingcheck.laurent import LaurentPoly, parse_poly
 from bingcheck.matrices import ExactMatrix
 
 
@@ -50,13 +57,18 @@ class TestCosEnclosure:
         assert flo <= 0 <= fhi or fhi <= 0 <= flo
 
 
+def x_power(f, k):
+    """x^k in the cyclotomic field f, as the image of t^k."""
+    return f.root_image(LaurentPoly({k: 1}))
+
+
 class TestQuotientField:
     def test_inverse_and_powers(self):
         f = cyclotomic_field(7)
         e = f.element([1, -2, 0, 3, 1, 1])
-        assert f.mul(e, f.inv(e)) == f.one()
-        assert f.mul(f.x_power(3), f.x_power(4)) == f.one()
-        assert f.x_power(-2) == f.x_power(5)
+        assert f.mul(e, f.inv(e)) == f.element([1])
+        assert f.mul(x_power(f, 3), x_power(f, 4)) == f.element([1])
+        assert x_power(f, -2) == x_power(f, 5)
 
     def test_conjugation_is_involution_and_multiplicative(self):
         f = cyclotomic_field(9)
@@ -71,23 +83,23 @@ class TestQuotientField:
             a = f.element(coeffs)
             n = f.mul(a, f.conj(a))
             assert f.conj(n) == n
-            if a:
+            if any(a):
                 assert f.real_sign(n) == 1
 
     def test_real_sign_frozen(self):
         f = cyclotomic_field(5)
-        two_cos_72 = f.x_power(1) + f.x_power(-1)
+        two_cos_72 = f.root_image(parse_poly("t + t^-1"))
         assert f.real_sign(two_cos_72) == 1
-        assert f.real_sign(f.x_power(2) + f.x_power(-2)) == -1
-        assert f.real_sign(f.zero()) == 0
+        assert f.real_sign(f.root_image(parse_poly("t^2 + t^-2"))) == -1
+        assert f.real_sign(f.element([0])) == 0
         # 2cos(72) = 0.618...: straddle it from both sides
-        assert f.real_sign(two_cos_72 - f.scalar(Fraction(1, 2))) == 1
-        assert f.real_sign(two_cos_72 - f.scalar(Fraction(7, 10))) == -1
+        assert f.real_sign(f.sub(two_cos_72, f.element([Fraction(1, 2)]))) == 1
+        assert f.real_sign(f.sub(two_cos_72, f.element([Fraction(7, 10)]))) == -1
 
     def test_real_sign_rejects_non_real(self):
         f = cyclotomic_field(5)
         with pytest.raises(ValueError):
-            f.real_sign(f.x_power(1))
+            f.real_sign(x_power(f, 1))
 
     def test_quotient_field_rejects_root_at_zero(self):
         with pytest.raises(ValueError):
@@ -185,3 +197,87 @@ class TestRankOverFactor:
         b = seifert_form_matrix(TREFOIL)
         _, nullity = evaluated_hermitian_signature(b, Fraction(1, 6))
         assert nullity == 2 - rank_over_factor(b, IntPoly("t^2 - t + 1"))
+
+
+# -- property tests against a floating-point oracle ------------------------------
+
+def symplectic_form(genus, upper):
+    """B(t) = (1-t) A + (1-t^-1) A^T for the integral 2g x 2g Seifert matrix A
+    with A - A^T the standard symplectic form, its upper triangle (diagonal
+    included) read row by row from `upper`."""
+    n = 2 * genus
+    entries = iter(upper)
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = next(entries)
+            if j > i:
+                a[j][i] = a[i][j] - (1 if j == i + 1 and i % 2 == 0 else 0)
+    return seifert_form_matrix(a)
+
+
+def numeric(M, z):
+    """M(z) for a Laurent ExactMatrix M, as a complex numpy array."""
+    lm = M.to_laurent()
+    return np.array([[sum(float(c) * z ** k for k, c in lm[i, j].items())
+                      for j in range(M.cols)] for i in range(M.rows)], dtype=complex)
+
+
+# entries drawn evenly: st.integers favours 0, whose forms are mostly degenerate
+admissible_forms = st.integers(1, 3).flatmap(
+    lambda g: st.lists(
+        st.sampled_from(range(-3, 4)), min_size=g * (2 * g + 1), max_size=g * (2 * g + 1)
+    ).map(lambda upper: symplectic_form(g, upper))
+)
+angles = st.integers(2, 16).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda a: Fraction(a, q))
+)
+laurent_polys = st.dictionaries(
+    st.integers(-3, 3), st.integers(-3, 3), max_size=4
+).map(LaurentPoly)
+# irreducible over Q, with nonzero constant term
+MODULI = [IntPoly(m) for m in (
+    "2t - 1", "t + 3", "t^2 + 1", "t^2 - t + 1", "t^2 - 3t + 1", "2t^2 + t + 3",
+    "t^3 - t - 1", "t^4 + t^3 + t^2 + t + 1", "t^4 - 2",
+)]
+
+
+class TestAgainstNumericOracle:
+    @given(admissible_forms, st.integers(1, 3), angles)
+    @settings(max_examples=30, deadline=None)
+    def test_hermitian_signature_matches_eigenvalues(self, B, n, angle):
+        M = B.substitute_power(n)
+        eig = np.linalg.eigvalsh(numeric(M, cmath.exp(2j * math.pi * angle)))
+        assume(all(abs(e) > 1e-6 for e in eig))
+        want = sum(1 for e in eig if e > 0) - sum(1 for e in eig if e < 0)
+        assert evaluated_hermitian_signature(M, angle) == (want, 0)
+
+    @given(st.integers(1, 4), st.sampled_from(MODULI), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rank_over_factor_matches_every_root(self, n, modulus, data):
+        rows = [[data.draw(laurent_polys) for _ in range(n)] for _ in range(n)]
+        if n > 1 and data.draw(st.booleans()):
+            # a row congruent to another modulo the modulus: rank drops at its
+            # roots only
+            i, j = data.draw(st.integers(0, n - 2)), data.draw(st.integers(0, n - 1))
+            rows[-1] = list(rows[i])
+            rows[-1][j] = rows[i][j] + modulus.to_laurent().shift(-2) * data.draw(
+                st.integers(-2, 2))
+        M = ExactMatrix(rows, kind="laurent")
+        got = rank_over_factor(M, modulus)
+        for root in np.roots([float(c) for c in reversed(modulus.coeffs)]):
+            s = np.linalg.svd(numeric(M, complex(root)), compute_uv=False)
+            scale = max(1.0, float(s.max(initial=0.0)))
+            assume(not any(1e-9 * scale < x < 1e-5 * scale for x in s))
+            assert got == sum(1 for x in s if x >= 1e-5 * scale)
+
+    @given(st.integers(1, 30), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_cyclotomic_field_inverse_and_root_image(self, q, data):
+        f = cyclotomic_field(q)
+        a = f.element(data.draw(st.lists(st.integers(-3, 3), max_size=2 * f.degree)))
+        if any(a):
+            assert f.mul(a, f.inv(a)) == f.element([1])
+        g, h = data.draw(laurent_polys), data.draw(laurent_polys)
+        k = data.draw(st.integers(1, q))
+        assert f.root_image(g * h, k) == f.mul(f.root_image(g, k), f.root_image(h, k))

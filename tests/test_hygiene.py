@@ -1,5 +1,5 @@
-"""Source hygiene: no module imports a name it never uses, and the package
-computes without floating point.
+"""Source hygiene: no module imports a name it never uses, the package
+computes without floating point, and it defines no API that only tests call.
 
 A stdlib-only stand-in for a linter's unused-import rule.  Only imports at
 module level are checked.  A name counts as used when the module reads it
@@ -9,6 +9,11 @@ __future__`` imports are exempt.
 The float check reads every module of the package (not the tests, whose
 oracles may use floats): no float literal, no use of the name ``float``,
 and nothing from ``math`` but the integer functions ``gcd`` and ``isqrt``.
+
+The API check reads every function, class and method the package defines
+(dunders are exempt) and fails on any that the package, the demos and the
+benchmark never read by name, as a Name or an Attribute; a name read only
+by the tests is test-only API.
 """
 
 import ast
@@ -19,7 +24,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/bingcheck/*.py"))
 MODULES = PACKAGE + sorted(ROOT.glob("tests/*.py"))
+READERS = PACKAGE + sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
 INTEGER_MATH = {"gcd", "isqrt"}
+# definitions nothing in READERS reads by name, kept on purpose
+API_EXEMPT = {
+    "error",  # cli's ArgumentParser.error override: argparse calls it
+    "sym_signature",  # the independent rational oracle of tests/test_fields.py
+}
 
 
 def unused_imports(source):
@@ -106,3 +117,53 @@ def test_no_floating_point(path):
     assert not found, "%s: floating point at %s" % (
         path.relative_to(ROOT), ", ".join("%s (line %d)" % (w, l) for l, w in found)
     )
+
+
+def definitions(source):
+    """(line, name) for each function, class and method defined in `source`,
+    dunders left out."""
+    return sorted(
+        (node.lineno, node.name) for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+
+
+def names_read(source):
+    """Every name `source` reads, as a Name or as an Attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_checker_finds_test_only_api():
+    source = (
+        "class Field:\n"
+        "    def __init__(self): pass\n"
+        "    def mul(self, a, b): return self._reduce(a)\n"
+        "    def _reduce(self, a): return a\n"
+        "    def scalar(self, c): pass\n"
+        "def helper(): pass\n"
+        "class Unused: pass\n"
+        "Field().mul(1, 2)\n"
+        "helper = None\n"
+    )
+    read = names_read(source)
+    assert [d for d in definitions(source) if d[1] not in read] == [
+        (5, "scalar"), (6, "helper"), (7, "Unused"),
+    ]
+
+
+def test_no_test_only_api():
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in READERS))
+    unread = [
+        "%s:%d %s" % (path.relative_to(ROOT), line, name)
+        for path in PACKAGE
+        for line, name in definitions(path.read_text(encoding="utf-8"))
+        if name not in read and name not in API_EXEMPT
+    ]
+    assert not unread, "defined but never read outside the tests: " + ", ".join(unread)

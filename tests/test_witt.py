@@ -14,7 +14,14 @@ from bingcheck.laurent import LaurentPoly, dense_divmod, parse_poly, normalize_u
 from bingcheck.matrices import ExactMatrix
 from bingcheck.fields import evaluated_hermitian_signature
 from bingcheck.sigfunc import signature_function_of_matrix
-from bingcheck.seifert import SeifertMatrix, alexander, connected_sum, mirror
+from bingcheck.seifert import (
+    SeifertMatrix,
+    alexander,
+    arf,
+    connected_sum,
+    determinant_invariant,
+    mirror,
+)
 from bingcheck.cover import covering_seifert_matrix
 from bingcheck.witt import (
     NOT_ALG_SLICE,
@@ -363,6 +370,67 @@ class TestOneAlexanderPerBattery:
         bing_double_verdict(FIGURE_EIGHT, 3)
         assert built == [FIGURE_EIGHT]
         assert calls == [FIGURE_EIGHT]
+
+
+class TestOneDeterminantPerBattery:
+    @pytest.fixture
+    def dets(self, monkeypatch):
+        """Every matrix whose ExactMatrix.det is taken."""
+        seen = []
+        det = ExactMatrix.det
+
+        def counting(m):
+            seen.append(m)
+            return det(m)
+
+        monkeypatch.setattr(ExactMatrix, "det", counting)
+        return seen
+
+    @pytest.mark.parametrize("s", CATALOG, ids=lambda s: s.name)
+    def test_one_det_of_symmetrized_form(self, dets, s):
+        r = obstruction_battery(s)
+        sym = s.matrix + s.matrix.transpose()
+        assert [m for m in dets if m.kind == "rational" and m == sym] == [sym]
+        assert (r.arf, r.determinant) == (arf(s), determinant_invariant(s))
+
+    def test_stevedore_verdict_takes_three_dets(self, dets):
+        bing_double_verdict(STEVEDORE, 3)
+        # det(A + A^T), the Alexander det and the base presentation's det
+        assert len(dets) == 3
+
+
+class TestVerdictReadsEachPhiOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The signature_function_of_matrix calls and the factor_rational
+        arguments, counted through every binding in the package."""
+        functions, factored = [], []
+
+        def counting_function(*args):
+            functions.append(args)
+            return signature_function_of_matrix(*args)
+
+        def counting_factor(f):
+            factored.append(f)
+            return factor_rational(f)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "bingcheck":
+                continue
+            if vars(module).get("signature_function_of_matrix") is signature_function_of_matrix:
+                monkeypatch.setattr(module, "signature_function_of_matrix", counting_function)
+            if vars(module).get("factor_rational") is factor_rational:
+                monkeypatch.setattr(module, "factor_rational", counting_factor)
+        return functions, factored
+
+    @pytest.mark.parametrize("s, most_functions", [(STEVEDORE, 14), (TREFOIL, 10)],
+                             ids=["6_1", "3_1"])
+    def test_counts_at_range_three(self, calls, s, most_functions):
+        functions, factored = calls
+        bing_double_verdict(s, 3)
+        assert len(functions) <= most_functions
+        # J(p, q) and J(q, p) have the same order; nothing else repeats
+        assert len(factored) - len(set(factored)) <= 3
 
 
 class TestObstructionBattery:
