@@ -19,7 +19,12 @@ from .laurent import Fraction, LaurentPoly, T, as_fraction, is_two_local, parse_
 from .intpoly import IntPoly, cyclotomic, sturm_isolate
 from .factor import factor_rational
 from .matrices import ExactMatrix
-from .fields import evaluated_hermitian_signature, rank_over_factor
+from .fields import (
+    cayley_point,
+    evaluated_hermitian_signature,
+    rank_over_factor,
+    root_of_unity,
+)
 from .sigfunc import SignatureFunction, signature_function_of_matrix
 from .seifert import (
     SeifertMatrix,
@@ -65,8 +70,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Fraction", "LaurentPoly", "T", "as_fraction", "is_two_local",
     "parse_poly", "IntPoly", "cyclotomic", "sturm_isolate",
-    "factor_rational", "ExactMatrix", "evaluated_hermitian_signature",
-    "rank_over_factor", "SignatureFunction", "signature_function_of_matrix",
+    "factor_rational", "ExactMatrix", "cayley_point",
+    "evaluated_hermitian_signature", "rank_over_factor", "root_of_unity",
+    "SignatureFunction", "signature_function_of_matrix",
     "SeifertMatrix", "alexander", "arf", "connected_sum",
     "determinant_invariant", "fox_milnor", "mirror", "signature_at",
     "signature_function", "branched_cover_homology_order",

@@ -1,14 +1,24 @@
-"""Exact arithmetic in Q[x]/(m) and certified signs at roots of unity.
+"""Exact arithmetic in Q[x]/(m) and exact Hermitian signatures on the circle.
 
-A matrix of Laurent polynomials evaluated at omega = exp(2*pi*i*a/q) lives in
-the cyclotomic field Q(zeta_q) = Q[x]/(Phi_q(x)); no floating point is needed
-to diagonalize a Hermitian matrix there, only to decide the signs of the real
-diagonal entries that come out.  Those signs are certified with rational
-interval arithmetic: pi is enclosed by Machin's formula (alternating series
-give exact rational over/under-estimates), cosine by a Taylor polynomial with
-the Lagrange remainder, and the working precision is raised until the
-enclosure excludes zero -- which must happen, because a nonzero field element
-has a nonzero image under every embedding.
+A point of the unit circle is given exactly as (q, omega): omega is the image
+of t in the cyclotomic field Q(zeta_q) = Q[x]/(Phi_q(x)).  Two kinds of point
+are built:
+
+  * root_of_unity(a/q): omega = x^a = exp(2*pi*i*a/q) in Q(zeta_q);
+  * cayley_point(s): omega = (1 + i s)/(1 - i s) for rational s, a rational
+    point of the circle in Q(i) = Q(zeta_4), with u = omega + 1/omega =
+    2(1 - s^2)/(1 + s^2).
+
+A Laurent matrix is evaluated at either kind by one evaluator: powers of
+omega, with omega^-1 = conj(omega).  No floating point is needed to
+diagonalize a Hermitian matrix over the field, only to decide the signs of
+the real diagonal entries that come out.  Those signs are certified with
+rational interval arithmetic: pi is enclosed by Machin's formula
+(alternating series give exact rational over/under-estimates), cosine by a
+Taylor polynomial with the Lagrange remainder, and the working precision is
+raised until the enclosure excludes zero -- which must happen, because a
+nonzero field element has a nonzero image under every embedding.  In Q(i) a
+real element is rational and its enclosure is the exact value cos 0 = 1.
 
 The same quotient-ring machinery over an arbitrary irreducible modulus gives
 ranks of Laurent matrices "at" a root of an irreducible factor, used for the
@@ -28,10 +38,12 @@ from .intpoly import IntPoly, cyclotomic
 __all__ = [
     "CyclotomicField",
     "PolyQuotientField",
+    "cayley_point",
     "cos_enclosure",
     "cyclotomic_field",
     "evaluated_hermitian_signature",
     "rank_over_factor",
+    "root_of_unity",
 ]
 
 
@@ -179,9 +191,25 @@ class CyclotomicField(PolyQuotientField):
                     out[i] += c * x
         return tuple(out)
 
-    def root_image(self, f: LaurentPoly, a: int = 1) -> tuple:
-        """Image of f(t) under t -> zeta_q^a, i.e. t^k -> x^(k*a mod q)."""
-        return self._fold((k * a, c) for k, c in f.items())
+    def images(self, polys: list, omega: tuple) -> list:
+        """Images of the Laurent polynomials under t -> omega, for omega on
+        the unit circle, so that omega^-1 = conj(omega).  The powers of
+        omega are formed once for all the polynomials."""
+        up = max([0] + [f.max_exp for f in polys if f])
+        down = max([0] + [-f.min_exp for f in polys if f])
+        powers = [self.element([1])]
+        for _ in range(max(up, down)):
+            powers.append(self.mul(powers[-1], omega))
+        inverse = [self.conj(p) for p in powers[:down + 1]]
+        out = []
+        for f in polys:
+            acc = [Fraction(0)] * self.degree
+            for k, c in f.items():
+                for i, x in enumerate(powers[k] if k >= 0 else inverse[-k]):
+                    if x:
+                        acc[i] += c * x
+            out.append(tuple(acc))
+        return out
 
     def conj(self, e: tuple) -> tuple:
         """Complex conjugate: x^i -> x^(-i)."""
@@ -223,7 +251,26 @@ def cyclotomic_field(q: int) -> CyclotomicField:
     return CyclotomicField(q)
 
 
-# -- Hermitian signatures at roots of unity ------------------------------------
+# -- points of the unit circle ---------------------------------------------------
+
+def root_of_unity(angle) -> tuple:
+    """The point exp(2*pi*i*angle), angle taken mod 1: (q, x^a) in Q(zeta_q)
+    for the reduced angle a/q."""
+    angle = Fraction(angle)
+    angle -= angle.numerator // angle.denominator
+    field = cyclotomic_field(angle.denominator)
+    return field.q, field.element([0] * angle.numerator + [1])
+
+
+def cayley_point(s) -> tuple:
+    """The rational point omega = (1 + i s)/(1 - i s) of the unit circle:
+    (4, omega) in Q(i) = Q(zeta_4), where omega = (1 - s^2 + 2 i s)/(1 + s^2)."""
+    s = Fraction(s)
+    d = 1 + s * s
+    return 4, ((1 - s * s) / d, 2 * s / d)
+
+
+# -- Hermitian signatures on the circle ----------------------------------------
 
 def _hermitian_signature(field: CyclotomicField, H):
     """(signature, nullity) of a Hermitian matrix of field elements, by
@@ -276,34 +323,34 @@ def _hermitian_signature(field: CyclotomicField, H):
 
 
 @lru_cache(maxsize=8192)
-def _whole_hermitian_signature(M, angle: Fraction):
-    q, a = angle.denominator, angle.numerator
+def _whole_hermitian_signature(M, point):
+    q, omega = point
     field = cyclotomic_field(q)
     n = M.rows
     lm = M.to_laurent()
-    H = [[field.root_image(lm[i, j], a) for j in range(n)] for i in range(n)]
+    flat = field.images([lm[i, j] for i in range(n) for j in range(n)], omega)
+    H = [flat[i * n:(i + 1) * n] for i in range(n)]
     for i in range(n):
         for j in range(n):
             if field.conj(H[i][j]) != H[j][i]:
-                raise ValueError("matrix is not Hermitian at this angle")
+                raise ValueError("matrix is not Hermitian at this point")
     return _hermitian_signature(field, H)
 
 
-def evaluated_hermitian_signature(M, angle: Fraction):
-    """(signature, nullity) of M(omega) for omega = exp(2*pi*i*angle).
+def evaluated_hermitian_signature(M, point):
+    """(signature, nullity) of M(omega) at the point (q, omega) of the unit
+    circle, omega in Q(zeta_q), as root_of_unity or cayley_point builds it.
 
-    M is an ExactMatrix (rational or Laurent entries); angle is taken mod 1
-    and the evaluated matrix must be Hermitian, which is checked.  Signature
-    and nullity add over block-diagonal components, which are split off and
-    evaluated separately (repeated blocks only once).
+    M is an ExactMatrix (rational or Laurent entries), and the evaluated
+    matrix must be Hermitian, which is checked.  Signature and nullity add
+    over block-diagonal components, which are split off and evaluated
+    separately (repeated blocks only once).
     """
-    angle = Fraction(angle)
-    angle -= angle.numerator // angle.denominator
     if M.cols != M.rows:
         raise ValueError("square matrix required")
     sig = null = 0
     for idx in M.components():
-        s, n = _whole_hermitian_signature(M.submatrix(idx), angle)
+        s, n = _whole_hermitian_signature(M.submatrix(idx), point)
         sig += s
         null += n
     return sig, null

@@ -28,7 +28,7 @@ from .laurent import LaurentPoly, normalize_unit, parse_poly
 from .intpoly import IntPoly
 from .factor import factor_rational
 from .matrices import ExactMatrix
-from .fields import evaluated_hermitian_signature
+from .fields import evaluated_hermitian_signature, root_of_unity
 from .sigfunc import SignatureFunction, signature_function_of_matrix
 
 __all__ = [
@@ -143,7 +143,7 @@ def signature_at(s: SeifertMatrix, angle) -> tuple:
     theta = Fraction(angle)
     if not 0 < theta < 1:
         raise ValueError("angle must satisfy 0 < a/q < 1")
-    return evaluated_hermitian_signature(s.seifert_form(), theta)
+    return evaluated_hermitian_signature(s.seifert_form(), root_of_unity(theta))
 
 
 def signature_function(s: SeifertMatrix) -> SignatureFunction:

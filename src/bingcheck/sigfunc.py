@@ -14,26 +14,31 @@ in (-2, 2).  The construction therefore:
      each carrying the nullity of B at the corresponding root (computed as a
      corank over the field Q[t]/(P), which is independent of the choice of
      root of P);
-  3. samples one exact rational angle inside each remaining arc -- certified
-     by a cosine enclosure strictly inside the open rational gap between the
-     adjacent isolating intervals -- and evaluates the signature there
-     exactly.
+  3. samples each remaining arc at the rational point
+     omega(s) = (1 + i s)/(1 - i s) of the circle, for the simplest rational
+     s > 0 whose u(s) = 2(1 - s^2)/(1 + s^2) lies strictly inside the open
+     rational gap between the adjacent isolating intervals, and evaluates
+     the signature there exactly.
 
-Sampling prefers small denominators q because the evaluation works in the
-cyclotomic field of degree phi(q).  Values exactly at jump points are not
-part of the description; one-sided limits are available from the adjacent
-arcs.
+The s with u(s) in a gap (lo, hi) fill the open interval between the
+quadratic surds s(hi) and s(lo), s(u) = sqrt((2 - u)/(2 + u)); its simplest
+rational comes from their continued fractions (isqrt gives the exact
+partial quotients) and is confirmed by one exact comparison of u(s) with
+the gap.  B(omega(s)) has entries in Q(i) and rational Hermitian pivots, so
+no field of higher degree and no cosine enclosure of a sample is needed.
+Values exactly at jump points are not part of the description; one-sided
+limits are available from the adjacent arcs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import isqrt
 
 from .errors import InternalInvariantError
 from .intpoly import IntPoly, RootInterval, sturm_isolate
-from .fields import cos_enclosure, evaluated_hermitian_signature, rank_over_factor
+from .fields import cayley_point, evaluated_hermitian_signature, rank_over_factor
 
 __all__ = [
     "Arc",
@@ -46,11 +51,6 @@ __all__ = [
 
 # width of printed isolating intervals for irrational jump locations
 _PRINT_WIDTH = Fraction(1, 2 ** 20)
-# sampling limits; exceeding them means an arc too short to hold the u-value
-# of any angle a/q with q <= _SAMPLE_MAX_DEN, or such a u-value within
-# ~2^-768 of a gap end, far beyond anything a small presentation can produce
-_SAMPLE_MAX_DEN = 256
-_ENCLOSURE_BITS_CAP = 768
 
 
 def u_image(p: IntPoly) -> IntPoly:
@@ -108,7 +108,11 @@ class JumpPoint:
 @dataclass(frozen=True)
 class Arc:
     """Maximal open u-interval free of jumps, with the constant signature
-    there and the certified rational angle at which it was sampled.
+    there and the sample it was evaluated at.
+
+    `sample_angle` holds the Cayley parameter s of the sample point
+    omega(s) = (1 + i s)/(1 - i s), not an angle; the attribute keeps the
+    name of the root-of-unity sampler it replaced.
 
     The printed bounds stand in for the true arc endpoints: exact roots and
     the interval ends -2, 2 are themselves; irrational roots are represented
@@ -201,33 +205,70 @@ def _gap(left: RootInterval | None, right: RootInterval | None):
             right = right.refine(right.width / 2)
 
 
-def _sample_angle(lo: Fraction, hi: Fraction) -> Fraction:
-    """Smallest-denominator reduced angle a/q in (0, 1/2) whose u-value is
-    certified inside the open interval (lo, hi).
+def _s_of(u: Fraction):
+    """s = sqrt((2 - u)/(2 + u)) >= 0 for -2 < u <= 2, the s with u(s) = u:
+    a Fraction when rational, else the surd (P, D, Q) = (P + sqrt D)/Q with
+    D not a square, Q > 0 and Q dividing D - P^2."""
+    a = (2 - u) / (2 + u)
+    d = a.numerator * a.denominator
+    r = isqrt(d)
+    if r * r == d:
+        return Fraction(r, a.denominator)
+    return 0, d, a.denominator
 
-    A candidate whose u-value is a jump root lies in that jump's isolating
-    interval, outside (lo, hi), so it is rejected like any other outside
-    point; rational u-values (q = 3, 4, 6) have exact enclosures.
+
+def _floor(x) -> int:
+    """Floor of a Fraction or of a surd (P + sqrt D)/Q, Q > 0."""
+    if isinstance(x, Fraction):
+        return x.numerator // x.denominator
+    p, d, q = x
+    # sqrt D lies strictly between isqrt(D) and isqrt(D) + 1
+    return (p + isqrt(d)) // q
+
+
+def _reciprocal_minus(x, a: int):
+    """1/(x - a) for x > a, x a Fraction or a surd with floor a.
+
+    A surd stays in the form (P + sqrt D)/Q with Q dividing D - P^2, and Q
+    stays positive: for p = P - aQ, x - a > 0 gives -sqrt D < p, and
+    P < sqrt D with a >= 0 gives p < sqrt D, so D - p^2 > 0; the new P = -p
+    is again below sqrt D, as P = 0 is for s(u)."""
+    if isinstance(x, Fraction):
+        return 1 / (x - a)
+    p, d, q = x
+    p -= a * q
+    return -p, d, (d - p * p) // q
+
+
+def _simplest_between(lo, hi) -> Fraction:
+    """The rational of least denominator (and then least numerator) strictly
+    between lo and hi, 0 <= lo < hi; hi None stands for infinity.
+
+    The least integer above lo if it lies below hi; otherwise lo and hi
+    share the integer part a and the answer is a + 1/x for the simplest x
+    strictly between 1/(hi - a) and 1/(lo - a), which walks the common
+    prefix of their continued fractions.  A surd is never an integer.
     """
-    for q in range(3, _SAMPLE_MAX_DEN + 1):
-        for a in range(1, (q - 1) // 2 + 1):
-            if gcd(a, q) != 1:
-                continue
-            theta = Fraction(a, q)
-            bits = 48
-            while True:
-                c_lo, c_hi = cos_enclosure(theta, bits)
-                el, eh = 2 * c_lo, 2 * c_hi
-                if lo < el and eh < hi:
-                    return theta
-                if eh <= lo or el >= hi:
-                    break
-                if bits >= _ENCLOSURE_BITS_CAP:
-                    raise InternalInvariantError(
-                        "cosine enclosure cannot decide a sample angle"
-                    )
-                bits *= 2
-    raise InternalInvariantError("no rational angle certified inside the arc")
+    a = _floor(lo)
+    if hi is None or _floor(hi) > a + 1 or (_floor(hi) == a + 1 and hi != a + 1):
+        return Fraction(a + 1)
+    rest = None if lo == a else _reciprocal_minus(lo, a)
+    return a + 1 / _simplest_between(_reciprocal_minus(hi, a), rest)
+
+
+def _cayley_sample(lo: Fraction, hi: Fraction) -> Fraction:
+    """The simplest rational s > 0 with u(s) = 2(1 - s^2)/(1 + s^2)
+    strictly inside the open interval (lo, hi), -2 <= lo < hi <= 2.
+
+    u(s) falls from 2 to -2 as s runs over (0, infinity), so these s fill
+    the open interval (s(hi), s(lo)), s(-2) being infinity.  A u(s) that is
+    a jump root lies in that jump's isolating interval, outside (lo, hi).
+    """
+    s = _simplest_between(_s_of(hi), None if lo == -2 else _s_of(lo))
+    # u = omega + 1/omega at omega = cayley_point(s)
+    if not lo < 2 * (1 - s * s) / (1 + s * s) < hi:
+        raise InternalInvariantError("Cayley sample outside its gap")
+    return s
 
 
 def signature_function_of_matrix(B, factors) -> SignatureFunction:
@@ -261,11 +302,11 @@ def signature_function_of_matrix(B, factors) -> SignatureFunction:
 
     arcs = []
     for i in range(len(jumps) + 1):
-        theta = _sample_angle(*_gap(ends[i], ends[i + 1]))
-        sig, nul = evaluated_hermitian_signature(B, theta)
+        s = _cayley_sample(*_gap(ends[i], ends[i + 1]))
+        sig, nul = evaluated_hermitian_signature(B, cayley_point(s))
         if nul != 0:
             raise InternalInvariantError("arc sample landed on a singular point")
-        arcs.append(Arc(printable[i], printable[i + 1], sig, theta))
+        arcs.append(Arc(printable[i], printable[i + 1], sig, s))
     return SignatureFunction(arcs=tuple(arcs), jumps=jumps, size=n)
 
 

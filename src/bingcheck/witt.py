@@ -31,7 +31,7 @@ from .laurent import LaurentPoly, is_two_local, normalize_unit
 from .intpoly import cyclotomic_order
 from .factor import factor_rational
 from .matrices import ExactMatrix
-from .fields import evaluated_hermitian_signature
+from .fields import evaluated_hermitian_signature, root_of_unity
 from .sigfunc import SignatureFunction, same_step_function, signature_function_of_matrix
 from .seifert import (
     SeifertMatrix,
@@ -346,15 +346,19 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
 
     crosschecks = []
     telescoping_of = {}  # q -> telescoping result, which does not depend on p
+    # J(p, q) and J(q, p) block-sum the same three phi_k in another order and
+    # give the same report: one battery per unordered pair
+    j_battery_of = {}
     for p in range(1, check_range + 1):
         for q in range(1, check_range + 1):
             jp = _jpq(base, p, q)
             additivity = "pass"
             # at angle 0 (k * theta an integer) B(1) = 0 gives (0, size)
             for theta in _CROSSCHECK_ANGLES:
-                lhs = evaluated_hermitian_signature(jp.matrix, theta)
+                lhs = evaluated_hermitian_signature(jp.matrix, root_of_unity(theta))
                 parts = [
-                    evaluated_hermitian_signature(b, k * theta) for k in (p, p + q, q)
+                    evaluated_hermitian_signature(b, root_of_unity(k * theta))
+                    for k in (p, p + q, q)
                 ]
                 rhs = (sum(x[0] for x in parts), sum(x[1] for x in parts))
                 if lhs != rhs:
@@ -362,7 +366,10 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
                         "J(%d, %d) signature additivity failed at angle %s"
                         % (p, q, theta)
                     )
-            j_battery = presentation_battery(jp)
+            pair = (min(p, q), max(p, q))
+            if pair not in j_battery_of:
+                j_battery_of[pair] = presentation_battery(jp)
+            j_battery = j_battery_of[pair]
             if j_battery.verdict == NO_OBSTRUCTION_FOUND and j_battery.signature.is_zero:
                 if q not in telescoping_of:
                     same = same_step_function(phi_function(q - 1), phi_function(q + 1))

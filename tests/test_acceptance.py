@@ -13,7 +13,7 @@ from bingcheck.laurent import LaurentPoly, normalize_unit, parse_poly
 from bingcheck.intpoly import IntPoly, squarefree_part, sturm_isolate
 from bingcheck.factor import factor_rational
 from bingcheck.matrices import ExactMatrix
-from bingcheck.fields import evaluated_hermitian_signature
+from bingcheck.fields import evaluated_hermitian_signature, root_of_unity
 from bingcheck.seifert import (
     SeifertMatrix,
     alexander,
@@ -70,7 +70,7 @@ def _sig_with_basepoint(matrix, theta):
     theta = theta % 1
     if theta == 0:
         return (0, matrix.rows)
-    return evaluated_hermitian_signature(matrix, theta)
+    return evaluated_hermitian_signature(matrix, root_of_unity(theta))
 
 
 def test_criterion_1_catalog_golden_values():
@@ -134,7 +134,7 @@ def test_criterion_4_jpq_consistency():
             for q in (1, 2, 3):
                 j = jpq_presentation(s, p, q).matrix
                 for theta in ANGLES_20:
-                    lhs = evaluated_hermitian_signature(j, theta)
+                    lhs = evaluated_hermitian_signature(j, root_of_unity(theta))
                     parts = [_sig_with_basepoint(b, k * theta)
                              for k in (p, p + q, q)]
                     rhs = (sum(x[0] for x in parts), sum(x[1] for x in parts))

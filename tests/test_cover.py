@@ -35,7 +35,7 @@ def order_by_field_product(delta, p):
     field = cyclotomic_field(p)
     prod = field.element([1])
     for i in range(1, p):
-        prod = field.mul(prod, field.root_image(delta, i))
+        prod = field.mul(prod, field.images([delta], field.element([0] * i + [1]))[0])
     tail = prod[1:] if len(prod) > 1 else ()
     assert all(c == 0 for c in tail), "product must be rational"
     val = abs(prod[0]) if prod else Fraction(0)

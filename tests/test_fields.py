@@ -14,10 +14,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bingcheck.fields import (
     PolyQuotientField,
+    cayley_point,
     cos_enclosure,
     cyclotomic_field,
     evaluated_hermitian_signature,
     rank_over_factor,
+    root_of_unity,
 )
 from bingcheck.intpoly import IntPoly
 from bingcheck.laurent import LaurentPoly, parse_poly
@@ -57,9 +59,14 @@ class TestCosEnclosure:
         assert flo <= 0 <= fhi or fhi <= 0 <= flo
 
 
+def image(f, poly, k=1):
+    """poly(x^k) in the cyclotomic field f, by the evaluator."""
+    return f.images([poly], f.element([0] * k + [1]))[0]
+
+
 def x_power(f, k):
     """x^k in the cyclotomic field f, as the image of t^k."""
-    return f.root_image(LaurentPoly({k: 1}))
+    return image(f, LaurentPoly({k: 1}))
 
 
 class TestQuotientField:
@@ -88,9 +95,9 @@ class TestQuotientField:
 
     def test_real_sign_frozen(self):
         f = cyclotomic_field(5)
-        two_cos_72 = f.root_image(parse_poly("t + t^-1"))
+        two_cos_72 = image(f, parse_poly("t + t^-1"))
         assert f.real_sign(two_cos_72) == 1
-        assert f.real_sign(f.root_image(parse_poly("t^2 + t^-2"))) == -1
+        assert f.real_sign(image(f, parse_poly("t^2 + t^-2"))) == -1
         assert f.real_sign(f.element([0])) == 0
         # 2cos(72) = 0.618...: straddle it from both sides
         assert f.real_sign(f.sub(two_cos_72, f.element([Fraction(1, 2)]))) == 1
@@ -135,20 +142,20 @@ class TestHermitianSignature:
             Fraction(6, 7): (0, 0),
         }
         for theta, want in cases.items():
-            assert evaluated_hermitian_signature(b, theta) == want, theta
+            assert evaluated_hermitian_signature(b, root_of_unity(theta)) == want, theta
 
     def test_figure_eight_vanishes(self):
         b = seifert_form_matrix(FIGURE_EIGHT)
         for theta in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5),
                       Fraction(2, 7), Fraction(3, 8), Fraction(5, 12)):
-            sig, _ = evaluated_hermitian_signature(b, theta)
+            sig, _ = evaluated_hermitian_signature(b, root_of_unity(theta))
             assert sig == 0
 
     def test_conjugate_angles_agree(self):
         b = seifert_form_matrix(TREFOIL)
         for theta in (Fraction(1, 5), Fraction(2, 7), Fraction(3, 11)):
-            assert evaluated_hermitian_signature(b, theta) == \
-                evaluated_hermitian_signature(b, 1 - theta)
+            assert evaluated_hermitian_signature(b, root_of_unity(theta)) == \
+                evaluated_hermitian_signature(b, root_of_unity(1 - theta))
 
     def test_matches_rational_symmetric_route_at_half(self):
         # independent route: B(-1) is a rational symmetric matrix
@@ -162,21 +169,31 @@ class TestHermitianSignature:
             direct = ExactMatrix(
                 [[2 * (a[i][j] + a[j][i]) for j in range(n)] for i in range(n)]
             ).sym_signature()
-            assert evaluated_hermitian_signature(b, Fraction(1, 2)) == direct
+            assert evaluated_hermitian_signature(b, root_of_unity(Fraction(1, 2))) == direct
 
     def test_block_additivity(self):
         b1 = seifert_form_matrix(TREFOIL)
         b2 = seifert_form_matrix(FIGURE_EIGHT)
         both = b1.block_sum(b2)
         for theta in (Fraction(1, 5), Fraction(1, 6), Fraction(4, 9)):
-            s1, n1 = evaluated_hermitian_signature(b1, theta)
-            s2, n2 = evaluated_hermitian_signature(b2, theta)
-            assert evaluated_hermitian_signature(both, theta) == (s1 + s2, n1 + n2)
+            s1, n1 = evaluated_hermitian_signature(b1, root_of_unity(theta))
+            s2, n2 = evaluated_hermitian_signature(b2, root_of_unity(theta))
+            assert evaluated_hermitian_signature(both, root_of_unity(theta)) == (s1 + s2, n1 + n2)
+
+    def test_points_of_both_kinds(self):
+        # i = exp(2 pi i / 4) = (1 + i)/(1 - i): one point, one field
+        assert cayley_point(1) == root_of_unity(Fraction(1, 4))
+        b = seifert_form_matrix(TREFOIL)
+        # the trefoil jumps at u = 1; u(s) = 2(1 - s^2)/(1 + s^2) is 6/5, 0
+        # and -6/5 at s = 1/2, 1 and 2
+        assert evaluated_hermitian_signature(b, cayley_point(Fraction(1, 2))) == (0, 0)
+        assert evaluated_hermitian_signature(b, cayley_point(1)) == (-2, 0)
+        assert evaluated_hermitian_signature(b, cayley_point(2)) == (-2, 0)
 
     def test_non_hermitian_rejected(self):
         m = ExactMatrix([[parse_poly("t")]])
         with pytest.raises(ValueError):
-            evaluated_hermitian_signature(m, Fraction(1, 3))
+            evaluated_hermitian_signature(m, root_of_unity(Fraction(1, 3)))
 
 
 class TestRankOverFactor:
@@ -195,7 +212,7 @@ class TestRankOverFactor:
         # at the root of t^2 - t + 1 (angle 1/6) the corank from the exact
         # cyclotomic evaluation must agree with the rank over the factor field
         b = seifert_form_matrix(TREFOIL)
-        _, nullity = evaluated_hermitian_signature(b, Fraction(1, 6))
+        _, nullity = evaluated_hermitian_signature(b, root_of_unity(Fraction(1, 6)))
         assert nullity == 2 - rank_over_factor(b, IntPoly("t^2 - t + 1"))
 
 
@@ -250,7 +267,7 @@ class TestAgainstNumericOracle:
         eig = np.linalg.eigvalsh(numeric(M, cmath.exp(2j * math.pi * angle)))
         assume(all(abs(e) > 1e-6 for e in eig))
         want = sum(1 for e in eig if e > 0) - sum(1 for e in eig if e < 0)
-        assert evaluated_hermitian_signature(M, angle) == (want, 0)
+        assert evaluated_hermitian_signature(M, root_of_unity(angle)) == (want, 0)
 
     @given(st.integers(1, 4), st.sampled_from(MODULI), st.data())
     @settings(max_examples=40, deadline=None)
@@ -273,11 +290,22 @@ class TestAgainstNumericOracle:
 
     @given(st.integers(1, 30), st.data())
     @settings(max_examples=30, deadline=None)
-    def test_cyclotomic_field_inverse_and_root_image(self, q, data):
+    def test_cyclotomic_field_inverse_and_images(self, q, data):
         f = cyclotomic_field(q)
         a = f.element(data.draw(st.lists(st.integers(-3, 3), max_size=2 * f.degree)))
         if any(a):
             assert f.mul(a, f.inv(a)) == f.element([1])
         g, h = data.draw(laurent_polys), data.draw(laurent_polys)
         k = data.draw(st.integers(1, q))
-        assert f.root_image(g * h, k) == f.mul(f.root_image(g, k), f.root_image(h, k))
+        assert image(f, g * h, k) == f.mul(image(f, g, k), image(f, h, k))
+
+    @given(admissible_forms, st.integers(1, 3), st.integers(-20, 20), st.integers(1, 20))
+    @settings(max_examples=30, deadline=None)
+    def test_cayley_signature_matches_eigenvalues(self, B, n, a, b):
+        # omega(s) = (1 + i s)/(1 - i s), s of either sign, in Q(i)
+        M = B.substitute_power(n)
+        s = Fraction(a, b)
+        eig = np.linalg.eigvalsh(numeric(M, complex(1, a / b) / complex(1, -a / b)))
+        assume(all(abs(e) > 1e-6 for e in eig))
+        want = sum(1 for e in eig if e > 0) - sum(1 for e in eig if e < 0)
+        assert evaluated_hermitian_signature(M, cayley_point(s)) == (want, 0)

@@ -4,25 +4,37 @@ Reference values are classical: for the (2, 2k+1) torus knots the signature
 of B(omega) drops by 2 at each root of the Alexander polynomial on the upper
 semicircle, and for the figure-eight knot it vanishes identically because
 t^2 - 3t + 1 has no roots on the circle (u-image t - 3, root outside (-2, 2)).
+
+Arcs are sampled at rational points of the circle in Q(i); the oracle of
+TestAgainstRootOfUnitySampler evaluates them instead in Q(zeta_q) at roots of
+unity certified inside the same arcs by cosine enclosures.
 """
 
 import random
 from fractions import Fraction
+from itertools import count
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bingcheck.catalog import builtin_catalog
 from bingcheck.factor import factor_rational
-from bingcheck.fields import cos_enclosure, evaluated_hermitian_signature
+import bingcheck.fields as fields
+from bingcheck.fields import (
+    cayley_point,
+    cos_enclosure,
+    evaluated_hermitian_signature,
+    root_of_unity,
+)
 from bingcheck.intpoly import IntPoly, RootInterval
 from bingcheck.laurent import LaurentPoly, parse_poly
 from bingcheck.matrices import ExactMatrix
 from bingcheck.seifert import SeifertMatrix, alexander, mirror
 from bingcheck.sigfunc import (
     JumpPoint,
+    _cayley_sample,
     _gap,
-    _sample_angle,
     _separate_all,
     circle_jump_factors,
     same_step_function,
@@ -82,18 +94,50 @@ def symplectic_seifert(genus, upper):
     return SeifertMatrix(rows)
 
 
+# phi_5 of its form has 8 arcs, with values -2 and 0
+GENUS_TWO = symplectic_seifert(2, [-3, 0, 2, -2, 0, 2, -3, 1, -2, 3])
+
+
 def random_genus_two(rng):
     """Integral 4x4 Seifert matrix with A - A^T the standard symplectic form."""
     return symplectic_seifert(2, [rng.randint(-3, 3) for _ in range(10)])
 
 
-# entries drawn evenly: st.integers favours 0, whose forms mostly have a
-# vanishing signature function
-admissible_forms = st.integers(1, 2).flatmap(
-    lambda g: st.lists(
-        st.sampled_from(range(-3, 4)), min_size=g * (2 * g + 1), max_size=g * (2 * g + 1)
-    ).map(lambda upper: symplectic_seifert(g, upper))
-)
+def admissible_forms(top_genus):
+    """Seifert matrices of genus 1 to top_genus; entries drawn evenly:
+    st.integers favours 0, whose forms mostly have a vanishing signature
+    function."""
+    return st.integers(1, top_genus).flatmap(
+        lambda g: st.lists(
+            st.sampled_from(range(-3, 4)), min_size=g * (2 * g + 1),
+            max_size=g * (2 * g + 1)
+        ).map(lambda upper: symplectic_seifert(g, upper))
+    )
+
+
+def u_of(s):
+    """u = omega + 1/omega at the Cayley point omega = (1 + i s)/(1 - i s)."""
+    return 2 * (1 - s * s) / (1 + s * s)
+
+
+def sample_angle_oracle(lo, hi):
+    """Smallest-denominator reduced angle a/q in (0, 1/2) whose u-value
+    2cos(2 pi a/q) a cosine enclosure certifies inside (lo, hi): the
+    root-of-unity sampler arcs were once evaluated at.  A u-value at a gap
+    end is rational, so its enclosure is exact and the refinement stops."""
+    for q in count(3):
+        for a in range(1, (q - 1) // 2 + 1):
+            if gcd(a, q) != 1:
+                continue
+            theta = Fraction(a, q)
+            bits = 48
+            while True:
+                c_lo, c_hi = cos_enclosure(theta, bits)
+                if lo < 2 * c_lo and 2 * c_hi < hi:
+                    return theta
+                if 2 * c_hi <= lo or 2 * c_lo >= hi:
+                    break
+                bits *= 2
 
 
 def function_of(pres):
@@ -112,9 +156,9 @@ def resampling_oracle(f, g, B_f, B_g):
     cuts = [(j.root, None) for fn in (f, g) for j in fn.jumps if owner[j.factor] is fn]
     ends = [None] + [r for r, _ in _separate_all(cuts)] + [None]
     for left, right in zip(ends, ends[1:]):
-        theta = _sample_angle(*_gap(left, right))
-        if (evaluated_hermitian_signature(B_f, theta)[0]
-                != evaluated_hermitian_signature(B_g, theta)[0]):
+        omega = cayley_point(_cayley_sample(*_gap(left, right)))
+        if (evaluated_hermitian_signature(B_f, omega)[0]
+                != evaluated_hermitian_signature(B_g, omega)[0]):
             return False
     return True
 
@@ -268,7 +312,7 @@ class TestSameStepFunction:
         assert [a.signature for a in g.arcs] == [-4, -4, 0]
         assert not same_step_function(f, g)
 
-    @given(admissible_forms, admissible_forms, st.integers(1, 3), st.integers(1, 3),
+    @given(admissible_forms(2), admissible_forms(2), st.integers(1, 3), st.integers(1, 3),
            st.sampled_from(["phi", "sum", "cancel"]))
     @example(SeifertMatrix(TREFOIL), SeifertMatrix(FIGURE_EIGHT), 2, 4, "phi")
     @example(SeifertMatrix(TREFOIL), SeifertMatrix(T25), 1, 1, "sum")
@@ -352,8 +396,8 @@ class TestEmptyMatrix:
 
 
 class TestSampling:
-    def test_sample_angles_avoid_jumps(self):
-        # each sample's u = 2cos(2 pi theta) is enclosed strictly between the
+    def test_samples_avoid_jumps(self):
+        # each sample's u(s) = 2(1 - s^2)/(1 + s^2) lies strictly between the
         # isolating intervals of the neighbouring jumps (or the ends -2, 2)
         for a in (T25, block_diag(TREFOIL, T25)):
             B = bmat(a)
@@ -361,12 +405,88 @@ class TestSampling:
             ends = ([Fraction(-2)] + [x for j in f.jumps for x in (j.root.lo, j.root.hi)]
                     + [Fraction(2)])
             for arc, lo, hi in zip(f.arcs, ends[::2], ends[1::2]):
-                assert 0 < arc.sample_angle < Fraction(1, 2)
-                c_lo, c_hi = cos_enclosure(arc.sample_angle, 200)
-                assert lo < 2 * c_lo <= 2 * c_hi < hi
+                assert arc.sample_angle > 0
+                assert lo < u_of(arc.sample_angle) < hi
 
     def test_deterministic(self):
         B1, B2 = bmat(T25), bmat(T25)
         f = signature_function_of_matrix(B1, factor_list(B1.det()))
         g = signature_function_of_matrix(B2, factor_list(B2.det()))
         assert f == g
+
+
+class TestCayleySample:
+    TINY = Fraction(1, 2 ** 40)
+
+    def check(self, lo, hi):
+        s = _cayley_sample(lo, hi)
+        assert s > 0
+        assert lo < u_of(s) < hi
+        return s
+
+    def test_whole_circle(self):
+        assert self.check(Fraction(-2), Fraction(2)) == 1  # u(1) = 0
+
+    def test_gaps_touching_the_ends(self):
+        # s(-2) is infinite: the least integer past s(hi)
+        assert self.check(Fraction(-2), Fraction(1)) == 1
+        assert self.check(Fraction(-2), -2 + self.TINY).denominator == 1
+        # s(2) = 0: the least 1/m below s(lo)
+        assert self.check(Fraction(1), Fraction(2)) == Fraction(1, 2)
+        assert self.check(2 - self.TINY, Fraction(2)).numerator == 1
+
+    def test_narrow_gaps(self):
+        for lo in (Fraction(-2), Fraction(-3, 2), Fraction(1, 3), Fraction(1), 2 - self.TINY):
+            self.check(lo, lo + self.TINY)
+        self.check(Fraction(6, 5) - self.TINY, Fraction(6, 5))
+
+    def test_exact_neighbours(self):
+        # u(1) = 0 and u(1/2) = 6/5 are open ends: s lies in (1/2, 1)
+        assert self.check(Fraction(0), Fraction(6, 5)) == Fraction(2, 3)
+        assert self.check(Fraction(-6, 5), Fraction(0)) == Fraction(3, 2)
+        # beside the exact jump u = 1 of the trefoil, and between it and sqrt 2
+        assert self.check(Fraction(1), Fraction(2)) == Fraction(1, 2)
+        self.check(*_gap(TestGap.ONE, TestGap.SQRT2))
+
+    @given(st.fractions(-2, 2, max_denominator=60), st.fractions(-2, 2, max_denominator=60))
+    @settings(max_examples=100, deadline=None)
+    def test_simplest_in_gap(self, lo, hi):
+        assume(lo < hi)
+        s = self.check(lo, hi)
+        # brute force: for each smaller denominator r, u falls as p grows, so
+        # the first p/r with u(p/r) < hi is the only one that could lie above lo
+        for r in range(1, s.denominator):
+            p = 1
+            while u_of(Fraction(p, r)) >= hi:
+                p += 1
+            assert u_of(Fraction(p, r)) <= lo, Fraction(p, r)
+
+
+class TestAgainstRootOfUnitySampler:
+    @given(admissible_forms(3), st.integers(1, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_arc_values_match_cyclotomic_evaluation(self, s, n):
+        # each arc's Q(i) value equals B at a root of unity in the same arc
+        pres = phi(from_seifert(s), n)
+        f = function_of(pres)
+        ends = [None] + [j.root for j in f.jumps] + [None]
+        for arc, left, right in zip(f.arcs, ends, ends[1:]):
+            theta = sample_angle_oracle(*_gap(left, right))
+            assert evaluated_hermitian_signature(pres.matrix, root_of_unity(theta)) \
+                == (arc.signature, 0)
+
+    def test_arc_path_works_in_q_i_only(self, monkeypatch):
+        orders = []
+        original = fields.cyclotomic_field
+
+        def counting(q):
+            orders.append(q)
+            return original(q)
+
+        monkeypatch.setattr(fields, "cyclotomic_field", counting)
+        fields._whole_hermitian_signature.cache_clear()
+        presentations = [from_seifert(e.seifert) for e in builtin_catalog()]
+        presentations.append(phi(from_seifert(GENUS_TWO), 5))
+        arcs = sum(len(function_of(p).arcs) for p in presentations)
+        assert arcs > len(presentations)
+        assert set(orders) == {4}

@@ -12,7 +12,7 @@ from bingcheck.factor import factor_rational
 from bingcheck.intpoly import IntPoly, cyclotomic, euler_phi
 from bingcheck.laurent import LaurentPoly, dense_divmod, parse_poly, normalize_unit
 from bingcheck.matrices import ExactMatrix
-from bingcheck.fields import evaluated_hermitian_signature
+from bingcheck.fields import evaluated_hermitian_signature, root_of_unity
 from bingcheck.sigfunc import signature_function_of_matrix
 from bingcheck.seifert import (
     SeifertMatrix,
@@ -136,8 +136,8 @@ class TestPhi:
                 for theta in (Fraction(1, 7), Fraction(2, 7), Fraction(3, 8),
                               Fraction(1, 9), Fraction(4, 11)):
                     pulled = (n * theta) % 1
-                    assert evaluated_hermitian_signature(pn.matrix, theta) \
-                        == evaluated_hermitian_signature(p.matrix, pulled)
+                    assert evaluated_hermitian_signature(pn.matrix, root_of_unity(theta)) \
+                        == evaluated_hermitian_signature(p.matrix, root_of_unity(pulled))
 
 
 class TestWittSum:
@@ -168,9 +168,10 @@ class TestWittSum:
         p2 = from_seifert(FIGURE_EIGHT)
         s = witt_sum(p1, p2)
         for theta in (Fraction(1, 5), Fraction(1, 7), Fraction(2, 5)):
-            s1 = evaluated_hermitian_signature(p1.matrix, theta)
-            s2 = evaluated_hermitian_signature(p2.matrix, theta)
-            assert evaluated_hermitian_signature(s.matrix, theta) \
+            omega = root_of_unity(theta)
+            s1 = evaluated_hermitian_signature(p1.matrix, omega)
+            s2 = evaluated_hermitian_signature(p2.matrix, omega)
+            assert evaluated_hermitian_signature(s.matrix, omega) \
                 == (s1[0] + s2[0], s1[1] + s2[1])
 
     def test_p_fold_multiplicity(self):
@@ -423,14 +424,37 @@ class TestVerdictReadsEachPhiOnce:
                 monkeypatch.setattr(module, "factor_rational", counting_factor)
         return functions, factored
 
-    @pytest.mark.parametrize("s, most_functions", [(STEVEDORE, 14), (TREFOIL, 10)],
+    @pytest.mark.parametrize("s, most_functions", [(STEVEDORE, 11), (TREFOIL, 7)],
                              ids=["6_1", "3_1"])
     def test_counts_at_range_three(self, calls, s, most_functions):
         functions, factored = calls
         bing_double_verdict(s, 3)
         assert len(functions) <= most_functions
-        # J(p, q) and J(q, p) have the same order; nothing else repeats
-        assert len(factored) - len(set(factored)) <= 3
+        # J(p, q) and J(q, p) share one battery; nothing is factored twice
+        assert len(factored) == len(set(factored))
+
+
+class TestOneBatteryPerJPair:
+    @pytest.mark.parametrize("s", [TREFOIL, FIGURE_EIGHT, STEVEDORE],
+                             ids=["3_1", "4_1", "6_1"])
+    def test_range_three_runs_six_batteries(self, monkeypatch, s):
+        ran = []
+
+        def counting(p, *args, **kwargs):
+            ran.append(p)
+            return presentation_battery(p, *args, **kwargs)
+
+        monkeypatch.setattr(sys.modules["bingcheck.witt"], "presentation_battery", counting)
+        bing_double_verdict(s, 3)
+        # one battery per unordered pair {p, q}, not one per ordered pair
+        assert len(ran) == 6
+        monkeypatch.undo()
+        # the battery of J(q, p) is the one J(p, q) shares, so the verdict
+        # reads what a battery per ordered pair would give
+        for p in (1, 2):
+            for q in range(p + 1, 4):
+                assert presentation_battery(jpq_presentation(s, q, p)) \
+                    == presentation_battery(jpq_presentation(s, p, q))
 
 
 class TestObstructionBattery:
