@@ -15,7 +15,7 @@ Quick tour::
 """
 
 from . import errors
-from .laurent import Fraction, LaurentPoly, T, as_fraction, is_two_local, parse_poly
+from .laurent import Fraction, LaurentPoly, T, as_fraction, parse_poly
 from .intpoly import IntPoly, cyclotomic, sturm_isolate
 from .factor import factor_rational
 from .matrices import ExactMatrix
@@ -68,8 +68,8 @@ from .catalog import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Fraction", "LaurentPoly", "T", "as_fraction", "is_two_local",
-    "parse_poly", "IntPoly", "cyclotomic", "sturm_isolate",
+    "Fraction", "LaurentPoly", "T", "as_fraction", "parse_poly",
+    "IntPoly", "cyclotomic", "sturm_isolate",
     "factor_rational", "ExactMatrix", "cayley_point",
     "evaluated_hermitian_signature", "rank_over_factor", "root_of_unity",
     "SignatureFunction", "signature_function_of_matrix",

@@ -13,12 +13,13 @@ A Laurent matrix is evaluated at either kind by one evaluator: powers of
 omega, with omega^-1 = conj(omega).  No floating point is needed to
 diagonalize a Hermitian matrix over the field, only to decide the signs of
 the real diagonal entries that come out.  Those signs are certified with
-rational interval arithmetic: pi is enclosed by Machin's formula
-(alternating series give exact rational over/under-estimates), cosine by a
-Taylor polynomial with the Lagrange remainder, and the working precision is
-raised until the enclosure excludes zero -- which must happen, because a
-nonzero field element has a nonzero image under every embedding.  In Q(i) a
-real element is rational and its enclosure is the exact value cos 0 = 1.
+rational interval arithmetic.  The real image of x^k + x^-k is
+2cos(2*pi*k/q), an algebraic number: a root of the u-image of Phi_q
+(u = t + 1/t), isolated by Sturm sequences and refined by bisection exactly
+as the jumps of a signature function are.  The working precision is raised
+until the enclosure excludes zero -- which must happen, because a nonzero
+field element has a nonzero image under every embedding.  In Q(i) a real
+element is rational and its enclosure is the exact value cos 0 = 1.
 
 The same quotient-ring machinery over an arbitrary irreducible modulus gives
 ranks of Laurent matrices "at" a root of an irreducible factor, used for the
@@ -30,10 +31,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
+from math import gcd
 
 from .errors import InternalInvariantError
 from .laurent import LaurentPoly, _strip, dense_divmod, dense_mul
-from .intpoly import IntPoly, cyclotomic
+from .intpoly import IntPoly, cyclotomic, sturm_isolate, u_image
 
 __all__ = [
     "CyclotomicField",
@@ -49,74 +51,27 @@ __all__ = [
 
 # -- certified enclosures ------------------------------------------------------
 
-def _atan_inv_bounds(x: int, eps: Fraction):
-    """Rational (lo, hi) enclosing atan(1/x), width < eps, x >= 2."""
-    s = Fraction(0)
-    k = 0
-    term = Fraction(1, x)
-    while True:
-        s += term if k % 2 == 0 else -term
-        nxt = Fraction(1, (2 * k + 3) * x ** (2 * k + 3))
-        if nxt < eps:
-            # alternating with strictly decreasing terms: the true value lies
-            # between s and the next partial sum
-            other = s + (nxt if k % 2 == 1 else -nxt)
-            return (other, s) if other < s else (s, other)
-        k += 1
-        term = Fraction(1, (2 * k + 1) * x ** (2 * k + 1))
-
-
-@lru_cache(maxsize=None)
-def _pi_enclosure(bits: int):
-    """Rational (lo, hi) with lo < pi < hi and hi - lo < 2**-bits."""
-    eps = Fraction(1, 2 ** (bits + 6))
-    a5lo, a5hi = _atan_inv_bounds(5, eps)
-    a239lo, a239hi = _atan_inv_bounds(239, eps)
-    return 16 * a5lo - 4 * a239hi, 16 * a5hi - 4 * a239lo
-
-
-_EXACT_COS = {
-    Fraction(0): Fraction(1),
-    Fraction(1, 2): Fraction(-1),
-    Fraction(1, 4): Fraction(0),
-    Fraction(3, 4): Fraction(0),
-    Fraction(1, 3): Fraction(-1, 2),
-    Fraction(2, 3): Fraction(-1, 2),
-    Fraction(1, 6): Fraction(1, 2),
-    Fraction(5, 6): Fraction(1, 2),
-}
-
-
 @lru_cache(maxsize=None)
 def cos_enclosure(a: Fraction, bits: int):
-    """Rational (lo, hi) enclosing cos(2*pi*a), width < about 2**-bits.
+    """Rational (lo, hi) enclosing cos(2*pi*a), width at most 2**-bits.
 
-    Angles whose cosine is rational (a with denominator 1, 2, 3, 4 or 6) are
-    returned exactly as a zero-width interval, so sign decisions never stall
-    on an enclosure that straddles the true value.
+    For a = k/q in lowest terms with q >= 3, 2cos(2*pi*k/q) is a root of
+    the u-image of Phi_q, whose roots are the 2cos(2*pi*j/q) for the j prime
+    to q in [1, q/2), ascending as j falls; that root's isolating interval
+    is refined and halved.  Rational cosines (q = 1, 2, 3, 4, 6) come back
+    exactly as a zero-width interval, so sign decisions never stall on an
+    enclosure that straddles the true value.
     """
     a = a - (a.numerator // a.denominator)  # reduce mod 1 into [0, 1)
-    exact = _EXACT_COS.get(a)
-    if exact is not None:
-        return exact, exact
-    pi_lo, pi_hi = _pi_enclosure(bits + 4)
-    ylo, yhi = 2 * a * pi_lo, 2 * a * pi_hi
-    y0 = (ylo + yhi) / 2
-    half_w = (yhi - ylo) / 2
-    eps = Fraction(1, 2 ** (bits + 2))
-    # Taylor at 0 with Lagrange remainder |R_N| <= y0^(2N+2)/(2N+2)!
-    s = Fraction(1)
-    term = Fraction(1)
-    k = 0
-    y2 = y0 * y0
-    while True:
-        term = term * y2 / ((2 * k + 1) * (2 * k + 2))
-        k += 1
-        bound = term  # |y0|^{2k} / (2k)!
-        if bound < eps:
-            break
-        s += -term if k % 2 == 1 else term
-    return s - bound - half_w, s + bound + half_w
+    k, q = a.numerator, a.denominator
+    if q <= 2:
+        c = Fraction(1 if q == 1 else -1)
+        return c, c
+    j = min(k, q - k)
+    index = sum(1 for i in range(j + 1, (q + 1) // 2) if gcd(i, q) == 1)
+    root = sturm_isolate(u_image(cyclotomic(q)), -2, 2)[index]
+    root = root.refine(Fraction(2, 2 ** bits))
+    return root.lo / 2, root.hi / 2
 
 
 # -- quotient fields of Q[x] ---------------------------------------------------

@@ -4,7 +4,8 @@ IntPoly stores dense ascending integer coefficients with a nonzero leading
 coefficient; the zero polynomial is the empty tuple and has degree -1.  The
 heavy primitives here are the subresultant polynomial remainder sequence
 (resultants and gcds without rational blowup), Yun's squarefree decomposition,
-cyclotomic polynomials by iterated exact division of t^d - 1, and Sturm-chain
+cyclotomic polynomials by iterated exact division of t^d - 1, the
+u-substitution u = t + 1/t of self-reciprocal polynomials, and Sturm-chain
 real root isolation returning refinable rational intervals.
 """
 
@@ -30,6 +31,7 @@ __all__ = [
     "squarefree_decomposition",
     "squarefree_part",
     "sturm_isolate",
+    "u_image",
 ]
 
 
@@ -228,7 +230,7 @@ def resultant(f, g):
     3
     """
     if isinstance(f, LaurentPoly) or isinstance(g, LaurentPoly):
-        raise TypeError("resultant takes IntPoly; use resultant_laurent for Laurent input")
+        raise TypeError("resultant takes IntPoly; shift Laurent input by IntPoly.from_laurent")
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of the zero polynomial is undefined here")
 
@@ -388,6 +390,36 @@ def cyclotomic(d: int) -> IntPoly:
         if d % e == 0:
             num = divmod_exact(num, cyclotomic(e))
     return num
+
+
+def u_image(p: IntPoly) -> IntPoly:
+    """g with p(t) = t^(deg p/2) g(t + t^-1), for self-reciprocal p of even
+    degree with p equal to +reverse(p).
+
+    >>> u_image(IntPoly('t^2 - t + 1'))
+    IntPoly('t - 1')
+    >>> u_image(IntPoly('t^4 - t^3 + t^2 - t + 1'))
+    IntPoly('t^2 - t - 1')
+    """
+    if p.degree % 2 or p.reverse() != p:
+        raise ValueError("u-substitution needs a +self-reciprocal even-degree polynomial")
+    m = p.degree // 2
+    q = {k - m: c for k, c in enumerate(p.coeffs) if c}
+    g = [0] * (m + 1)
+    for k in range(m, -1, -1):
+        c = q.get(k, 0)
+        if not c:
+            continue
+        g[k] = c
+        # subtract c * (t + 1/t)^k
+        comb = 1
+        for i in range(k + 1):
+            e = k - 2 * i
+            q[e] = q.get(e, 0) - c * comb
+            comb = comb * (k - i) // (i + 1)
+    if any(q.values()):
+        raise InternalInvariantError("u-substitution did not terminate cleanly")
+    return IntPoly(g)
 
 
 # -- Sturm sequences and real root isolation ----------------------------------

@@ -28,7 +28,6 @@ __all__ = [
     "as_fraction",
     "dense_divmod",
     "dense_mul",
-    "is_two_local",
     "normalize_unit",
     "parse_poly",
 ]
@@ -43,17 +42,6 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-def is_two_local(r) -> bool:
-    """True when r lies in Z localized at 2 (reduced denominator is odd).
-
-    >>> is_two_local(Fraction(3, 5))
-    True
-    >>> is_two_local(Fraction(1, 2))
-    False
-    """
-    return as_fraction(r).denominator % 2 == 1
 
 
 def _strip(c):

@@ -115,15 +115,14 @@ class SeifertMatrix:
     def seifert_form(self) -> ExactMatrix:
         """B(t) = (1 - t) A + (1 - t^-1) A^T, the Hermitian Laurent matrix
         whose unit-circle evaluations give the Levine-Tristram forms."""
-        a = self._mat.to_laurent()
-        at = self._mat.transpose().to_laurent()
-        one_minus_t = ExactMatrix.identity(self.size, kind="laurent").scale(
-            parse_poly("1 - t")
+        a = self._mat.entries
+        n = self.size
+        # B_ij = (a_ij + a_ji) - a_ij t - a_ji t^-1
+        return ExactMatrix(
+            [[LaurentPoly({-1: -a[j][i], 0: a[i][j] + a[j][i], 1: -a[i][j]})
+              for j in range(n)] for i in range(n)],
+            kind="laurent",
         )
-        one_minus_tinv = ExactMatrix.identity(self.size, kind="laurent").scale(
-            parse_poly("1 - t^-1")
-        )
-        return one_minus_t @ a + one_minus_tinv @ at
 
 
 def alexander(s: SeifertMatrix) -> LaurentPoly:

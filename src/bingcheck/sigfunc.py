@@ -25,7 +25,7 @@ quadratic surds s(hi) and s(lo), s(u) = sqrt((2 - u)/(2 + u)); its simplest
 rational comes from their continued fractions (isqrt gives the exact
 partial quotients) and is confirmed by one exact comparison of u(s) with
 the gap.  B(omega(s)) has entries in Q(i) and rational Hermitian pivots, so
-no field of higher degree and no cosine enclosure of a sample is needed.
+no field of higher degree is needed.
 Values exactly at jump points are not part of the description; one-sided
 limits are available from the adjacent arcs.
 """
@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import InternalInvariantError
-from .intpoly import IntPoly, RootInterval, sturm_isolate
+from .intpoly import IntPoly, RootInterval, sturm_isolate, u_image
 from .fields import cayley_point, evaluated_hermitian_signature, rank_over_factor
 
 __all__ = [
@@ -46,43 +46,10 @@ __all__ = [
     "SignatureFunction",
     "same_step_function",
     "signature_function_of_matrix",
-    "u_image",
 ]
 
 # width of printed isolating intervals for irrational jump locations
 _PRINT_WIDTH = Fraction(1, 2 ** 20)
-
-
-def u_image(p: IntPoly) -> IntPoly:
-    """g with p(t) = t^(deg p/2) g(t + t^-1), for self-reciprocal p of even
-    degree with p equal to +reverse(p).
-
-    >>> u_image(IntPoly('t^2 - t + 1'))
-    IntPoly('t - 1')
-    >>> u_image(IntPoly('t^4 - t^3 + t^2 - t + 1'))
-    IntPoly('t^2 - t - 1')
-    """
-    if p.degree % 2 or p.reverse() != p:
-        raise ValueError("u-substitution needs a +self-reciprocal even-degree polynomial")
-    m = p.degree // 2
-    q = {k - m: Fraction(c) for k, c in enumerate(p.coeffs) if c}
-    g = [Fraction(0)] * (m + 1)
-    for k in range(m, -1, -1):
-        c = q.get(k, Fraction(0))
-        if not c:
-            continue
-        g[k] = c
-        # subtract c * (t + 1/t)^k
-        comb = 1
-        for i in range(k + 1):
-            e = k - 2 * i
-            q[e] = q.get(e, Fraction(0)) - c * comb
-            comb = comb * (k - i) // (i + 1)
-    if any(q.values()):
-        raise InternalInvariantError("u-substitution did not terminate cleanly")
-    if any(x.denominator != 1 for x in g):
-        raise InternalInvariantError("u-image has non-integer coefficients")
-    return IntPoly([x.numerator for x in g])
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@ pipeline.
 
 A Witt presentation is a square Laurent-polynomial matrix B with nonzero
 determinant that is Hermitian for the involution t -> 1/t (B(t)^T = B(1/t)
-entrywise), together with a coefficient-ring flag: Z (integral), Z2loc
-(2-local, odd denominators), or Q.  The presentation of a knot is
-B(t) = (1 - t) A + (1 - 1/t) A^T for a Seifert matrix A.
+entrywise), together with a coefficient-ring flag: Z (integral) or Q.
+The presentation of a knot is B(t) = (1 - t) A + (1 - 1/t) A^T for a
+Seifert matrix A.
 
 The maps phi_n substitute t -> t^n; they are additive with respect to block
 sum.  The infection construction J(p, q) of a pattern on a companion K has
@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import AdmissibilityError, InternalInvariantError
-from .laurent import LaurentPoly, is_two_local, normalize_unit
+from .laurent import LaurentPoly, normalize_unit
 from .intpoly import cyclotomic_order
 from .factor import factor_rational
 from .matrices import ExactMatrix
@@ -61,8 +61,6 @@ __all__ = [
 NOT_ALG_SLICE = "NOT_ALG_SLICE"
 NO_OBSTRUCTION_FOUND = "NO_OBSTRUCTION_FOUND"
 
-_RING_RANK = {"Z": 0, "Z2loc": 1, "Q": 2}
-
 # fixed battery order; the first failing test becomes the certificate
 _CERTIFICATE_ORDER = ("fox_milnor", "signature_function", "arf", "determinant_square")
 
@@ -80,8 +78,8 @@ class WittPresentation:
     __slots__ = ("_b", "_ring", "_order")
 
     def __init__(self, b: ExactMatrix, ring: str = "Z"):
-        if ring not in _RING_RANK:
-            raise ValueError("ring flag must be one of Z, Z2loc, Q")
+        if ring not in ("Z", "Q"):
+            raise ValueError("ring flag must be Z or Q")
         b = b.to_laurent()
         if not b.is_square:
             raise AdmissibilityError("presentations are square")
@@ -95,15 +93,10 @@ class WittPresentation:
         det = b.det()
         if det.is_zero:
             raise AdmissibilityError("presentation determinant vanishes")
-        if ring in ("Z", "Z2loc"):
-            for row in b.entries:
-                for e in row:
-                    for _, c in e.items():
-                        ok = c.denominator == 1 if ring == "Z" else is_two_local(c)
-                        if not ok:
-                            raise AdmissibilityError(
-                                "entries do not lie in the flagged ring %s" % ring
-                            )
+        if ring == "Z" and any(
+            c.denominator != 1 for row in b.entries for e in row for _, c in e.items()
+        ):
+            raise AdmissibilityError("entries do not lie in the flagged ring Z")
         self._b = b
         self._ring = ring
         self._order = normalize_unit(det)
@@ -165,9 +158,9 @@ def phi(p: WittPresentation, n: int) -> WittPresentation:
 
 
 def witt_sum(p1: WittPresentation, p2: WittPresentation) -> WittPresentation:
-    """Block sum; realizes addition of Witt classes.  Ring flags promote
-    toward Q."""
-    ring = max(p1.ring, p2.ring, key=_RING_RANK.get)
+    """Block sum; realizes addition of Witt classes.  The ring flag is Q
+    if either summand's is."""
+    ring = "Q" if "Q" in (p1.ring, p2.ring) else "Z"
     return WittPresentation._closed(
         p1.matrix.block_sum(p2.matrix), ring, p1.order() * p2.order()
     )

@@ -58,6 +58,47 @@ class TestCosEnclosure:
         flo, fhi = 4 * lo * lo + 2 * lo - 1, 4 * hi * hi + 2 * hi - 1
         assert flo <= 0 <= fhi or fhi <= 0 <= flo
 
+    @given(st.integers(1, 60), st.data(), st.sampled_from([8, 48, 200]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_machin_taylor_oracle(self, q, data, bits):
+        a = Fraction(data.draw(st.integers(-q, 2 * q)), q)
+        lo, hi = cos_enclosure(a, bits)
+        olo, ohi = machin_taylor_cos(a, bits)
+        assert max(lo, olo) <= min(hi, ohi)
+        assert 0 <= hi - lo <= Fraction(1, 2 ** bits)
+        assert (lo == hi) == (a.denominator in (1, 2, 3, 4, 6))
+
+
+def machin_taylor_cos(a, bits):
+    """Independent oracle for cos(2*pi*a): pi enclosed by Machin's formula
+    16 atan(1/5) - 4 atan(1/239) (alternating series bracket their sums),
+    then a Taylor polynomial at the enclosure's midpoint with the Lagrange
+    remainder and the enclosure's half-width added to both ends."""
+    eps = Fraction(1, 2 ** (bits + 6))
+
+    def atan_inv(x):
+        # atan(1/x) lies between consecutive partial sums
+        s, k = Fraction(0), 0
+        while True:
+            term = Fraction((-1) ** k, (2 * k + 1) * x ** (2 * k + 1))
+            if abs(term) < eps:
+                return min(s, s + term), max(s, s + term)
+            s += term
+            k += 1
+
+    a5, a239 = atan_inv(5), atan_inv(239)
+    pi_lo, pi_hi = 16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]
+    a = a - a.numerator // a.denominator
+    ylo, yhi = 2 * a * pi_lo, 2 * a * pi_hi
+    y0, half_w = (ylo + yhi) / 2, (yhi - ylo) / 2
+    s, term, k = Fraction(1), Fraction(1), 0
+    while True:
+        term = term * y0 * y0 / ((2 * k + 1) * (2 * k + 2))
+        k += 1
+        if term < eps:
+            return s - term - half_w, s + term + half_w
+        s += -term if k % 2 else term
+
 
 def image(f, poly, k=1):
     """poly(x^k) in the cyclotomic field f, by the evaluator."""

@@ -14,9 +14,15 @@ The API check reads every function, class and method the package defines
 (dunders are exempt) and fails on any that the package, the demos and the
 benchmark never read by name, as a Name or an Attribute; a name read only
 by the tests is test-only API.
+
+The tracer check resolves every layer target of ``perfbench/tracer.py``
+against the package, so a renamed or deleted traced function fails here
+rather than in a traced benchmark run.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -167,3 +173,21 @@ def test_no_test_only_api():
         if name not in read and name not in API_EXEMPT
     ]
     assert not unread, "defined but never read outside the tests: " + ", ".join(unread)
+
+
+def test_tracer_targets_resolve():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    broken = []
+    for layer in tracer.LAYERS:
+        importlib.import_module(layer.target.split(":")[0])
+        try:
+            fn = tracer._resolve(layer.target)
+        except (AttributeError, KeyError):
+            broken.append("%s: %s does not resolve" % (layer.name, layer.target))
+            continue
+        if layer.cache and not hasattr(fn, "cache_info"):
+            broken.append("%s: %s has no cache_info" % (layer.name, layer.target))
+    assert not broken, "; ".join(broken)

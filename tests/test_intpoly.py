@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,6 +66,13 @@ class TestResultant:
     def test_constant_argument(self):
         assert resultant(IntPoly("t^3 + t - 2"), IntPoly("5")) == 125
         assert resultant(IntPoly("7"), IntPoly("t^2 - 2")) == 49
+
+    def test_laurent_input_names_the_shift(self):
+        f = IntPoly("t^2 - t + 1")
+        with pytest.raises(TypeError, match=r"IntPoly\.from_laurent"):
+            resultant(f.to_laurent().shift(-1), f)
+        with pytest.raises(TypeError, match=r"IntPoly\.from_laurent"):
+            resultant(f, f.to_laurent())
 
     @settings(max_examples=150, deadline=None)
     @given(nonzero_poly, nonzero_poly)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bingcheck.errors import ParseError
-from bingcheck.laurent import LaurentPoly, T, dense_divmod, is_two_local, parse_poly
+from bingcheck.laurent import LaurentPoly, T, dense_divmod, parse_poly
 
 
 def naive_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -116,13 +116,6 @@ def test_content():
     assert L("2t^2 - 4t + 6").content() == 2
     assert L("t + 1").content() == 1
     assert L("3/2t - 9/4").content() == Fraction(3, 4)
-
-
-def test_two_local_predicate():
-    assert is_two_local(Fraction(3, 5))
-    assert is_two_local(7)
-    assert not is_two_local(Fraction(1, 2))
-    assert not is_two_local(Fraction(5, 6))
 
 
 # -- parsing and printing ----------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from bingcheck.errors import AdmissibilityError
 from bingcheck.factor import factor_rational
 from bingcheck.laurent import LaurentPoly, normalize_unit, parse_poly
+from bingcheck.matrices import ExactMatrix
 from bingcheck.seifert import (
     SeifertMatrix,
     alexander,
@@ -72,6 +73,24 @@ class TestAdmissibility:
     def test_non_square_rejected(self):
         with pytest.raises(AdmissibilityError):
             SeifertMatrix([[1, 2, 3], [4, 5, 6]])
+
+
+class TestSeifertForm:
+    @staticmethod
+    def by_matrix_products(s):
+        """(1 - t) A + (1 - t^-1) A^T through Laurent matrix products."""
+        eye = ExactMatrix.identity(s.size, kind="laurent")
+        return (eye.scale(parse_poly("1 - t")) @ s.matrix.to_laurent()
+                + eye.scale(parse_poly("1 - t^-1")) @ s.matrix.transpose().to_laurent())
+
+    @given(admissible_2x2, admissible_2x2)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_matrix_products(self, s1, s2):
+        rational = SeifertMatrix([[0, Fraction(1, 2)], [Fraction(-1, 2), Fraction(1, 3)]])
+        for s in (UNKNOT, s1, connected_sum(s1, s2), connected_sum(s1, rational)):
+            b = s.seifert_form()
+            assert b.kind == "laurent"
+            assert b.entries == self.by_matrix_products(s).entries
 
 
 class TestAlexander:

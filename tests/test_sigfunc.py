@@ -27,7 +27,7 @@ from bingcheck.fields import (
     evaluated_hermitian_signature,
     root_of_unity,
 )
-from bingcheck.intpoly import IntPoly, RootInterval
+from bingcheck.intpoly import IntPoly, RootInterval, u_image
 from bingcheck.laurent import LaurentPoly, parse_poly
 from bingcheck.matrices import ExactMatrix
 from bingcheck.seifert import SeifertMatrix, alexander, mirror
@@ -39,7 +39,6 @@ from bingcheck.sigfunc import (
     circle_jump_factors,
     same_step_function,
     signature_function_of_matrix,
-    u_image,
 )
 from bingcheck.witt import from_seifert, phi, witt_sum
 

@@ -85,12 +85,11 @@ class TestWittPresentation:
         third = ExactMatrix([[parse_poly("1/3")]])
         with pytest.raises(AdmissibilityError):
             WittPresentation(half, ring="Z")
-        with pytest.raises(AdmissibilityError):
-            WittPresentation(half, ring="Z2loc")
-        assert WittPresentation(third, ring="Z2loc").ring == "Z2loc"
         assert WittPresentation(half, ring="Q").ring == "Q"
         with pytest.raises(ValueError):
             WittPresentation(third, ring="R")
+        with pytest.raises(ValueError):
+            WittPresentation(third, ring="Z2loc")
 
     def test_unknot_empty(self):
         p = from_seifert(UNKNOT)
@@ -150,11 +149,10 @@ class TestWittSum:
     def test_ring_promotion(self):
         z = from_seifert(TREFOIL)
         q = from_seifert(covering_seifert_matrix(TREFOIL, 3))
-        z2 = WittPresentation(ExactMatrix([[parse_poly("1/3")]]), ring="Z2loc")
         assert witt_sum(z, z).ring == "Z"
         assert witt_sum(z, q).ring == "Q"
-        assert witt_sum(z, z2).ring == "Z2loc"
-        assert witt_sum(z2, q).ring == "Q"
+        assert witt_sum(q, z).ring == "Q"
+        assert witt_sum(q, q).ring == "Q"
 
     def test_order_multiplicative(self):
         p1 = from_seifert(TREFOIL)
