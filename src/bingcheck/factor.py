@@ -30,7 +30,7 @@ from .errors import InternalInvariantError
 from .laurent import LaurentPoly, _strip, dense_divmod
 from .intpoly import IntPoly, divmod_exact, squarefree_decomposition
 
-__all__ = ["factor_rational", "zassenhaus"]
+__all__ = ["factor_rational", "merge_factors", "zassenhaus"]
 
 
 # -- dense arithmetic mod p (lists of ints in [0, p), ascending) ---------------
@@ -322,6 +322,28 @@ def zassenhaus(f: IntPoly):
     return factors
 
 
+def _factor_key(gm):
+    return gm[0].degree, gm[0].coeffs
+
+
+def merge_factors(*lists):
+    """The factor list of a product, given its factors' lists as
+    factor_rational gives them: the multiplicities of equal factors add,
+    and the result is sorted as factor_rational sorts, so it equals
+    factor_rational(product)[1].
+
+    >>> a = factor_rational(LaurentPoly.from_coeffs([-1, 0, 1]))[1]
+    >>> b = factor_rational(LaurentPoly.from_coeffs([1, 1]))[1]
+    >>> print("; ".join(f"({g})^{m}" for g, m in merge_factors(a, b)))
+    (t - 1)^1; (t + 1)^2
+    """
+    total = {}
+    for factors in lists:
+        for g, m in factors:
+            total[g] = total.get(g, 0) + m
+    return sorted(total.items(), key=_factor_key)
+
+
 def factor_rational(f):
     """Factor a rational Laurent polynomial (or IntPoly) over Q.
 
@@ -351,7 +373,7 @@ def factor_rational(f):
     for part, mult in squarefree_decomposition(F):
         for g in zassenhaus(part):
             factors.append((g, mult))
-    factors.sort(key=lambda gm: (gm[0].degree, gm[0].coeffs))
+    factors.sort(key=_factor_key)
     check = unit
     for g, m in factors:
         check = check * g.to_laurent() ** m

@@ -244,12 +244,14 @@ def _hermitian_signature(field: CyclotomicField, H):
             else:
                 neg += 1
             active.remove(k)
-            pinv = field.inv(p)
-            for r in active:
-                if any(H[r][k]):
-                    f = field.mul(H[r][k], pinv)
-                    for c in active:
-                        H[r][c] = field.sub(H[r][c], field.mul(f, H[k][c]))
+            rows = [r for r in active if any(H[r][k])]
+            # a pivot with nothing left to clear (the last of each
+            # component, for one) needs no inverse
+            pinv = field.inv(p) if rows else None
+            for r in rows:
+                f = field.mul(H[r][k], pinv)
+                for c in active:
+                    H[r][c] = field.sub(H[r][c], field.mul(f, H[k][c]))
             continue
         pair = next(((i, j) for i in active for j in active if i < j and any(H[i][j])),
                     None)
@@ -285,8 +287,9 @@ def _whole_hermitian_signature(M, point):
     lm = M.to_laurent()
     flat = field.images([lm[i, j] for i in range(n) for j in range(n)], omega)
     H = [flat[i * n:(i + 1) * n] for i in range(n)]
+    # conj is an involution, so checking (i, j) also checks (j, i)
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             if field.conj(H[i][j]) != H[j][i]:
                 raise ValueError("matrix is not Hermitian at this point")
     return _hermitian_signature(field, H)
@@ -332,11 +335,11 @@ def _whole_rank_over_factor(M, modulus: IntPoly) -> int:
         if pivot is None:
             continue
         rows[row], rows[pivot] = rows[pivot], rows[row]
-        pinv = field.inv(rows[row][col])
-        for r in range(row + 1, M.rows):
-            if any(rows[r][col]):
-                f = field.mul(rows[r][col], pinv)
-                rows[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[r], rows[row])]
+        below = [r for r in range(row + 1, M.rows) if any(rows[r][col])]
+        pinv = field.inv(rows[row][col]) if below else None
+        for r in below:
+            f = field.mul(rows[r][col], pinv)
+            rows[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[r], rows[row])]
         rank += 1
         row += 1
         if row == M.rows:

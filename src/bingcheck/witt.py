@@ -29,7 +29,7 @@ from math import isqrt
 from .errors import AdmissibilityError, InternalInvariantError
 from .laurent import LaurentPoly, normalize_unit
 from .intpoly import cyclotomic_order
-from .factor import factor_rational
+from .factor import factor_rational, merge_factors
 from .matrices import ExactMatrix
 from .fields import evaluated_hermitian_signature, root_of_unity
 from .sigfunc import SignatureFunction, same_step_function, signature_function_of_matrix
@@ -73,9 +73,10 @@ _CROSSCHECK_ANGLES = (
 
 
 class WittPresentation:
-    """Hermitian Laurent presentation with a coefficient-ring flag."""
+    """Hermitian Laurent presentation with a coefficient-ring flag, its
+    order and the factor list of its order."""
 
-    __slots__ = ("_b", "_ring", "_order")
+    __slots__ = ("_b", "_ring", "_order", "_factors")
 
     def __init__(self, b: ExactMatrix, ring: str = "Z"):
         if ring not in ("Z", "Q"):
@@ -100,15 +101,18 @@ class WittPresentation:
         self._b = b
         self._ring = ring
         self._order = normalize_unit(det)
+        self._factors = factor_rational(self._order)[1]
 
     @classmethod
-    def _closed(cls, b: ExactMatrix, ring: str, order: LaurentPoly) -> "WittPresentation":
-        """A presentation derived from admissible ones, with its order given."""
+    def _closed(cls, b: ExactMatrix, ring: str, order: LaurentPoly,
+                factors: list) -> "WittPresentation":
+        """A presentation derived from admissible ones, with its order and
+        the order's factor list given."""
         # t -> t^n and block sum keep the Hermitian form, the ring and a
         # nonzero det, and they keep a normalized order normalized (constant
         # term positive, lowest exponent 0), so nothing is checked again.
         pres = cls.__new__(cls)
-        pres._b, pres._ring, pres._order = b, ring, order
+        pres._b, pres._ring, pres._order, pres._factors = b, ring, order, factors
         return pres
 
     @property
@@ -127,6 +131,11 @@ class WittPresentation:
         """Normalized determinant: the order of the presented torsion module
         (up to units)."""
         return self._order
+
+    def factors(self) -> list:
+        """The order's irreducible factors with multiplicities, exactly as
+        factor_rational(self.order())[1] lists them."""
+        return self._factors
 
     def __eq__(self, other):
         if not isinstance(other, WittPresentation):
@@ -147,36 +156,63 @@ def from_seifert(s: SeifertMatrix) -> WittPresentation:
 
 def phi(p: WittPresentation, n: int) -> WittPresentation:
     """Substitute t -> t^n (n >= 1).  Additive, preserves Hermitian-ness;
-    the order becomes the substituted order up to units."""
+    the order becomes the substituted order up to units.
+
+    The factor list is derived, not recomputed from the order: each
+    irreducible factor g of multiplicity m contributes the factors of
+    g(t^n), with multiplicities scaled by m.  Distinct irreducible g have
+    no common root, so neither do their g(t^n), and the product of degree
+    n * deg(order) is never factored."""
     if n < 1:
         raise ValueError("phi needs n >= 1")
     if n == 1:
         return p
+    factors = merge_factors(*(
+        [(h, m * k) for h, k in factor_rational(g.to_laurent().substitute_power(n))[1]]
+        for g, m in p.factors()
+    ))
     return WittPresentation._closed(
-        p.matrix.substitute_power(n), p.ring, p.order().substitute_power(n)
+        p.matrix.substitute_power(n), p.ring, p.order().substitute_power(n), factors
     )
 
 
 def witt_sum(p1: WittPresentation, p2: WittPresentation) -> WittPresentation:
     """Block sum; realizes addition of Witt classes.  The ring flag is Q
-    if either summand's is."""
+    if either summand's is.  The order is the product of the orders, and
+    its factor list merges the summands' lists (equal primitive factors add
+    their multiplicities), with no factorization."""
     ring = "Q" if "Q" in (p1.ring, p2.ring) else "Z"
     return WittPresentation._closed(
-        p1.matrix.block_sum(p2.matrix), ring, p1.order() * p2.order()
+        p1.matrix.block_sum(p2.matrix), ring, p1.order() * p2.order(),
+        merge_factors(p1.factors(), p2.factors()),
     )
 
 
 def jpq_presentation(s: SeifertMatrix, p: int, q: int) -> WittPresentation:
     """Presentation of the infection J(p, q) on companion S:
     phi_p + phi_{p+q} + phi_q of the knot's presentation."""
-    return _jpq(from_seifert(s), p, q)
+    return _jpq(_phis_of(from_seifert(s)), p, q)
 
 
-def _jpq(base: WittPresentation, p: int, q: int) -> WittPresentation:
-    """phi_p + phi_{p+q} + phi_q of the companion's presentation `base`."""
+def _phis_of(base: WittPresentation):
+    """k -> phi_k(base), each built once, so that each g(t^k) is factored
+    once however often k recurs."""
+    phis = {1: base}
+
+    def phi_of(k):
+        if k not in phis:
+            phis[k] = phi(base, k)
+        return phis[k]
+
+    return phi_of
+
+
+def _jpq(phi_of, p: int, q: int) -> WittPresentation:
+    """phi_p + phi_{p+q} + phi_q of the companion's presentation, with
+    phi_of(k) giving phi_k of it."""
     if p < 1 or q < 1:
         raise ValueError("J(p, q) needs p, q >= 1")
-    return witt_sum(phi(base, p), witt_sum(phi(base, p + q), phi(base, q)))
+    return witt_sum(phi_of(p), witt_sum(phi_of(p + q), phi_of(q)))
 
 
 def cyclotomic_factors(factors):
@@ -225,11 +261,12 @@ class ObstructionReport:
             raise InternalInvariantError("no certificate without an obstruction")
 
 
-def _assemble_report(name, ring, order, matrix, arf_value, det_value) -> ObstructionReport:
+def _assemble_report(name, ring, order, factors, matrix, arf_value,
+                     det_value) -> ObstructionReport:
     """The battery on `order` and the presentation `matrix`, whose det is
-    order times +-t^k (t - 1)^m; t - 1 has no root on the open arc, so the
-    one factorization of `order` serves every test that reads factors."""
-    _, factors = factor_rational(order)
+    order times +-t^k (t - 1)^m.  `factors` is factor_rational(order)[1],
+    which the caller already holds; t - 1 has no root on the open arc, so
+    that one list serves every test that reads factors."""
     fm = fox_milnor(order, factors)
     sigfn = signature_function_of_matrix(matrix, factors)
     failures = {
@@ -261,10 +298,12 @@ def obstruction_battery(s: SeifertMatrix) -> ObstructionReport:
     order Fox-Milnor, signature function, Arf, determinant-square) as the
     certificate."""
     arf_value, det_value = _arf_and_determinant(s) if s.integral else (None, None)
+    delta = alexander(s)
     return _assemble_report(
         s.name or "(unnamed)",
         "Z" if s.integral else "Q",
-        alexander(s),
+        delta,
+        factor_rational(delta)[1],
         s.seifert_form(),
         arf_value,
         det_value,
@@ -273,8 +312,9 @@ def obstruction_battery(s: SeifertMatrix) -> ObstructionReport:
 
 def presentation_battery(p: WittPresentation, name: str = "(presentation)") -> ObstructionReport:
     """The battery applied to a bare presentation: the order det(B) takes
-    the Alexander polynomial's role, Arf and determinant do not apply."""
-    return _assemble_report(name, p.ring, p.order(), p.matrix, None, None)
+    the Alexander polynomial's role, Arf and determinant do not apply.  The
+    presentation carries its order's factor list, so nothing is factored."""
+    return _assemble_report(name, p.ring, p.order(), p.factors(), p.matrix, None, None)
 
 
 @dataclass(frozen=True)
@@ -323,6 +363,8 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
     battery = obstruction_battery(s)
     base = from_seifert(s)
     b = base.matrix
+    # the J(p, q) block sums and the telescoping check read one phi_k each
+    phi_of = _phis_of(base)
     # signature function of phi_k(base) by k, each built once; B(1) = 0 makes
     # phi_0 the zero pairing, whose function vanishes identically
     phi_functions = {1: battery.signature}
@@ -332,8 +374,8 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
             if k == 0:
                 m, factors = ExactMatrix.zeros(0, 0, kind="laurent"), []
             else:
-                pres = phi(base, k)
-                m, factors = pres.matrix, factor_rational(pres.order())[1]
+                pres = phi_of(k)
+                m, factors = pres.matrix, pres.factors()
             phi_functions[k] = signature_function_of_matrix(m, factors)
         return phi_functions[k]
 
@@ -344,7 +386,7 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
     j_battery_of = {}
     for p in range(1, check_range + 1):
         for q in range(1, check_range + 1):
-            jp = _jpq(base, p, q)
+            jp = _jpq(phi_of, p, q)
             additivity = "pass"
             # at angle 0 (k * theta an integer) B(1) = 0 gives (0, size)
             for theta in _CROSSCHECK_ANGLES:

@@ -235,6 +235,11 @@ class TestHermitianSignature:
         m = ExactMatrix([[parse_poly("t")]])
         with pytest.raises(ValueError):
             evaluated_hermitian_signature(m, root_of_unity(Fraction(1, 3)))
+        # Hermitian diagonal; only the off-diagonal pair disagrees
+        m = ExactMatrix([[parse_poly("1"), parse_poly("t")],
+                         [parse_poly("t"), parse_poly("1")]])
+        with pytest.raises(ValueError):
+            evaluated_hermitian_signature(m, root_of_unity(Fraction(1, 3)))
 
 
 class TestRankOverFactor:

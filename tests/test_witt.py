@@ -52,6 +52,28 @@ def factor_list(f):
     return factor_rational(f)[1]
 
 
+def count_calls(monkeypatch, fn):
+    """Wrap every binding of `fn` in the package, in its modules and in the
+    classes they define, and return the list that collects the first
+    argument of each call (the receiver, for a method)."""
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args[0])
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "bingcheck":
+            continue
+        classes = [v for v in vars(module).values()
+                   if isinstance(v, type) and v.__module__.startswith("bingcheck")]
+        for namespace in [module] + classes:
+            for attr, value in list(vars(namespace).items()):
+                if value is fn:
+                    monkeypatch.setattr(namespace, attr, counting)
+    return seen
+
+
 class TestWittPresentation:
     def test_trefoil_entries(self):
         b = from_seifert(TREFOIL).matrix
@@ -201,6 +223,7 @@ class TestClosedConstructions:
             rebuilt = WittPresentation(x.matrix, x.ring)
             assert rebuilt == x
             assert rebuilt.order() == x.order()
+            assert rebuilt.factors() == x.factors()
 
 
 class TestJpqPresentation:
@@ -310,23 +333,15 @@ class TestCyclotomicFactors:
 class TestOneFactorization:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Count factor_rational calls through every binding in the package."""
-        seen = []
-
-        def counting(f):
-            seen.append(f)
-            return factor_rational(f)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "bingcheck" \
-                    and vars(module).get("factor_rational") is factor_rational:
-                monkeypatch.setattr(module, "factor_rational", counting)
-        return seen
+        return count_calls(monkeypatch, factor_rational)
 
     def test_presentation_battery_factors_once(self, calls):
+        # the presentation factored its pieces when it was built and carries
+        # its order's factor list, so the battery factors nothing more
         j = jpq_presentation(TREFOIL, 1, 2)
+        calls.clear()
         r = presentation_battery(j)
-        assert calls == [j.order()]
+        assert calls == []
         assert r.cyclotomic == (1, 2, 3, 6, 12, 18)
 
     def test_obstruction_battery_factors_once(self, calls):
@@ -335,21 +350,69 @@ class TestOneFactorization:
         assert str(r.fox_milnor.witness) == "2t - 1"
 
 
+class TestVerdictFactorArguments:
+    @pytest.mark.parametrize("s", [TREFOIL, FIGURE_EIGHT, STEVEDORE],
+                             ids=["3_1", "4_1", "6_1"])
+    def test_range_three_factors_small_pieces_once(self, monkeypatch, s):
+        check_range = 3
+        widest = max(g.degree for g, _ in from_seifert(s).factors())
+        factored = count_calls(monkeypatch, factor_rational)
+        bing_double_verdict(s, check_range)
+        assert len(factored) == len(set(factored))
+        # only g(t^k) for k <= 2 * range and an irreducible g of det B are
+        # factored, never a J(p, q) order (degree 48 on 6_1)
+        assert max(f.max_exp - f.min_exp for f in factored) <= 2 * check_range * widest
+
+
+@st.composite
+def admissible_forms(draw):
+    """Integral Seifert matrices of genus 1 to 3 with A - A^T the standard
+    symplectic form, entries drawn evenly from -3 to 3."""
+    n = 2 * draw(st.integers(1, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = draw(st.sampled_from(range(-3, 4)))
+            rows[j][i] = rows[i][j] - (1 if j == i + 1 and i % 2 == 0 else 0)
+    return SeifertMatrix(rows)
+
+
+def assert_carries_its_factors(p):
+    assert p.factors() == factor_rational(p.order())[1]
+
+
+class TestCarriedFactorLists:
+    """The factor list a presentation carries is factor_rational's list of
+    its order, in the same order."""
+
+    @given(admissible_forms())
+    @settings(max_examples=20, deadline=None)
+    def test_from_seifert(self, s):
+        assert_carries_its_factors(from_seifert(s))
+
+    @given(admissible_forms(), st.integers(2, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_phi(self, s, n):
+        assert_carries_its_factors(phi(from_seifert(s), n))
+
+    @given(admissible_forms(), admissible_forms(), st.integers(1, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_witt_sum_with_a_mirror(self, s1, s2, n):
+        # with s2 = s1 every factor is shared; otherwise t - 1 still is
+        for other in (s1, s2):
+            assert_carries_its_factors(
+                witt_sum(phi(from_seifert(s1), n), from_seifert(mirror(other))))
+
+    @given(admissible_forms(), st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_jpq(self, s, p, q):
+        assert_carries_its_factors(jpq_presentation(s, p, q))
+
+
 class TestOneAlexanderPerBattery:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Count alexander calls through every binding in the package."""
-        seen = []
-
-        def counting(s):
-            seen.append(s)
-            return alexander(s)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "bingcheck" \
-                    and vars(module).get("alexander") is alexander:
-                monkeypatch.setattr(module, "alexander", counting)
-        return seen
+        return count_calls(monkeypatch, alexander)
 
     @pytest.mark.parametrize("s", CATALOG, ids=lambda s: s.name)
     def test_obstruction_battery_takes_one_alexander(self, calls, s):
@@ -357,15 +420,7 @@ class TestOneAlexanderPerBattery:
         assert calls == [s]
 
     def test_verdict_builds_one_base_presentation(self, calls, monkeypatch):
-        import bingcheck.witt as witt
-
-        built = []
-
-        def counting(s):
-            built.append(s)
-            return from_seifert(s)
-
-        monkeypatch.setattr(witt, "from_seifert", counting)
+        built = count_calls(monkeypatch, from_seifert)
         bing_double_verdict(FIGURE_EIGHT, 3)
         assert built == [FIGURE_EIGHT]
         assert calls == [FIGURE_EIGHT]
@@ -375,15 +430,7 @@ class TestOneDeterminantPerBattery:
     @pytest.fixture
     def dets(self, monkeypatch):
         """Every matrix whose ExactMatrix.det is taken."""
-        seen = []
-        det = ExactMatrix.det
-
-        def counting(m):
-            seen.append(m)
-            return det(m)
-
-        monkeypatch.setattr(ExactMatrix, "det", counting)
-        return seen
+        return count_calls(monkeypatch, ExactMatrix.det)
 
     @pytest.mark.parametrize("s", CATALOG, ids=lambda s: s.name)
     def test_one_det_of_symmetrized_form(self, dets, s):
@@ -403,24 +450,8 @@ class TestVerdictReadsEachPhiOnce:
     def calls(self, monkeypatch):
         """The signature_function_of_matrix calls and the factor_rational
         arguments, counted through every binding in the package."""
-        functions, factored = [], []
-
-        def counting_function(*args):
-            functions.append(args)
-            return signature_function_of_matrix(*args)
-
-        def counting_factor(f):
-            factored.append(f)
-            return factor_rational(f)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] != "bingcheck":
-                continue
-            if vars(module).get("signature_function_of_matrix") is signature_function_of_matrix:
-                monkeypatch.setattr(module, "signature_function_of_matrix", counting_function)
-            if vars(module).get("factor_rational") is factor_rational:
-                monkeypatch.setattr(module, "factor_rational", counting_factor)
-        return functions, factored
+        return (count_calls(monkeypatch, signature_function_of_matrix),
+                count_calls(monkeypatch, factor_rational))
 
     @pytest.mark.parametrize("s, most_functions", [(STEVEDORE, 11), (TREFOIL, 7)],
                              ids=["6_1", "3_1"])
@@ -436,13 +467,7 @@ class TestOneBatteryPerJPair:
     @pytest.mark.parametrize("s", [TREFOIL, FIGURE_EIGHT, STEVEDORE],
                              ids=["3_1", "4_1", "6_1"])
     def test_range_three_runs_six_batteries(self, monkeypatch, s):
-        ran = []
-
-        def counting(p, *args, **kwargs):
-            ran.append(p)
-            return presentation_battery(p, *args, **kwargs)
-
-        monkeypatch.setattr(sys.modules["bingcheck.witt"], "presentation_battery", counting)
+        ran = count_calls(monkeypatch, presentation_battery)
         bing_double_verdict(s, 3)
         # one battery per unordered pair {p, q}, not one per ordered pair
         assert len(ran) == 6
