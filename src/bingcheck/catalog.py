@@ -120,7 +120,7 @@ def parse_seifert(text: str) -> SeifertMatrix:
         raise ParseError("empty matrix text")
     size_lineno, size_line = lines[0]
     dims = size_line.split()
-    if len(dims) not in (1, 2) or not all(d.lstrip("-").isdigit() for d in dims):
+    if len(dims) not in (1, 2) or not all(re.fullmatch(r"-?[0-9]+", d) for d in dims):
         raise ParseError("malformed size line %r" % size_line.strip(),
                          line=size_lineno)
     n = int(dims[0])

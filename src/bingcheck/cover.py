@@ -18,7 +18,7 @@ back flagged rational.
 
 from __future__ import annotations
 
-from .errors import FormulaHypothesisError
+from .errors import AdmissibilityError, FormulaHypothesisError, SingularMatrixError
 from .laurent import LaurentPoly
 from .intpoly import IntPoly, resultant
 from .matrices import ExactMatrix
@@ -97,23 +97,24 @@ def covering_seifert_matrix(s: SeifertMatrix, p: int) -> SeifertMatrix:
     at = a.transpose()
     gamma = (a - at).inverse() @ a
     eye = ExactMatrix.identity(s.size, kind="rational")
-    gm1 = gamma - eye
 
-    def power(m, k):
-        out = eye
-        for _ in range(k):
-            out = out @ m
+    def powers(m):
+        out = [eye]
+        for _ in range(p):
+            out.append(out[-1] @ m)
         return out
 
-    denom = power(gamma, p) - power(gm1, p)
-    if denom.det() == 0:
+    g, h = powers(gamma), powers(gamma - eye)
+    try:
+        denom_inv = (g[p] - h[p]).inverse()
+    except SingularMatrixError:
         raise FormulaHypothesisError(
             "Gamma^p - (Gamma - I)^p is singular; the covering formula does not apply"
-        )
-    numer = power(gamma, p - 1) - power(gm1, p - 1)
-    atilde = a - at @ numer @ denom.inverse() @ gamma
-    if (atilde - atilde.transpose()).det() == 0:
+        ) from None
+    atilde = a - at @ (g[p - 1] - h[p - 1]) @ denom_inv @ gamma
+    try:
+        return SeifertMatrix(atilde, integral=False)
+    except AdmissibilityError:
         raise FormulaHypothesisError(
             "covering matrix fails det(A - A^T) != 0; the formula hypothesis was violated"
-        )
-    return SeifertMatrix(atilde, integral=False)
+        ) from None

@@ -11,12 +11,13 @@ are built:
 
 A Laurent matrix is evaluated at either kind by one evaluator: powers of
 omega, with omega^-1 = conj(omega).  No floating point is needed to
-diagonalize a Hermitian matrix over the field, only to decide the signs of
-the real diagonal entries that come out.  Those signs are certified with
-rational interval arithmetic.  The real image of x^k + x^-k is
-2cos(2*pi*k/q), an algebraic number: a root of the u-image of Phi_q
-(u = t + 1/t), isolated by Sturm sequences and refined by bisection exactly
-as the jumps of a signature function are.  The working precision is raised
+diagonalize a Hermitian matrix over the field by congruence, every pivot a
+real diagonal entry (a vanishing live diagonal is first made nonzero by one
+row and column addition), only to decide the signs of the pivots.  Those
+signs are certified with rational interval arithmetic.  The real image of
+x^k + x^-k is 2cos(2*pi*k/q), an algebraic number: a root of the u-image of
+Phi_q (u = t + 1/t), isolated by Sturm sequences and refined by bisection
+exactly as the jumps of a signature function are.  The working precision is raised
 until the enclosure excludes zero -- which must happen, because a nonzero
 field element has a nonzero image under every embedding.  In Q(i) a real
 element is rational and its enclosure is the exact value cos 0 = 1.
@@ -34,7 +35,7 @@ from itertools import zip_longest
 from math import gcd
 
 from .errors import InternalInvariantError
-from .laurent import LaurentPoly, _strip, dense_divmod, dense_mul
+from .laurent import LaurentPoly, _strip, as_fraction, dense_divmod, dense_mul
 from .intpoly import IntPoly, cyclotomic, sturm_isolate, u_image
 
 __all__ = [
@@ -99,6 +100,9 @@ class PolyQuotientField:
         if len(c) >= len(self._mod):
             _, c = dense_divmod(c, self._mod)
         return tuple(c) + (Fraction(0),) * (self.degree - len(c))
+
+    def add(self, a: tuple, b: tuple) -> tuple:
+        return tuple(x + y for x, y in zip(a, b))
 
     def sub(self, a: tuple, b: tuple) -> tuple:
         return tuple(x - y for x, y in zip(a, b))
@@ -210,8 +214,9 @@ def cyclotomic_field(q: int) -> CyclotomicField:
 
 def root_of_unity(angle) -> tuple:
     """The point exp(2*pi*i*angle), angle taken mod 1: (q, x^a) in Q(zeta_q)
-    for the reduced angle a/q."""
-    angle = Fraction(angle)
+    for the reduced angle a/q.  The angle is exact (int, Fraction or
+    numeric string); a float raises TypeError."""
+    angle = as_fraction(angle)
     angle -= angle.numerator // angle.denominator
     field = cyclotomic_field(angle.denominator)
     return field.q, field.element([0] * angle.numerator + [1])
@@ -219,8 +224,9 @@ def root_of_unity(angle) -> tuple:
 
 def cayley_point(s) -> tuple:
     """The rational point omega = (1 + i s)/(1 - i s) of the unit circle:
-    (4, omega) in Q(i) = Q(zeta_4), where omega = (1 - s^2 + 2 i s)/(1 + s^2)."""
-    s = Fraction(s)
+    (4, omega) in Q(i) = Q(zeta_4), where omega = (1 - s^2 + 2 i s)/(1 + s^2).
+    s is exact (int, Fraction or numeric string); a float raises TypeError."""
+    s = as_fraction(s)
     d = 1 + s * s
     return 4, ((1 - s * s) / d, 2 * s / d)
 
@@ -229,54 +235,41 @@ def cayley_point(s) -> tuple:
 
 def _hermitian_signature(field: CyclotomicField, H):
     """(signature, nullity) of a Hermitian matrix of field elements, by
-    exact congruence: real diagonal pivots first, hyperbolic planes when the
-    live diagonal vanishes, kernel at the end."""
-    n = len(H)
-    active = list(range(n))
-    pos = neg = null = 0
+    exact congruence with real diagonal pivots; the kernel is what is left.
+
+    When the live diagonal vanishes but some H[i][j] does not, adding
+    H[i][j] times row j to row i and H[j][i] times column j to column i
+    makes H[i][i] = 2|H[i][j]|^2, a nonzero real pivot."""
+    active = list(range(len(H)))
+    pos = neg = 0
     while active:
         k = next((a for a in active if any(H[a][a])), None)
-        if k is not None:
-            p = H[k][k]
-            s = field.real_sign(p)
-            if s > 0:
-                pos += 1
-            else:
-                neg += 1
-            active.remove(k)
-            rows = [r for r in active if any(H[r][k])]
-            # a pivot with nothing left to clear (the last of each
-            # component, for one) needs no inverse
-            pinv = field.inv(p) if rows else None
-            for r in rows:
-                f = field.mul(H[r][k], pinv)
-                for c in active:
-                    H[r][c] = field.sub(H[r][c], field.mul(f, H[k][c]))
-            continue
-        pair = next(((i, j) for i in active for j in active if i < j and any(H[i][j])),
-                    None)
-        if pair is None:
-            null += len(active)
-            break
-        i, j = pair
-        b = H[i][j]
-        bbar = H[j][i]
-        pos += 1
-        neg += 1
-        active.remove(i)
-        active.remove(j)
-        binv, bbarinv = field.inv(b), field.inv(bbar)
-        rows_i = {c: H[i][c] for c in active}
-        rows_j = {c: H[j][c] for c in active}
-        cols_i = {r: H[r][i] for r in active}
-        cols_j = {r: H[r][j] for r in active}
-        for r in active:
+        if k is None:
+            pair = next(((i, j) for i in active for j in active if i < j and any(H[i][j])),
+                        None)
+            if pair is None:
+                break
+            k, j = pair
+            b, bbar = H[k][j], H[j][k]
             for c in active:
-                H[r][c] = field.sub(
-                    field.sub(H[r][c], field.mul(field.mul(cols_i[r], bbarinv), rows_j[c])),
-                    field.mul(field.mul(cols_j[r], binv), rows_i[c]),
-                )
-    return pos - neg, null
+                H[k][c] = field.add(H[k][c], field.mul(b, H[j][c]))
+            for r in active:
+                H[r][k] = field.add(H[r][k], field.mul(H[r][j], bbar))
+        p = H[k][k]
+        if field.real_sign(p) > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(k)
+        rows = [r for r in active if any(H[r][k])]
+        # a pivot with nothing left to clear (the last of each
+        # component, for one) needs no inverse
+        pinv = field.inv(p) if rows else None
+        for r in rows:
+            f = field.mul(H[r][k], pinv)
+            for c in active:
+                H[r][c] = field.sub(H[r][c], field.mul(f, H[k][c]))
+    return pos - neg, len(active)
 
 
 @lru_cache(maxsize=8192)

@@ -490,39 +490,46 @@ class RootInterval:
             mid = (lo + hi) / 2
             v = self.poly(mid)
             if v == 0:
-                return RootInterval(mid, mid, _linear_min_poly(mid), exact=mid)
+                return _exact_root(mid)
             if (1 if v > 0 else -1) == slo:
                 lo = mid
             else:
                 hi = mid
         return RootInterval(lo, hi, self.poly)
 
-    def separate_from(self, other: "RootInterval"):
-        """Refine both intervals until they are disjoint (roots differ)."""
-        a, b = self, other
-        while not (a.hi <= b.lo or b.hi <= a.lo or
-                   (a.exact is not None and b.exact is not None)):
-            w = min(a.width if a.exact is None else b.width,
-                    b.width if b.exact is None else a.width)
-            target = w / 4 if w else Fraction(1, 2)
-            if a.exact is None:
-                a = a.refine(target)
-            if b.exact is None:
-                b = b.refine(target)
-            if a.exact is not None and b.exact is not None and a.exact == b.exact:
-                raise InternalInvariantError("cannot separate equal roots")
-        return a, b
-
 
 def _linear_min_poly(r: Fraction) -> IntPoly:
     return IntPoly([-r.numerator, r.denominator])
 
 
+def _exact_root(r: Fraction) -> RootInterval:
+    return RootInterval(r, r, _linear_min_poly(r), exact=r)
+
+
+def _isolating(g: IntPoly, a: Fraction, b: Fraction, exact) -> RootInterval:
+    """The one root of g in the open interval (a, b), as isolating data.
+
+    An end of (a, b) that is itself an exact root is divided out of g, so
+    the polynomial changes sign across (a, b); a linear polynomial gives its
+    root exactly."""
+    for end in (a, b):
+        if end in exact:
+            g = divmod_exact(g, _linear_min_poly(end))
+    if g.degree == 1:
+        return _exact_root(Fraction(-g.coeff(0), g.coeff(1)))
+    return RootInterval(a, b, g)
+
+
 def sturm_isolate(f: IntPoly, lo, hi):
     """Disjoint isolating intervals for the distinct real roots of f in (lo, hi).
 
-    Multiplicities are ignored (the squarefree part is isolated).  Rational
-    roots discovered exactly come back with `exact` set.
+    Multiplicities are ignored: one Sturm chain of the squarefree part g is
+    built, and g itself is never divided.  With zeros dropped, V(a) - V(b)
+    counts the roots of g in the half-open (a, b], so bisection needs no
+    special case: a root met at a bisection point is recorded exactly and
+    counted in its left half.  Rational roots found that way, and the roots
+    of linear g, come back with `exact` set; the intervals touch them only
+    at an end.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
@@ -530,60 +537,22 @@ def sturm_isolate(f: IntPoly, lo, hi):
     if f.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     g = squarefree_part(f)
-    exact_roots = []
-    # deflate rational roots that sit at probe points (endpoints first)
-    for point in (lo, hi):
-        if g.degree > 0 and g(point) == 0:
-            g = divmod_exact(g, _linear_min_poly(point)).primitive()
+    chain = sturm_chain(g)
+    exact = {end for end in (lo, hi) if g(end) == 0}
     out = []
-    while True:
-        if g.degree < 1:
-            break
-        if g.degree == 1:
-            r = Fraction(-g.coeff(0), g.coeff(1))
-            if lo < r < hi:
-                exact_roots.append(r)
-            break
-        chain = sturm_chain(g)
-        stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
-        deflated = False
-        found = []
-        while stack:
-            a, b, va, vb = stack.pop()
-            n = va - vb
-            if n <= 0:
-                continue
-            if n == 1:
-                found.append(RootInterval(a, b, g))
-                continue
+    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        n = va - vb - (b in exact)  # roots in the open (a, b)
+        if n == 1:
+            out.append(_isolating(g, a, b, exact))
+        elif n > 1:
             mid = (a + b) / 2
             if g(mid) == 0:
-                exact_roots.append(mid)
-                g = divmod_exact(g, _linear_min_poly(mid)).primitive()
-                deflated = True
-                break
+                exact.add(mid)
+                out.append(_exact_root(mid))
             vm = _variations(chain, mid)
             stack.append((a, mid, va, vm))
             stack.append((mid, b, vm, vb))
-        if deflated:
-            continue
-        out = found
-        break
-    for r in exact_roots:
-        if lo < r < hi:
-            out.append(RootInterval(r, r, _linear_min_poly(r), exact=r))
-    # shrink plain intervals so no exactly-known root sits inside them
-    cleaned = []
-    for iv in out:
-        if iv.exact is None:
-            for r in exact_roots:
-                while iv.lo < r < iv.hi:
-                    iv = iv.refine(iv.width / 4)
-        cleaned.append(iv)
-    cleaned.sort(key=lambda iv: (iv.lo, iv.hi))
-    # make intervals pairwise disjoint
-    for i in range(len(cleaned) - 1):
-        a, b = cleaned[i].separate_from(cleaned[i + 1])
-        cleaned[i], cleaned[i + 1] = a, b
-    cleaned.sort(key=lambda iv: (iv.lo, iv.hi))
-    return cleaned
+    out.sort(key=lambda iv: (iv.lo, iv.hi))
+    return out

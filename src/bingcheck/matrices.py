@@ -86,9 +86,6 @@ class ExactMatrix:
     def entries(self):
         return self._rows
 
-    def row(self, i: int):
-        return self._rows[i]
-
     def __getitem__(self, ij):
         i, j = ij
         return self._rows[i][j]

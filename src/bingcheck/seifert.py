@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AdmissibilityError, InternalInvariantError
-from .laurent import LaurentPoly, normalize_unit, parse_poly
+from .laurent import LaurentPoly, as_fraction, normalize_unit, parse_poly
 from .intpoly import IntPoly
 from .factor import factor_rational
 from .matrices import ExactMatrix
@@ -138,8 +138,9 @@ def alexander(s: SeifertMatrix) -> LaurentPoly:
 
 def signature_at(s: SeifertMatrix, angle) -> tuple:
     """(signature, nullity) of the Hermitian form at omega = e^{2 pi i angle},
-    for a rational angle strictly between 0 and 1 (so omega != 1)."""
-    theta = Fraction(angle)
+    for a rational angle strictly between 0 and 1 (so omega != 1): an int,
+    Fraction or numeric string; a float raises TypeError."""
+    theta = as_fraction(angle)
     if not 0 < theta < 1:
         raise ValueError("angle must satisfy 0 < a/q < 1")
     return evaluated_hermitian_signature(s.seifert_form(), root_of_unity(theta))

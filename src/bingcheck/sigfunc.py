@@ -137,7 +137,11 @@ def circle_jump_factors(factors):
 
 def _separate_all(items):
     """Refine (RootInterval, payload) pairs with pairwise-distinct roots until
-    the intervals are pairwise disjoint; returns them sorted ascending."""
+    the intervals are pairwise disjoint; returns them sorted ascending.
+
+    Each pass halves both intervals of every overlapping pair of neighbours
+    (an exact root stays as it is) and sorts again, until no pair overlaps.
+    Distinct roots part once the intervals are narrower than their distance."""
     items = list(items)
     changed = True
     while changed:
@@ -146,8 +150,8 @@ def _separate_all(items):
         for i in range(len(items) - 1):
             (a, pa), (b, pb) = items[i], items[i + 1]
             if a.hi > b.lo:
-                a, b = a.separate_from(b)
-                items[i], items[i + 1] = (a, pa), (b, pb)
+                items[i] = a.refine(a.width / 2), pa
+                items[i + 1] = b.refine(b.width / 2), pb
                 changed = True
     return items
 

@@ -187,6 +187,16 @@ class TestFilesAndErrors:
         assert code == 2
         assert err.startswith("error:") and "line 2" in err
 
+    @pytest.mark.parametrize("size", ["--2", "\u00b2"], ids=["double-minus", "superscript-two"])
+    def test_malformed_size_line(self, capsys, tmp_path, size):
+        # a size is -?[0-9]+; both of these pass str.isdigit() once one
+        # leading "-" is stripped, and int() rejects them
+        path = tmp_path / "bad.mat"
+        path.write_text(size + "\n-1 1\n0 -1\n", encoding="utf-8")
+        code, _, err = run(capsys, "invariants", "--file", str(path))
+        assert code == 2
+        assert err.startswith("error: malformed size line") and "(line 1)" in err
+
     def test_rational_input_rejected_where_integrality_needed(
             self, capsys, tmp_path):
         path = tmp_path / "r.mat"

@@ -9,15 +9,17 @@ from fractions import Fraction
 
 import pytest
 
+from bingcheck import cover
 from bingcheck.cover import (
     INFINITE,
     branched_cover_homology_order,
     covering_seifert_matrix,
 )
-from bingcheck.errors import FormulaHypothesisError
+from bingcheck.errors import AdmissibilityError, FormulaHypothesisError
 from bingcheck.factor import factor_rational
 from bingcheck.fields import cyclotomic_field
 from bingcheck.laurent import LaurentPoly, parse_poly
+from bingcheck.matrices import ExactMatrix
 from bingcheck.seifert import SeifertMatrix, alexander, fox_milnor, signature_function
 
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
@@ -128,8 +130,29 @@ class TestCoveringSeifertMatrix:
         # Gamma has double eigenvalue 1/2, so Gamma^2 - (Gamma-I)^2 = 2 Gamma - I
         # is singular
         bad = SeifertMatrix([[Fraction(1, 2), 1], [0, Fraction(1, 2)]])
-        with pytest.raises(FormulaHypothesisError):
+        with pytest.raises(FormulaHypothesisError,
+                           match=r"Gamma\^p - \(Gamma - I\)\^p is singular"):
             covering_seifert_matrix(bad, 2)
+
+    def test_inadmissible_result_message(self, monkeypatch):
+        def reject(*args, **kwargs):
+            raise AdmissibilityError("det(A - A^T) must be nonzero")
+
+        monkeypatch.setattr(cover, "SeifertMatrix", reject)
+        with pytest.raises(FormulaHypothesisError,
+                           match=r"covering matrix fails det\(A - A\^T\) != 0"):
+            covering_seifert_matrix(TREFOIL, 2)
+
+    def test_one_det_per_cover(self, monkeypatch):
+        # the inverse detects a singular Gamma^p - (Gamma - I)^p, and the
+        # SeifertMatrix constructor's det(Atilde - Atilde^T) is the only det
+        dets = []
+        det = ExactMatrix.det
+        monkeypatch.setattr(ExactMatrix, "det", lambda m: dets.append(m) or det(m))
+        for p in (2, 3, 5):
+            dets.clear()
+            covering_seifert_matrix(STEVEDORE, p)
+            assert len(dets) == 1, p
 
     def test_p_below_two_rejected(self):
         with pytest.raises(ValueError):

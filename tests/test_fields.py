@@ -355,3 +355,45 @@ class TestAgainstNumericOracle:
         assume(all(abs(e) > 1e-6 for e in eig))
         want = sum(1 for e in eig if e > 0) - sum(1 for e in eig if e < 0)
         assert evaluated_hermitian_signature(M, cayley_point(s)) == (want, 0)
+
+    @given(st.integers(3, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_zero_diagonal_signature_matches_eigenvalues(self, n, data):
+        # every diagonal entry vanishes, so the congruence must first make a
+        # pivot from an off-diagonal pair; a repeated row and column (which
+        # keeps the diagonal zero) makes the matrix singular
+        full = [[LaurentPoly()] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                full[i][j] = data.draw(laurent_polys)
+                full[j][i] = full[i][j].substitute_power(-1)
+        index = list(range(n))
+        if data.draw(st.booleans()):
+            k, source = data.draw(st.permutations(range(n)))[:2]
+            index[k] = source
+        M = ExactMatrix([[full[i][j] for j in index] for i in index], kind="laurent")
+        kind = data.draw(st.sampled_from(["minus one", "root of unity", "Cayley"]))
+        if kind == "Cayley":
+            s = Fraction(data.draw(st.integers(-20, 20)), data.draw(st.integers(1, 20)))
+            point, z = cayley_point(s), complex(1, s) / complex(1, -s)
+        else:
+            angle = Fraction(1, 2) if kind == "minus one" else data.draw(angles)
+            point, z = root_of_unity(angle), cmath.exp(2j * math.pi * angle)
+        eig = np.linalg.eigvalsh(numeric(M, z))
+        assume(not any(1e-9 < abs(e) < 1e-6 for e in eig))
+        want = (sum(1 for e in eig if e >= 1e-6) - sum(1 for e in eig if e <= -1e-6),
+                sum(1 for e in eig if abs(e) <= 1e-9))
+        assert evaluated_hermitian_signature(M, point) == want
+        if kind == "minus one":
+            assert ExactMatrix([[M[i, j](-1) for j in range(n)] for i in range(n)]
+                               ).sym_signature() == want
+
+
+class TestExactArguments:
+    @pytest.mark.parametrize("build", [root_of_unity, cayley_point])
+    def test_float_rejected(self, build):
+        # Fraction(0.1) has denominator 2^55: a field of that order would
+        # exhaust memory rather than fail
+        with pytest.raises(TypeError):
+            build(0.1)
+        assert build("1/3") == build(Fraction(1, 3))

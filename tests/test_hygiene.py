@@ -12,8 +12,10 @@ and nothing from ``math`` but the integer functions ``gcd`` and ``isqrt``.
 
 The API check reads every function, class and method the package defines
 (dunders are exempt) and fails on any that the package, the demos and the
-benchmark never read by name, as a Name or an Attribute; a name read only
-by the tests is test-only API.
+benchmark never read by name; a name read only by the tests is test-only
+API.  A function or class counts as read as a Name or an Attribute, a
+method only as an Attribute, so a local variable that shares its name does
+not hide it.
 
 The tracer check resolves every layer target of ``perfbench/tracer.py``
 against the package, so a renamed or deleted traced function fails here
@@ -126,24 +128,39 @@ def test_no_floating_point(path):
 
 
 def definitions(source):
-    """(line, name) for each function, class and method defined in `source`,
-    dunders left out."""
+    """(line, name, is_method) for each function, class and method defined
+    in `source`, dunders left out; a method is a function defined directly
+    in a class body."""
+    tree = ast.parse(source)
+    methods = {
+        id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
     return sorted(
-        (node.lineno, node.name) for node in ast.walk(ast.parse(source))
+        (node.lineno, node.name, id(node) in methods) for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
     )
 
 
 def names_read(source):
-    """Every name `source` reads, as a Name or as an Attribute."""
-    read = set()
+    """(names, attributes): every name `source` reads as a Name, and every
+    name it reads as an Attribute."""
+    names, attributes = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-    return read
+            attributes.add(node.attr)
+    return names, attributes
+
+
+def unread(defs, names, attributes):
+    """(line, name) of the definitions never read: a method counts as read
+    only through an attribute access, so a local variable of the same name
+    does not hide it; a function or class counts through either."""
+    return [(line, name) for line, name, method in defs
+            if name not in attributes and (method or name not in names)]
 
 
 def test_checker_finds_test_only_api():
@@ -157,22 +174,30 @@ def test_checker_finds_test_only_api():
         "class Unused: pass\n"
         "Field().mul(1, 2)\n"
         "helper = None\n"
+        "class Matrix:\n"
+        "    def row(self, i): pass\n"
+        "    def col(self, j): pass\n"
+        "for row in Matrix().col(0): print(row)\n"
     )
-    read = names_read(source)
-    assert [d for d in definitions(source) if d[1] not in read] == [
-        (5, "scalar"), (6, "helper"), (7, "Unused"),
+    assert unread(definitions(source), *names_read(source)) == [
+        (5, "scalar"), (6, "helper"), (7, "Unused"), (11, "row"),
     ]
 
 
 def test_no_test_only_api():
-    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in READERS))
-    unread = [
+    names, attributes = set(), set()
+    for path in READERS:
+        n, a = names_read(path.read_text(encoding="utf-8"))
+        names |= n
+        attributes |= a
+    missing = [
         "%s:%d %s" % (path.relative_to(ROOT), line, name)
         for path in PACKAGE
-        for line, name in definitions(path.read_text(encoding="utf-8"))
-        if name not in read and name not in API_EXEMPT
+        for line, name in unread(definitions(path.read_text(encoding="utf-8")),
+                                 names, attributes)
+        if name not in API_EXEMPT
     ]
-    assert not unread, "defined but never read outside the tests: " + ", ".join(unread)
+    assert not missing, "defined but never read outside the tests: " + ", ".join(missing)
 
 
 def test_tracer_targets_resolve():

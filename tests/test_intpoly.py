@@ -244,6 +244,44 @@ class TestSturm:
     def test_no_roots(self):
         assert sturm_isolate(IntPoly("t^2 + 1"), -10, 10) == []
 
+    @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 4), st.integers(1, 3)),
+                    min_size=1, max_size=4),
+           st.lists(st.tuples(st.sampled_from([2, 3, 5, 6, 7, 8, 10, 11]), st.integers(1, 2)),
+                    max_size=2),
+           st.integers(-16, 8), st.integers(1, 32))
+    @settings(max_examples=150, deadline=None)
+    def test_rational_and_repeated_roots(self, linear, quadratic, lo, width):
+        # dyadic roots b/2^k and dyadic ends: bisection often lands on a
+        # root, and the ends are often roots themselves
+        f, rational, surds = IntPoly([1]), set(), set()
+        for b, k, m in linear:
+            f = f * IntPoly([-b, 2 ** k]) ** m
+            rational.add(Fraction(b, 2 ** k))
+        for d, m in quadratic:
+            f = f * IntPoly([-d, 0, 1]) ** m
+            surds |= {(1, d), (-1, d)}
+        lo = Fraction(lo, 2)
+        hi = lo + Fraction(width, 2)
+
+        def below(x, root):
+            # x < sign * sqrt(d), exactly
+            sign, d = root
+            return x < 0 or x * x < d if sign > 0 else x < 0 and x * x > d
+
+        def roots_in(a, b):
+            return ([r for r in rational if a < r < b]
+                    + [r for r in surds if below(a, r) and not below(b, r)])
+
+        ivs = sturm_isolate(f, lo, hi)
+        assert len(ivs) == len(roots_in(lo, hi))
+        for iv in ivs:
+            if iv.exact is not None:
+                assert iv.exact in rational and f(iv.exact) == 0
+            else:
+                assert len(roots_in(iv.lo, iv.hi)) == 1
+        for a, b in zip(ivs, ivs[1:]):
+            assert a.hi <= b.lo
+
     def test_refine_narrows(self):
         (iv,) = sturm_isolate(IntPoly("t^2 - 2"), 0, 2)
         narrow = iv.refine(Fraction(1, 2 ** 30))

@@ -132,6 +132,13 @@ class TestSignatureAt:
             with pytest.raises(ValueError):
                 signature_at(TREFOIL, bad)
 
+    def test_float_angle_rejected(self):
+        # Fraction(0.1) has denominator 2^55, the order of the field it
+        # would need
+        with pytest.raises(TypeError):
+            signature_at(TREFOIL, 0.1)
+        assert signature_at(TREFOIL, "1/2") == (-2, 0)
+
     @given(admissible_2x2, st.fractions(min_value=Fraction(1, 12), max_value=Fraction(11, 12), max_denominator=12))
     @settings(max_examples=40, deadline=None)
     def test_additive_under_connected_sum(self, s, theta):
