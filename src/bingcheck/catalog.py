@@ -2,7 +2,8 @@
 
 Matrix text format: an optional header line ``# name: <string>``, a size
 line ``n`` (or ``n m``), then n whitespace-separated rows with integer or
-``a/b`` entries.  Lines starting with ``#`` and blank lines are skipped.
+``a/b`` entries in ASCII digits, b nonzero.  Lines starting with ``#`` and
+blank lines are skipped.
 Parse errors carry the 1-based line (and column where it applies); the
 admissibility error for a singular pairing names the line the matrix
 starts on.
@@ -149,13 +150,14 @@ def parse_seifert(text: str) -> SeifertMatrix:
             )
         row = []
         for tok in tokens:
-            try:
-                row.append(Fraction(tok.group()))
-            except (ValueError, ZeroDivisionError):
+            # an ASCII integer or a/b with b != 0; Fraction alone would also
+            # take decimals, exponents, underscores and non-ASCII digits
+            if not re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", tok.group()):
                 raise ParseError(
                     "malformed number %r" % tok.group(),
                     line=lineno, col=tok.start() + 1,
-                ) from None
+                )
+            row.append(Fraction(tok.group()))
         rows.append(row)
     try:
         return SeifertMatrix(rows, name=name)

@@ -58,8 +58,7 @@ def _read_seifert_file(path) -> SeifertMatrix:
     with open(path, encoding="utf-8") as fh:
         s = parse_seifert(fh.read())
     if not s.name:
-        s = SeifertMatrix(s.entries, name=os.path.basename(path),
-                          integral=True if s.integral else False)
+        s.name = os.path.basename(path)
     return s
 
 
@@ -269,12 +268,10 @@ def _dispatch(args) -> None:
         _emit(format_report(presentation_battery(pres, name=name)))
     elif cmd == "cover":
         cover = covering_seifert_matrix(s, args.p)
-        named = SeifertMatrix(cover.entries,
-                              name="%s cover %d" % (s.name or "(unnamed)", args.p),
-                              integral=False)
-        _emit(print_seifert(named))
+        cover.name = "%s cover %d" % (s.name or "(unnamed)", args.p)
+        _emit(print_seifert(cover))
         _emit("\n")
-        _emit(format_report(obstruction_battery(named)))
+        _emit(format_report(obstruction_battery(cover)))
     elif cmd == "foxorder":
         _emit("order = %s\n" % branched_cover_homology_order(alexander(s), args.p))
     elif cmd == "jpq":

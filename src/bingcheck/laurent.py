@@ -355,8 +355,8 @@ T = LaurentPoly({1: 1})
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<sign>[+-])"
-    r"|(?P<num>\d+(?:/\d+)?)"
-    r"|(?P<var>t(?:\^(?P<exp>[+-]?\d+))?)"
+    r"|(?P<num>[0-9]+(?:/0*[1-9][0-9]*)?)"
+    r"|(?P<var>t(?:\^(?P<exp>[+-]?[0-9]+))?)"
     r"|(?P<star>\*)"
     r"|(?P<bad>.)"
 )

@@ -19,8 +19,10 @@ from pathlib import Path
 import pytest
 
 import bingcheck
+from bingcheck.catalog import parse_seifert
 from bingcheck.cli import main
 from bingcheck.errors import InternalInvariantError
+from bingcheck.matrices import ExactMatrix
 
 SUBCOMMANDS = [
     "invariants", "alexander", "sigfn", "arf", "foxmilnor",
@@ -162,6 +164,25 @@ class TestCatalogAndBatch:
         assert code == 0
         assert out.index("name = a.mat\n") < out.index("name = custom\n")
 
+    def test_batch_names_an_unnamed_file_in_place(self, capsys, tmp_path, monkeypatch):
+        # the basename is set on the parsed matrix, which is not rebuilt, so
+        # det(A - A^T) is taken once
+        a = parse_seifert(TREFOIL_FILE).matrix
+        skew = a - a.transpose()
+        dets = []
+        original = ExactMatrix.det
+
+        def counting(m):
+            dets.append(m)
+            return original(m)
+
+        monkeypatch.setattr(ExactMatrix, "det", counting)
+        path = tmp_path / "unnamed.mat"
+        path.write_text(TREFOIL_FILE)
+        code, out, _ = run(capsys, "batch", str(path))
+        assert code == 0 and out.startswith("name = unnamed.mat\n")
+        assert [m for m in dets if m == skew] == [skew]
+
     def test_batch_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "batch", str(tmp_path / "absent.mat"))
         assert code == 2 and err.startswith("error:")
@@ -196,6 +217,18 @@ class TestFilesAndErrors:
         code, _, err = run(capsys, "invariants", "--file", str(path))
         assert code == 2
         assert err.startswith("error: malformed size line") and "(line 1)" in err
+
+    @pytest.mark.parametrize("token", ["1.5", "1e3", "1_0", "\u0663", "1/00"],
+                             ids=["decimal", "exponent", "underscore",
+                                  "arabic-indic-three", "zero-denominator"])
+    def test_malformed_entry(self, capsys, tmp_path, token):
+        # an entry is an ASCII integer or a/b; Fraction() alone takes the
+        # first four, and reads the Arabic-Indic digit as 3
+        path = tmp_path / "bad.mat"
+        path.write_text("2\n%s 1\n0 -1\n" % token, encoding="utf-8")
+        code, _, err = run(capsys, "alexander", "--file", str(path))
+        assert code == 2
+        assert err.startswith("error: malformed number") and "line 2, col 1" in err
 
     def test_rational_input_rejected_where_integrality_needed(
             self, capsys, tmp_path):

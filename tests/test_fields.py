@@ -18,6 +18,7 @@ from bingcheck.fields import (
     cos_enclosure,
     cyclotomic_field,
     evaluated_hermitian_signature,
+    point_power,
     rank_over_factor,
     root_of_unity,
 )
@@ -387,6 +388,23 @@ class TestAgainstNumericOracle:
         if kind == "minus one":
             assert ExactMatrix([[M[i, j](-1) for j in range(n)] for i in range(n)]
                                ).sym_signature() == want
+
+
+class TestPointPower:
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_cayley_powers_match_dickson_and_numpy(self, num, den, k):
+        s = Fraction(num, den)
+        q, (re, im) = point_power(cayley_point(s), k)
+        assert q == 4
+        # u(omega^k) = D_k(u(omega)): D_0 = 2, D_1 = u, D_j+1 = u D_j - D_j-1
+        u = 2 * (1 - s * s) / (1 + s * s)
+        dickson = [Fraction(2), u]
+        while len(dickson) <= k:
+            dickson.append(u * dickson[-1] - dickson[-2])
+        assert 2 * re == dickson[k]
+        z = complex(re, im)
+        assert abs(z - ((1 + 1j * float(s)) / (1 - 1j * float(s))) ** k) < 1e-9
 
 
 class TestExactArguments:

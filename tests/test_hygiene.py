@@ -10,6 +10,12 @@ The float check reads every module of the package (not the tests, whose
 oracles may use floats): no float literal, no use of the name ``float``,
 and nothing from ``math`` but the integer functions ``gcd`` and ``isqrt``.
 
+The digit-class check reads every string constant of the package
+(docstrings and f-string parts included) and fails on any that contains
+``\\d``: Python's ``\\d`` matches every Unicode decimal digit, so a number
+pattern written with it takes Arabic-Indic or full-width digits; the
+package writes ``[0-9]``.
+
 The API check reads every function, class and method the package defines
 (dunders are exempt) and fails on any that the package, the demos and the
 benchmark never read by name; a name read only by the tests is test-only
@@ -124,6 +130,34 @@ def test_no_floating_point(path):
     found = float_uses(path.read_text(encoding="utf-8"))
     assert not found, "%s: floating point at %s" % (
         path.relative_to(ROOT), ", ".join("%s (line %d)" % (w, l) for l, w in found)
+    )
+
+
+def digit_classes(source):
+    """Lines of the str constants in `source` that contain ``\\d``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "\\d" in node.value)
+
+
+def test_checker_finds_digit_classes():
+    source = (
+        '"""Docstring naming \\\\d."""\n'
+        "import re\n"
+        "A = re.compile(r'[0-9]+(/[0-9]+)?')\n"
+        "B = re.compile(r'-?\\d+')\n"
+        "C = re.compile(b'\\\\d')\n"
+        "D = f'{A}\\\\d'\n"
+        "E = 'd + 1'\n"
+    )
+    assert digit_classes(source) == [1, 4, 6]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unicode_digit_class(path):
+    found = digit_classes(path.read_text(encoding="utf-8"))
+    assert not found, "%s: \\d, which matches any Unicode digit, at lines %s; write [0-9]" % (
+        path.relative_to(ROOT), ", ".join(map(str, found))
     )
 
 

@@ -131,9 +131,17 @@ def test_parse_examples():
 
 
 def test_parse_errors():
-    for bad in ["", "t +", "t ^ 2", "1//2", "x + 1", "2 2", "t^", "* t"]:
+    for bad in ["", "t +", "t ^ 2", "1//2", "x + 1", "2 2", "t^", "* t", "1/0t", "1/00"]:
         with pytest.raises(ParseError):
             parse_poly(bad)
+
+
+@pytest.mark.parametrize("text", ["\u0663t^2 - t", "t^\u0662 - t"],
+                         ids=["arabic-indic-coefficient", "arabic-indic-exponent"])
+def test_non_ascii_digits_rejected(text):
+    # numbers and exponents are ASCII [0-9]; \\d would read both as 3 and 2
+    with pytest.raises(ParseError):
+        parse_poly(text)
 
 
 def test_str_roundtrip_frozen():

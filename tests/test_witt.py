@@ -1,6 +1,7 @@
 """Tests for Witt presentations, the obstruction battery, and the
 Bing-double verdict."""
 
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from bingcheck.factor import factor_rational
 from bingcheck.intpoly import IntPoly, cyclotomic, euler_phi
 from bingcheck.laurent import LaurentPoly, dense_divmod, parse_poly, normalize_unit
 from bingcheck.matrices import ExactMatrix
+from bingcheck import fields, witt
 from bingcheck.fields import evaluated_hermitian_signature, root_of_unity
 from bingcheck.sigfunc import signature_function_of_matrix
 from bingcheck.seifert import (
@@ -478,6 +480,51 @@ class TestOneBatteryPerJPair:
             for q in range(p + 1, 4):
                 assert presentation_battery(jpq_presentation(s, q, p)) \
                     == presentation_battery(jpq_presentation(s, p, q))
+
+
+class TestAdditivityAtArcSamples:
+    @pytest.mark.parametrize("s, check_range", [
+        (TREFOIL, 3), (FIGURE_EIGHT, 3), (STEVEDORE, 3),
+        (connected_sum(TREFOIL, mirror(TREFOIL)), 2),
+    ], ids=["3_1", "4_1", "6_1", "3_1#-3_1"])
+    def test_verdict_computes_in_q_i_only(self, monkeypatch, s, check_range):
+        orders = []
+        original = fields.cyclotomic_field
+
+        def counting(q):
+            orders.append(q)
+            return original(q)
+
+        monkeypatch.setattr(fields, "cyclotomic_field", counting)
+        fields._whole_hermitian_signature.cache_clear()
+        bing_double_verdict(s, check_range)
+        assert set(orders) == {4}
+
+    @pytest.mark.parametrize("s", [TREFOIL, FIGURE_EIGHT, STEVEDORE],
+                             ids=["3_1", "4_1", "6_1"])
+    def test_range_three_builds_six_j(self, monkeypatch, s):
+        sums = count_calls(monkeypatch, witt_sum)
+        bing_double_verdict(s, 3)
+        # two block sums for each J(p, q), one J per unordered pair
+        assert len(sums) == 12
+
+    def test_shifted_arc_raises(self, monkeypatch):
+        # the check reads the J battery's own arcs: shifting any one of them
+        # by 2 must fail it
+        arcs = presentation_battery(jpq_presentation(TREFOIL, 1, 1)).signature.arcs
+        assert len(arcs) > 1
+        original = witt.presentation_battery
+        for i in range(len(arcs)):
+            def shifted(p, i=i):
+                report = original(p)
+                moved = list(report.signature.arcs)
+                moved[i] = dataclasses.replace(moved[i], signature=moved[i].signature + 2)
+                signature = dataclasses.replace(report.signature, arcs=tuple(moved))
+                return dataclasses.replace(report, signature=signature)
+
+            monkeypatch.setattr(witt, "presentation_battery", shifted)
+            with pytest.raises(InternalInvariantError, match=r"J\(1, 1\)"):
+                bing_double_verdict(TREFOIL, 1)
 
 
 class TestObstructionBattery:
