@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .errors import BingcheckError, InternalInvariantError
+from .errors import BingcheckError, InternalInvariantError, ParseError
 from .factor import factor_rational
 from .seifert import SeifertMatrix, alexander, arf, fox_milnor, signature_function
 from .cover import branched_cover_homology_order, covering_seifert_matrix
@@ -55,8 +55,12 @@ def _add_knot_arguments(sp):
 
 def _read_seifert_file(path) -> SeifertMatrix:
     """Parse a matrix file; an unnamed matrix takes the file's basename."""
-    with open(path, encoding="utf-8") as fh:
-        s = parse_seifert(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            s = parse_seifert(fh.read())
+    except UnicodeDecodeError as exc:  # a ValueError, which would exit 1
+        raise ParseError("%s is not UTF-8 text: byte 0x%02x at offset %d"
+                         % (path, exc.object[exc.start], exc.start)) from None
     if not s.name:
         s.name = os.path.basename(path)
     return s

@@ -3,9 +3,9 @@ pipeline.
 
 A Witt presentation is a square Laurent-polynomial matrix B with nonzero
 determinant that is Hermitian for the involution t -> 1/t (B(t)^T = B(1/t)
-entrywise), together with a coefficient-ring flag: Z (integral) or Q.
-The presentation of a knot is B(t) = (1 - t) A + (1 - 1/t) A^T for a
-Seifert matrix A.
+entrywise), together with a coefficient-ring flag, Z (integral) or Q, its
+order det B (up to units) and the order's factor list.  The presentation of
+a knot is B(t) = (1 - t) A + (1 - 1/t) A^T for a Seifert matrix A.
 
 The maps phi_n substitute t -> t^n; they are additive with respect to block
 sum.  The infection construction J(p, q) of a pattern on a companion K has
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import AdmissibilityError, InternalInvariantError
-from .laurent import LaurentPoly, normalize_unit
-from .intpoly import cyclotomic_order
+from .laurent import LaurentPoly
+from .intpoly import IntPoly, cyclotomic_order
 from .factor import factor_rational, merge_factors
 from .matrices import ExactMatrix
 from .fields import cayley_point, evaluated_hermitian_signature, point_power
@@ -66,46 +66,15 @@ _CERTIFICATE_ORDER = ("fox_milnor", "signature_function", "arf", "determinant_sq
 
 class WittPresentation:
     """Hermitian Laurent presentation with a coefficient-ring flag, its
-    order and the factor list of its order."""
+    order and the factor list of its order.  Only from_seifert, phi,
+    witt_sum and jpq_presentation build one, each deriving the order and
+    its factors with no det, so the constructor stores and checks nothing.
+    The class stays exported for type use."""
 
     __slots__ = ("_b", "_ring", "_order", "_factors")
 
-    def __init__(self, b: ExactMatrix, ring: str = "Z"):
-        if ring not in ("Z", "Q"):
-            raise ValueError("ring flag must be Z or Q")
-        b = b.to_laurent()
-        if not b.is_square:
-            raise AdmissibilityError("presentations are square")
-        n = b.rows
-        for i in range(n):
-            for j in range(n):
-                if b[i, j].substitute_power(-1) != b[j, i]:
-                    raise AdmissibilityError(
-                        "presentation is not Hermitian for t -> 1/t"
-                    )
-        det = b.det()
-        if det.is_zero:
-            raise AdmissibilityError("presentation determinant vanishes")
-        if ring == "Z" and any(
-            c.denominator != 1 for row in b.entries for e in row for _, c in e.items()
-        ):
-            raise AdmissibilityError("entries do not lie in the flagged ring Z")
-        self._b = b
-        self._ring = ring
-        self._order = normalize_unit(det)
-        self._factors = factor_rational(self._order)[1]
-
-    @classmethod
-    def _closed(cls, b: ExactMatrix, ring: str, order: LaurentPoly,
-                factors: list) -> "WittPresentation":
-        """A presentation derived from admissible ones, with its order and
-        the order's factor list given."""
-        # t -> t^n and block sum keep the Hermitian form, the ring and a
-        # nonzero det, and they keep a normalized order normalized (constant
-        # term positive, lowest exponent 0), so nothing is checked again.
-        pres = cls.__new__(cls)
-        pres._b, pres._ring, pres._order, pres._factors = b, ring, order, factors
-        return pres
+    def __init__(self, b: ExactMatrix, ring: str, order: LaurentPoly, factors: list):
+        self._b, self._ring, self._order, self._factors = b, ring, order, factors
 
     @property
     def matrix(self) -> ExactMatrix:
@@ -142,8 +111,24 @@ class WittPresentation:
 
 
 def from_seifert(s: SeifertMatrix) -> WittPresentation:
-    """B(t) = (1 - t) A + (1 - 1/t) A^T with ring Z (integral) or Q."""
-    return WittPresentation(s.seifert_form(), ring="Z" if s.integral else "Q")
+    """B(t) = (1 - t) A + (1 - 1/t) A^T with ring Z (integral) or Q.  For
+    even size n, det B = (1 - t)^n t^-n Delta: the order is (t - 1)^n Delta
+    and its factors are Delta's with (t - 1, n) added.
+
+    >>> str(from_seifert(SeifertMatrix([[-1, 1], [0, -1]])).order())
+    't^4 - 3t^3 + 4t^2 - 3t + 1'
+    """
+    delta = alexander(s)
+    return _knot_presentation(s, delta, factor_rational(delta)[1])
+
+
+def _knot_presentation(s: SeifertMatrix, delta: LaurentPoly, factors) -> WittPresentation:
+    """from_seifert(s), given Delta = alexander(s) and its factor list."""
+    n, t_minus_one = s.size, IntPoly([-1, 1])
+    return WittPresentation(
+        s.seifert_form(), "Z" if s.integral else "Q", t_minus_one.to_laurent() ** n * delta,
+        merge_factors(factors, [(t_minus_one, n)] if n else []),
+    )
 
 
 def phi(p: WittPresentation, n: int) -> WittPresentation:
@@ -163,7 +148,7 @@ def phi(p: WittPresentation, n: int) -> WittPresentation:
         [(h, m * k) for h, k in factor_rational(g.to_laurent().substitute_power(n))[1]]
         for g, m in p.factors()
     ))
-    return WittPresentation._closed(
+    return WittPresentation(
         p.matrix.substitute_power(n), p.ring, p.order().substitute_power(n), factors
     )
 
@@ -174,7 +159,7 @@ def witt_sum(p1: WittPresentation, p2: WittPresentation) -> WittPresentation:
     its factor list merges the summands' lists (equal primitive factors add
     their multiplicities), with no factorization."""
     ring = "Q" if "Q" in (p1.ring, p2.ring) else "Z"
-    return WittPresentation._closed(
+    return WittPresentation(
         p1.matrix.block_sum(p2.matrix), ring, p1.order() * p2.order(),
         merge_factors(p1.factors(), p2.factors()),
     )
@@ -226,11 +211,13 @@ class ObstructionReport:
     """Outcome of the algebraic-sliceness battery on one knot/presentation.
 
     `arf` and `determinant` are None when not applicable (rational-class
-    input, or a bare presentation with no Seifert matrix behind it)."""
+    input, or a bare presentation with no Seifert matrix behind it).
+    `factors` is factor_rational's list of `alexander`, read by every test."""
 
     name: str
     ring: str
     alexander: LaurentPoly
+    factors: tuple
     fox_milnor: FoxMilnorResult
     signature: SignatureFunction
     arf: int | None
@@ -274,6 +261,7 @@ def _assemble_report(name, ring, order, factors, matrix, arf_value,
         name=name,
         ring=ring,
         alexander=order,
+        factors=tuple(factors),
         fox_milnor=fm,
         signature=sigfn,
         arf=arf_value,
@@ -367,14 +355,15 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
     Additivity is checked at that battery's own arc samples: at each Cayley
     point omega the arc's value must equal the sum of the companion's form
     evaluated at omega^k, k = p, p + q, q.  Every matrix is evaluated at
-    Cayley points and their powers, all in Q(i).
+    Cayley points and their powers, all in Q(i).  K's presentation reuses
+    the battery's Delta and its factors: one Alexander det, one factoring.
     """
     if not s.integral:
         raise AdmissibilityError("the Bing-double verdict needs an integral Seifert matrix")
     if check_range < 1:
         raise ValueError("cross-check range must be >= 1")
     battery = obstruction_battery(s)
-    base = from_seifert(s)
+    base = _knot_presentation(s, battery.alexander, battery.factors)
     b = base.matrix
     # the J(p, q) block sums and the telescoping check read one phi_k each
     phi_of = _phis_of(base)

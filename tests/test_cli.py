@@ -230,6 +230,15 @@ class TestFilesAndErrors:
         assert code == 2
         assert err.startswith("error: malformed number") and "line 2, col 1" in err
 
+    @pytest.mark.parametrize("argv", [("arf", "--file"), ("batch",)], ids=["arf", "batch"])
+    def test_file_not_utf8_is_an_input_error(self, capsys, tmp_path, argv):
+        # UnicodeDecodeError is a ValueError, which maps to 1 (usage error)
+        path = tmp_path / "latin.mat"
+        path.write_bytes(b"\xff\xfe2\n")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: %s is not UTF-8 text" % path) and "0xff" in err
+
     def test_rational_input_rejected_where_integrality_needed(
             self, capsys, tmp_path):
         path = tmp_path / "r.mat"

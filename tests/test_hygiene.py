@@ -21,7 +21,8 @@ The API check reads every function, class and method the package defines
 benchmark never read by name; a name read only by the tests is test-only
 API.  A function or class counts as read as a Name or an Attribute, a
 method only as an Attribute, so a local variable that shares its name does
-not hide it.
+not hide it.  Every name exempted from that rule must still be defined in
+the package, so a stale exemption cannot hide a later definition.
 
 The tracer check resolves every layer target of ``perfbench/tracer.py``
 against the package, so a renamed or deleted traced function fails here
@@ -232,6 +233,24 @@ def test_no_test_only_api():
         if name not in API_EXEMPT
     ]
     assert not missing, "defined but never read outside the tests: " + ", ".join(missing)
+
+
+def stale_exemptions(exempt, sources):
+    """The names in `exempt` that no source in `sources` defines."""
+    defined = {name for source in sources for _, name, _ in definitions(source)}
+    return sorted(exempt - defined)
+
+
+def test_checker_finds_stale_exemptions():
+    sources = ["class Parser:\n    def error(self, msg): pass\n", "def helper(): pass\n"]
+    assert stale_exemptions({"error", "helper", "removed"}, sources) == ["removed"]
+
+
+def test_no_stale_api_exemption():
+    # an exemption whose definition is gone would exempt any later
+    # definition of that name from the test-only API rule
+    stale = stale_exemptions(API_EXEMPT, [p.read_text(encoding="utf-8") for p in PACKAGE])
+    assert not stale, "API_EXEMPT names nothing the package defines: " + ", ".join(stale)
 
 
 def test_tracer_targets_resolve():

@@ -29,7 +29,6 @@ from bingcheck.witt import (
     NOT_ALG_SLICE,
     NO_OBSTRUCTION_FOUND,
     ObstructionReport,
-    WittPresentation,
     bing_double_verdict,
     cyclotomic_factors,
     from_seifert,
@@ -96,35 +95,19 @@ class TestWittPresentation:
                 for j in range(b.cols):
                     assert b[i, j].substitute_power(-1) == b[j, i]
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(AdmissibilityError):
-            WittPresentation(ExactMatrix([[parse_poly("t")]]))
-
-    def test_rejects_singular(self):
-        with pytest.raises(AdmissibilityError):
-            WittPresentation(ExactMatrix([[parse_poly("0")]]))
-
-    def test_ring_flag_validation(self):
-        half = ExactMatrix([[parse_poly("1/2")]])
-        third = ExactMatrix([[parse_poly("1/3")]])
-        with pytest.raises(AdmissibilityError):
-            WittPresentation(half, ring="Z")
-        assert WittPresentation(half, ring="Q").ring == "Q"
-        with pytest.raises(ValueError):
-            WittPresentation(third, ring="R")
-        with pytest.raises(ValueError):
-            WittPresentation(third, ring="Z2loc")
-
     def test_unknot_empty(self):
         p = from_seifert(UNKNOT)
         assert p.size == 0
         assert p.order() == ONE
 
     def test_order_is_unit_times_cyclotomic_deficient_alexander(self):
-        # det B = (1 - t)^n * Delta up to units
+        # det B = (1 - t)^n * Delta up to units; from_seifert takes its order
+        # from Delta, so det B is the oracle
         for s in CATALOG:
-            expected = (ONE - T) ** s.size * alexander(s)
-            assert from_seifert(s).order() == normalize_unit(expected)
+            p = from_seifert(s)
+            det = normalize_unit(p.matrix.det())
+            assert det == normalize_unit((ONE - T) ** s.size * alexander(s))
+            assert p.order() == det
 
 
 class TestPhi:
@@ -208,24 +191,6 @@ class TestWittSum:
             assert len(f_total.jumps) == len(f_base.jumps)
             assert [a.signature for a in f_total.arcs] \
                 == [p * a.signature for a in f_base.arcs]
-
-
-class TestClosedConstructions:
-    def test_public_checks_accept_derived_presentations(self):
-        # phi and witt_sum skip the admissibility checks and the det; the
-        # public constructor must accept what they build, with the same order
-        bases = [from_seifert(s) for s in CATALOG]
-        derived = [phi(p, n) for p in bases for n in range(2, 6)]
-        derived += [witt_sum(p1, p2) for p1 in bases for p2 in bases]
-        derived += [
-            jpq_presentation(s, p, q)
-            for s in CATALOG for p in (1, 2) for q in (1, 2)
-        ]
-        for x in derived:
-            rebuilt = WittPresentation(x.matrix, x.ring)
-            assert rebuilt == x
-            assert rebuilt.order() == x.order()
-            assert rebuilt.factors() == x.factors()
 
 
 class TestJpqPresentation:
@@ -350,6 +315,7 @@ class TestOneFactorization:
         r = obstruction_battery(STEVEDORE)
         assert calls == [alexander(STEVEDORE)]
         assert str(r.fox_milnor.witness) == "2t - 1"
+        assert r.factors == tuple(factor_list(alexander(STEVEDORE)))
 
 
 class TestVerdictFactorArguments:
@@ -367,10 +333,10 @@ class TestVerdictFactorArguments:
 
 
 @st.composite
-def admissible_forms(draw):
-    """Integral Seifert matrices of genus 1 to 3 with A - A^T the standard
-    symplectic form, entries drawn evenly from -3 to 3."""
-    n = 2 * draw(st.integers(1, 3))
+def admissible_forms(draw, max_genus=3):
+    """Integral Seifert matrices of genus 1 to `max_genus` with A - A^T the
+    standard symplectic form, entries drawn evenly from -3 to 3."""
+    n = 2 * draw(st.integers(1, max_genus))
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -411,6 +377,76 @@ class TestCarriedFactorLists:
         assert_carries_its_factors(jpq_presentation(s, p, q))
 
 
+def assert_admissible(p, ring):
+    """What a presentation promises, from its matrix: B is Hermitian for
+    t -> 1/t, its normalized det is the order, the carried factors are
+    factor_rational's list of the order, and the ring flag is `ring`."""
+    b = p.matrix
+    assert all(b[i, j].substitute_power(-1) == b[j, i]
+               for i in range(b.rows) for j in range(b.cols))
+    assert normalize_unit(b.det()) == p.order()
+    assert factor_rational(p.order())[1] == p.factors()
+    assert p.ring == ring
+
+
+def ring_of(*forms):
+    return "Z" if all(s.integral for s in forms) else "Q"
+
+
+@st.composite
+def integral_or_rational_forms(draw, max_genus=3):
+    """An admissible form, or one with entries halved or thirded (a rational
+    Seifert matrix: A - A^T then has det 1/4 ** g or 1/9 ** g)."""
+    s = draw(admissible_forms(max_genus))
+    scale = draw(st.sampled_from([1, Fraction(1, 2), Fraction(1, 3)]))
+    return SeifertMatrix([[scale * e for e in row] for row in s.matrix.entries])
+
+
+class TestClosedConstructions:
+    """Each builder checks nothing and takes no det of what it builds; the
+    det of its matrix and the checks a validating constructor would make
+    are the oracle."""
+
+    def test_public_checks_accept_derived_presentations(self):
+        forms = CATALOG + [covering_seifert_matrix(s, p)
+                           for s in (TREFOIL, STEVEDORE) for p in (2, 3)]
+        for s in forms:
+            assert_admissible(from_seifert(s), ring_of(s))
+            for n in range(2, 6):
+                assert_admissible(phi(from_seifert(s), n), ring_of(s))
+            for other in forms:
+                assert_admissible(witt_sum(from_seifert(s), from_seifert(other)),
+                                  ring_of(s, other))
+        for s in CATALOG:
+            for p in (1, 2):
+                for q in (1, 2):
+                    assert_admissible(jpq_presentation(s, p, q), "Z")
+
+    @given(integral_or_rational_forms())
+    @settings(max_examples=20, deadline=None)
+    def test_from_seifert_is_admissible(self, s):
+        assert_admissible(from_seifert(s), ring_of(s))
+
+    @given(integral_or_rational_forms(), st.integers(2, 5))
+    @settings(max_examples=15, deadline=None)
+    def test_phi_is_admissible(self, s, n):
+        assert_admissible(phi(from_seifert(s), n), ring_of(s))
+
+    @given(integral_or_rational_forms(), integral_or_rational_forms(), st.integers(1, 3))
+    @settings(max_examples=6, deadline=None)
+    def test_witt_sum_with_a_mirror_is_admissible(self, s1, s2, n):
+        for other in (s1, s2):
+            assert_admissible(witt_sum(phi(from_seifert(s1), n), from_seifert(mirror(other))),
+                              ring_of(s1, other))
+
+    # genus 2 at most: the Laurent det of a genus-3 J(p, q), an 18 x 18
+    # matrix, takes seconds
+    @given(integral_or_rational_forms(max_genus=2), st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=6, deadline=None)
+    def test_jpq_is_admissible(self, s, p, q):
+        assert_admissible(jpq_presentation(s, p, q), ring_of(s))
+
+
 class TestOneAlexanderPerBattery:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -422,10 +458,17 @@ class TestOneAlexanderPerBattery:
         assert calls == [s]
 
     def test_verdict_builds_one_base_presentation(self, calls, monkeypatch):
-        built = count_calls(monkeypatch, from_seifert)
-        bing_double_verdict(FIGURE_EIGHT, 3)
-        assert built == [FIGURE_EIGHT]
-        assert calls == [FIGURE_EIGHT]
+        # the base presentation takes its order from the battery's Delta and
+        # factor list: one Alexander det, and Delta factored once
+        factored = count_calls(monkeypatch, factor_rational)
+        for s in (FIGURE_EIGHT, STEVEDORE):
+            calls.clear()
+            factored.clear()
+            bing_double_verdict(s, 3)
+            delta = alexander(s)
+            assert calls == [s]
+            assert factored.count(delta) == 1
+            assert (ONE - T) ** s.size * delta not in factored
 
 
 class TestOneDeterminantPerBattery:
@@ -441,10 +484,17 @@ class TestOneDeterminantPerBattery:
         assert [m for m in dets if m.kind == "rational" and m == sym] == [sym]
         assert (r.arf, r.determinant) == (arf(s), determinant_invariant(s))
 
-    def test_stevedore_verdict_takes_three_dets(self, dets):
+    def test_stevedore_verdict_takes_two_dets(self, dets):
         bing_double_verdict(STEVEDORE, 3)
-        # det(A + A^T), the Alexander det and the base presentation's det
-        assert len(dets) == 3
+        # det(A + A^T) and the Alexander det; the base presentation's order
+        # is (t - 1)^2 Delta, with no det of its own
+        assert len(dets) == 2
+
+    @pytest.mark.parametrize("s", CATALOG, ids=lambda s: s.name)
+    def test_cable_takes_only_the_alexander_det(self, dets, s):
+        phi(from_seifert(s), 3)
+        a = s.matrix.to_laurent()
+        assert dets == [a - s.matrix.transpose().to_laurent().scale(T)]
 
 
 class TestVerdictReadsEachPhiOnce:
@@ -592,7 +642,7 @@ class TestObstructionBattery:
         r = obstruction_battery(TREFOIL)
         with pytest.raises(InternalInvariantError):
             ObstructionReport(
-                name=r.name, ring=r.ring, alexander=r.alexander,
+                name=r.name, ring=r.ring, alexander=r.alexander, factors=r.factors,
                 fox_milnor=r.fox_milnor, signature=r.signature, arf=r.arf,
                 determinant=r.determinant, cyclotomic=r.cyclotomic,
                 verdict=NOT_ALG_SLICE, certificate=None,
