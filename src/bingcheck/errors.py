@@ -25,6 +25,10 @@ class AdmissibilityError(BingcheckError):
     """Input is well-formed but violates a mathematical precondition."""
 
 
+class SizeBoundError(BingcheckError):
+    """A size parameter is above the bound the tool answers in seconds."""
+
+
 class SingularMatrixError(BingcheckError):
     """Matrix inverse requested for a singular matrix."""
 

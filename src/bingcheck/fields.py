@@ -1,16 +1,14 @@
 """Exact arithmetic in Q[x]/(m) and exact Hermitian signatures on the circle.
 
 A point of the unit circle is given exactly as (q, omega): omega is the image
-of t in the cyclotomic field Q(zeta_q) = Q[x]/(Phi_q(x)).  Three kinds of
+of t in the cyclotomic field Q(zeta_q) = Q[x]/(Phi_q(x)).  Two kinds of
 point are built:
 
   * root_of_unity(a/q): omega = x^a = exp(2*pi*i*a/q) in Q(zeta_q);
   * cayley_point(s): omega = (1 + i s)/(1 - i s) for rational s, a rational
     point of the circle in Q(i) = Q(zeta_4), with u = omega + 1/omega =
-    2(1 - s^2)/(1 + s^2);
-  * point_power(point, k): omega^k in the field of omega, so a Cayley
-    point's powers stay in Q(i).  The Bing verdict evaluates the companion's
-    form at omega^k to check J(p, q) additivity at J's own arc samples.
+    2(1 - s^2)/(1 + s^2).  The matrix path of a signature function
+    evaluates each of its arcs at one.
 
 A Laurent matrix is evaluated at every kind by one evaluator: powers of
 omega, with omega^-1 = conj(omega).  No floating point is needed to
@@ -48,7 +46,6 @@ __all__ = [
     "cos_enclosure",
     "cyclotomic_field",
     "evaluated_hermitian_signature",
-    "point_power",
     "rank_over_factor",
     "root_of_unity",
 ]
@@ -233,17 +230,6 @@ def cayley_point(s) -> tuple:
     s = as_fraction(s)
     d = 1 + s * s
     return 4, ((1 - s * s) / d, 2 * s / d)
-
-
-def point_power(point, k: int) -> tuple:
-    """The point (q, omega^k) for a point (q, omega) and k >= 0, by repeated
-    multiplication in Q(zeta_q)."""
-    q, omega = point
-    field = cyclotomic_field(q)
-    power = field.element([1])
-    for _ in range(k):
-        power = field.mul(power, omega)
-    return q, power
 
 
 # -- Hermitian signatures on the circle ----------------------------------------

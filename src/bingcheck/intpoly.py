@@ -24,6 +24,7 @@ __all__ = [
     "RootInterval",
     "cyclotomic",
     "cyclotomic_order",
+    "dickson",
     "divmod_exact",
     "euler_phi",
     "gcd_poly",
@@ -354,7 +355,9 @@ def euler_phi(n: int) -> int:
 def cyclotomic_order(f: IntPoly):
     """d if f is the d-th cyclotomic polynomial, else None.
 
-    Uses phi(d) >= sqrt(d/2), so phi(d) = m forces d <= 2 m^2.
+    Uses phi(d) >= sqrt(d/2), so phi(d) = m forces d <= 2 m^2; a
+    cyclotomic polynomial is monic with constant term +-1, so no other
+    polynomial is compared.
 
     >>> cyclotomic_order(IntPoly('t^2 - t + 1'))
     6
@@ -362,7 +365,7 @@ def cyclotomic_order(f: IntPoly):
     True
     """
     m = f.degree
-    if m < 1:
+    if m < 1 or f.lc != 1 or abs(f.coeff(0)) != 1:
         return None
     for d in range(1, 2 * m * m + 2):
         if euler_phi(d) == m and cyclotomic(d) == f:
@@ -420,6 +423,25 @@ def u_image(p: IntPoly) -> IntPoly:
     if any(q.values()):
         raise InternalInvariantError("u-substitution did not terminate cleanly")
     return IntPoly(g)
+
+
+def dickson(k: int, u: Fraction) -> Fraction:
+    """D_k(u) for k >= 0: D_0 = 2, D_1 = u, D_(j+1) = u D_j - D_(j-1).
+
+    D_k(t + 1/t) = t^k + t^-k, so on the circle the u-coordinate of
+    omega^k is D_k of that of omega.
+
+    >>> dickson(3, Fraction(1))
+    Fraction(-2, 1)
+    """
+    if k < 0:
+        raise ValueError("Dickson index must be >= 0")
+    before, d = Fraction(2), Fraction(u)
+    if k == 0:
+        return before
+    for _ in range(k - 1):
+        before, d = d, u * d - before
+    return d
 
 
 # -- Sturm sequences and real root isolation ----------------------------------

@@ -121,11 +121,6 @@ class ExactMatrix:
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)],
                    kind=kind)
 
-    @classmethod
-    def zeros(cls, m: int, n: int, kind: str = "rational") -> "ExactMatrix":
-        zero = _zero_like(kind)
-        return cls([[zero] * n for _ in range(m)], kind=kind)
-
     def to_laurent(self) -> "ExactMatrix":
         if self._kind == "laurent":
             return self

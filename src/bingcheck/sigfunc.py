@@ -28,6 +28,27 @@ the gap.  B(omega(s)) has entries in Q(i) and rational Hermitian pivots, so
 no field of higher degree is needed.
 Values exactly at jump points are not part of the description; one-sided
 limits are available from the adjacent arcs.
+
+signature_function_of_matrix finds each nullity as a corank over Q[t]/(P)
+and each arc value as a Hermitian signature in Q(i).  The presentations of
+cables and J(p, q) are block sums of substituted forms B(t^k) of a few base
+forms B, and pullback_signature_function reads their function off the
+bases' own (Litherland, "Signatures of iterated torus knots", 1979):
+(B(t^k))(omega) = B(omega^k), and the u-coordinate of omega^k is D_k(u),
+with D_k the Dickson polynomial (D_0 = 2, D_1 = u, D_(j+1) = u D_j -
+D_(j-1)), so the block sum's function is the sum of the fn_B o D_k.
+
+  * Jumps and samples are found as above, from the block sum's factors.
+  * The nullity at the roots of a factor h adds, over the parts, the size
+    of B when h divides t^k - 1 (B(1) = 0), and else B's nullity at the
+    roots of the factor g of det B with h dividing g(t^k).
+  * The value at a sample u adds fn_B(D_k(u)) over the parts.  Each D_k(u)
+    is rational: the isolating intervals of B's jumps are refined until it
+    lies outside each, which places it in one arc of fn_B (fn_B(2) = 0 is
+    the value of the last arc).  A D_k(u) on a jump of B would be a root of
+    det, never a sample, so it raises.
+
+No matrix but the bases' is evaluated or reduced over a factor field.
 """
 
 from __future__ import annotations
@@ -37,13 +58,14 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import InternalInvariantError
-from .intpoly import IntPoly, RootInterval, sturm_isolate, u_image
+from .intpoly import IntPoly, RootInterval, dickson, pseudo_rem, sturm_isolate, u_image
 from .fields import cayley_point, evaluated_hermitian_signature, rank_over_factor
 
 __all__ = [
     "Arc",
     "JumpPoint",
     "SignatureFunction",
+    "pullback_signature_function",
     "same_step_function",
     "signature_function_of_matrix",
 ]
@@ -242,17 +264,17 @@ def _cayley_sample(lo: Fraction, hi: Fraction) -> Fraction:
     return s
 
 
-def signature_function_of_matrix(B, factors) -> SignatureFunction:
-    """SignatureFunction of a Hermitian Laurent ExactMatrix B with det != 0,
-    given the irreducible factors of det B as factor_rational(det B)[1]
-    lists them; t - 1 and t + 1 may be left out, having no root on the arc."""
-    n = B.rows
+def _step_function(factors, size, nullity_at, value_at) -> SignatureFunction:
+    """The SignatureFunction of a form of the given size whose det has the
+    irreducible factors `factors`: nullity_at(p) is its nullity at the
+    roots of the factor p, and value_at(s) its signature at the Cayley
+    point omega(s), which is not a root of det."""
     raw = []
     for p, g in circle_jump_factors(factors):
         roots = sturm_isolate(g, Fraction(-2), Fraction(2))
         if not roots:
             continue
-        nullity = n - rank_over_factor(B, p)
+        nullity = nullity_at(p)
         if nullity <= 0:
             raise InternalInvariantError("circle factor of det B with full rank")
         for r in roots:
@@ -274,11 +296,95 @@ def signature_function_of_matrix(B, factors) -> SignatureFunction:
     arcs = []
     for i in range(len(jumps) + 1):
         s = _cayley_sample(*_gap(ends[i], ends[i + 1]))
+        arcs.append(Arc(printable[i], printable[i + 1], value_at(s), s))
+    return SignatureFunction(arcs=tuple(arcs), jumps=jumps, size=size)
+
+
+def signature_function_of_matrix(B, factors) -> SignatureFunction:
+    """SignatureFunction of a Hermitian Laurent ExactMatrix B with det != 0,
+    given the irreducible factors of det B as factor_rational(det B)[1]
+    lists them; t - 1 and t + 1 may be left out, having no root on the arc.
+    Each nullity is a corank over Q[t]/(p), each arc value a Hermitian
+    signature in Q(i)."""
+    n = B.rows
+
+    def value_at(s):
         sig, nul = evaluated_hermitian_signature(B, cayley_point(s))
         if nul != 0:
             raise InternalInvariantError("arc sample landed on a singular point")
-        arcs.append(Arc(printable[i], printable[i + 1], sig, s))
-    return SignatureFunction(arcs=tuple(arcs), jumps=jumps, size=n)
+        return sig
+
+    return _step_function(factors, n, lambda p: n - rank_over_factor(B, p), value_at)
+
+
+_T_MINUS_ONE, _T_PLUS_ONE = IntPoly([-1, 1]), IntPoly([1, 1])
+
+
+def _divides_substituted(h: IntPoly, g: IntPoly, k: int) -> bool:
+    """Whether h divides g(t^k) over Q (h primitive of positive degree)."""
+    c = [0] * (g.degree * k + 1)
+    c[::k] = g.coeffs
+    f = IntPoly(c)
+    return f.degree >= h.degree and pseudo_rem(f, h).is_zero
+
+
+def _value_at(fn: SignatureFunction, v: Fraction) -> int:
+    """fn at a rational v in [-2, 2]: the value of the arc holding v.  Each
+    jump's isolating interval is refined until v lies outside it; v on a
+    jump raises.  v = 2 lies in the last arc, whose value is the form's
+    signature 0 at t = 1 when the form is that of a Seifert matrix A: near
+    1, B(omega)/|1 - omega| tends to a nonsingular multiple of i(A - A^T),
+    of signature 0, and B(1) = 0."""
+    below = 0
+    for j in fn.jumps:
+        r = j.root
+        while r.exact is None and r.lo < v < r.hi:
+            r = r.refine(r.width / 2)
+        if r.exact == v:
+            raise InternalInvariantError("pulled-back sample lands on a jump at u = %s" % v)
+        if r.hi > v:
+            break
+        below += 1
+    return fn.arcs[below].signature
+
+
+def pullback_signature_function(parts, factors) -> SignatureFunction:
+    """SignatureFunction of the block sum of the forms B(t^k), from each
+    B's own function: (B(t^k))(omega) = B(omega^k), and the u-coordinate of
+    omega^k is D_k(u), so the sum's function is the sum of fn_B o D_k.
+
+    `parts` holds (B, B's factors, fn_B, k) for k >= 1, B a Hermitian
+    Laurent form with B(1) = 0, its factors as signature_function_of_matrix
+    takes them, and fn_B its SignatureFunction; `factors` lists the
+    irreducible factors of the block sum's det.  The jumps and samples are
+    those signature_function_of_matrix would find.  At the roots of a
+    factor h, part k adds the size of B if h divides t^k - 1, B's nullity
+    at the roots of g if h divides g(t^k) for a circle factor g of det B,
+    and B's nullity at -1 if h divides t^k + 1 and t + 1 divides det B.
+    At a sample, part k adds fn_B(D_k(u)); no form but B is evaluated.
+    """
+
+    # per part, (g, nullity of B at the roots of g) for every g whose
+    # substituted g(t^k) can hold a circle factor of the sum
+    known = []
+    for b, base_factors, fn, k in parts:
+        pairs = [(_T_MINUS_ONE, fn.size)]
+        pairs += {j.factor: j.nullity for j in fn.jumps}.items()
+        if any(g == _T_PLUS_ONE for g, _ in base_factors):
+            pairs.append((_T_PLUS_ONE, b.rows - rank_over_factor(b, _T_PLUS_ONE)))
+        known.append((pairs, k))
+
+    def nullity_at(h):
+        # distinct irreducible g share no root, so at most one g(t^k) has h
+        return sum(next((nul for g, nul in pairs if _divides_substituted(h, g, k)), 0)
+                   for pairs, k in known)
+
+    def value_at(s):
+        u = 2 * (1 - s * s) / (1 + s * s)
+        return sum(_value_at(fn, dickson(k, u)) for _b, _f, fn, k in parts)
+
+    return _step_function(factors, sum(fn.size for _b, _f, fn, _k in parts),
+                          nullity_at, value_at)
 
 
 def _value_changes(fn: SignatureFunction):

@@ -10,7 +10,9 @@ a knot is B(t) = (1 - t) A + (1 - 1/t) A^T for a Seifert matrix A.
 The maps phi_n substitute t -> t^n; they are additive with respect to block
 sum.  The infection construction J(p, q) of a pattern on a companion K has
 Witt class phi_p W(K) + phi_{p+q} W(K) + phi_q W(K), realized here as the
-block sum of the three substituted presentations.
+block sum of the three substituted presentations.  Each presentation
+carries these parts, so its signature function is pulled back from the
+knot's own (sigfunc.pullback_signature_function).
 
 The obstruction battery collects necessary conditions for algebraic
 sliceness -- Fox-Milnor factorization, vanishing signature function, Arf
@@ -23,15 +25,20 @@ algebraically slice.  NO_OBSTRUCTION_FOUND never claims sliceness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import AdmissibilityError, InternalInvariantError
 from .laurent import LaurentPoly
-from .intpoly import IntPoly, cyclotomic_order
+from .intpoly import IntPoly, cyclotomic, cyclotomic_order
 from .factor import factor_rational, merge_factors
 from .matrices import ExactMatrix
-from .fields import cayley_point, evaluated_hermitian_signature, point_power
-from .sigfunc import SignatureFunction, same_step_function, signature_function_of_matrix
+from .fields import cayley_point, evaluated_hermitian_signature
+from .sigfunc import (
+    SignatureFunction,
+    pullback_signature_function,
+    same_step_function,
+    signature_function_of_matrix,
+)
 from .seifert import (
     SeifertMatrix,
     _arf_and_determinant,
@@ -66,15 +73,22 @@ _CERTIFICATE_ORDER = ("fox_milnor", "signature_function", "arf", "determinant_sq
 
 class WittPresentation:
     """Hermitian Laurent presentation with a coefficient-ring flag, its
-    order and the factor list of its order.  Only from_seifert, phi,
-    witt_sum and jpq_presentation build one, each deriving the order and
-    its factors with no det, so the constructor stores and checks nothing.
-    The class stays exported for type use."""
+    order, the factor list of its order and its parts.  Only from_seifert,
+    phi, witt_sum and jpq_presentation build one, each deriving the order
+    and its factors with no det, so the constructor stores and checks
+    nothing.  The class stays exported for type use.
 
-    __slots__ = ("_b", "_ring", "_order", "_factors")
+    The parts are (base, k) pairs: the presentation is the block sum of
+    phi_k(base) over them, in order, each base a from_seifert presentation,
+    whose own parts are ((base, 1),).  presentation_battery reads the
+    signature function off the bases' functions through them."""
 
-    def __init__(self, b: ExactMatrix, ring: str, order: LaurentPoly, factors: list):
+    __slots__ = ("_b", "_ring", "_order", "_factors", "_parts")
+
+    def __init__(self, b: ExactMatrix, ring: str, order: LaurentPoly, factors: list,
+                 parts: tuple = None):
         self._b, self._ring, self._order, self._factors = b, ring, order, factors
+        self._parts = ((self, 1),) if parts is None else parts
 
     @property
     def matrix(self) -> ExactMatrix:
@@ -97,6 +111,12 @@ class WittPresentation:
         """The order's irreducible factors with multiplicities, exactly as
         factor_rational(self.order())[1] lists them."""
         return self._factors
+
+    @property
+    def parts(self) -> tuple:
+        """(base, k) pairs: the presentation is the block sum of the
+        phi_k(base); a from_seifert presentation is its own base, k = 1."""
+        return self._parts
 
     def __eq__(self, other):
         if not isinstance(other, WittPresentation):
@@ -133,7 +153,8 @@ def _knot_presentation(s: SeifertMatrix, delta: LaurentPoly, factors) -> WittPre
 
 def phi(p: WittPresentation, n: int) -> WittPresentation:
     """Substitute t -> t^n (n >= 1).  Additive, preserves Hermitian-ness;
-    the order becomes the substituted order up to units.
+    the order becomes the substituted order up to units, and each part
+    (base, k) becomes (base, k n).
 
     The factor list is derived, not recomputed from the order: each
     irreducible factor g of multiplicity m contributes the factors of
@@ -145,23 +166,39 @@ def phi(p: WittPresentation, n: int) -> WittPresentation:
     if n == 1:
         return p
     factors = merge_factors(*(
-        [(h, m * k) for h, k in factor_rational(g.to_laurent().substitute_power(n))[1]]
-        for g, m in p.factors()
+        [(h, m * k) for h, k in _substituted_factors(g, n)] for g, m in p.factors()
     ))
     return WittPresentation(
-        p.matrix.substitute_power(n), p.ring, p.order().substitute_power(n), factors
+        p.matrix.substitute_power(n), p.ring, p.order().substitute_power(n), factors,
+        tuple((base, k * n) for base, k in p.parts),
     )
+
+
+def _substituted_factors(g: IntPoly, n: int):
+    """factor_rational(g(t^n))[1] for an irreducible g.
+
+    A cyclotomic g = Phi_d is not factored: with n = n1 n2, every prime of
+    n1 dividing d and n2 prime to d, Phi_d(t^n1) = Phi_(d n1), and
+    Phi_(d n1)(t^n2) is the product of the Phi_(d n1 e) over e | n2."""
+    d = cyclotomic_order(g)
+    if d is None:
+        return factor_rational(g.to_laurent().substitute_power(n))[1]
+    n1, n2 = 1, n
+    while (c := gcd(n2, d)) > 1:
+        n1, n2 = n1 * c, n2 // c
+    return merge_factors([(cyclotomic(d * n1 * e), 1) for e in range(1, n2 + 1) if n2 % e == 0])
 
 
 def witt_sum(p1: WittPresentation, p2: WittPresentation) -> WittPresentation:
     """Block sum; realizes addition of Witt classes.  The ring flag is Q
     if either summand's is.  The order is the product of the orders, and
     its factor list merges the summands' lists (equal primitive factors add
-    their multiplicities), with no factorization."""
+    their multiplicities), with no factorization.  The parts are p1's
+    followed by p2's."""
     ring = "Q" if "Q" in (p1.ring, p2.ring) else "Z"
     return WittPresentation(
         p1.matrix.block_sum(p2.matrix), ring, p1.order() * p2.order(),
-        merge_factors(p1.factors(), p2.factors()),
+        merge_factors(p1.factors(), p2.factors()), p1.parts + p2.parts,
     )
 
 
@@ -240,14 +277,14 @@ class ObstructionReport:
             raise InternalInvariantError("no certificate without an obstruction")
 
 
-def _assemble_report(name, ring, order, factors, matrix, arf_value,
+def _assemble_report(name, ring, order, factors, sigfn, arf_value,
                      det_value) -> ObstructionReport:
-    """The battery on `order` and the presentation `matrix`, whose det is
-    order times +-t^k (t - 1)^m.  `factors` is factor_rational(order)[1],
-    which the caller already holds; t - 1 has no root on the open arc, so
-    that one list serves every test that reads factors."""
+    """The battery on `order` and the signature function `sigfn` of a
+    presentation whose det is order times +-t^k (t - 1)^m.  `factors` is
+    factor_rational(order)[1], which the caller already holds; t - 1 has no
+    root on the open arc, so that one list serves every test that reads
+    factors."""
     fm = fox_milnor(order, factors)
-    sigfn = signature_function_of_matrix(matrix, factors)
     failures = {
         "fox_milnor": not fm.passes,
         "signature_function": not sigfn.is_zero,
@@ -279,22 +316,45 @@ def obstruction_battery(s: SeifertMatrix) -> ObstructionReport:
     certificate."""
     arf_value, det_value = _arf_and_determinant(s) if s.integral else (None, None)
     delta = alexander(s)
+    factors = factor_rational(delta)[1]
     return _assemble_report(
         s.name or "(unnamed)",
         "Z" if s.integral else "Q",
         delta,
-        factor_rational(delta)[1],
-        s.seifert_form(),
+        factors,
+        signature_function_of_matrix(s.seifert_form(), factors),
         arf_value,
         det_value,
     )
 
 
-def presentation_battery(p: WittPresentation, name: str = "(presentation)") -> ObstructionReport:
+def _signature_function(p: WittPresentation, functions: dict) -> SignatureFunction:
+    """p's signature function, pulled back from its bases' functions; a
+    base missing from `functions` gets its own by the matrix path, added
+    there."""
+    for base, _ in p.parts:
+        if base not in functions:
+            functions[base] = signature_function_of_matrix(base.matrix, base.factors())
+    return pullback_signature_function(
+        [(base.matrix, base.factors(), functions[base], k) for base, k in p.parts],
+        p.factors(),
+    )
+
+
+def presentation_battery(p: WittPresentation, name: str = "(presentation)",
+                         functions: dict = None) -> ObstructionReport:
     """The battery applied to a bare presentation: the order det(B) takes
     the Alexander polynomial's role, Arf and determinant do not apply.  The
-    presentation carries its order's factor list, so nothing is factored."""
-    return _assemble_report(name, p.ring, p.order(), p.factors(), p.matrix, None, None)
+    presentation carries its order's factor list, so nothing is factored.
+
+    The signature function is pulled back from the bases' own functions
+    (sigfunc.pullback_signature_function): only a base's 2g x 2g form is
+    evaluated or reduced over a factor field, never p's matrix.
+    `functions` maps a base to its signature function; the bases it lacks
+    are added to it, so batteries that share one dict build each base's
+    function once."""
+    sigfn = _signature_function(p, {} if functions is None else functions)
+    return _assemble_report(name, p.ring, p.order(), p.factors(), sigfn, None, None)
 
 
 @dataclass(frozen=True)
@@ -310,15 +370,18 @@ class CrossCheck:
     telescoping: str  # "verified" | "violated" | "skipped"
 
 
-def _additive_j_battery(b, phi_of, p: int, q: int) -> ObstructionReport:
+def _additive_j_battery(phi_of, functions, p: int, q: int) -> ObstructionReport:
     """The battery of J(p, q), with its signature additivity checked at its
-    own arc samples: at omega = cayley_point(s), J(omega) is the block sum of
-    the companion's form B at omega^k for k = p, p + q, q."""
-    report = presentation_battery(_jpq(phi_of, p, q))
+    own arc samples.  The battery pulls each arc value back from the
+    companion's function, as the sum of its values at D_k(u), k = p, p + q,
+    q; at each sample omega = cayley_point(s) that sum must equal the
+    signature of J's own matrix, evaluated in Q(i), with J(omega)
+    nonsingular."""
+    j = _jpq(phi_of, p, q)
+    report = presentation_battery(j, functions=functions)
     for arc in report.signature.arcs:
-        omega = cayley_point(arc.sample_angle)
-        parts = [evaluated_hermitian_signature(b, point_power(omega, k)) for k in (p, p + q, q)]
-        if (arc.signature, 0) != tuple(map(sum, zip(*parts))):
+        if evaluated_hermitian_signature(j.matrix, cayley_point(arc.sample_angle)) \
+                != (arc.signature, 0):
             raise InternalInvariantError(
                 "J(%d, %d) signature additivity failed at s = %s" % (p, q, arc.sample_angle)
             )
@@ -352,10 +415,13 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
     telescoping violation is itself an obstruction certificate.
 
     J(p, q) is built and its battery run once per unordered pair {p, q}.
-    Additivity is checked at that battery's own arc samples: at each Cayley
-    point omega the arc's value must equal the sum of the companion's form
-    evaluated at omega^k, k = p, p + q, q.  Every matrix is evaluated at
-    Cayley points and their powers, all in Q(i).  K's presentation reuses
+    Every signature function but K's own is pulled back from K's, which is
+    the battery's (battery.signature): only K's 2g x 2g form goes through
+    the matrix path.  Additivity is checked at each J battery's own arc
+    samples: at each Cayley point omega the pulled-back arc value must
+    equal the signature of J's matrix at omega, evaluated in Q(i).  The
+    telescoping functions phi_k are pulled back too; phi_0 is the zero
+    pairing, whose function vanishes identically.  K's presentation reuses
     the battery's Delta and its factors: one Alexander det, one factoring.
     """
     if not s.integral:
@@ -364,21 +430,17 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
         raise ValueError("cross-check range must be >= 1")
     battery = obstruction_battery(s)
     base = _knot_presentation(s, battery.alexander, battery.factors)
-    b = base.matrix
+    # every function below is pulled back from the battery's, K's own
+    functions = {base: battery.signature}
     # the J(p, q) block sums and the telescoping check read one phi_k each
     phi_of = _phis_of(base)
     # signature function of phi_k(base) by k, each built once; B(1) = 0 makes
     # phi_0 the zero pairing, whose function vanishes identically
-    phi_functions = {1: battery.signature}
+    phi_functions = {0: pullback_signature_function((), []), 1: battery.signature}
 
     def phi_function(k):
         if k not in phi_functions:
-            if k == 0:
-                m, factors = ExactMatrix.zeros(0, 0, kind="laurent"), []
-            else:
-                pres = phi_of(k)
-                m, factors = pres.matrix, pres.factors()
-            phi_functions[k] = signature_function_of_matrix(m, factors)
+            phi_functions[k] = _signature_function(phi_of(k), functions)
         return phi_functions[k]
 
     crosschecks = []
@@ -390,7 +452,7 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
         for q in range(1, check_range + 1):
             pair = (min(p, q), max(p, q))
             if pair not in j_battery_of:
-                j_battery_of[pair] = _additive_j_battery(b, phi_of, *pair)
+                j_battery_of[pair] = _additive_j_battery(phi_of, functions, *pair)
             j_battery = j_battery_of[pair]
             if j_battery.verdict == NO_OBSTRUCTION_FOUND and j_battery.signature.is_zero:
                 if q not in telescoping_of:

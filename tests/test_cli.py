@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import bingcheck
+from bingcheck import cli
 from bingcheck.catalog import parse_seifert
 from bingcheck.cli import main
 from bingcheck.errors import InternalInvariantError
@@ -131,6 +132,28 @@ class TestKnotCommands:
         assert code == 0
         assert "check_range = 1\n" in out
         assert out.count("crosscheck_") == 1
+
+
+class TestSizeBounds:
+    @pytest.mark.parametrize("argv, bound", [
+        (["cable", "-n", "100000", "3_1"], "bound 64"),
+        (["cable", "-n", "65", "3_1"], "bound 64"),
+        (["jpq", "-p", "3", "-q", "99999", "3_1"], "bound 64"),
+        (["jpq", "-p", "32", "-q", "33", "3_1"], "bound 64"),
+        (["bing", "--range", "99999", "3_1"], "bound 8"),
+        (["bing", "--range", "9", "3_1"], "bound 8"),
+    ], ids=["cable-huge", "cable-next", "jpq-huge", "jpq-next", "bing-huge", "bing-next"])
+    def test_above_the_bound_exits_2_at_once(self, capsys, monkeypatch, argv, bound):
+        # the bound is checked before any work: nothing is even loaded
+        monkeypatch.setattr(cli, "_load_seifert", None)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and bound in err
+
+    def test_the_bounds_themselves_are_accepted(self, capsys):
+        assert (cli.MAX_POWER, cli.MAX_RANGE) == (64, 8)
+        code, out, _ = run(capsys, "jpq", "-p", "1", "-q", "63", "6_1")
+        assert code == 0 and out.startswith("name = J(1,63) of 6_1\n")
 
 
 class TestCatalogAndBatch:

@@ -18,11 +18,10 @@ from bingcheck.fields import (
     cos_enclosure,
     cyclotomic_field,
     evaluated_hermitian_signature,
-    point_power,
     rank_over_factor,
     root_of_unity,
 )
-from bingcheck.intpoly import IntPoly
+from bingcheck.intpoly import IntPoly, dickson
 from bingcheck.laurent import LaurentPoly, parse_poly
 from bingcheck.matrices import ExactMatrix
 
@@ -394,15 +393,17 @@ class TestPointPower:
     @given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
     def test_cayley_powers_match_dickson_and_numpy(self, num, den, k):
+        # u(omega^k) = D_k(u(omega)) at the Cayley point omega, with omega^k
+        # multiplied out here as an exact pair (re, im)
         s = Fraction(num, den)
-        q, (re, im) = point_power(cayley_point(s), k)
+        q, omega = cayley_point(s)
         assert q == 4
-        # u(omega^k) = D_k(u(omega)): D_0 = 2, D_1 = u, D_j+1 = u D_j - D_j-1
+        re, im = Fraction(1), Fraction(0)
+        for _ in range(k):
+            re, im = re * omega[0] - im * omega[1], re * omega[1] + im * omega[0]
         u = 2 * (1 - s * s) / (1 + s * s)
-        dickson = [Fraction(2), u]
-        while len(dickson) <= k:
-            dickson.append(u * dickson[-1] - dickson[-2])
-        assert 2 * re == dickson[k]
+        assert u == 2 * omega[0]
+        assert dickson(k, u) == 2 * re
         z = complex(re, im)
         assert abs(z - ((1 + 1j * float(s)) / (1 - 1j * float(s))) ** k) < 1e-9
 

@@ -161,7 +161,7 @@ class TestSymSignature:
     def test_frozen(self):
         assert ExactMatrix([[-2, 1], [1, -2]]).sym_signature() == (-2, 0)
         assert ExactMatrix([[0, 1], [1, 0]]).sym_signature() == (0, 0)
-        assert ExactMatrix.zeros(3, 3).sym_signature() == (0, 3)
+        assert ExactMatrix([[0] * 3 for _ in range(3)]).sym_signature() == (0, 3)
         assert ExactMatrix([]).sym_signature() == (0, 0)
 
     def test_asymmetric_rejected(self):

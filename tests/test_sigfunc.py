@@ -21,6 +21,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from bingcheck.catalog import builtin_catalog
 from bingcheck.factor import factor_rational
 import bingcheck.fields as fields
+import bingcheck.witt as witt_module
 from bingcheck.fields import (
     cayley_point,
     cos_enclosure,
@@ -40,7 +41,13 @@ from bingcheck.sigfunc import (
     same_step_function,
     signature_function_of_matrix,
 )
-from bingcheck.witt import from_seifert, phi, witt_sum
+from bingcheck.witt import (
+    from_seifert,
+    jpq_presentation,
+    phi,
+    presentation_battery,
+    witt_sum,
+)
 
 TREFOIL = [[-1, 1], [0, -1]]
 FIGURE_EIGHT = [[1, 1], [0, -1]]
@@ -388,7 +395,7 @@ class TestGivenFactors:
 
 class TestEmptyMatrix:
     def test_zero_by_zero(self):
-        B = ExactMatrix.zeros(0, 0, kind="laurent")
+        B = ExactMatrix([], kind="laurent")
         f = signature_function_of_matrix(B, factor_list(B.det()))
         assert f.arc_rows() == [(Fraction(-2), Fraction(2), 0)]
         assert f.is_zero and f.jumps == ()
@@ -461,13 +468,76 @@ class TestCayleySample:
             assert u_of(Fraction(p, r)) <= lo, Fraction(p, r)
 
 
+def assert_pullback_is_matrix_path(pres):
+    """The battery's function, pulled back from the bases' own, equals the
+    matrix path's on the whole presentation, field for field."""
+    assert presentation_battery(pres).signature \
+        == signature_function_of_matrix(pres.matrix, pres.factors())
+
+
+class TestPullback:
+    @given(admissible_forms(3), st.integers(1, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_phi(self, s, k):
+        assert_pullback_is_matrix_path(phi(from_seifert(s), k))
+
+    @given(admissible_forms(3), st.integers(1, 3), st.integers(1, 3))
+    @example(SeifertMatrix(T25), 2, 2)
+    @settings(max_examples=15, deadline=None)
+    def test_jpq(self, s, p, q):
+        assert_pullback_is_matrix_path(jpq_presentation(s, p, q))
+
+    @given(admissible_forms(3), admissible_forms(3), st.integers(1, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_witt_sum_with_a_mirror(self, s1, s2, k):
+        # with s2 = s1 every jump of one summand is a jump of the other
+        for other in (s1, s2):
+            assert_pullback_is_matrix_path(
+                witt_sum(phi(from_seifert(s1), k), from_seifert(mirror(other))))
+
+    def test_unknot(self):
+        unknot = from_seifert(SeifertMatrix([]))
+        for pres in (unknot, phi(unknot, 3), jpq_presentation(SeifertMatrix([]), 1, 2),
+                     witt_sum(unknot, phi(from_seifert(SeifertMatrix(TREFOIL)), 2))):
+            assert_pullback_is_matrix_path(pres)
+        assert presentation_battery(phi(unknot, 3)).signature.arc_rows() \
+            == [(Fraction(-2), Fraction(2), 0)]
+
+    def test_base_singular_at_minus_one(self):
+        # Delta = (t + 1)^2 / 4 and B(-1) = 2(A + A^T) has rank 1: a factor
+        # h of t^k + 1 takes its nullity from B at -1
+        s = SeifertMatrix([[Fraction(1, 2), 1], [0, Fraction(1, 2)]])
+        base = from_seifert(s)
+        for pres in (phi(base, 2), phi(base, 4), jpq_presentation(s, 2, 2),
+                     jpq_presentation(s, 1, 3)):
+            assert_pullback_is_matrix_path(pres)
+        assert presentation_battery(phi(base, 2)).signature.jump_rows() \
+            == [(Fraction(0), Fraction(0), 1)]
+
+    def test_a_base_function_is_built_once(self, monkeypatch):
+        built = []
+        original = signature_function_of_matrix
+
+        def counting(B, factors):
+            built.append(B)
+            return original(B, factors)
+
+        monkeypatch.setattr(witt_module, "signature_function_of_matrix", counting)
+        base = from_seifert(SeifertMatrix(TREFOIL))
+        functions = {}
+        for pres in (phi(base, 2), witt_sum(phi(base, 3), base)):
+            presentation_battery(pres, functions=functions)
+        assert built == [base.matrix] and list(functions) == [base]
+
+
 class TestAgainstRootOfUnitySampler:
     @given(admissible_forms(3), st.integers(1, 3))
     @settings(max_examples=20, deadline=None)
     def test_arc_values_match_cyclotomic_evaluation(self, s, n):
         # each arc's Q(i) value equals B at a root of unity in the same arc
+        # the battery pulls f back from the function of the form of s
         pres = phi(from_seifert(s), n)
-        f = function_of(pres)
+        f = presentation_battery(pres).signature
         ends = [None] + [j.root for j in f.jumps] + [None]
         for arc, left, right in zip(f.arcs, ends, ends[1:]):
             theta = sample_angle_oracle(*_gap(left, right))

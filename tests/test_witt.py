@@ -4,16 +4,17 @@ Bing-double verdict."""
 import dataclasses
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bingcheck.errors import AdmissibilityError, InternalInvariantError
-from bingcheck.factor import factor_rational
+from bingcheck.factor import factor_rational, merge_factors
 from bingcheck.intpoly import IntPoly, cyclotomic, euler_phi
 from bingcheck.laurent import LaurentPoly, dense_divmod, parse_poly, normalize_unit
 from bingcheck.matrices import ExactMatrix
-from bingcheck import fields, witt
+from bingcheck import fields, sigfunc, witt
 from bingcheck.fields import evaluated_hermitian_signature, root_of_unity
 from bingcheck.sigfunc import signature_function_of_matrix
 from bingcheck.seifert import (
@@ -332,6 +333,39 @@ class TestVerdictFactorArguments:
         assert max(f.max_exp - f.min_exp for f in factored) <= 2 * check_range * widest
 
 
+class TestCyclotomicSubstitution:
+    """phi factors Phi_d(t^k) by closed form: the product of the
+    Phi_(d k1 e) over e | k2, with k = k1 k2, every prime of k1 dividing d
+    and k2 prime to d."""
+
+    GRID = [(d, k) for d in range(1, 61) for k in range(1, 13)]
+
+    def test_equals_factor_rational(self):
+        # Zassenhaus is the oracle up to degree 24 (Phi_60(t^12), of degree
+        # 192, alone takes minutes)
+        for d, k in self.GRID:
+            if euler_phi(d) * k <= 24:
+                substituted = cyclotomic(d).to_laurent().substitute_power(k)
+                assert witt._substituted_factors(cyclotomic(d), k) \
+                    == factor_rational(substituted)[1], (d, k)
+
+    def test_whole_grid_by_orders_of_roots(self):
+        # omega of order m has omega^k of order m / gcd(m, k): the roots of
+        # Phi_d(t^k) are those of the Phi_m with m | d k and m / gcd(m, k) = d
+        for d, k in self.GRID:
+            orders = [m for m in range(1, d * k + 1)
+                      if (d * k) % m == 0 and m // gcd(m, k) == d]
+            assert witt._substituted_factors(cyclotomic(d), k) \
+                == merge_factors([(cyclotomic(m), 1) for m in orders]), (d, k)
+
+    def test_phi_factors_a_cyclotomic_without_zassenhaus(self, monkeypatch):
+        base = from_seifert(TREFOIL)
+        factored = count_calls(monkeypatch, factor_rational)
+        phi(base, 12)
+        # Phi_6(t^12) = Phi_72, and (t - 1)^2 gives the Phi_e, e | 12
+        assert factored == []
+
+
 @st.composite
 def admissible_forms(draw, max_genus=3):
     """Integral Seifert matrices of genus 1 to `max_genus` with A - A^T the
@@ -505,7 +539,8 @@ class TestVerdictReadsEachPhiOnce:
         return (count_calls(monkeypatch, signature_function_of_matrix),
                 count_calls(monkeypatch, factor_rational))
 
-    @pytest.mark.parametrize("s, most_functions", [(STEVEDORE, 11), (TREFOIL, 7)],
+    # the battery's function, of K's own form: every other is pulled back
+    @pytest.mark.parametrize("s, most_functions", [(STEVEDORE, 1), (TREFOIL, 1)],
                              ids=["6_1", "3_1"])
     def test_counts_at_range_three(self, calls, s, most_functions):
         functions, factored = calls
@@ -565,8 +600,8 @@ class TestAdditivityAtArcSamples:
         assert len(arcs) > 1
         original = witt.presentation_battery
         for i in range(len(arcs)):
-            def shifted(p, i=i):
-                report = original(p)
+            def shifted(p, i=i, **kwargs):
+                report = original(p, **kwargs)
                 moved = list(report.signature.arcs)
                 moved[i] = dataclasses.replace(moved[i], signature=moved[i].signature + 2)
                 signature = dataclasses.replace(report.signature, arcs=tuple(moved))
@@ -575,6 +610,51 @@ class TestAdditivityAtArcSamples:
             monkeypatch.setattr(witt, "presentation_battery", shifted)
             with pytest.raises(InternalInvariantError, match=r"J\(1, 1\)"):
                 bing_double_verdict(TREFOIL, 1)
+
+
+class TestPullbackInVerdict:
+    """A verdict evaluates, and reduces over factor fields, only the
+    companion's 2g x 2g form: every other signature function is pulled
+    back from the battery's."""
+
+    @pytest.mark.parametrize("s, check_range", [
+        (TREFOIL, 3), (FIGURE_EIGHT, 3), (STEVEDORE, 3),
+        (connected_sum(TREFOIL, mirror(TREFOIL)), 2),
+    ], ids=["3_1", "4_1", "6_1", "3_1#-3_1"])
+    def test_only_the_companion_form_takes_the_matrix_path(self, monkeypatch, s, check_range):
+        functions = count_calls(monkeypatch, signature_function_of_matrix)
+        ranked = count_calls(monkeypatch, fields.rank_over_factor)
+        fields._whole_rank_over_factor.cache_clear()
+        bing_double_verdict(s, check_range)
+        form = s.seifert_form()
+        assert functions == [form]
+        assert all(m == form for m in ranked)
+        # a jump of the companion's function is a rank over its factor
+        assert bool(ranked) == bool(obstruction_battery(s).signature.jumps)
+
+    def test_shifted_base_arc_raises(self, monkeypatch):
+        # every J arc value is pulled back from the battery's function:
+        # shifting any one of its arcs by 2 must fail additivity
+        arcs = obstruction_battery(TREFOIL).signature.arcs
+        assert len(arcs) > 1
+        original = witt.obstruction_battery
+        for i in range(len(arcs)):
+            def shifted(s, i=i):
+                report = original(s)
+                moved = list(report.signature.arcs)
+                moved[i] = dataclasses.replace(moved[i], signature=moved[i].signature + 2)
+                signature = dataclasses.replace(report.signature, arcs=tuple(moved))
+                return dataclasses.replace(report, signature=signature)
+
+            monkeypatch.setattr(witt, "obstruction_battery", shifted)
+            with pytest.raises(InternalInvariantError, match=r"J\(1, 1\)"):
+                bing_double_verdict(TREFOIL, 1)
+
+    def test_sample_on_a_base_jump_raises(self, monkeypatch):
+        # D_k(u) forced onto the trefoil's exact jump u = 1
+        monkeypatch.setattr(sigfunc, "dickson", lambda k, u: Fraction(1))
+        with pytest.raises(InternalInvariantError, match="lands on a jump"):
+            presentation_battery(phi(from_seifert(TREFOIL), 2))
 
 
 class TestObstructionBattery:
