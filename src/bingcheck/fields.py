@@ -60,9 +60,9 @@ def cos_enclosure(a: Fraction, bits: int):
     For a = k/q in lowest terms with q >= 3, 2cos(2*pi*k/q) is a root of
     the u-image of Phi_q, whose roots are the 2cos(2*pi*j/q) for the j prime
     to q in [1, q/2), ascending as j falls; that root's isolating interval
-    is refined and halved.  Rational cosines (q = 1, 2, 3, 4, 6) come back
-    exactly as a zero-width interval, so sign decisions never stall on an
-    enclosure that straddles the true value.
+    (the roots are isolated once per q) is refined and halved.  Rational cosines (q = 1,
+    2, 3, 4, 6) come back exactly as a zero-width interval, so sign
+    decisions never stall on an enclosure that straddles the true value.
     """
     a = a - (a.numerator // a.denominator)  # reduce mod 1 into [0, 1)
     k, q = a.numerator, a.denominator
@@ -71,9 +71,15 @@ def cos_enclosure(a: Fraction, bits: int):
         return c, c
     j = min(k, q - k)
     index = sum(1 for i in range(j + 1, (q + 1) // 2) if gcd(i, q) == 1)
-    root = sturm_isolate(u_image(cyclotomic(q)), -2, 2)[index]
-    root = root.refine(Fraction(2, 2 ** bits))
+    root = _cos_roots(q)[index].refine(Fraction(2, 2 ** bits))
     return root.lo / 2, root.hi / 2
+
+
+@lru_cache(maxsize=None)
+def _cos_roots(q: int) -> tuple:
+    """The roots of the u-image of Phi_q, ascending, isolated once per q
+    for every numerator and precision of cos_enclosure."""
+    return tuple(sturm_isolate(u_image(cyclotomic(q)), -2, 2))
 
 
 # -- quotient fields of Q[x] ---------------------------------------------------

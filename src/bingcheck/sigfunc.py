@@ -30,10 +30,12 @@ Values exactly at jump points are not part of the description; one-sided
 limits are available from the adjacent arcs.
 
 signature_function_of_matrix finds each nullity as a corank over Q[t]/(P)
-and each arc value as a Hermitian signature in Q(i).  The presentations of
-cables and J(p, q) are block sums of substituted forms B(t^k) of a few base
-forms B, and pullback_signature_function reads their function off the
-bases' own (Litherland, "Signatures of iterated torus knots", 1979):
+and each arc value as a Hermitian signature in Q(i); a Witt presentation
+calls it only on its bases' forms, each once.  A presentation is a formal
+sum of parts (B, k), the block sum of the substituted forms B(t^k) of a
+few base forms B (a cable has one part, J(p, q) three), and
+pullback_signature_function reads its function off the bases' own
+(Litherland, "Signatures of iterated torus knots", 1979):
 (B(t^k))(omega) = B(omega^k), and the u-coordinate of omega^k is D_k(u),
 with D_k the Dickson polynomial (D_0 = 2, D_1 = u, D_(j+1) = u D_j -
 D_(j-1)), so the block sum's function is the sum of the fn_B o D_k.

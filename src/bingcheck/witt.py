@@ -1,18 +1,17 @@
 """Witt presentations over the Laurent ring and the Bing-double obstruction
 pipeline.
 
-A Witt presentation is a square Laurent-polynomial matrix B with nonzero
-determinant that is Hermitian for the involution t -> 1/t (B(t)^T = B(1/t)
-entrywise), together with a coefficient-ring flag, Z (integral) or Q, its
-order det B (up to units) and the order's factor list.  The presentation of
-a knot is B(t) = (1 - t) A + (1 - 1/t) A^T for a Seifert matrix A.
-
-The maps phi_n substitute t -> t^n; they are additive with respect to block
-sum.  The infection construction J(p, q) of a pattern on a companion K has
-Witt class phi_p W(K) + phi_{p+q} W(K) + phi_q W(K), realized here as the
-block sum of the three substituted presentations.  Each presentation
-carries these parts, so its signature function is pulled back from the
-knot's own (sigfunc.pullback_signature_function).
+A knot's base is its own record: the Seifert form B(t) = (1 - t) A +
+(1 - 1/t) A^T of a Seifert matrix A, a square Laurent matrix, Hermitian for
+the involution t -> 1/t (B(t)^T = B(1/t) entrywise), with a coefficient-ring
+flag, Z (integral) or Q, and the factor list of Delta.  A Witt presentation
+is a formal sum of parts (base, k), standing for the block sum of the
+substituted forms phi_k B = B(t^k).  The paper's argument works on such
+sums: the infection J(p, q) of a pattern on a companion K has Witt class
+phi_p W(K) + phi_{p+q} W(K) + phi_q W(K).  So phi_n multiplies each k by n
+and block sum concatenates the parts; the ring, matrix, order and factor
+list are read off the parts, and the signature function is pulled back
+from each base's own (sigfunc.pullback_signature_function).
 
 The obstruction battery collects necessary conditions for algebraic
 sliceness -- Fox-Milnor factorization, vanishing signature function, Arf
@@ -25,7 +24,9 @@ algebraically slice.  NO_OBSTRUCTION_FOUND never claims sliceness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, isqrt
+from operator import mul
 
 from .errors import AdmissibilityError, InternalInvariantError
 from .laurent import LaurentPoly
@@ -70,108 +71,41 @@ NO_OBSTRUCTION_FOUND = "NO_OBSTRUCTION_FOUND"
 # fixed battery order; the first failing test becomes the certificate
 _CERTIFICATE_ORDER = ("fox_milnor", "signature_function", "arf", "determinant_square")
 
-
-class WittPresentation:
-    """Hermitian Laurent presentation with a coefficient-ring flag, its
-    order, the factor list of its order and its parts.  Only from_seifert,
-    phi, witt_sum and jpq_presentation build one, each deriving the order
-    and its factors with no det, so the constructor stores and checks
-    nothing.  The class stays exported for type use.
-
-    The parts are (base, k) pairs: the presentation is the block sum of
-    phi_k(base) over them, in order, each base a from_seifert presentation,
-    whose own parts are ((base, 1),).  presentation_battery reads the
-    signature function off the bases' functions through them."""
-
-    __slots__ = ("_b", "_ring", "_order", "_factors", "_parts")
-
-    def __init__(self, b: ExactMatrix, ring: str, order: LaurentPoly, factors: list,
-                 parts: tuple = None):
-        self._b, self._ring, self._order, self._factors = b, ring, order, factors
-        self._parts = ((self, 1),) if parts is None else parts
-
-    @property
-    def matrix(self) -> ExactMatrix:
-        return self._b
-
-    @property
-    def ring(self) -> str:
-        return self._ring
-
-    @property
-    def size(self) -> int:
-        return self._b.rows
-
-    def order(self) -> LaurentPoly:
-        """Normalized determinant: the order of the presented torsion module
-        (up to units)."""
-        return self._order
-
-    def factors(self) -> list:
-        """The order's irreducible factors with multiplicities, exactly as
-        factor_rational(self.order())[1] lists them."""
-        return self._factors
-
-    @property
-    def parts(self) -> tuple:
-        """(base, k) pairs: the presentation is the block sum of the
-        phi_k(base); a from_seifert presentation is its own base, k = 1."""
-        return self._parts
-
-    def __eq__(self, other):
-        if not isinstance(other, WittPresentation):
-            return NotImplemented
-        return self._b == other._b and self._ring == other._ring
-
-    def __hash__(self):
-        return hash((self._b, self._ring))
-
-    def __repr__(self):
-        return "WittPresentation(size=%d, ring=%s)" % (self.size, self._ring)
+_T_MINUS_ONE = IntPoly([-1, 1])
 
 
-def from_seifert(s: SeifertMatrix) -> WittPresentation:
-    """B(t) = (1 - t) A + (1 - 1/t) A^T with ring Z (integral) or Q.  For
-    even size n, det B = (1 - t)^n t^-n Delta: the order is (t - 1)^n Delta
-    and its factors are Delta's with (t - 1, n) added.
+class _Base:
+    """A knot's own record, built once: its Seifert form B, the integral
+    flag, Delta's factor list and B's order (t - 1)^n Delta, n the size of
+    B (det B is the order up to units).  It keeps B's signature function
+    and the factor list of each order(t^k) once computed."""
 
-    >>> str(from_seifert(SeifertMatrix([[-1, 1], [0, -1]])).order())
-    't^4 - 3t^3 + 4t^2 - 3t + 1'
-    """
-    delta = alexander(s)
-    return _knot_presentation(s, delta, factor_rational(delta)[1])
+    __slots__ = ("form", "integral", "delta_factors", "order", "_function", "_factors")
 
+    def __init__(self, s: SeifertMatrix, delta: LaurentPoly, factors, function=None):
+        n = s.size
+        self.form, self.integral, self.delta_factors = s.seifert_form(), s.integral, factors
+        self.order = _T_MINUS_ONE.to_laurent() ** n * delta
+        self._function = function
+        self._factors = {1: merge_factors(factors, [(_T_MINUS_ONE, n)] if n else [])}
 
-def _knot_presentation(s: SeifertMatrix, delta: LaurentPoly, factors) -> WittPresentation:
-    """from_seifert(s), given Delta = alexander(s) and its factor list."""
-    n, t_minus_one = s.size, IntPoly([-1, 1])
-    return WittPresentation(
-        s.seifert_form(), "Z" if s.integral else "Q", t_minus_one.to_laurent() ** n * delta,
-        merge_factors(factors, [(t_minus_one, n)] if n else []),
-    )
+    def signature_function(self) -> SignatureFunction:
+        """B's signature function, by the matrix path unless given."""
+        if self._function is None:
+            self._function = signature_function_of_matrix(self.form, self.delta_factors)
+        return self._function
 
-
-def phi(p: WittPresentation, n: int) -> WittPresentation:
-    """Substitute t -> t^n (n >= 1).  Additive, preserves Hermitian-ness;
-    the order becomes the substituted order up to units, and each part
-    (base, k) becomes (base, k n).
-
-    The factor list is derived, not recomputed from the order: each
-    irreducible factor g of multiplicity m contributes the factors of
-    g(t^n), with multiplicities scaled by m.  Distinct irreducible g have
-    no common root, so neither do their g(t^n), and the product of degree
-    n * deg(order) is never factored."""
-    if n < 1:
-        raise ValueError("phi needs n >= 1")
-    if n == 1:
-        return p
-    factors = merge_factors(*(
-        [(h, m * k) for h, k in _substituted_factors(g, n)] for g, m in p.factors()
-    ))
-    return WittPresentation(
-        p.matrix.substitute_power(n), p.ring, p.order().substitute_power(n), factors,
-        tuple((base, k * n) for base, k in p.parts),
-    )
+    def factors(self, k: int) -> list:
+        """factor_rational(order(t^k))[1], not recomputed from order(t^k):
+        each irreducible factor g of the order, of multiplicity m, adds the
+        factors of g(t^k) with multiplicities scaled by m.  Distinct
+        irreducible g have no common root, so neither do their g(t^k), and
+        the product is never factored."""
+        if k not in self._factors:
+            self._factors[k] = merge_factors(*(
+                [(h, m * j) for h, j in _substituted_factors(g, k)] for g, m in self._factors[1]
+            ))
+        return self._factors[k]
 
 
 def _substituted_factors(g: IntPoly, n: int):
@@ -189,44 +123,104 @@ def _substituted_factors(g: IntPoly, n: int):
     return merge_factors([(cyclotomic(d * n1 * e), 1) for e in range(1, n2 + 1) if n2 % e == 0])
 
 
+class WittPresentation:
+    """The block sum of the phi_k B = B(t^k) over its parts, the (base, k)
+    pairs, in order, each base a knot's own form B.  The parts are all it
+    stores; its ring, size, matrix, order and factor list are read off
+    them, the matrix built on each read.  Only from_seifert, phi, witt_sum,
+    jpq_presentation and the Bing verdict build one, and the constructor
+    checks nothing; the class stays exported for type use."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, parts: tuple):
+        self._parts = parts
+
+    @property
+    def parts(self) -> tuple:
+        return self._parts
+
+    @property
+    def ring(self) -> str:
+        return "Z" if all(base.integral for base, _ in self._parts) else "Q"
+
+    @property
+    def size(self) -> int:
+        return sum(base.form.rows for base, _ in self._parts)
+
+    @property
+    def matrix(self) -> ExactMatrix:
+        return reduce(ExactMatrix.block_sum,
+                      (base.form.substitute_power(k) for base, k in self._parts))
+
+    def order(self) -> LaurentPoly:
+        """Normalized determinant: the order of the presented torsion module
+        (up to units), the product of the bases' orders at t^k."""
+        return reduce(mul, (base.order.substitute_power(k) for base, k in self._parts))
+
+    def factors(self) -> list:
+        """The order's irreducible factors with multiplicities, exactly as
+        factor_rational(self.order())[1] lists them: the bases' lists at
+        t^k, merged."""
+        return merge_factors(*(base.factors(k) for base, k in self._parts))
+
+    def signature_function(self) -> SignatureFunction:
+        """Pulled back from the bases' own functions: only a base's form is
+        evaluated or reduced over a factor field."""
+        return pullback_signature_function(
+            [(base.form, base.delta_factors, base.signature_function(), k)
+             for base, k in self._parts],
+            self.factors(),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, WittPresentation):
+            return NotImplemented
+        return self.matrix == other.matrix and self.ring == other.ring
+
+    def __hash__(self):
+        return hash((self.matrix, self.ring))
+
+    def __repr__(self):
+        return "WittPresentation(size=%d, ring=%s)" % (self.size, self.ring)
+
+
+def from_seifert(s: SeifertMatrix) -> WittPresentation:
+    """The knot's own presentation, one part (base, 1): B(t) = (1 - t) A +
+    (1 - 1/t) A^T with ring Z (integral) or Q.  For even size n, det B =
+    (1 - t)^n t^-n Delta: the order is (t - 1)^n Delta and its factors are
+    Delta's with (t - 1, n) added.
+
+    >>> str(from_seifert(SeifertMatrix([[-1, 1], [0, -1]])).order())
+    't^4 - 3t^3 + 4t^2 - 3t + 1'
+    """
+    delta = alexander(s)
+    return WittPresentation(((_Base(s, delta, factor_rational(delta)[1]), 1),))
+
+
+def phi(p: WittPresentation, n: int) -> WittPresentation:
+    """Substitute t -> t^n (n >= 1): each part (base, k) becomes
+    (base, k n).  Additive, preserves Hermitian-ness."""
+    if n < 1:
+        raise ValueError("phi needs n >= 1")
+    if n == 1:
+        return p
+    return WittPresentation(tuple((base, k * n) for base, k in p.parts))
+
+
 def witt_sum(p1: WittPresentation, p2: WittPresentation) -> WittPresentation:
-    """Block sum; realizes addition of Witt classes.  The ring flag is Q
-    if either summand's is.  The order is the product of the orders, and
-    its factor list merges the summands' lists (equal primitive factors add
-    their multiplicities), with no factorization.  The parts are p1's
-    followed by p2's."""
-    ring = "Q" if "Q" in (p1.ring, p2.ring) else "Z"
-    return WittPresentation(
-        p1.matrix.block_sum(p2.matrix), ring, p1.order() * p2.order(),
-        merge_factors(p1.factors(), p2.factors()), p1.parts + p2.parts,
-    )
+    """Block sum, which realizes addition of Witt classes: p1's parts
+    followed by p2's.  The ring is Q if either summand's is."""
+    return WittPresentation(p1.parts + p2.parts)
 
 
 def jpq_presentation(s: SeifertMatrix, p: int, q: int) -> WittPresentation:
     """Presentation of the infection J(p, q) on companion S:
     phi_p + phi_{p+q} + phi_q of the knot's presentation."""
-    return _jpq(_phis_of(from_seifert(s)), p, q)
-
-
-def _phis_of(base: WittPresentation):
-    """k -> phi_k(base), each built once, so that each g(t^k) is factored
-    once however often k recurs."""
-    phis = {1: base}
-
-    def phi_of(k):
-        if k not in phis:
-            phis[k] = phi(base, k)
-        return phis[k]
-
-    return phi_of
-
-
-def _jpq(phi_of, p: int, q: int) -> WittPresentation:
-    """phi_p + phi_{p+q} + phi_q of the companion's presentation, with
-    phi_of(k) giving phi_k of it."""
     if p < 1 or q < 1:
         raise ValueError("J(p, q) needs p, q >= 1")
-    return witt_sum(phi_of(p), witt_sum(phi_of(p + q), phi_of(q)))
+    knot = from_seifert(s)
+    return witt_sum(phi(knot, p), witt_sum(phi(knot, p + q), phi(knot, q)))
 
 
 def cyclotomic_factors(factors):
@@ -328,33 +322,15 @@ def obstruction_battery(s: SeifertMatrix) -> ObstructionReport:
     )
 
 
-def _signature_function(p: WittPresentation, functions: dict) -> SignatureFunction:
-    """p's signature function, pulled back from its bases' functions; a
-    base missing from `functions` gets its own by the matrix path, added
-    there."""
-    for base, _ in p.parts:
-        if base not in functions:
-            functions[base] = signature_function_of_matrix(base.matrix, base.factors())
-    return pullback_signature_function(
-        [(base.matrix, base.factors(), functions[base], k) for base, k in p.parts],
-        p.factors(),
-    )
-
-
-def presentation_battery(p: WittPresentation, name: str = "(presentation)",
-                         functions: dict = None) -> ObstructionReport:
+def presentation_battery(p: WittPresentation, name: str = "(presentation)") -> ObstructionReport:
     """The battery applied to a bare presentation: the order det(B) takes
     the Alexander polynomial's role, Arf and determinant do not apply.  The
-    presentation carries its order's factor list, so nothing is factored.
-
-    The signature function is pulled back from the bases' own functions
-    (sigfunc.pullback_signature_function): only a base's 2g x 2g form is
-    evaluated or reduced over a factor field, never p's matrix.
-    `functions` maps a base to its signature function; the bases it lacks
-    are added to it, so batteries that share one dict build each base's
-    function once."""
-    sigfn = _signature_function(p, {} if functions is None else functions)
-    return _assemble_report(name, p.ring, p.order(), p.factors(), sigfn, None, None)
+    order's factor list is merged from the bases' lists, each g(t^k)
+    factored once per base, and the signature function is pulled back from
+    the bases' own: no matrix but a base's 2g x 2g form is evaluated or
+    reduced over a factor field, and no presentation matrix is built."""
+    return _assemble_report(name, p.ring, p.order(), p.factors(), p.signature_function(),
+                            None, None)
 
 
 @dataclass(frozen=True)
@@ -370,17 +346,18 @@ class CrossCheck:
     telescoping: str  # "verified" | "violated" | "skipped"
 
 
-def _additive_j_battery(phi_of, functions, p: int, q: int) -> ObstructionReport:
-    """The battery of J(p, q), with its signature additivity checked at its
-    own arc samples.  The battery pulls each arc value back from the
-    companion's function, as the sum of its values at D_k(u), k = p, p + q,
-    q; at each sample omega = cayley_point(s) that sum must equal the
-    signature of J's own matrix, evaluated in Q(i), with J(omega)
-    nonsingular."""
-    j = _jpq(phi_of, p, q)
-    report = presentation_battery(j, functions=functions)
+def _additive_j_battery(knot: WittPresentation, p: int, q: int) -> ObstructionReport:
+    """The battery of J(p, q) on the knot's presentation, with its signature
+    additivity checked at its own arc samples.  The battery pulls each arc
+    value back from the knot's function, as the sum of its values at
+    D_k(u), k = p, p + q, q; at each sample omega = cayley_point(s) that sum
+    must equal the signature of J's own matrix, evaluated in Q(i), with
+    J(omega) nonsingular."""
+    j = witt_sum(phi(knot, p), witt_sum(phi(knot, p + q), phi(knot, q)))
+    report = presentation_battery(j)
+    matrix = j.matrix
     for arc in report.signature.arcs:
-        if evaluated_hermitian_signature(j.matrix, cayley_point(arc.sample_angle)) \
+        if evaluated_hermitian_signature(matrix, cayley_point(arc.sample_angle)) \
                 != (arc.signature, 0):
             raise InternalInvariantError(
                 "J(%d, %d) signature additivity failed at s = %s" % (p, q, arc.sample_angle)
@@ -429,18 +406,17 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
     if check_range < 1:
         raise ValueError("cross-check range must be >= 1")
     battery = obstruction_battery(s)
-    base = _knot_presentation(s, battery.alexander, battery.factors)
-    # every function below is pulled back from the battery's, K's own
-    functions = {base: battery.signature}
-    # the J(p, q) block sums and the telescoping check read one phi_k each
-    phi_of = _phis_of(base)
-    # signature function of phi_k(base) by k, each built once; B(1) = 0 makes
+    # K's presentation, its base holding the battery's Delta, factors and
+    # function: every function below is pulled back from the battery's
+    knot = WittPresentation(
+        ((_Base(s, battery.alexander, battery.factors, battery.signature), 1),))
+    # signature function of phi_k(K) by k, each built once; B(1) = 0 makes
     # phi_0 the zero pairing, whose function vanishes identically
     phi_functions = {0: pullback_signature_function((), []), 1: battery.signature}
 
     def phi_function(k):
         if k not in phi_functions:
-            phi_functions[k] = _signature_function(phi_of(k), functions)
+            phi_functions[k] = phi(knot, k).signature_function()
         return phi_functions[k]
 
     crosschecks = []
@@ -452,7 +428,7 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
         for q in range(1, check_range + 1):
             pair = (min(p, q), max(p, q))
             if pair not in j_battery_of:
-                j_battery_of[pair] = _additive_j_battery(phi_of, functions, *pair)
+                j_battery_of[pair] = _additive_j_battery(knot, *pair)
             j_battery = j_battery_of[pair]
             if j_battery.verdict == NO_OBSTRUCTION_FOUND and j_battery.signature.is_zero:
                 if q not in telescoping_of:

@@ -24,6 +24,14 @@ method only as an Attribute, so a local variable that shares its name does
 not hide it.  Every name exempted from that rule must still be defined in
 the package, so a stale exemption cannot hide a later definition.
 
+The parameter check reads every defaulted parameter of every function,
+method and constructor the package defines and fails on any that no call
+in the package, the demos or the benchmark passes, by keyword or by
+position: a default nothing overrides is a constant behind a parameter.
+Calls are resolved by name alone (a method by its attribute name, a
+constructor by its class name); a call with ``*args`` or ``**kwargs``
+counts as passing every parameter it could reach.
+
 The tracer check resolves every layer target of ``perfbench/tracer.py``
 against the package, so a renamed or deleted traced function fails here
 rather than in a traced benchmark run.
@@ -45,6 +53,10 @@ INTEGER_MATH = {"gcd", "isqrt"}
 API_EXEMPT = {
     "error",  # cli's ArgumentParser.error override: argparse calls it
     "sym_signature",  # the independent rational oracle of tests/test_fields.py
+}
+# (function, parameter) defaults no call in READERS passes, kept on purpose
+DEFAULT_EXEMPT = {
+    ("main", "argv"),  # cli's entry point: the console script passes nothing, tests pass argv
 }
 
 
@@ -251,6 +263,109 @@ def test_no_stale_api_exemption():
     # definition of that name from the test-only API rule
     stale = stale_exemptions(API_EXEMPT, [p.read_text(encoding="utf-8") for p in PACKAGE])
     assert not stale, "API_EXEMPT names nothing the package defines: " + ", ".join(stale)
+
+
+def defaulted_parameters(source):
+    """(line, call name, parameter, position) for each parameter with a
+    default of each function in `source`.  The call name of a method is its
+    own and of __init__ its class's; position is the parameter's index
+    among the call's positional arguments (self left out of a method's),
+    None for a keyword-only one."""
+    tree = ast.parse(source)
+    owner = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = owner[id(node)] if node.name == "__init__" and id(node) in owner else node.name
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if id(node) in owner and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list) else 0
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            found.append((arg.lineno, name, arg.arg, i - skip))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((arg.lineno, name, arg.arg, None))
+    return sorted(found)
+
+
+def calls_made(source):
+    """call name -> list of (positional count, keyword names) of the calls
+    in `source`; a call with *args counts as passing every position
+    (count None), one with **kwargs every keyword (keyword names None)."""
+    calls = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = None if any(k.arg is None for k in node.keywords) \
+            else {k.arg for k in node.keywords}
+        calls.setdefault(name, []).append(
+            (None if starred else len(node.args), keywords))
+    return calls
+
+
+def never_passed(params, calls):
+    """(line, name, parameter) of the defaulted parameters no call passes."""
+    return [(line, name, param) for line, name, param, position in params
+            if not any(count is None or keywords is None or param in keywords
+                       or (position is not None and count > position)
+                       for count, keywords in calls.get(name, ()))]
+
+
+def test_checker_finds_unpassed_defaults():
+    source = (
+        "def battery(p, name='x', functions=None): pass\n"
+        "def verdict(s, check_range=3, *, strict=False): pass\n"
+        "class Base:\n"
+        "    def __init__(self, s, function=None): pass\n"
+        "    def factors(self, k=1): pass\n"
+        "    @staticmethod\n"
+        "    def make(k=1): pass\n"
+        "battery(1, name='y')\n"
+        "verdict(s, 2)\n"
+        "Base(s).factors(2)\n"
+        "Base.make(*ks)\n"
+        "battery(**options)\n"
+    )
+    calls = calls_made(source)
+    assert never_passed(defaulted_parameters(source), calls) == [
+        (2, "verdict", "strict"), (4, "Base", "function"),
+    ]
+    calls.pop("battery")
+    assert never_passed(defaulted_parameters(source), calls) == [
+        (1, "battery", "functions"), (1, "battery", "name"),
+        (2, "verdict", "strict"), (4, "Base", "function"),
+    ]
+
+
+def test_no_unpassed_defaults():
+    calls = {}
+    for path in READERS:
+        for name, made in calls_made(path.read_text(encoding="utf-8")).items():
+            calls.setdefault(name, []).extend(made)
+    missing = [
+        "%s:%d %s(%s)" % (path.relative_to(ROOT), line, name, param)
+        for path in PACKAGE
+        for line, name, param in never_passed(
+            defaulted_parameters(path.read_text(encoding="utf-8")), calls)
+        if (name, param) not in DEFAULT_EXEMPT
+    ]
+    assert not missing, "defaults no call overrides: " + ", ".join(missing)
+
+
+def test_no_stale_default_exemption():
+    params = {(name, param) for path in PACKAGE
+              for _, name, param, _ in defaulted_parameters(path.read_text(encoding="utf-8"))}
+    stale = sorted(DEFAULT_EXEMPT - params)
+    assert not stale, "DEFAULT_EXEMPT names no defaulted parameter: %s" % stale
 
 
 def test_tracer_targets_resolve():

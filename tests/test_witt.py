@@ -304,8 +304,8 @@ class TestOneFactorization:
         return count_calls(monkeypatch, factor_rational)
 
     def test_presentation_battery_factors_once(self, calls):
-        # the presentation factored its pieces when it was built and carries
-        # its order's factor list, so the battery factors nothing more
+        # the trefoil's Delta = Phi_6 and t - 1 are cyclotomic, so every
+        # g(t^k) of J comes in closed form and the battery factors nothing
         j = jpq_presentation(TREFOIL, 1, 2)
         calls.clear()
         r = presentation_battery(j)
@@ -317,6 +317,36 @@ class TestOneFactorization:
         assert calls == [alexander(STEVEDORE)]
         assert str(r.fox_milnor.witness) == "2t - 1"
         assert r.factors == tuple(factor_list(alexander(STEVEDORE)))
+
+
+class TestBuildersOnlyMoveParts:
+    """phi multiplies each k of the (base, k) parts and witt_sum
+    concatenates them: the matrix, order and factor list are read off the
+    parts, each g(t^k) factored at most once per base."""
+
+    def test_builders_compute_nothing(self, monkeypatch):
+        # 4_1's t^2 - 3t + 1 is not cyclotomic: factoring it would show
+        knot, other = from_seifert(FIGURE_EIGHT), from_seifert(STEVEDORE)
+        monkeypatch.setattr(witt, "from_seifert", lambda s: knot)
+        seen = [count_calls(monkeypatch, fn) for fn in (
+            ExactMatrix.substitute_power, ExactMatrix.block_sum, factor_rational,
+            LaurentPoly.__mul__)]
+        phi(knot, 3)
+        phi(phi(knot, 2), 5)
+        witt_sum(phi(knot, 2), phi(other, 3))
+        # J's block sum of the knot's phi_k
+        j = jpq_presentation(FIGURE_EIGHT, 1, 2)
+        assert seen == [[], [], [], []]
+        (base, _), = knot.parts
+        assert j.parts == ((base, 1), (base, 3), (base, 2))
+
+    def test_a_base_factors_each_substitution_once(self, monkeypatch):
+        knot = from_seifert(FIGURE_EIGHT)
+        factored = count_calls(monkeypatch, factor_rational)
+        for pres in (phi(knot, 2), witt_sum(phi(knot, 3), phi(knot, 2)), phi(knot, 3)):
+            presentation_battery(pres)
+        delta = alexander(FIGURE_EIGHT)
+        assert factored == [delta.substitute_power(2), delta.substitute_power(3)]
 
 
 class TestVerdictFactorArguments:
@@ -600,8 +630,8 @@ class TestAdditivityAtArcSamples:
         assert len(arcs) > 1
         original = witt.presentation_battery
         for i in range(len(arcs)):
-            def shifted(p, i=i, **kwargs):
-                report = original(p, **kwargs)
+            def shifted(p, i=i):
+                report = original(p)
                 moved = list(report.signature.arcs)
                 moved[i] = dataclasses.replace(moved[i], signature=moved[i].signature + 2)
                 signature = dataclasses.replace(report.signature, arcs=tuple(moved))
@@ -836,3 +866,14 @@ class TestBatteryProperties:
     def test_mirror_sum_invisible(self, s):
         r = obstruction_battery(connected_sum(s, mirror(s)))
         assert r.verdict == NO_OBSTRUCTION_FOUND
+
+    @given(admissible_forms(), st.integers(1, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_mirror_sum_invisible_past_genus_one(self, s, k):
+        # K # -K is slice, and phi_k(K) + phi_k(-K) is metabolic: neither
+        # may be obstructed, and both signature functions vanish
+        r = obstruction_battery(connected_sum(s, mirror(s)))
+        assert r.verdict == NO_OBSTRUCTION_FOUND and r.signature.is_zero
+        r = presentation_battery(
+            witt_sum(phi(from_seifert(s), k), phi(from_seifert(mirror(s)), k)))
+        assert r.verdict == NO_OBSTRUCTION_FOUND and r.signature.is_zero
