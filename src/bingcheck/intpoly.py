@@ -7,6 +7,12 @@ heavy primitives here are the subresultant polynomial remainder sequence
 cyclotomic polynomials by iterated exact division of t^d - 1, the
 u-substitution u = t + 1/t of self-reciprocal polynomials, and Sturm-chain
 real root isolation returning refinable rational intervals.
+
+Evaluation at a rational n/d runs in ints: homogeneous Horner gives the
+integer d^deg f(n/d), whose sign is that of f(n/d).  Root isolation reads
+only such signs, from a Sturm chain kept as primitive integer multiples of
+the chain over Q, and refinement bisects an interval held as integer
+numerators over a common denominator.
 """
 
 from __future__ import annotations
@@ -123,11 +129,16 @@ class IntPoly:
         return r
 
     def __call__(self, x):
-        """Exact Horner evaluation at an int or Fraction."""
-        acc = Fraction(0) if isinstance(x, Fraction) else 0
-        for c in reversed(self._c):
-            acc = acc * x + c
-        return acc
+        """Exact value at an int or Fraction x = n/d.
+
+        The integer d^deg f(n/d) comes from homogeneous Horner in ints and is
+        divided by d^deg once; an int x gives an int.  Its sign, the sign of
+        f(x), is all that root isolation reads (see _scaled_value).
+        """
+        if isinstance(x, int):
+            return _scaled_value(self._c, x, 1)
+        d = x.denominator
+        return Fraction(_scaled_value(self._c, x.numerator, d), d ** max(self.degree, 0))
 
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self._c)][1:])
@@ -175,6 +186,22 @@ class IntPoly:
 
     def __repr__(self):
         return f"IntPoly('{self}')"
+
+
+def _scaled_value(c, n: int, d: int) -> int:
+    """d^m f(n/d) for the dense integer coefficients c of f, m = len(c) - 1,
+    by homogeneous Horner; with d > 0 its sign is that of f(n/d)."""
+    acc, power = 0, 1
+    for ci in reversed(c):
+        acc = acc * n + ci * power
+        power *= d
+    return acc
+
+
+def _sign(c, x: Fraction) -> int:
+    """The sign (-1, 0 or 1) of the integer polynomial c at x."""
+    v = _scaled_value(c, x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
 
 
 # -- exact division ----------------------------------------------------------
@@ -447,34 +474,31 @@ def dickson(k: int, u: Fraction) -> Fraction:
 # -- Sturm sequences and real root isolation ----------------------------------
 
 def sturm_chain(f: IntPoly):
-    """Sturm chain of f as dense Fraction lists (f should be squarefree)."""
-    f0 = [Fraction(c) for c in f.coeffs]
-    f1 = [Fraction(c) for c in f.derivative().coeffs]
-    chain = [f0]
-    if len(f0) <= 1:
+    """Sturm chain of f (which should be squarefree) as dense integer lists,
+    each a positive multiple of the chain over Q, so it has the same signs.
+
+    The remainder of positive multiples of two members is a positive
+    multiple of their remainder, so each member is scaled to a primitive
+    integer list with its sign kept before the next division."""
+    chain = [list(f.coeffs)]
+    if len(chain[0]) <= 1:
         return chain
-    chain.append(f1)
+    chain.append(list(f.derivative().coeffs))
     while len(chain[-1]) > 1:
         _, r = dense_divmod(chain[-2], chain[-1])
         if not r:
             break
-        chain.append([-c for c in r])
+        scale = -1
+        for c in r:
+            scale *= c.denominator // int_gcd(scale, c.denominator)
+        r = [int(c * scale) for c in r]
+        g = int_gcd(*r)
+        chain.append([c // g for c in r])
     return chain
 
 
-def _eval_dense(c, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for ci in reversed(c):
-        acc = acc * x + ci
-    return acc
-
-
 def _variations(chain, x: Fraction) -> int:
-    signs = []
-    for c in chain:
-        v = _eval_dense(c, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+    signs = [v for v in (_sign(c, x) for c in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -491,8 +515,8 @@ class RootInterval:
 
     def __post_init__(self):
         if self.exact is None:
-            a, b = self.poly(self.lo), self.poly(self.hi)
-            if a == 0 or b == 0 or (a > 0) == (b > 0):
+            c = self.poly.coeffs
+            if _sign(c, self.lo) * _sign(c, self.hi) != -1:
                 raise InternalInvariantError("isolating interval lacks a sign change")
 
     @property
@@ -503,21 +527,30 @@ class RootInterval:
         return (self.lo + self.hi) / 2
 
     def refine(self, width: Fraction) -> "RootInterval":
-        """Shrink the isolating interval below `width` by sign bisection."""
+        """Shrink the isolating interval below `width` by sign bisection.
+
+        The interval is kept as (a/d, b/d) in integers, and each halving
+        doubles d: every midpoint and sign is the one Fraction bisection
+        would meet."""
         if self.exact is not None:
             return self
+        c = self.poly.coeffs
         lo, hi = self.lo, self.hi
-        slo = 1 if self.poly(lo) > 0 else -1
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            v = self.poly(mid)
-            if v == 0:
-                return _exact_root(mid)
-            if (1 if v > 0 else -1) == slo:
-                lo = mid
+        d = lo.denominator * hi.denominator // int_gcd(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        up = _scaled_value(c, a, d) > 0
+        wn, wd = width.numerator, width.denominator
+        while (b - a) * wd > wn * d:
+            mid = a + b
+            a, b, d = 2 * a, 2 * b, 2 * d
+            v = _scaled_value(c, mid, d)
+            if not v:
+                return _exact_root(Fraction(mid, d))
+            if (v > 0) == up:
+                a = mid
             else:
-                hi = mid
-        return RootInterval(lo, hi, self.poly)
+                b = mid
+        return RootInterval(Fraction(a, d), Fraction(b, d), self.poly)
 
 
 def _linear_min_poly(r: Fraction) -> IntPoly:
@@ -560,7 +593,7 @@ def sturm_isolate(f: IntPoly, lo, hi):
         raise ValueError("cannot isolate roots of the zero polynomial")
     g = squarefree_part(f)
     chain = sturm_chain(g)
-    exact = {end for end in (lo, hi) if g(end) == 0}
+    exact = {end for end in (lo, hi) if not _sign(g.coeffs, end)}
     out = []
     stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
     while stack:
@@ -570,7 +603,7 @@ def sturm_isolate(f: IntPoly, lo, hi):
             out.append(_isolating(g, a, b, exact))
         elif n > 1:
             mid = (a + b) / 2
-            if g(mid) == 0:
+            if not _sign(g.coeffs, mid):
                 exact.add(mid)
                 out.append(_exact_root(mid))
             vm = _variations(chain, mid)

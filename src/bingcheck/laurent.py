@@ -3,8 +3,13 @@
 A Laurent polynomial is a finite sum of terms c * t^k with k any integer
 (negative exponents allowed) and c a nonzero rational.  Terms are stored as an
 exponent -> coefficient mapping with no zero coefficients; the zero polynomial
-is the empty mapping.  Coefficients are fractions.Fraction throughout, so all
-arithmetic is exact; nothing in this module touches floating point.
+is the empty mapping.  Stored coefficients are fractions.Fraction throughout,
+so all arithmetic is exact; nothing in this module touches floating point.
+
+Products and exact quotients run on dense coefficient lists (dense_mul,
+dense_divmod) in which integral coefficients are Python ints: an integer
+Laurent product, or the exact quotient of one integer Laurent polynomial by
+another, is computed without building a Fraction until it is stored.
 
 Units of Z[t, 1/t] are +-t^k.  normalize_unit picks the canonical associate:
 minimum exponent 0 and positive coefficient there.
@@ -75,8 +80,11 @@ def dense_divmod(num, den):
 
     Returns (quot, rem) with num == quot * den + rem and len(rem) < len(den),
     both as lists without trailing zeros.  den must end in a nonzero entry.
-    Entries may be ints or Fractions.  A monic den divides by nothing, so
-    integer input keeps integer digits; otherwise each digit is a Fraction.
+    Entries may be ints or Fractions.  Each digit is divided by the leading
+    coefficient of den unless that is 1; an int digit over an int leading
+    coefficient stays an int when the division is exact and becomes a
+    Fraction otherwise.  So an exact division of int lists whose quotient is
+    integral runs in ints throughout.
 
     >>> dense_divmod([-1, 0, 0, 1], [-1, 1])      # t^3 - 1 = (t^2 + t + 1)(t - 1)
     ([1, 1, 1], [])
@@ -86,15 +94,19 @@ def dense_divmod(num, den):
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     n = len(den) - 1
-    monic = den[-1] == 1
-    lc = Fraction(den[-1])  # an int / int digit would be a float
+    lc = den[-1]
+    monic = lc == 1
+    int_lc = type(lc) is int
     rem = list(num)
     quot = [0] * max(len(rem) - n, 0)
     for k in range(len(quot) - 1, -1, -1):
         q = rem[k + n]
         if not q:
             continue
-        if not monic:
+        if int_lc and type(q) is int:
+            # an int / int digit would be a float
+            q = q // lc if not q % lc else Fraction(q, lc)
+        elif not monic:
             q = q / lc
         quot[k] = q
         for j, d in enumerate(den):
@@ -130,7 +142,10 @@ class LaurentPoly:
     @classmethod
     def from_coeffs(cls, coeffs, min_exp=0) -> "LaurentPoly":
         """Build from a dense ascending coefficient list starting at min_exp."""
-        return cls({min_exp + i: c for i, c in enumerate(coeffs)})
+        out = cls.__new__(cls)
+        out._terms = {min_exp + i: f for i, c in enumerate(coeffs) if (f := as_fraction(c))}
+        out._hash = None
+        return out
 
     # -- basic structure ---------------------------------------------------
 
@@ -160,6 +175,16 @@ class LaurentPoly:
         """Dense ascending coefficients from min_exp, plus min_exp itself."""
         lo, hi = self.min_exp, self.max_exp
         return [self.coeff(k) for k in range(lo, hi + 1)], lo
+
+    def _dense(self):
+        """coeff_list() of a nonzero polynomial with its integral
+        coefficients as ints, the input of dense_mul and dense_divmod."""
+        terms = self._terms
+        lo = min(terms)
+        out = [0] * (max(terms) - lo + 1)
+        for k, c in terms.items():
+            out[k - lo] = c.numerator if c.denominator == 1 else c
+        return out, lo
 
     # -- ring operations ---------------------------------------------------
 
@@ -203,19 +228,11 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                k = k1 + k2
-                s = terms.get(k, Fraction(0)) + c1 * c2
-                if s:
-                    terms[k] = s
-                else:
-                    terms.pop(k, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        out._hash = None
-        return out
+        if not self._terms or not other._terms:
+            return LaurentPoly.zero()
+        a, alo = self._dense()
+        b, blo = other._dense()
+        return LaurentPoly.from_coeffs(dense_mul(a, b), alo + blo)
 
     __rmul__ = __mul__
 
@@ -318,8 +335,8 @@ class LaurentPoly:
             raise ZeroDivisionError("Laurent polynomial division by zero")
         if self.is_zero:
             return LaurentPoly.zero()
-        num, nlo = self.coeff_list()
-        den, dlo = other.coeff_list()
+        num, nlo = self._dense()
+        den, dlo = other._dense()
         quot, rem = dense_divmod(num, den)
         if rem:
             raise ValueError("division is not exact")

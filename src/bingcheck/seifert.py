@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AdmissibilityError, InternalInvariantError
-from .laurent import LaurentPoly, as_fraction, normalize_unit, parse_poly
+from .laurent import LaurentPoly, T, as_fraction, normalize_unit
 from .intpoly import IntPoly
 from .factor import factor_rational
 from .matrices import ExactMatrix
@@ -132,7 +132,7 @@ def alexander(s: SeifertMatrix) -> LaurentPoly:
     't^2 - t + 1'
     """
     a = s.matrix.to_laurent()
-    at = s.matrix.transpose().to_laurent().scale(parse_poly("t"))
+    at = s.matrix.transpose().to_laurent().scale(T)
     return normalize_unit((a - at).det())
 
 
@@ -221,6 +221,7 @@ def fox_milnor(delta: LaurentPoly, factors) -> FoxMilnorResult:
     the content of delta is a perfect square of a rational (always the case
     for the Alexander polynomial of an integral Seifert matrix).
 
+    >>> from .laurent import parse_poly
     >>> delta = parse_poly('2t^2 - 5t + 2')
     >>> r = fox_milnor(delta, factor_rational(delta)[1])
     >>> r.passes, str(r.witness)
@@ -232,7 +233,7 @@ def fox_milnor(delta: LaurentPoly, factors) -> FoxMilnorResult:
     if delta.is_zero:
         raise ValueError("the zero polynomial has no Fox-Milnor factorization")
     mult = dict(factors)
-    witness = parse_poly("1")
+    witness = LaurentPoly.one()
     for p, m in factors:
         if p.degree == 0:
             continue

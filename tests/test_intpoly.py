@@ -198,6 +198,84 @@ def brute_root_count(f: IntPoly, lo: Fraction, hi: Fraction, grid: int = 2048) -
     return count
 
 
+def fraction_horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def fraction_divmod(num, den):
+    """Long division of Fraction lists, every digit divided by lc(den)."""
+    rem = [Fraction(c) for c in num]
+    quot = [Fraction(0)] * max(len(rem) - len(den) + 1, 0)
+    for k in reversed(range(len(quot))):
+        q = quot[k] = rem[k + len(den) - 1] / den[-1]
+        for j, d in enumerate(den):
+            rem[k + j] -= q * d
+    rem = rem[:len(den) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def fraction_isolation(f: IntPoly, lo: Fraction, hi: Fraction, width: Fraction):
+    """Reference isolation: a Sturm chain of Fraction lists evaluated by
+    Fraction Horner, then sign bisection of each interval below `width`;
+    (lo, hi, exact) triples, an exact root r as (r, r, r)."""
+    g = [Fraction(c) for c in squarefree_part(f).coeffs]
+    chain = [g, [i * c for i, c in enumerate(g)][1:]]
+    while len(chain[-1]) > 1:
+        _, r = fraction_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+
+    def variations(x):
+        signs = [v > 0 for v in (fraction_horner(c, x) for c in chain) if v]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    def bisect(p, a, b):
+        slo = fraction_horner(p, a) > 0
+        while b - a > width:
+            mid = (a + b) / 2
+            v = fraction_horner(p, mid)
+            if v == 0:
+                return mid, mid, mid
+            if (v > 0) == slo:
+                a = mid
+            else:
+                b = mid
+        return a, b, None
+
+    exact = {end for end in (lo, hi) if fraction_horner(g, end) == 0}
+    found = []
+    stack = [(lo, hi, variations(lo), variations(hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        n = va - vb - (b in exact)
+        if n == 1:
+            p = g
+            for end in (a, b):
+                if end in exact:
+                    p, _ = fraction_divmod(p, [-end, Fraction(1)])
+            if len(p) == 2:
+                r = -p[0] / p[1]
+                found.append((r, r, None))
+            else:
+                found.append((a, b, p))
+        elif n > 1:
+            mid = (a + b) / 2
+            if fraction_horner(g, mid) == 0:
+                exact.add(mid)
+                found.append((mid, mid, None))
+            vm = variations(mid)
+            stack.append((a, mid, va, vm))
+            stack.append((mid, b, vm, vb))
+    found.sort(key=lambda item: item[:2])
+    return [(a, a, a) if p is None else bisect(p, a, b) for a, b, p in found]
+
+
 class TestSturm:
     def test_counts_match_brute_scan(self):
         cases = [
@@ -281,6 +359,10 @@ class TestSturm:
                 assert len(roots_in(iv.lo, iv.hi)) == 1
         for a, b in zip(ivs, ivs[1:]):
             assert a.hi <= b.lo
+        # the intervals that reports print must not drift with the kernel
+        w = Fraction(1, 2 ** 20)
+        assert ([(iv.lo, iv.hi, iv.exact) for iv in (iv.refine(w) for iv in ivs)]
+                == fraction_isolation(f, lo, hi, w))
 
     def test_refine_narrows(self):
         (iv,) = sturm_isolate(IntPoly("t^2 - 2"), 0, 2)
@@ -288,3 +370,17 @@ class TestSturm:
         assert narrow.exact is None
         assert narrow.hi - narrow.lo <= Fraction(1, 2 ** 30)
         assert iv.lo <= narrow.lo < narrow.hi <= iv.hi
+
+
+big = st.integers(-10 ** 6, 10 ** 6)
+dyadic = st.builds(Fraction, big, st.integers(0, 40).map(lambda k: 2 ** k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(big, max_size=11),
+       st.one_of(dyadic, st.fractions(max_denominator=10 ** 6), st.just(Fraction(0))))
+def test_call_matches_fraction_horner(coeffs, x):
+    f = IntPoly(coeffs)
+    value = f(x)
+    assert type(value) is Fraction
+    assert value == fraction_horner(f.coeffs, x)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bingcheck.errors import ParseError
-from bingcheck.laurent import LaurentPoly, T, dense_divmod, parse_poly
+from bingcheck.laurent import LaurentPoly, T, dense_divmod, dense_mul, parse_poly
 
 
 def naive_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -151,11 +151,16 @@ def test_str_roundtrip_frozen():
 
 
 coeffs = st.integers(min_value=-9, max_value=9)
+rationals = st.one_of(coeffs, st.fractions(min_value=-5, max_value=5, max_denominator=6))
 polys = st.builds(
     lambda cs, lo: LaurentPoly.from_coeffs(cs, lo),
-    st.lists(coeffs, min_size=0, max_size=6),
+    st.lists(rationals, min_size=0, max_size=6),
     st.integers(min_value=-4, max_value=4),
 )
+
+
+def assert_stored_as_fractions(f: LaurentPoly):
+    assert all(type(c) is Fraction for _, c in f.items())
 
 
 @settings(max_examples=150, deadline=None)
@@ -166,6 +171,7 @@ def test_ring_laws(f, g, h):
     assert (f + g) * h == f * h + g * h
     assert (f * g) * h == f * (g * h)
     assert f * g == naive_mul(f, g)
+    assert_stored_as_fractions(f * g)
 
 
 @settings(max_examples=100, deadline=None)
@@ -187,12 +193,12 @@ def test_substitute_is_ring_hom(f, n):
 def test_exact_div_recovers_factor(f, g):
     if f.is_zero or g.is_zero:
         return
-    assert (f * g).exact_div(g) == f
+    q = (f * g).exact_div(g)
+    assert q == f
+    assert_stored_as_fractions(q)
 
 
 # -- the dense long-division kernel ------------------------------------------
-
-rationals = st.one_of(coeffs, st.fractions(min_value=-5, max_value=5, max_denominator=6))
 
 
 def assert_division(num, den, quot, rem):
@@ -220,3 +226,15 @@ def test_dense_divmod_monic_keeps_integers(num, low):
     quot, rem = dense_divmod(num, den)
     assert all(type(c) is int for c in quot + rem)
     assert_division(num, den, quot, rem)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(coeffs, max_size=6).filter(lambda c: not c or c[-1] != 0),
+       st.lists(coeffs, max_size=3),
+       st.integers(min_value=-9, max_value=9).filter(lambda c: abs(c) >= 2))
+def test_dense_divmod_exact_integer_quotient_keeps_integers(q, low, lead):
+    # the Bareiss det divides integer Laurent minors exactly: no Fraction digit
+    d = low + [lead]
+    quot, rem = dense_divmod(dense_mul(q, d), d)
+    assert (quot, rem) == (q, [])
+    assert all(type(c) is int for c in quot)
