@@ -478,22 +478,21 @@ def sturm_chain(f: IntPoly):
     each a positive multiple of the chain over Q, so it has the same signs.
 
     The remainder of positive multiples of two members is a positive
-    multiple of their remainder, so each member is scaled to a primitive
-    integer list with its sign kept before the next division."""
+    multiple of their remainder, so each member is the primitive part of a
+    pseudo-remainder, with its sign set to that of -rem over Q:
+    pseudo_rem(a, b) is lc(b)^(deg a - deg b + 1) times rem(a, b)."""
     chain = [list(f.coeffs)]
     if len(chain[0]) <= 1:
         return chain
     chain.append(list(f.derivative().coeffs))
     while len(chain[-1]) > 1:
-        _, r = dense_divmod(chain[-2], chain[-1])
-        if not r:
+        a, b = chain[-2], chain[-1]
+        r = pseudo_rem(IntPoly(a), IntPoly(b))
+        if r.is_zero:
             break
-        scale = -1
-        for c in r:
-            scale *= c.denominator // int_gcd(scale, c.denominator)
-        r = [int(c * scale) for c in r]
-        g = int_gcd(*r)
-        chain.append([c // g for c in r])
+        s = -1 if b[-1] > 0 or (len(a) - len(b)) % 2 else 1
+        g = r.content()
+        chain.append([s * c // g for c in r.coeffs])
     return chain
 
 

@@ -103,10 +103,12 @@ def dense_divmod(num, den):
         q = rem[k + n]
         if not q:
             continue
-        if int_lc and type(q) is int:
+        if monic:
+            pass
+        elif int_lc and type(q) is int:
             # an int / int digit would be a float
             q = q // lc if not q % lc else Fraction(q, lc)
-        elif not monic:
+        else:
             q = q / lc
         quot[k] = q
         for j, d in enumerate(den):
@@ -172,17 +174,14 @@ class LaurentPoly:
         return max(self._terms)
 
     def coeff_list(self):
-        """Dense ascending coefficients from min_exp, plus min_exp itself."""
-        lo, hi = self.min_exp, self.max_exp
-        return [self.coeff(k) for k in range(lo, hi + 1)], lo
+        """Dense ascending coefficients from min_exp, plus min_exp itself.
 
-    def _dense(self):
-        """coeff_list() of a nonzero polynomial with its integral
-        coefficients as ints, the input of dense_mul and dense_divmod."""
-        terms = self._terms
-        lo = min(terms)
-        out = [0] * (max(terms) - lo + 1)
-        for k, c in terms.items():
+        Integral coefficients, and the zeros between terms, are ints; the
+        others are Fractions.  This is the input of dense_mul and
+        dense_divmod."""
+        lo, hi = self.min_exp, self.max_exp
+        out = [0] * (hi - lo + 1)
+        for k, c in self._terms.items():
             out[k - lo] = c.numerator if c.denominator == 1 else c
         return out, lo
 
@@ -230,8 +229,8 @@ class LaurentPoly:
             return NotImplemented
         if not self._terms or not other._terms:
             return LaurentPoly.zero()
-        a, alo = self._dense()
-        b, blo = other._dense()
+        a, alo = self.coeff_list()
+        b, blo = other.coeff_list()
         return LaurentPoly.from_coeffs(dense_mul(a, b), alo + blo)
 
     __rmul__ = __mul__
@@ -335,8 +334,8 @@ class LaurentPoly:
             raise ZeroDivisionError("Laurent polynomial division by zero")
         if self.is_zero:
             return LaurentPoly.zero()
-        num, nlo = self._dense()
-        den, dlo = other._dense()
+        num, nlo = self.coeff_list()
+        den, dlo = other.coeff_list()
         quot, rem = dense_divmod(num, den)
         if rem:
             raise ValueError("division is not exact")
