@@ -96,7 +96,7 @@ def covering_seifert_matrix(s: SeifertMatrix, p: int) -> SeifertMatrix:
     a = s.matrix
     at = a.transpose()
     gamma = (a - at).inverse() @ a
-    eye = ExactMatrix.identity(s.size, kind="rational")
+    eye = ExactMatrix.identity(s.size)
 
     def powers(m):
         out = [eye]

@@ -27,7 +27,7 @@ import random
 from itertools import combinations
 
 from .errors import InternalInvariantError
-from .laurent import LaurentPoly, _strip, dense_divmod
+from .laurent import LaurentPoly, _strip, as_laurent, dense_divmod
 from .intpoly import IntPoly, divmod_exact, squarefree_decomposition
 
 __all__ = ["factor_rational", "merge_factors", "zassenhaus"]
@@ -186,18 +186,6 @@ def _gf_equal_degree(f, d, p, rng):
     return out
 
 
-def _gf_factor_squarefree(f, p, rng):
-    """Monic irreducible factors of monic squarefree f mod odd p."""
-    out = []
-    for g, d in _gf_distinct_degree(f, p):
-        out.extend(_gf_equal_degree(g, d, p, rng))
-    return out
-
-
-def _modular_factor_count(f, p):
-    return sum((len(g) - 1) // d for g, d in _gf_distinct_degree(f, p))
-
-
 # -- quadratic multifactor Hensel lifting --------------------------------------
 
 def _trunc_sym(f: IntPoly, m: int) -> IntPoly:
@@ -258,18 +246,25 @@ def _hensel_lift(p, f, f_list, l):
 
 def _choose_prime(f: IntPoly):
     """Small odd primes keeping f squarefree; pick one with fewest modular
-    factors (ties to the smaller prime), trying at most five candidates."""
-    candidates = []
+    factors (ties to the smaller prime), trying at most five candidates.
+    Returns the prime, the factor count and the distinct-degree
+    factorization of the monic image of f there."""
+    best = None
+    tried = 0
     p = 3
-    while len(candidates) < 5:
+    while tried < 5:
         is_prime = all(p % q for q in range(3, math.isqrt(p) + 1, 2))
         if is_prime and f.lc % p:
-            fp = _gf_from_int(f, p)
+            fp = _gf_monic(_gf_from_int(f, p), p)
             if _gf_is_squarefree(fp, p):
-                candidates.append((_modular_factor_count(fp, p), p))
+                tried += 1
+                ddf = _gf_distinct_degree(fp, p)
+                count = sum((len(g) - 1) // d for g, d in ddf)
+                # keep the best image only, so one DDF is held at a time
+                if best is None or count < best[1]:
+                    best = p, count, ddf
         p += 2
-    count, best = min(candidates)
-    return best, count
+    return best
 
 
 def zassenhaus(f: IntPoly):
@@ -285,11 +280,11 @@ def zassenhaus(f: IntPoly):
     if sq * sq < n + 1:
         sq += 1
     B = sq * 2 ** n * A * b
-    p, count = _choose_prime(f)
+    p, count, ddf = _choose_prime(f)
     if count == 1:
         return [f]
     rng = random.Random(p * 0x9E3779B1 + n)
-    f_list = _gf_factor_squarefree(_gf_monic(_gf_from_int(f, p), p), p, rng)
+    f_list = [h for g, d in ddf for h in _gf_equal_degree(g, d, p, rng)]
     l = 1
     while p ** l <= 2 * B:
         l += 1
@@ -345,7 +340,7 @@ def merge_factors(*lists):
 
 
 def factor_rational(f):
-    """Factor a rational Laurent polynomial (or IntPoly) over Q.
+    """Factor a rational Laurent polynomial (or IntPoly, or a number) over Q.
 
     Returns (unit, factors): unit is a LaurentPoly of the form (rational) *
     t^k, factors a sorted list of (irreducible primitive IntPoly with positive
@@ -355,8 +350,7 @@ def factor_rational(f):
     >>> print(unit, "|", "; ".join(f"({g})^{m}" for g, m in fs))
     t^-1 | (t - 2)^1; (2t - 1)^1
     """
-    if isinstance(f, IntPoly):
-        f = f.to_laurent()
+    f = f.to_laurent() if isinstance(f, IntPoly) else as_laurent(f)
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     shift = f.min_exp

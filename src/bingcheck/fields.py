@@ -1,7 +1,7 @@
 """Exact arithmetic in Q[x]/(m) and exact Hermitian signatures on the circle.
 
 A point of the unit circle is given exactly as (q, omega): omega is the image
-of t in the cyclotomic field Q(zeta_q) = Q[x]/(Phi_q(x)).  Two kinds of
+of t in the cyclotomic field Q(zeta_q) = Q[x]/(Phi_q(x)).  Two families of
 point are built:
 
   * root_of_unity(a/q): omega = x^a = exp(2*pi*i*a/q) in Q(zeta_q);
@@ -10,7 +10,7 @@ point are built:
     2(1 - s^2)/(1 + s^2).  The matrix path of a signature function
     evaluates each of its arcs at one.
 
-A Laurent matrix is evaluated at every kind by one evaluator: powers of
+A Laurent matrix is evaluated at every point by one evaluator: powers of
 omega, with omega^-1 = conj(omega).  No floating point is needed to
 diagonalize a Hermitian matrix over the field by congruence, every pivot a
 real diagonal entry (a vanishing live diagonal is first made nonzero by one
@@ -36,7 +36,7 @@ from itertools import zip_longest
 from math import gcd
 
 from .errors import InternalInvariantError
-from .laurent import LaurentPoly, _strip, as_fraction, dense_divmod, dense_mul
+from .laurent import LaurentPoly, _strip, as_fraction, as_laurent, dense_divmod, dense_mul
 from .intpoly import IntPoly, cyclotomic, sturm_isolate, u_image
 
 __all__ = [
@@ -284,8 +284,7 @@ def _whole_hermitian_signature(M, point):
     q, omega = point
     field = cyclotomic_field(q)
     n = M.rows
-    lm = M.to_laurent()
-    flat = field.images([lm[i, j] for i in range(n) for j in range(n)], omega)
+    flat = field.images([as_laurent(e) for row in M.entries for e in row], omega)
     H = [flat[i * n:(i + 1) * n] for i in range(n)]
     # conj is an involution, so checking (i, j) also checks (j, i)
     for i in range(n):
@@ -322,8 +321,7 @@ def _coeffs_times_power(f: LaurentPoly, s: int):
 @lru_cache(maxsize=8192)
 def _whole_rank_over_factor(M, modulus: IntPoly) -> int:
     field = PolyQuotientField(modulus)
-    lm = M.to_laurent()
-    entries = [[lm[i, j] for j in range(M.cols)] for i in range(M.rows)]
+    entries = [[as_laurent(e) for e in row] for row in M.entries]
     # t is a unit modulo the modulus, so one t^s that clears every negative
     # exponent keeps the rank
     s = max([0] + [-f.min_exp for row in entries for f in row if f])

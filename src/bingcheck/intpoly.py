@@ -90,7 +90,8 @@ class IntPoly:
         return self._c == other._c
 
     def __hash__(self):
-        return hash(self._c)
+        # a constant hashes as the int it equals
+        return hash(self._c) if len(self._c) > 1 else hash(self.coeff(0))
 
     def __bool__(self):
         return bool(self._c)

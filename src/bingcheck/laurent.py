@@ -31,6 +31,7 @@ __all__ = [
     "LaurentPoly",
     "T",
     "as_fraction",
+    "as_laurent",
     "dense_divmod",
     "dense_mul",
     "normalize_unit",
@@ -262,8 +263,13 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a constant hashes as the number it equals
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
+            terms = self._terms
+            if terms.keys() <= {0}:
+                self._hash = hash(terms.get(0, 0))
+            else:
+                self._hash = hash(tuple(sorted(terms.items())))
         return self._hash
 
     def __bool__(self):
@@ -368,6 +374,12 @@ class LaurentPoly:
 T = LaurentPoly({1: 1})
 
 
+def as_laurent(x) -> LaurentPoly:
+    """x itself if a LaurentPoly, else the constant polynomial x (an int,
+    Fraction or numeric string)."""
+    return x if isinstance(x, LaurentPoly) else LaurentPoly({0: x})
+
+
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<sign>[+-])"
@@ -378,13 +390,14 @@ _TOKEN = re.compile(
 )
 
 
-def normalize_unit(f: LaurentPoly) -> LaurentPoly:
-    """Canonical associate of f under units +-t^k (see the method).
+def normalize_unit(f) -> LaurentPoly:
+    """Canonical associate of f under units +-t^k (see the method); a
+    number is read as a constant polynomial.
 
     >>> normalize_unit(parse_poly("-t^-1 + 3 - t"))
     LaurentPoly('t^2 - 3t + 1')
     """
-    return f.normalize_unit()
+    return as_laurent(f).normalize_unit()
 
 
 def parse_poly(text: str) -> LaurentPoly:
@@ -397,12 +410,12 @@ def parse_poly(text: str) -> LaurentPoly:
     """
     tokens = []
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup if m.lastgroup != "exp" else "var"
-        if kind == "ws":
+        tag = m.lastgroup if m.lastgroup != "exp" else "var"
+        if tag == "ws":
             continue
-        if kind == "bad":
+        if tag == "bad":
             raise ParseError(f"unexpected character {m.group()!r} in polynomial", col=m.start() + 1)
-        tokens.append((kind, m))
+        tokens.append((tag, m))
     if not tokens:
         raise ParseError("empty polynomial")
 
@@ -417,10 +430,10 @@ def parse_poly(text: str) -> LaurentPoly:
             i += 1
         if i >= n:
             raise ParseError("dangling sign at end of polynomial", col=tokens[-1][1].start() + 1)
-        kind, m = tokens[i]
+        tag, m = tokens[i]
         coeff = Fraction(1)
         exp = 0
-        if kind == "num":
+        if tag == "num":
             coeff = Fraction(m.group("num"))
             i += 1
             if i < n and tokens[i][0] == "star":
@@ -428,16 +441,16 @@ def parse_poly(text: str) -> LaurentPoly:
                 if i >= n or tokens[i][0] != "var":
                     raise ParseError("expected t after '*'", col=m.end() + 1)
             if i < n and tokens[i][0] == "var":
-                kind, m = tokens[i]
+                tag, m = tokens[i]
                 exp = int(m.group("exp")) if m.group("exp") is not None else 1
                 i += 1
-        elif kind == "var":
+        elif tag == "var":
             exp = int(m.group("exp")) if m.group("exp") is not None else 1
             i += 1
         else:
             raise ParseError(f"unexpected {m.group()!r} in polynomial", col=m.start() + 1)
         result = result + LaurentPoly({exp: sign * coeff})
         if i < n and tokens[i][0] not in ("sign",):
-            kind, m = tokens[i]
+            tag, m = tokens[i]
             raise ParseError(f"expected '+' or '-' before {m.group()!r}", col=m.start() + 1)
     return result

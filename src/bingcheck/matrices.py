@@ -1,17 +1,23 @@
-"""Exact dense matrices over the rationals or over Laurent polynomials.
+"""Exact dense matrices over the rationals and over Laurent polynomials.
 
-Two scalar kinds are supported and kept uniform within a matrix: "rational"
-(fractions.Fraction) and "laurent" (LaurentPoly with rational coefficients).
+An entry is a fractions.Fraction (an int becomes one) or a LaurentPoly with
+rational coefficients, stored as given.  The two mix as numbers do
+(Fraction(1, 2) - T is a LaurentPoly), and a constant LaurentPoly equals and
+hashes as the number it equals, so a matrix is compared and hashed by its
+entries alone.  Whether some entry is a LaurentPoly is read off the entries,
+never stored: the determinant of such a matrix is a LaurentPoly even when it
+is constant, a block sum with one is padded with Laurent zeros, and inverses
+and signatures refuse it.
+
 Determinants use fraction-free Bareiss elimination, whose interior divisions
-are exact in any integral domain, so Laurent-entry determinants never leave
-the Laurent ring.  Inverses exist for the rational kind only.  Signatures of
-symmetric rational matrices are computed by exact congruence: repeatedly
-split off the largest available diagonal pivot, and when every remaining
-diagonal entry vanishes split off a hyperbolic plane [[0,b],[b,0]]
-(contributing +1 and -1); whatever remains when no pivot exists is the
-kernel.
+are exact in any integral domain, so Laurent determinants never leave the
+Laurent ring.  Signatures of symmetric rational matrices are computed by
+exact congruence: repeatedly split off the largest available diagonal
+pivot, and when every remaining diagonal entry vanishes split off a
+hyperbolic plane [[0,b],[b,0]] (contributing +1 and -1); whatever remains
+when no pivot exists is the kernel.
 
-The 0x0 matrix is admitted everywhere: det 1, signature (0, 0).
+The 0x0 matrix is admitted everywhere: det Fraction(1), signature (0, 0).
 """
 
 from __future__ import annotations
@@ -19,57 +25,37 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SingularMatrixError
-from .laurent import LaurentPoly, as_fraction
+from .laurent import LaurentPoly, as_fraction, as_laurent
 
 __all__ = ["ExactMatrix"]
 
 
-def _is_laurent(x) -> bool:
-    return isinstance(x, LaurentPoly)
-
-
-def _zero_like(kind):
-    return LaurentPoly.zero() if kind == "laurent" else Fraction(0)
-
-
-def _one_like(kind):
-    return LaurentPoly.one() if kind == "laurent" else Fraction(1)
+def _entry(e):
+    return e if isinstance(e, LaurentPoly) else as_fraction(e)
 
 
 def _exact_div(a, b):
-    if isinstance(a, LaurentPoly):
-        return a.exact_div(b)
+    if isinstance(a, LaurentPoly) or isinstance(b, LaurentPoly):
+        return as_laurent(a).exact_div(b)
     return a / b
 
 
 class ExactMatrix:
-    """Immutable dense matrix; scalar kind is "rational" or "laurent"."""
+    """Immutable dense matrix of Fraction and LaurentPoly entries."""
 
-    __slots__ = ("_rows", "_kind", "_m", "_n")
+    __slots__ = ("_rows", "_m", "_n")
 
-    def __init__(self, rows, kind=None):
-        grid = [list(r) for r in rows]
-        self._m = len(grid)
-        self._n = len(grid[0]) if grid else 0
-        if any(len(r) != self._n for r in grid):
+    def __init__(self, rows):
+        self._rows = tuple(tuple(_entry(e) for e in r) for r in rows)
+        self._m = len(self._rows)
+        self._n = len(self._rows[0]) if self._rows else 0
+        if any(len(r) != self._n for r in self._rows):
             raise ValueError("ragged rows")
-        if kind is None:
-            kind = "laurent" if any(_is_laurent(e) for r in grid for e in r) else "rational"
-        if kind == "laurent":
-            grid = [[e if _is_laurent(e) else LaurentPoly({0: as_fraction(e)})
-                     for e in r] for r in grid]
-        elif kind == "rational":
-            grid = [[as_fraction(e) for e in r] for r in grid]
-        else:
-            raise ValueError(f"unknown scalar kind {kind!r}")
-        self._kind = kind
-        self._rows = tuple(tuple(r) for r in grid)
+
+    def _has_laurent_entry(self) -> bool:
+        return any(isinstance(e, LaurentPoly) for r in self._rows for e in r)
 
     # -- shape and access ------------------------------------------------
-    @property
-    def kind(self) -> str:
-        return self._kind
-
     @property
     def rows(self) -> int:
         return self._m
@@ -93,118 +79,73 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if (self._m, self._n) != (other._m, other._n):
-            return False
-        if self._kind == other._kind:
-            return self._rows == other._rows
-        a, b = self, other
-        if a._kind == "rational":
-            a = a.to_laurent()
-        else:
-            b = b.to_laurent()
-        return a._rows == b._rows
+        return self._rows == other._rows
 
     def __hash__(self):
-        # kind-independent, matching the cross-kind __eq__
-        if self._kind == "laurent":
-            return hash(self._rows)
-        return hash(self.to_laurent()._rows)
+        return hash(self._rows)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in r) for r in self._rows)
-        return f"ExactMatrix({self._m}x{self._n} {self._kind}: {body})"
+        return f"ExactMatrix({self._m}x{self._n}: {body})"
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def identity(cls, n: int, kind: str = "rational") -> "ExactMatrix":
-        one, zero = _one_like(kind), _zero_like(kind)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)],
-                   kind=kind)
-
-    def to_laurent(self) -> "ExactMatrix":
-        if self._kind == "laurent":
-            return self
-        return ExactMatrix(
-            [[LaurentPoly({0: e}) if e else LaurentPoly.zero() for e in r]
-             for r in self._rows],
-            kind="laurent",
-        )
+    def identity(cls, n: int) -> "ExactMatrix":
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     # -- arithmetic ---------------------------------------------------------
-    def _paired(self, other):
-        if self._kind == other._kind:
-            return self, other
-        return self.to_laurent(), other.to_laurent()
-
     def __add__(self, other):
-        a, b = self._paired(other)
-        if (a._m, a._n) != (b._m, b._n):
+        if (self._m, self._n) != (other._m, other._n):
             raise ValueError("shape mismatch")
         return ExactMatrix(
-            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a._rows, b._rows)],
-            kind=a._kind,
+            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ExactMatrix([[-e for e in r] for r in self._rows], kind=self._kind)
+        return ExactMatrix([[-e for e in r] for r in self._rows])
 
     def scale(self, c) -> "ExactMatrix":
-        if _is_laurent(c):
-            m = self.to_laurent()
-            return ExactMatrix([[c * e for e in r] for r in m._rows], kind="laurent")
-        c = as_fraction(c)
-        return ExactMatrix([[c * e for e in r] for r in self._rows], kind=self._kind)
+        c = _entry(c)
+        return ExactMatrix([[c * e for e in r] for r in self._rows])
 
     def __matmul__(self, other):
-        a, b = self._paired(other)
-        if a._n != b._m:
+        if self._n != other._m:
             raise ValueError("shape mismatch")
-        zero = _zero_like(a._kind)
-        out = []
-        for i in range(a._m):
-            row = []
-            for j in range(b._n):
-                acc = zero
-                for k in range(a._n):
-                    acc = acc + a._rows[i][k] * b._rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(out, kind=a._kind)
-
-    def transpose(self) -> "ExactMatrix":
+        cols = list(zip(*other._rows))
         return ExactMatrix(
-            [[self._rows[i][j] for i in range(self._m)] for j in range(self._n)],
-            kind=self._kind,
+            [[sum(x * y for x, y in zip(r, c)) for c in cols] for r in self._rows]
         )
 
+    def transpose(self) -> "ExactMatrix":
+        return ExactMatrix(zip(*self._rows))
+
     def block_sum(self, other: "ExactMatrix") -> "ExactMatrix":
-        a, b = self._paired(other)
-        zero = _zero_like(a._kind)
-        out = []
-        for r in a._rows:
-            out.append(list(r) + [zero] * b._n)
-        for r in b._rows:
-            out.append([zero] * a._n + list(r))
-        return ExactMatrix(out, kind=a._kind)
+        """Block-diagonal sum, padded with the zero of the Laurent ring if
+        either summand has a LaurentPoly entry."""
+        laurent = self._has_laurent_entry() or other._has_laurent_entry()
+        zero = LaurentPoly.zero() if laurent else 0
+        return ExactMatrix(
+            [r + (zero,) * other._n for r in self._rows]
+            + [(zero,) * self._n + r for r in other._rows]
+        )
 
     def substitute_power(self, n: int) -> "ExactMatrix":
-        """Entrywise t -> t^n on a Laurent matrix; n must be nonzero."""
+        """Entrywise t -> t^n, constant (Fraction) entries kept; n must be
+        nonzero."""
         if n == 0:
             raise ValueError("power must be nonzero")
-        m = self.to_laurent()
         return ExactMatrix(
-            [[e.substitute_power(n) for e in r] for r in m._rows], kind="laurent"
+            [[e.substitute_power(n) if isinstance(e, LaurentPoly) else e for e in r]
+             for r in self._rows]
         )
 
     def submatrix(self, indices) -> "ExactMatrix":
         """Principal submatrix on the given row/column indices."""
         idx = list(indices)
-        return ExactMatrix(
-            [[self._rows[i][j] for j in idx] for i in idx], kind=self._kind
-        )
+        return ExactMatrix([[self._rows[i][j] for j in idx] for i in idx])
 
     def components(self):
         """Partition of a square matrix into the index sets of its
@@ -231,11 +172,15 @@ class ExactMatrix:
 
     # -- determinant, inverse, signature -------------------------------------
     def det(self):
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant by fraction-free (Bareiss) elimination; a
+        LaurentPoly for a Laurent matrix, else a Fraction."""
         if not self.is_square:
             raise ValueError("determinant requires a square matrix")
         n = self._m
-        one = _one_like(self._kind)
+        if self._has_laurent_entry():
+            one, zero = LaurentPoly.one(), LaurentPoly.zero()
+        else:
+            one, zero = Fraction(1), Fraction(0)
         if n == 0:
             return one
         M = [list(r) for r in self._rows]
@@ -245,14 +190,13 @@ class ExactMatrix:
             if not M[k][k]:
                 pivot = next((r for r in range(k + 1, n) if M[r][k]), None)
                 if pivot is None:
-                    return _zero_like(self._kind)
+                    return zero
                 M[k], M[pivot] = M[pivot], M[k]
                 sign = -sign
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
                     num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
                     M[i][j] = _exact_div(num, prev)
-                M[i][k] = _zero_like(self._kind)
             prev = M[k][k]
         d = M[n - 1][n - 1]
         return -d if sign < 0 else d
@@ -261,7 +205,7 @@ class ExactMatrix:
         """Exact inverse of a nonsingular rational matrix."""
         if not self.is_square:
             raise ValueError("inverse requires a square matrix")
-        if self._kind != "rational":
+        if self._has_laurent_entry():
             raise ValueError("inverse is only defined for rational matrices")
         n = self._m
         aug = [list(r) + [Fraction(i == j) for j in range(n)]
@@ -277,7 +221,7 @@ class ExactMatrix:
                 if r != col and aug[r][col]:
                     f = aug[r][col]
                     aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return ExactMatrix([row[n:] for row in aug], kind="rational")
+        return ExactMatrix([row[n:] for row in aug])
 
     def sym_signature(self):
         """(signature, nullity) of a symmetric rational matrix.
@@ -290,7 +234,7 @@ class ExactMatrix:
         """
         if not self.is_square:
             raise ValueError("signature requires a square matrix")
-        if self._kind != "rational":
+        if self._has_laurent_entry():
             raise ValueError("signature is only defined for rational matrices")
         n = self._m
         for i in range(n):

@@ -59,9 +59,8 @@ class SeifertMatrix:
         if isinstance(rows, ExactMatrix):
             mat = rows
         else:
-            mat = ExactMatrix([[Fraction(e) for e in row] for row in rows],
-                              kind="rational")
-        if mat.kind != "rational":
+            mat = ExactMatrix([[Fraction(e) for e in row] for row in rows])
+        if not all(isinstance(e, Fraction) for row in mat.entries for e in row):
             raise AdmissibilityError("Seifert matrices have rational entries")
         if not mat.is_square:
             raise AdmissibilityError("Seifert matrices are square")
@@ -120,8 +119,7 @@ class SeifertMatrix:
         # B_ij = (a_ij + a_ji) - a_ij t - a_ji t^-1
         return ExactMatrix(
             [[LaurentPoly({-1: -a[j][i], 0: a[i][j] + a[j][i], 1: -a[i][j]})
-              for j in range(n)] for i in range(n)],
-            kind="laurent",
+              for j in range(n)] for i in range(n)]
         )
 
 
@@ -131,9 +129,8 @@ def alexander(s: SeifertMatrix) -> LaurentPoly:
     >>> str(alexander(SeifertMatrix([[-1, 1], [0, -1]])))
     't^2 - t + 1'
     """
-    a = s.matrix.to_laurent()
-    at = s.matrix.transpose().to_laurent().scale(T)
-    return normalize_unit((a - at).det())
+    a = s.matrix
+    return normalize_unit((a - a.transpose().scale(T)).det())
 
 
 def signature_at(s: SeifertMatrix, angle) -> tuple:

@@ -1,37 +1,20 @@
-"""Run every module's doctest examples (pytest only collects tests/)."""
+"""Run every module's doctest examples (pytest only collects tests/).
+
+The modules are read off the package directory, so a new module's
+examples run without being listed here."""
 
 import doctest
+import importlib
+import pathlib
 
 import pytest
 
 import bingcheck
-import bingcheck.catalog
-import bingcheck.cli
-import bingcheck.cover
-import bingcheck.errors
-import bingcheck.factor
-import bingcheck.fields
-import bingcheck.intpoly
-import bingcheck.laurent
-import bingcheck.matrices
-import bingcheck.seifert
-import bingcheck.sigfunc
-import bingcheck.witt
 
 MODULES = [
-    bingcheck,
-    bingcheck.laurent,
-    bingcheck.intpoly,
-    bingcheck.factor,
-    bingcheck.matrices,
-    bingcheck.fields,
-    bingcheck.sigfunc,
-    bingcheck.seifert,
-    bingcheck.cover,
-    bingcheck.witt,
-    bingcheck.catalog,
-    bingcheck.cli,
-    bingcheck.errors,
+    importlib.import_module(
+        "bingcheck" if path.stem == "__init__" else f"bingcheck.{path.stem}")
+    for path in sorted(pathlib.Path(bingcheck.__file__).parent.glob("*.py"))
 ]
 
 

@@ -8,10 +8,11 @@ dense coefficient lists) before the implementation existed; the helper
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bingcheck.errors import ParseError
+from bingcheck.intpoly import IntPoly
 from bingcheck.laurent import LaurentPoly, T, dense_divmod, dense_mul, parse_poly
 
 
@@ -238,3 +239,31 @@ def test_dense_divmod_exact_integer_quotient_keeps_integers(q, low, lead):
     quot, rem = dense_divmod(dense_mul(q, d), d)
     assert (quot, rem) == (q, [])
     assert all(type(c) is int for c in quot)
+
+
+# ints, Fractions, and constant and non-constant LaurentPoly and IntPoly
+scalars = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.builds(lambda cs, lo: LaurentPoly.from_coeffs(cs, lo),
+              st.lists(st.integers(min_value=-3, max_value=3), max_size=3),
+              st.integers(min_value=-1, max_value=1)),
+    st.builds(lambda c: LaurentPoly({0: c}), st.fractions(min_value=-3, max_value=3,
+                                                         max_denominator=3)),
+    st.builds(IntPoly, st.lists(st.integers(min_value=-3, max_value=3), max_size=3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(scalars, min_size=2, max_size=6))
+@example([LaurentPoly({0: 3}), Fraction(3), 3, IntPoly([3])])
+@example([LaurentPoly.zero(), IntPoly([]), Fraction(0), 0])
+@example([LaurentPoly({0: Fraction(-1, 2)}), Fraction(-1, 2)])
+def test_equal_scalars_hash_equal(values):
+    # the hash contract, across the number types a polynomial equals
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    assert len({LaurentPoly({0: 3}), Fraction(3), 3}) == 1
+    assert len({IntPoly([3]), 3}) == 1

@@ -90,6 +90,17 @@ class TestDet:
         assert ma.block_sum(mb).det() == ma.det() * mb.det()
 
 
+class TestEquality:
+    @settings(max_examples=40, deadline=None)
+    @given(square(rational))
+    def test_constant_laurent_entries_equal_and_hash_as_fractions(self, rows):
+        m = ExactMatrix(rows)
+        lm = ExactMatrix([[LaurentPoly({0: e}) for e in r] for r in rows])
+        # a matrix is compared and hashed by its entries alone
+        assert m == lm and m.entries == lm.entries
+        assert hash(m) == hash(lm) and hash(m.entries) == hash(lm.entries)
+
+
 class TestInverse:
     def test_frozen(self):
         assert ExactMatrix([[0, 1], [-1, 0]]).inverse() == ExactMatrix([[0, -1], [1, 0]])
@@ -132,9 +143,11 @@ class TestBlockSumAndSubstitution:
         got = ExactMatrix([[2]]).block_sum(ExactMatrix([[3]]))
         assert got == ExactMatrix([[2, 0], [0, 3]])
 
-    def test_kind_promotion(self):
+    def test_mixed_block_sum(self):
         got = ExactMatrix([[Fraction(1, 2)]]).block_sum(ExactMatrix([[T]]))
-        assert got.kind == "laurent"
+        assert got.entries == ((Fraction(1, 2), 0), (0, T))
+        # a summand with a LaurentPoly entry makes the padding Laurent zeros
+        assert isinstance(got[0, 1], LaurentPoly) and isinstance(got[1, 0], LaurentPoly)
         assert got[0, 0] == LaurentPoly({0: Fraction(1, 2)})
 
     def test_substitute_power_frozen(self):
@@ -142,7 +155,7 @@ class TestBlockSumAndSubstitution:
         s = m.substitute_power(2)
         assert s[0, 0] == parse_poly("t^2")
         assert s[1, 1] == parse_poly("t^-2")
-        assert ExactMatrix.identity(3, "laurent").substitute_power(5) == ExactMatrix.identity(3, "laurent")
+        assert ExactMatrix.identity(3).substitute_power(5) == ExactMatrix.identity(3)
 
     def test_substitute_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -197,7 +197,7 @@ class TestUImage:
 
 class TestCircleJumpFactors:
     def test_trefoil_keeps_alexander_factor(self):
-        d = bmat(TREFOIL).to_laurent().det()
+        d = bmat(TREFOIL).det()
         fac = circle_jump_factors(factor_list(d))
         assert [(str(p), str(g)) for p, g in fac] == [("t^2 - t + 1", "t - 1")]
 
@@ -395,7 +395,7 @@ class TestGivenFactors:
 
 class TestEmptyMatrix:
     def test_zero_by_zero(self):
-        B = ExactMatrix([], kind="laurent")
+        B = ExactMatrix([])
         f = signature_function_of_matrix(B, factor_list(B.det()))
         assert f.arc_rows() == [(Fraction(-2), Fraction(2), 0)]
         assert f.is_zero and f.jumps == ()

@@ -545,7 +545,9 @@ class TestOneDeterminantPerBattery:
     def test_one_det_of_symmetrized_form(self, dets, s):
         r = obstruction_battery(s)
         sym = s.matrix + s.matrix.transpose()
-        assert [m for m in dets if m.kind == "rational" and m == sym] == [sym]
+        alexander_matrix = s.matrix - s.matrix.transpose().scale(T)
+        # the unknot's A + A^T and A - tA^T are one matrix, the 0x0 one
+        assert dets.count(sym) == 1 + (alexander_matrix == sym)
         assert (r.arf, r.determinant) == (arf(s), determinant_invariant(s))
 
     def test_stevedore_verdict_takes_two_dets(self, dets):
@@ -557,8 +559,7 @@ class TestOneDeterminantPerBattery:
     @pytest.mark.parametrize("s", CATALOG, ids=lambda s: s.name)
     def test_cable_takes_only_the_alexander_det(self, dets, s):
         phi(from_seifert(s), 3)
-        a = s.matrix.to_laurent()
-        assert dets == [a - s.matrix.transpose().to_laurent().scale(T)]
+        assert dets == [s.matrix - s.matrix.transpose().scale(T)]
 
 
 class TestVerdictReadsEachPhiOnce:
