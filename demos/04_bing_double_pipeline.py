@@ -5,11 +5,12 @@ particular Arf(K) = 0.  Contrapositively, any failure of the necessary
 conditions for algebraic sliceness — Fox-Milnor, vanishing signature
 function, Arf, square determinant — certifies that B(K) is not slice.
 
-The verdict comes with machinery cross-checks: the J(p,q) presentations
-(block sums of the t -> t^k substitutions for k = p, p+q, q) must have
-additive signatures, and whenever a J(p,q) battery is wholly zero the
-telescoping identity between phi_(q-1) and phi_(q+1) must hold at the
-level of signature step functions.
+The verdict is the battery's, and it comes with machinery cross-checks
+that add no certificate: the J(p,q) presentations (block sums of the
+t -> t^k substitutions for k = p, p+q, q) must have additive signatures,
+and whenever a J(p,q) battery finds no obstruction the telescoping
+identity between phi_(q-1) and phi_(q+1) must hold at the level of
+signature step functions.  A failure of either is an internal error.
 """
 
 from bingcheck import (

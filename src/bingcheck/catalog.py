@@ -157,7 +157,11 @@ def parse_seifert(text: str) -> SeifertMatrix:
                     "malformed number %r" % tok.group(),
                     line=lineno, col=tok.start() + 1,
                 )
-            row.append(Fraction(tok.group()))
+            try:
+                row.append(Fraction(tok.group()))
+            except ValueError as exc:  # above Python's int <-> str digit limit
+                raise ParseError("cannot convert number: %s" % exc,
+                                 line=lineno, col=tok.start() + 1) from None
         rows.append(row)
     try:
         return SeifertMatrix(rows, name=name)

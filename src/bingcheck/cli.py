@@ -43,9 +43,14 @@ __all__ = ["main"]
 # genus-2 form, and the time grows about 4x for each doubling of n.
 # `bing --range R` runs R(R + 1)/2 J(p, q) batteries with powers up to 2R:
 # at R = 8, 1-3 s on genus-1 catalog knots and 10 s on a genus-2 form;
-# R = 16 takes 33 s on 3_1.
+# R = 16 takes 33 s on 3_1.  At the largest covering degree p = 4096,
+# `foxorder -p` takes 0.3-3.1 s on genus-1 catalog knots and 3.2 s on a
+# genus-2 form, and the time grows about 4x for each doubling of p (10 s on
+# twist(5) at p = 8000); `cover -p` takes 0.4-0.6 s on genus-1 catalog
+# knots and 2.7 s on the genus-2 form.
 MAX_POWER = 64
 MAX_RANGE = 8
+MAX_DEGREE = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "do not apply).",
     )
     sp.add_argument("-p", type=int, required=True, metavar="P",
-                    help="covering degree, p >= 2")
+                    help="covering degree, 2 <= p <= %d" % MAX_DEGREE)
     _add_knot_arguments(sp)
 
     sp = sub.add_parser(
@@ -182,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "vanishes at one of them.",
     )
     sp.add_argument("-p", type=int, required=True, metavar="P",
-                    help="covering degree, p >= 2")
+                    help="covering degree, 2 <= p <= %d" % MAX_DEGREE)
     _add_knot_arguments(sp)
 
     sp = sub.add_parser(
@@ -206,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "slice; any failing battery test therefore certifies "
                     "that B(K) is not slice (Arf 1 gives an independent "
                     "certificate). Also verifies the machinery: J(p,q) "
-                    "signature additivity and, where the J(p,q) battery is "
-                    "wholly zero, the telescoping identity between "
-                    "phi_(q-1) and phi_(q+1).",
+                    "signature additivity and, where the J(p,q) battery "
+                    "finds no obstruction, the telescoping identity between "
+                    "phi_(q-1) and phi_(q+1). A failed check exits 3.",
     )
     sp.add_argument("--range", type=int, default=3, dest="check_range",
                     metavar="R",
@@ -261,6 +266,9 @@ def _check_bounds(args) -> None:
     if cmd == "bing" and args.check_range > MAX_RANGE:
         raise SizeBoundError("bing --range %d is above the bound %d on the range"
                              % (args.check_range, MAX_RANGE))
+    if cmd in ("cover", "foxorder") and args.p > MAX_DEGREE:
+        raise SizeBoundError("%s -p %d is above the bound %d on the covering degree p"
+                             % (cmd, args.p, MAX_DEGREE))
 
 
 def _dispatch(args) -> None:
@@ -322,6 +330,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # exact entries and results can pass Python's int <-> str digit limit
+    # (4300 digits since 3.10.7 and 3.11): lift it for the run, then restore it
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         _dispatch(args)
     except InternalInvariantError as exc:
@@ -333,6 +346,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -98,20 +98,21 @@ def covering_seifert_matrix(s: SeifertMatrix, p: int) -> SeifertMatrix:
     gamma = (a - at).inverse() @ a
     eye = ExactMatrix.identity(s.size)
 
-    def powers(m):
-        out = [eye]
-        for _ in range(p):
-            out.append(out[-1] @ m)
-        return out
+    def last_powers(m):
+        """(m^(p-1), m^p): only these two are read, so no other is kept."""
+        before = eye
+        for _ in range(p - 1):
+            before = before @ m
+        return before, before @ m
 
-    g, h = powers(gamma), powers(gamma - eye)
+    (g1, g), (h1, h) = last_powers(gamma), last_powers(gamma - eye)
     try:
-        denom_inv = (g[p] - h[p]).inverse()
+        denom_inv = (g - h).inverse()
     except SingularMatrixError:
         raise FormulaHypothesisError(
             "Gamma^p - (Gamma - I)^p is singular; the covering formula does not apply"
         ) from None
-    atilde = a - at @ (g[p - 1] - h[p - 1]) @ denom_inv @ gamma
+    atilde = a - at @ (g1 - h1) @ denom_inv @ gamma
     try:
         return SeifertMatrix(atilde, integral=False)
     except AdmissibilityError:

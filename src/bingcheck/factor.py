@@ -30,7 +30,7 @@ from .errors import InternalInvariantError
 from .laurent import LaurentPoly, _strip, as_laurent, dense_divmod
 from .intpoly import IntPoly, divmod_exact, squarefree_decomposition
 
-__all__ = ["factor_rational", "merge_factors", "zassenhaus"]
+__all__ = ["factor_rational", "merge_factors"]
 
 
 # -- dense arithmetic mod p (lists of ints in [0, p), ascending) ---------------
@@ -267,10 +267,15 @@ def _choose_prime(f: IntPoly):
     return best
 
 
-def zassenhaus(f: IntPoly):
+def _zassenhaus(f: IntPoly):
     """Irreducible factors over Q of a primitive squarefree f, deg f >= 1,
     lc f > 0.  Returned factors are primitive with positive leading
-    coefficients; their product is f."""
+    coefficients; their product is f.
+
+    f must be squarefree, which is not checked: _choose_prime looks for
+    primes that keep f squarefree, and for f with a square factor there is
+    none, so the search never ends.  factor_rational passes only the
+    squarefree parts of Yun's decomposition."""
     n = f.degree
     if n == 1:
         return [f]
@@ -365,7 +370,7 @@ def factor_rational(f):
     unit = LaurentPoly({shift: sign * content})
     factors = []
     for part, mult in squarefree_decomposition(F):
-        for g in zassenhaus(part):
+        for g in _zassenhaus(part):
             factors.append((g, mult))
     factors.sort(key=_factor_key)
     check = unit

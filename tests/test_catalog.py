@@ -85,6 +85,11 @@ class TestParseSeifert:
         with pytest.raises(ParseError, match=r"line 2, col 4"):
             parse_seifert("2\n-1 x\n0 -1\n")
 
+    def test_number_past_the_digit_limit_located(self):
+        # Python refuses int <-> str conversion past 4300 digits by default
+        with pytest.raises(ParseError, match=r"cannot convert.*\(line 3, col 3\)"):
+            parse_seifert("2\n-1 1\n0 " + "9" * 5001 + "\n")
+
     def test_ragged_row(self):
         with pytest.raises(ParseError, match="expected 2 entries.*line 3"):
             parse_seifert("2\n-1 1\n0\n")

@@ -21,6 +21,8 @@ import pytest
 import bingcheck
 from bingcheck import cli
 from bingcheck.catalog import parse_seifert
+from bingcheck.cover import branched_cover_homology_order
+from bingcheck.seifert import alexander
 from bingcheck.cli import main
 from bingcheck.errors import InternalInvariantError
 from bingcheck.matrices import ExactMatrix
@@ -142,7 +144,11 @@ class TestSizeBounds:
         (["jpq", "-p", "32", "-q", "33", "3_1"], "bound 64"),
         (["bing", "--range", "99999", "3_1"], "bound 8"),
         (["bing", "--range", "9", "3_1"], "bound 8"),
-    ], ids=["cable-huge", "cable-next", "jpq-huge", "jpq-next", "bing-huge", "bing-next"])
+        (["foxorder", "-p", "4097", "4_1"], "bound 4096"),
+        (["cover", "-p", "4097", "4_1"], "bound 4096"),
+        (["foxorder", "-p", "10" * 40, "4_1"], "bound 4096"),
+    ], ids=["cable-huge", "cable-next", "jpq-huge", "jpq-next", "bing-huge", "bing-next",
+            "foxorder-next", "cover-next", "foxorder-huge"])
     def test_above_the_bound_exits_2_at_once(self, capsys, monkeypatch, argv, bound):
         # the bound is checked before any work: nothing is even loaded
         monkeypatch.setattr(cli, "_load_seifert", None)
@@ -154,6 +160,46 @@ class TestSizeBounds:
         assert (cli.MAX_POWER, cli.MAX_RANGE) == (64, 8)
         code, out, _ = run(capsys, "jpq", "-p", "1", "-q", "63", "6_1")
         assert code == 0 and out.startswith("name = J(1,63) of 6_1\n")
+
+
+    def test_the_degree_bound_is_accepted(self, capsys):
+        assert cli.MAX_DEGREE == 4096
+        code, out, _ = run(capsys, "foxorder", "-p", "4096", "3_1")
+        assert (code, out) == (0, "order = 3\n")
+
+
+def decimal_value(digits):
+    """int(digits) past Python's int <-> str digit limit, 1000 digits at a time."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+class TestLongIntegers:
+    """Entries and results past Python's 4300-digit int <-> str limit are
+    read and printed exactly, and the limit is restored after the run."""
+
+    def test_long_entry_parses_and_prints(self, capsys, tmp_path):
+        f = tmp_path / "long.mat"
+        f.write_text("2\n1%s 1\n0 1\n" % ("0" * 5000))
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "invariants", "--file", str(f))
+        assert (code, err) == (0, "")
+        # A + A^T = [[2 10^5000, 1], [1, 2]]
+        assert "determinant = 3%s\n" % ("9" * 5000) in out
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_long_order_prints_exactly(self, capsys, tmp_path):
+        f = tmp_path / "twist.mat"
+        f.write_text("2\n-1 1\n0 1000000\n")
+        code, out, err = run(capsys, "foxorder", "-p", "1000", "--file", str(f))
+        assert (code, err) == (0, "")
+        digits = out.removeprefix("order = ").removesuffix("\n")
+        assert len(digits) > 4300
+        expected = branched_cover_homology_order(alexander(parse_seifert(f.read_text())), 1000)
+        assert decimal_value(digits) == expected
 
 
 class TestCatalogAndBatch:

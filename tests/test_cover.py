@@ -5,6 +5,7 @@ The homology-order oracle is independent of the resultant implementation:
 computed directly in the cyclotomic field Q(zeta_p).
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,17 @@ class TestCoveringSeifertMatrix:
 
     def test_unknot(self):
         assert covering_seifert_matrix(UNKNOT, 5).size == 0
+
+    def test_keeps_only_the_powers_it_reads(self):
+        # only Gamma^(p-1), Gamma^p and the two powers of Gamma - I are held:
+        # keeping all 2(p + 1) powers peaked at 1.1 MB here
+        tracemalloc.start()
+        try:
+            covering_seifert_matrix(FIGURE_EIGHT, 800)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 250_000
 
     def test_output_always_admissible(self):
         for s in (TREFOIL, FIGURE_EIGHT, STEVEDORE):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bingcheck.factor import factor_rational, zassenhaus
+from bingcheck.factor import _zassenhaus, factor_rational
 from bingcheck.intpoly import IntPoly, cyclotomic
 from bingcheck.laurent import LaurentPoly, parse_poly
 
@@ -55,23 +55,29 @@ class TestFrozenFactorizations:
         with pytest.raises(ValueError):
             factor_rational(LaurentPoly.zero())
 
+    def test_square_factor_is_split_before_zassenhaus(self):
+        # _zassenhaus needs a squarefree argument; factor_rational gives it
+        # only the squarefree parts
+        _, fs = factor_rational(parse_poly("t + 1") ** 2 * parse_poly("t^2 + 2"))
+        assert fs == [(IntPoly("t + 1"), 2), (IntPoly("t^2 + 2"), 1)]
+
 
 class TestZassenhaus:
     def test_splits_despite_modular_splitting(self):
         # irreducible over Q yet reducible mod every prime
         f = IntPoly("t^4 - 10t^2 + 1")
-        assert zassenhaus(f) == [f]
+        assert _zassenhaus(f) == [f]
 
     def test_product_of_close_factors(self):
         a, b = IntPoly("t^2 + t + 1"), IntPoly("t^2 + t + 2")
-        got = zassenhaus(a * b)
+        got = _zassenhaus(a * b)
         assert sorted(got, key=lambda g: g.coeffs) == sorted(
             [a, b], key=lambda g: g.coeffs
         )
 
     def test_nonmonic(self):
         f = IntPoly("2t - 1") * IntPoly("3t - 1") * IntPoly("t^2 + 5")
-        got = zassenhaus(f)
+        got = _zassenhaus(f)
         assert sorted(g.coeffs for g in got) == sorted(
             [(-1, 2), (-1, 3), (5, 0, 1)]
         )

@@ -25,6 +25,7 @@ from bingcheck.seifert import (
     determinant_invariant,
     mirror,
 )
+from bingcheck.cli import main
 from bingcheck.cover import covering_seifert_matrix
 from bingcheck.witt import (
     NOT_ALG_SLICE,
@@ -837,6 +838,48 @@ class TestBingDoubleVerdict:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             bing_double_verdict(TREFOIL, 0)
+
+
+class TestVerdictIsTheBattery:
+    """The Bing verdict, certificate, conclusion and Arf flag are read off
+    the battery; the cross-checks are diagnostics that raise on failure."""
+
+    def test_telescoping_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(witt, "same_step_function", lambda f, g: False)
+        with pytest.raises(InternalInvariantError, match=r"J\(1, 1\)"):
+            bing_double_verdict(STEVEDORE, 2)
+
+    def test_telescoping_mismatch_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(witt, "same_step_function", lambda f, g: False)
+        assert main(["bing", "--range", "2", "6_1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: J(1, 1) ")
+
+    @given(admissible_forms(max_genus=2), st.sampled_from(["K", "K # K", "K # -K"]))
+    @settings(max_examples=25, deadline=None)
+    def test_verdict_is_the_battery(self, s, sum_kind):
+        if sum_kind != "K":
+            s = connected_sum(s, s if sum_kind == "K # K" else mirror(s))
+        battery = obstruction_battery(s)
+        r = bing_double_verdict(s, 2)
+        assert (r.verdict, r.certificate) == (battery.verdict, battery.certificate)
+        assert r.conclusion == ("B(K) is not slice" if battery.certificate else None)
+        assert r.arf_certificate == (battery.arf == 1)
+        if any(c.telescoping == "verified" for c in r.crosschecks):
+            assert battery.signature.is_zero
+
+    @pytest.mark.parametrize("s, check_range", [
+        (TREFOIL, 3), (FIGURE_EIGHT, 3), (STEVEDORE, 3),
+        (connected_sum(TREFOIL, mirror(TREFOIL)), 2),
+    ], ids=["3_1", "4_1", "6_1", "3_1#-3_1"])
+    def test_builds_no_presentation_matrix(self, monkeypatch, s, check_range):
+        sums = count_calls(monkeypatch, ExactMatrix.block_sum)
+        reads = []
+        matrix = witt.WittPresentation.matrix
+        monkeypatch.setattr(witt.WittPresentation, "matrix",
+                            property(lambda p: reads.append(p) or matrix.fget(p)))
+        bing_double_verdict(s, check_range)
+        assert sums == [] and reads == []
 
 
 @st.composite
