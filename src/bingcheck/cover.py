@@ -18,9 +18,16 @@ back flagged rational.
 
 from __future__ import annotations
 
-from .errors import AdmissibilityError, FormulaHypothesisError, SingularMatrixError
+from math import gcd
+
+from .errors import (
+    AdmissibilityError,
+    FormulaHypothesisError,
+    InternalInvariantError,
+    SingularMatrixError,
+)
 from .laurent import LaurentPoly
-from .intpoly import IntPoly, resultant
+from .intpoly import IntPoly, pseudo_rem, resultant
 from .matrices import ExactMatrix
 from .seifert import SeifertMatrix
 
@@ -50,6 +57,55 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
+def _psi_resultant(f: IntPoly, p: int) -> int:
+    """Res(psi, f) for psi = (t^p - 1)/(t - 1) and a nonzero integer f with
+    f(0) != 0, from about log2 p squarings instead of a remainder sequence
+    that starts at degree p - 1.
+
+    With r = psi mod f, Res(psi, f) = (-1)^((p - 1) deg f)
+    lc(f)^(p - 1 - deg r) Res(f, r), and Res(psi, f) = 0 when r = 0.  As
+    t^p - 1 = (t - 1) psi, (t - 1) r is (t^p - 1) mod (t - 1) f, so r comes
+    from t^p mod (t - 1) f by repeated squaring.  That remainder is held as
+    h / den with h integral: each pseudo-remainder multiplies den by a power
+    of the modulus's leading coefficient, and the common content of h and
+    den is divided out.  Res(f, h / den) = Res(f, h) / den^deg f, an exact
+    division.
+
+    >>> _psi_resultant(IntPoly([1, -1, 1]), 3)
+    4
+    """
+    m = f.degree
+    if m == 0:
+        return f.lc ** (p - 1)
+    g = f * IntPoly([-1, 1])
+    h, den = IntPoly([1]), 1
+    for bit in bin(p)[2:]:
+        h, den = h * h, den * den
+        if bit == "1":
+            h = IntPoly((0,) + h.coeffs)
+        if h.degree >= g.degree:
+            h, den = pseudo_rem(h, g), den * g.lc ** (h.degree - g.degree + 1)
+        c = gcd(h.content(), den)
+        h, den = IntPoly([x // c for x in h.coeffs]), den // c
+    # (h - den)/(t - 1): the quotient's coefficients are the partial sums
+    # of h - den from the top, which must end at 0
+    rest = [h.coeff(0) - den] + list(h.coeffs[1:])
+    quotient = [0] * (len(rest) - 1)
+    acc = 0
+    for i in range(len(rest) - 1, 0, -1):
+        acc += rest[i]
+        quotient[i - 1] = acc
+    if acc + rest[0]:
+        raise InternalInvariantError("t^p - 1 mod (t - 1) f is not divisible by t - 1")
+    r = IntPoly(quotient)
+    if r.is_zero:
+        return 0
+    value = resultant(f, r) * f.lc ** (p - 1 - r.degree)
+    if value % den ** m:
+        raise InternalInvariantError("Res(f, r) was not divisible by den^deg f")
+    return (-1) ** ((p - 1) * m) * (value // den ** m)
+
+
 def branched_cover_homology_order(delta: LaurentPoly, p: int):
     """|H_1| of the p-fold branched cover: |Res(Delta, (t^p - 1)/(t - 1))|.
 
@@ -71,9 +127,8 @@ def branched_cover_homology_order(delta: LaurentPoly, p: int):
         raise ValueError("covers need p >= 2")
     content = delta.content()
     primitive = IntPoly.from_laurent(delta * (1 / content))
-    psi = IntPoly([1] * p)  # (t^p - 1)/(t - 1), monic
     # Res(psi, f) = prod over the p-th roots of unity zeta != 1 of f(zeta)
-    r = resultant(psi, primitive)
+    r = _psi_resultant(primitive, p)
     if r == 0:
         return INFINITE
     order = abs(r) * content ** (p - 1)

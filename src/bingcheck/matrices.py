@@ -11,11 +11,11 @@ and signatures refuse it.
 
 Determinants use fraction-free Bareiss elimination, whose interior divisions
 are exact in any integral domain, so Laurent determinants never leave the
-Laurent ring.  Signatures of symmetric rational matrices are computed by
-exact congruence: repeatedly split off the largest available diagonal
-pivot, and when every remaining diagonal entry vanishes split off a
-hyperbolic plane [[0,b],[b,0]] (contributing +1 and -1); whatever remains
-when no pivot exists is the kernel.
+Laurent ring.  Signatures of symmetric matrices come from one kernel on
+lists of Python ints, symmetric_signature: the same fraction-free
+elimination with diagonal pivots, whose successive pivots are principal
+minors, so that their signs give the signature.  A rational matrix is first
+scaled to integers.
 
 The 0x0 matrix is admitted everywhere: det Fraction(1), signature (0, 0).
 """
@@ -23,11 +23,12 @@ The 0x0 matrix is admitted everywhere: det Fraction(1), signature (0, 0).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import SingularMatrixError
 from .laurent import LaurentPoly, as_fraction, as_laurent
 
-__all__ = ["ExactMatrix"]
+__all__ = ["ExactMatrix", "symmetric_signature"]
 
 
 def _entry(e):
@@ -170,6 +171,16 @@ class ExactMatrix:
             groups.setdefault(find(i), []).append(i)
         return [tuple(g) for g in sorted(groups.values())]
 
+    def integer_rows(self) -> list:
+        """The rows of a rational matrix times the lcm of its denominators,
+        as new lists of ints: a positive scale, which keeps every
+        signature."""
+        scale = 1
+        for r in self._rows:
+            for e in r:
+                scale = scale * e.denominator // gcd(scale, e.denominator)
+        return [[e.numerator * (scale // e.denominator) for e in r] for r in self._rows]
+
     # -- determinant, inverse, signature -------------------------------------
     def det(self):
         """Exact determinant by fraction-free (Bareiss) elimination; a
@@ -224,14 +235,8 @@ class ExactMatrix:
         return ExactMatrix([row[n:] for row in aug])
 
     def sym_signature(self):
-        """(signature, nullity) of a symmetric rational matrix.
-
-        Exact congruence reduction: take the largest-|value| nonzero diagonal
-        pivot (ties to the smallest index) and pass to its Schur complement;
-        when every remaining diagonal entry is zero, split off a hyperbolic
-        plane [[0,b],[b,0]] (signature 0, counted as +1 and -1); a remaining
-        zero matrix is the kernel.
-        """
+        """(signature, nullity) of a symmetric rational matrix, by
+        symmetric_signature on its integer_rows."""
         if not self.is_square:
             raise ValueError("signature requires a square matrix")
         if self._has_laurent_entry():
@@ -241,40 +246,51 @@ class ExactMatrix:
             for j in range(i):
                 if self._rows[i][j] != self._rows[j][i]:
                     raise ValueError("signature requires a symmetric matrix")
-        M = [list(r) for r in self._rows]
-        active = list(range(n))
-        pos = neg = null = 0
-        while active:
-            k = max((a for a in active if M[a][a]),
-                    key=lambda a: (abs(M[a][a]), -a), default=None)
-            if k is not None:
-                p = M[k][k]
-                if p > 0:
-                    pos += 1
-                else:
-                    neg += 1
-                active.remove(k)
-                for r in active:
-                    if M[r][k]:
-                        for c in active:
-                            M[r][c] -= M[r][k] * M[k][c] / p
-                        # row k is retired, so only the live block matters
-                continue
-            pair = next(((i, j) for i in active for j in active
-                         if i < j and M[i][j]), None)
+        return symmetric_signature(self.integer_rows())
+
+
+def symmetric_signature(rows) -> tuple:
+    """(signature, nullity) of a symmetric integer matrix, given as a list
+    of int rows, which it overwrites.
+
+    Fraction-free symmetric elimination (Bareiss, Math. Comp. 22, 1968):
+    each step takes a live nonzero diagonal pivot p and replaces every live
+    entry by (m_ij p - m_ik m_kj) / prev, prev the previous pivot (1 at the
+    start), an exact division.  The pivots are then the leading principal
+    minors in pivot order, so p / prev, of sign sign(p) sign(prev), is the
+    step's entry of a diagonal matrix congruent to the input.  When every
+    live diagonal entry vanishes but some m_ij does
+    not, adding row and column j to row and column i, a congruence by a
+    unimodular matrix, makes m_ii = 2 m_ij; whatever is left when no live
+    entry is nonzero is the kernel.
+
+    >>> symmetric_signature([[0, 1], [1, 0]])
+    (0, 0)
+    >>> symmetric_signature([[2, 1, 0], [1, 2, 0], [0, 0, 0]])
+    (2, 1)
+    """
+    live = list(range(len(rows)))
+    prev, signature = 1, 0
+    while live:
+        k = next((a for a in live if rows[a][a]), None)
+        if k is None:
+            pair = next(((i, j) for i in live for j in live if i < j and rows[i][j]), None)
             if pair is None:
-                null += len(active)
                 break
-            i, j = pair
-            b = M[i][j]
-            pos += 1
-            neg += 1
-            active.remove(i)
-            active.remove(j)
-            updates = {}
-            for r in active:
-                for c in active:
-                    updates[(r, c)] = (M[r][i] * M[c][j] + M[r][j] * M[c][i]) / b
-            for (r, c), v in updates.items():
-                M[r][c] -= v
-        return pos - neg, null
+            k, j = pair
+            rk, rj = rows[k], rows[j]
+            for c in live:
+                rk[c] += rj[c]
+            for r in live:
+                rows[r][k] += rows[r][j]
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        signature += 1 if (p > 0) == (prev > 0) else -1
+        live.remove(k)
+        for i in live:
+            row = rows[i]
+            f = row[k]
+            for j in live:
+                row[j] = (row[j] * p - f * pivot_row[j]) // prev
+        prev = p
+    return signature, len(live)

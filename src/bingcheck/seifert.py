@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import AdmissibilityError, InternalInvariantError
 from .laurent import LaurentPoly, T, as_fraction, normalize_unit
 from .intpoly import IntPoly
 from .factor import factor_rational
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, symmetric_signature
 from .fields import evaluated_hermitian_signature, root_of_unity
 from .sigfunc import SignatureFunction, signature_function_of_matrix
 
@@ -36,6 +37,7 @@ __all__ = [
     "SeifertMatrix",
     "alexander",
     "arf",
+    "cayley_signature",
     "connected_sum",
     "determinant_invariant",
     "fox_milnor",
@@ -141,6 +143,42 @@ def signature_at(s: SeifertMatrix, angle) -> tuple:
     if not 0 < theta < 1:
         raise ValueError("angle must satisfy 0 < a/q < 1")
     return evaluated_hermitian_signature(s.seifert_form(), root_of_unity(theta))
+
+
+def cayley_signature(s: SeifertMatrix, x: int, y: int) -> tuple:
+    """(signature, nullity) of the Hermitian form of s at the point
+    omega = (x + iy)/(x - iy) of the unit circle, for integers x, y not
+    both 0, in integer arithmetic.
+
+    With X = A + A^T and Y = A - A^T, omega = (1 + i s')/(1 - i s') for
+    s' = y/x, and (1 + s'^2) B(omega) = 2 s' (s' X - i Y)
+    = (2 y / x^2)(y X - i x Y).  So B(omega) is a positive multiple of
+    |y| X - i (y/|y|) x Y, which is |y| X - i |x| Y or its complex
+    conjugate, of the same signature.  At x = 0 (omega = -1) that is
+    |y| X = |y| B(-1) / 2.  At y = 0, omega = 1 and B(1) = 0.
+    A rational A is first scaled by the lcm of its denominators, and x, y
+    divided by their gcd: positive scales keep the signature.  The
+    Hermitian a X - i b Y is read off the real symmetric
+    [[a X, b Y], [-b Y, a X]], which has twice its signature and nullity.
+
+    >>> trefoil = SeifertMatrix([[-1, 1], [0, -1]])
+    >>> cayley_signature(trefoil, 0, 1), cayley_signature(trefoil, 1, 0)
+    ((-2, 0), (0, 2))
+    """
+    n = s.size
+    if not y:
+        if not x:
+            raise ValueError("(x + iy)/(x - iy) needs x or y nonzero")
+        return 0, n
+    m = s.matrix.integer_rows()
+    g = gcd(x, y)
+    a, b = abs(y) // g, abs(x) // g
+    sym = [[a * (m[i][j] + m[j][i]) for j in range(n)] for i in range(n)]
+    skew = [[b * (m[i][j] - m[j][i]) for j in range(n)] for i in range(n)]
+    rows = [sym[i] + skew[i] for i in range(n)] + \
+        [[-e for e in skew[i]] + sym[i] for i in range(n)]
+    signature, nullity = symmetric_signature(rows)
+    return signature // 2, nullity // 2
 
 
 def signature_function(s: SeifertMatrix) -> SignatureFunction:

@@ -1,10 +1,10 @@
 """Witt presentations over the Laurent ring and the Bing-double obstruction
 pipeline.
 
-A knot's base is its own record: the Seifert form B(t) = (1 - t) A +
-(1 - 1/t) A^T of a Seifert matrix A, a square Laurent matrix, Hermitian for
-the involution t -> 1/t (B(t)^T = B(1/t) entrywise), with a coefficient-ring
-flag, Z (integral) or Q, and the factor list of Delta.  A Witt presentation
+A knot's base is its own record: a Seifert matrix A, whose flag gives the
+coefficient ring, Z (integral) or Q; its Seifert form B(t) = (1 - t) A +
+(1 - 1/t) A^T, a square Laurent matrix, Hermitian for the involution
+t -> 1/t (B(t)^T = B(1/t) entrywise); and the factor list of Delta.  A Witt presentation
 is a formal sum of parts (base, k), standing for the block sum of the
 substituted forms phi_k B = B(t^k).  The paper's argument works on such
 sums: the infection J(p, q) of a pattern on a companion K has Witt class
@@ -33,7 +33,6 @@ from .laurent import LaurentPoly
 from .intpoly import IntPoly, cyclotomic, cyclotomic_order
 from .factor import factor_rational, merge_factors
 from .matrices import ExactMatrix
-from .fields import cayley_point, evaluated_hermitian_signature
 from .sigfunc import (
     SignatureFunction,
     pullback_signature_function,
@@ -44,6 +43,7 @@ from .seifert import (
     SeifertMatrix,
     _arf_and_determinant,
     alexander,
+    cayley_signature,
     fox_milnor,
     FoxMilnorResult,
 )
@@ -75,16 +75,17 @@ _T_MINUS_ONE = IntPoly([-1, 1])
 
 
 class _Base:
-    """A knot's own record, built once: its Seifert form B, the integral
-    flag, Delta's factor list and B's order (t - 1)^n Delta, n the size of
-    B (det B is the order up to units).  It keeps B's signature function
-    and the factor list of each order(t^k) once computed."""
+    """A knot's own record, built once: its Seifert matrix A, which gives
+    the ring and which the additivity check reads (seifert.cayley_signature),
+    its Seifert form B, Delta's factor list and B's order (t - 1)^n Delta, n
+    the size of B (det B is the order up to units).  It keeps B's signature
+    function and the factor list of each order(t^k) once computed."""
 
-    __slots__ = ("form", "integral", "delta_factors", "order", "_function", "_factors")
+    __slots__ = ("seifert", "form", "delta_factors", "order", "_function", "_factors")
 
     def __init__(self, s: SeifertMatrix, delta: LaurentPoly, factors, function=None):
         n = s.size
-        self.form, self.integral, self.delta_factors = s.seifert_form(), s.integral, factors
+        self.seifert, self.form, self.delta_factors = s, s.seifert_form(), factors
         self.order = _T_MINUS_ONE.to_laurent() ** n * delta
         self._function = function
         self._factors = {1: merge_factors(factors, [(_T_MINUS_ONE, n)] if n else [])}
@@ -142,7 +143,7 @@ class WittPresentation:
 
     @property
     def ring(self) -> str:
-        return "Z" if all(base.integral for base, _ in self._parts) else "Q"
+        return "Z" if all(base.seifert.integral for base, _ in self._parts) else "Q"
 
     @property
     def size(self) -> int:
@@ -341,10 +342,11 @@ def presentation_battery(p: WittPresentation, name: str = "(presentation)") -> O
 @dataclass(frozen=True)
 class CrossCheck:
     """Checked diagnostics for one (p, q) pair: the signature additivity of
-    J(p, q), checked at every arc sample of its signature function, and the
-    telescoping identity phi_{q-1} ~ phi_{q+1}, checked when J(p, q)'s
-    battery finds no obstruction.  A failure of either raises, so neither
-    field can record one."""
+    J(p, q), checked at every arc sample of its signature function on the
+    parts' own Seifert matrices in integer arithmetic, and the telescoping
+    identity phi_{q-1} ~ phi_{q+1}, checked when J(p, q)'s battery finds no
+    obstruction.  A failure of either raises, so neither field can record
+    one."""
 
     p: int
     q: int
@@ -356,17 +358,26 @@ def _additive_j_battery(knot: WittPresentation, p: int, q: int) -> ObstructionRe
     """The battery of J(p, q) on the knot's presentation, with its signature
     additivity checked at its own arc samples.  The battery pulls each arc
     value back from the knot's function, as the sum of its values at
-    D_k(u), k = p, p + q, q; at each sample omega = cayley_point(s) that sum
-    must equal the sum over J's parts (B, k) of the signature of B(t^k) at
-    omega, evaluated in Q(i), with every B(omega^k) nonsingular.  The
-    substituted forms are built once per J; J's block-sum matrix never is."""
+    D_k(u), k = p, p + q, q; at each sample omega = (1 + i s)/(1 - i s),
+    s = n/d, that sum must equal the sum over J's parts (B, k) of the
+    signature of B at omega^k = (x + iy)/(x - iy), (d + i n)^k = x + iy,
+    with every B(omega^k) nonsingular (omega^k = 1, where B vanishes, would
+    be a root of t^k - 1, a jump of J and never a sample).  Each value is
+    cayley_signature's on the part's own Seifert matrix, in integer
+    arithmetic: no substituted form is built and nothing is evaluated in
+    Q(i)."""
     j = _jpq(knot, p, q)
     report = presentation_battery(j)
-    forms = [base.form.substitute_power(k) for base, k in j.parts]
     for arc in report.signature.arcs:
-        omega = cayley_point(arc.sample_angle)
-        signatures, nullities = zip(*(evaluated_hermitian_signature(f, omega) for f in forms))
-        if (sum(signatures), sum(nullities)) != (arc.signature, 0):
+        d, n = arc.sample_angle.denominator, arc.sample_angle.numerator
+        signature = nullity = 0
+        for base, k in j.parts:
+            x, y = 1, 0
+            for _ in range(k):
+                x, y = x * d - y * n, x * n + y * d
+            sig, null = cayley_signature(base.seifert, x, y)
+            signature, nullity = signature + sig, nullity + null
+        if (signature, nullity) != (arc.signature, 0):
             raise InternalInvariantError(
                 "J(%d, %d) signature additivity failed at s = %s" % (p, q, arc.sample_angle)
             )
@@ -425,13 +436,16 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
     J(p, q) is built and its battery run once per unordered pair {p, q}.
     Every signature function but K's own is pulled back from K's, which is
     the battery's (battery.signature): only K's 2g x 2g form goes through
-    the matrix path.  Additivity is checked at each J battery's own arc
-    samples: at each Cayley point omega the pulled-back arc value must
-    equal the sum of the signatures of J's parts B(t^k) at omega,
-    evaluated in Q(i).  The telescoping functions phi_k are pulled back
-    too; phi_0 is the zero pairing, whose function vanishes identically.
-    K's presentation reuses the battery's Delta and its factors: one
-    Alexander det, one factoring.
+    the matrix path, and only it is evaluated in Q(i).  Additivity is
+    checked at each J battery's own arc samples: at each Cayley point omega
+    the pulled-back arc value must equal the sum over J's parts (B, k) of
+    the signature of B at omega^k, which seifert.cayley_signature reads off
+    the part's Seifert matrix in integer arithmetic.  The check thus shares
+    neither kernel nor points with K's values in Q(i): the pullback reads
+    them at D_k(u).  The telescoping functions phi_k are pulled back too;
+    phi_0 is the zero pairing, whose function vanishes identically.  K's
+    presentation reuses the battery's Delta and its factors: one Alexander
+    det, one factoring.
     """
     if not s.integral:
         raise AdmissibilityError("the Bing-double verdict needs an integral Seifert matrix")

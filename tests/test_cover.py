@@ -7,10 +7,13 @@ computed directly in the cyclotomic field Q(zeta_p).
 
 import tracemalloc
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bingcheck import cover
+from bingcheck.catalog import builtin_catalog
 from bingcheck.cover import (
     INFINITE,
     branched_cover_homology_order,
@@ -19,6 +22,7 @@ from bingcheck.cover import (
 from bingcheck.errors import AdmissibilityError, FormulaHypothesisError
 from bingcheck.factor import factor_rational
 from bingcheck.fields import cyclotomic_field
+from bingcheck.intpoly import IntPoly, resultant
 from bingcheck.laurent import LaurentPoly, parse_poly
 from bingcheck.matrices import ExactMatrix
 from bingcheck.seifert import SeifertMatrix, alexander, fox_milnor, signature_function
@@ -43,6 +47,76 @@ def order_by_field_product(delta, p):
     assert all(c == 0 for c in tail), "product must be rational"
     val = abs(prod[0]) if prod else Fraction(0)
     return val
+
+
+def order_by_subresultant(delta, p):
+    """The order from the subresultant PRS of psi = (t^p - 1)/(t - 1)
+    against Delta's primitive part, scaled by the content to the p - 1."""
+    content = delta.content()
+    r = resultant(IntPoly([1] * p), IntPoly.from_laurent(delta * (1 / content)))
+    if r == 0:
+        return INFINITE
+    order = abs(r) * content ** (p - 1)
+    return order.numerator if order.denominator == 1 else order
+
+
+@st.composite
+def non_monic_polys(draw):
+    """Integer polynomials of degree 1 to 6 with |leading coefficient| >= 2,
+    some with a root at 1, some scaled to a rational content."""
+    lc = draw(st.sampled_from([c for c in range(-9, 10) if abs(c) >= 2]))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6)) + [lc]
+    if draw(st.booleans()):
+        coeffs[0] -= sum(coeffs)  # Delta(1) = 0
+    assume(coeffs[0] != 0)
+    scale = draw(st.sampled_from([1, 3, Fraction(1, 2), Fraction(2, 3)]))
+    return LaurentPoly.from_coeffs([scale * c for c in coeffs], 0)
+
+
+class TestOrderFromTheRemainder:
+    """The order comes from psi mod Delta, t^p mod (t - 1) Delta found by
+    repeated squaring; the subresultant PRS of psi against Delta is the
+    oracle."""
+
+    @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
+    def test_catalog_matches_the_subresultant(self, entry):
+        delta = alexander(entry.seifert)
+        for p in range(2, 65):
+            assert branched_cover_homology_order(delta, p) == order_by_subresultant(delta, p), p
+
+    @given(non_monic_polys())
+    @settings(max_examples=25, deadline=None)
+    def test_non_monic_matches_the_subresultant(self, delta):
+        primitive = IntPoly.from_laurent(delta * (1 / delta.content()))
+        for p in range(2, 65):
+            assert branched_cover_homology_order(delta, p) == order_by_subresultant(delta, p), p
+            assert cover._psi_resultant(primitive, p) == resultant(IntPoly([1] * p), primitive)
+
+    def test_root_at_one_and_roots_of_unity(self):
+        # (t - 1)(2t - 1): Delta(1) = 0 yet psi(1) = p; (2t - 1)(t^2 + t + 1)
+        # vanishes at the cube roots of unity
+        assert branched_cover_homology_order(parse_poly("2t^2 - 3t + 1"), 4) == \
+            order_by_subresultant(parse_poly("2t^2 - 3t + 1"), 4) == 4 * 15
+        cubic = parse_poly("2t^3 + t^2 + t - 1")
+        assert branched_cover_homology_order(cubic, 6) is INFINITE
+        assert branched_cover_homology_order(cubic, 5) == order_by_subresultant(cubic, 5)
+
+    def test_non_monic_at_the_degree_bound_is_fast(self):
+        # twist(5), Delta = 5t^2 - 11t + 5 = 5(t - a)(t - 1/a): the
+        # subresultant PRS took 2.5 s at p = 4096, the remainder milliseconds
+        p = 4096
+        delta = alexander(next(e for e in builtin_catalog() if e.name == "twist(5)").seifert)
+        assert delta == parse_poly("5t^2 - 11t + 5")
+        start = perf_counter()
+        order = branched_cover_homology_order(delta, p)
+        assert perf_counter() - start < 0.25
+        # prod over zeta != 1 of Delta(zeta) = 5^(p-1) psi(a) psi(1/a), which
+        # is 5^p |2 - L_p| with L_k = a^k + a^-k; m_k = 5^k L_k satisfies
+        # m_(k+1) = 11 m_k - 25 m_(k-1), m_0 = 2, m_1 = 11
+        m0, m1 = 2, 11
+        for _ in range(p - 1):
+            m0, m1 = m1, 11 * m1 - 25 * m0
+        assert order == abs(2 * 5 ** p - m1)
 
 
 class TestHomologyOrder:

@@ -24,6 +24,8 @@ from bingcheck.fields import (
 from bingcheck.intpoly import IntPoly, dickson
 from bingcheck.laurent import LaurentPoly, as_laurent, parse_poly
 from bingcheck.matrices import ExactMatrix
+from bingcheck.seifert import SeifertMatrix
+from strategies import admissible_forms
 
 
 class TestCosEnclosure:
@@ -264,33 +266,13 @@ class TestRankOverFactor:
 
 # -- property tests against a floating-point oracle ------------------------------
 
-def symplectic_form(genus, upper):
-    """B(t) = (1-t) A + (1-t^-1) A^T for the integral 2g x 2g Seifert matrix A
-    with A - A^T the standard symplectic form, its upper triangle (diagonal
-    included) read row by row from `upper`."""
-    n = 2 * genus
-    entries = iter(upper)
-    a = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            a[i][j] = next(entries)
-            if j > i:
-                a[j][i] = a[i][j] - (1 if j == i + 1 and i % 2 == 0 else 0)
-    return seifert_form_matrix(a)
-
-
 def numeric(M, z):
     """M(z) for a Laurent ExactMatrix M, as a complex numpy array."""
     return np.array([[sum(float(c) * z ** k for k, c in as_laurent(M[i, j]).items())
                       for j in range(M.cols)] for i in range(M.rows)], dtype=complex)
 
 
-# entries drawn evenly: st.integers favours 0, whose forms are mostly degenerate
-admissible_forms = st.integers(1, 3).flatmap(
-    lambda g: st.lists(
-        st.sampled_from(range(-3, 4)), min_size=g * (2 * g + 1), max_size=g * (2 * g + 1)
-    ).map(lambda upper: symplectic_form(g, upper))
-)
+seifert_forms = admissible_forms().map(SeifertMatrix.seifert_form)
 angles = st.integers(2, 16).flatmap(
     lambda q: st.integers(1, q - 1).map(lambda a: Fraction(a, q))
 )
@@ -305,7 +287,7 @@ MODULI = [IntPoly(m) for m in (
 
 
 class TestAgainstNumericOracle:
-    @given(admissible_forms, st.integers(1, 3), angles)
+    @given(seifert_forms, st.integers(1, 3), angles)
     @settings(max_examples=30, deadline=None)
     def test_hermitian_signature_matches_eigenvalues(self, B, n, angle):
         M = B.substitute_power(n)
@@ -344,7 +326,7 @@ class TestAgainstNumericOracle:
         k = data.draw(st.integers(1, q))
         assert image(f, g * h, k) == f.mul(image(f, g, k), image(f, h, k))
 
-    @given(admissible_forms, st.integers(1, 3), st.integers(-20, 20), st.integers(1, 20))
+    @given(seifert_forms, st.integers(1, 3), st.integers(-20, 20), st.integers(1, 20))
     @settings(max_examples=30, deadline=None)
     def test_cayley_signature_matches_eigenvalues(self, B, n, a, b):
         # omega(s) = (1 + i s)/(1 - i s), s of either sign, in Q(i)

@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bingcheck.errors import SingularMatrixError
 from bingcheck.laurent import LaurentPoly, T, parse_poly
-from bingcheck.matrices import ExactMatrix
+from bingcheck.matrices import ExactMatrix, symmetric_signature
 
 
 def cofactor_det(rows):
@@ -216,3 +217,41 @@ class TestSymSignature:
             rank = n - nul
             assert abs(sig) <= rank
             assert (rank - sig) % 2 == 0
+
+
+class TestSymmetricSignature:
+    """The integer kernel against numpy's eigenvalues, a floating-point
+    oracle used only here."""
+
+    @given(st.integers(1, 8), st.sampled_from(["dense", "zero diagonal", "singular"]),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_eigenvalues(self, n, kind, data):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if i != j or kind != "zero diagonal":
+                    rows[i][j] = rows[j][i] = data.draw(st.integers(-4, 4))
+        if kind == "singular" and n > 1:
+            # row and column k repeat row and column source
+            k, source = data.draw(st.permutations(range(n)))[:2]
+            index = [source if i == k else i for i in range(n)]
+            rows = [[rows[i][j] for j in index] for i in index]
+        eig = np.linalg.eigvalsh(np.array(rows, dtype=float))
+        assume(not any(1e-9 < abs(e) < 1e-6 for e in eig))
+        want = (sum(1 for e in eig if e >= 1e-6) - sum(1 for e in eig if e <= -1e-6),
+                sum(1 for e in eig if abs(e) <= 1e-9))
+        assert symmetric_signature([list(r) for r in rows]) == want
+
+    def test_zero_diagonal_pairs(self):
+        # every diagonal entry vanishes at each step: the pivot comes from
+        # adding row and column j to row and column i
+        assert symmetric_signature([[0, 3], [3, 0]]) == (0, 0)
+        assert symmetric_signature([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == (-1, 0)
+        assert symmetric_signature([[0, 2, 0], [2, 0, 0], [0, 0, 0]]) == (0, 1)
+        assert symmetric_signature([]) == (0, 0)
+
+    def test_rational_matrix_is_scaled_to_integers(self):
+        half = Fraction(1, 2)
+        assert ExactMatrix([[half, Fraction(1, 3)], [Fraction(1, 3), half]]).sym_signature() \
+            == symmetric_signature([[3, 2], [2, 3]]) == (2, 0)

@@ -14,12 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from bingcheck.errors import AdmissibilityError
 from bingcheck.factor import factor_rational
+from bingcheck.fields import cayley_point, evaluated_hermitian_signature
 from bingcheck.laurent import LaurentPoly, normalize_unit, parse_poly
 from bingcheck.matrices import ExactMatrix
 from bingcheck.seifert import (
     SeifertMatrix,
     alexander,
     arf,
+    cayley_signature,
     connected_sum,
     determinant_invariant,
     fox_milnor,
@@ -27,6 +29,7 @@ from bingcheck.seifert import (
     signature_at,
     signature_function,
 )
+from strategies import integral_or_rational_forms
 
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]], name="3_1")
 FIGURE_EIGHT = SeifertMatrix([[1, 1], [0, -1]], name="4_1")
@@ -145,6 +148,48 @@ class TestSignatureAt:
         lhs = signature_at(connected_sum(s, TREFOIL), theta)
         a, b = signature_at(s, theta), signature_at(TREFOIL, theta)
         assert lhs == (a[0] + b[0], a[1] + b[1])
+
+
+def gaussian_power(d, n, k):
+    """(x, y) with x + iy = (d + i n)^k."""
+    x, y = 1, 0
+    for _ in range(k):
+        x, y = x * d - y * n, x * n + y * d
+    return x, y
+
+
+class TestCayleySignature:
+    """cayley_signature reads the form at omega^k = (x + iy)/(x - iy),
+    omega = (1 + i s)/(1 - i s), s = n/d and (d + i n)^k = x + iy, off the
+    Seifert matrix in integers; the oracle substitutes t -> t^k into the
+    form and evaluates it at omega in Q(i)."""
+
+    @given(integral_or_rational_forms(max_genus=4), st.integers(-20, 20), st.integers(1, 20),
+           st.integers(1, 16))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_substituted_form_in_q_i(self, s, n, d, k):
+        want = evaluated_hermitian_signature(
+            s.seifert_form().substitute_power(k), cayley_point(Fraction(n, d)))
+        assert cayley_signature(s, *gaussian_power(d, n, k)) == want
+
+    def test_omega_squared_is_minus_one(self):
+        # s = 1: omega = i, and (1 + i)^2 = 2i gives x = 0
+        assert gaussian_power(1, 1, 2) == (0, 2)
+        for knot in (TREFOIL, FIGURE_EIGHT, STEVEDORE):
+            assert cayley_signature(knot, 0, 2) == signature_at(knot, Fraction(1, 2))
+        assert cayley_signature(TREFOIL, 0, 2) == (-2, 0)
+
+    def test_omega_to_the_fourth_is_one(self):
+        # (1 + i)^4 = -4: omega^4 = 1, where B vanishes, nullity 2g
+        assert gaussian_power(1, 1, 4) == (-4, 0)
+        genus_two = connected_sum(TREFOIL, FIGURE_EIGHT)
+        assert cayley_signature(TREFOIL, -4, 0) == (0, 2)
+        assert cayley_signature(genus_two, -4, 0) == (0, 4)
+        assert cayley_signature(UNKNOT, 3, 4) == (0, 0)
+
+    def test_needs_a_point(self):
+        with pytest.raises(ValueError):
+            cayley_signature(TREFOIL, 0, 0)
 
 
 class TestSignatureFunction:

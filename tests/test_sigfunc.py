@@ -41,6 +41,7 @@ from bingcheck.sigfunc import (
     same_step_function,
     signature_function_of_matrix,
 )
+from strategies import admissible_forms
 from bingcheck.witt import (
     from_seifert,
     jpq_presentation,
@@ -107,18 +108,6 @@ GENUS_TWO = symplectic_seifert(2, [-3, 0, 2, -2, 0, 2, -3, 1, -2, 3])
 def random_genus_two(rng):
     """Integral 4x4 Seifert matrix with A - A^T the standard symplectic form."""
     return symplectic_seifert(2, [rng.randint(-3, 3) for _ in range(10)])
-
-
-def admissible_forms(top_genus):
-    """Seifert matrices of genus 1 to top_genus; entries drawn evenly:
-    st.integers favours 0, whose forms mostly have a vanishing signature
-    function."""
-    return st.integers(1, top_genus).flatmap(
-        lambda g: st.lists(
-            st.sampled_from(range(-3, 4)), min_size=g * (2 * g + 1),
-            max_size=g * (2 * g + 1)
-        ).map(lambda upper: symplectic_seifert(g, upper))
-    )
 
 
 def u_of(s):

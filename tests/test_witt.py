@@ -15,7 +15,7 @@ from bingcheck.intpoly import IntPoly, cyclotomic, euler_phi
 from bingcheck.laurent import LaurentPoly, dense_divmod, parse_poly, normalize_unit
 from bingcheck.matrices import ExactMatrix
 from bingcheck import fields, sigfunc, witt
-from bingcheck.fields import evaluated_hermitian_signature, root_of_unity
+from bingcheck.fields import cayley_point, evaluated_hermitian_signature, root_of_unity
 from bingcheck.sigfunc import signature_function_of_matrix
 from bingcheck.seifert import (
     SeifertMatrix,
@@ -27,6 +27,7 @@ from bingcheck.seifert import (
 )
 from bingcheck.cli import main
 from bingcheck.cover import covering_seifert_matrix
+from strategies import admissible_forms, integral_or_rational_forms
 from bingcheck.witt import (
     NOT_ALG_SLICE,
     NO_OBSTRUCTION_FOUND,
@@ -55,14 +56,15 @@ def factor_list(f):
     return factor_rational(f)[1]
 
 
-def count_calls(monkeypatch, fn):
+def count_calls(monkeypatch, fn, whole=False):
     """Wrap every binding of `fn` in the package, in its modules and in the
     classes they define, and return the list that collects the first
-    argument of each call (the receiver, for a method)."""
+    argument of each call (the receiver, for a method), or with `whole`
+    the tuple of its arguments."""
     seen = []
 
     def counting(*args, **kwargs):
-        seen.append(args[0])
+        seen.append(args if whole else args[0])
         return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -397,19 +399,6 @@ class TestCyclotomicSubstitution:
         assert factored == []
 
 
-@st.composite
-def admissible_forms(draw, max_genus=3):
-    """Integral Seifert matrices of genus 1 to `max_genus` with A - A^T the
-    standard symplectic form, entries drawn evenly from -3 to 3."""
-    n = 2 * draw(st.integers(1, max_genus))
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = draw(st.sampled_from(range(-3, 4)))
-            rows[j][i] = rows[i][j] - (1 if j == i + 1 and i % 2 == 0 else 0)
-    return SeifertMatrix(rows)
-
-
 def assert_carries_its_factors(p):
     assert p.factors() == factor_rational(p.order())[1]
 
@@ -456,15 +445,6 @@ def assert_admissible(p, ring):
 
 def ring_of(*forms):
     return "Z" if all(s.integral for s in forms) else "Q"
-
-
-@st.composite
-def integral_or_rational_forms(draw, max_genus=3):
-    """An admissible form, or one with entries halved or thirded (a rational
-    Seifert matrix: A - A^T then has det 1/4 ** g or 1/9 ** g)."""
-    s = draw(admissible_forms(max_genus))
-    scale = draw(st.sampled_from([1, Fraction(1, 2), Fraction(1, 3)]))
-    return SeifertMatrix([[scale * e for e in row] for row in s.matrix.entries])
 
 
 class TestClosedConstructions:
@@ -880,6 +860,20 @@ class TestVerdictIsTheBattery:
                             property(lambda p: reads.append(p) or matrix.fget(p)))
         bing_double_verdict(s, check_range)
         assert sums == [] and reads == []
+
+    @pytest.mark.parametrize("s, check_range", [
+        (TREFOIL, 3), (FIGURE_EIGHT, 3), (STEVEDORE, 3),
+        (connected_sum(TREFOIL, mirror(TREFOIL)), 2),
+    ], ids=["3_1", "4_1", "6_1", "3_1#-3_1"])
+    def test_leaves_q_i_to_the_companion(self, monkeypatch, s, check_range):
+        # the additivity check reads each part's Seifert matrix in integers:
+        # only the companion's own arcs are evaluated, in Q(i), one each
+        arcs = obstruction_battery(s).signature.arcs
+        substituted = count_calls(monkeypatch, ExactMatrix.substitute_power)
+        evaluated = count_calls(monkeypatch, evaluated_hermitian_signature, whole=True)
+        bing_double_verdict(s, check_range)
+        assert substituted == []
+        assert evaluated == [(s.seifert_form(), cayley_point(a.sample_angle)) for a in arcs]
 
 
 @st.composite
