@@ -27,7 +27,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .laurent import LaurentPoly
-from .intpoly import IntPoly, pseudo_rem, resultant
+from .intpoly import IntPoly, divmod_exact, pseudo_rem, resultant
 from .matrices import ExactMatrix
 from .seifert import SeifertMatrix
 
@@ -56,6 +56,8 @@ class _Infinite:
 
 INFINITE = _Infinite()
 
+_T_MINUS_ONE = IntPoly([-1, 1])
+
 
 def _psi_resultant(f: IntPoly, p: int) -> int:
     """Res(psi, f) for psi = (t^p - 1)/(t - 1) and a nonzero integer f with
@@ -68,7 +70,8 @@ def _psi_resultant(f: IntPoly, p: int) -> int:
     from t^p mod (t - 1) f by repeated squaring.  That remainder is held as
     h / den with h integral: each pseudo-remainder multiplies den by a power
     of the modulus's leading coefficient, and the common content of h and
-    den is divided out.  Res(f, h / den) = Res(f, h) / den^deg f, an exact
+    den is divided out.  Then r = R / den for the integral
+    R = (h - den)/(t - 1), and Res(f, r) = Res(f, R) / den^deg f, an exact
     division.
 
     >>> _psi_resultant(IntPoly([1, -1, 1]), 3)
@@ -77,7 +80,7 @@ def _psi_resultant(f: IntPoly, p: int) -> int:
     m = f.degree
     if m == 0:
         return f.lc ** (p - 1)
-    g = f * IntPoly([-1, 1])
+    g = f * _T_MINUS_ONE
     h, den = IntPoly([1]), 1
     for bit in bin(p)[2:]:
         h, den = h * h, den * den
@@ -87,17 +90,7 @@ def _psi_resultant(f: IntPoly, p: int) -> int:
             h, den = pseudo_rem(h, g), den * g.lc ** (h.degree - g.degree + 1)
         c = gcd(h.content(), den)
         h, den = IntPoly([x // c for x in h.coeffs]), den // c
-    # (h - den)/(t - 1): the quotient's coefficients are the partial sums
-    # of h - den from the top, which must end at 0
-    rest = [h.coeff(0) - den] + list(h.coeffs[1:])
-    quotient = [0] * (len(rest) - 1)
-    acc = 0
-    for i in range(len(rest) - 1, 0, -1):
-        acc += rest[i]
-        quotient[i - 1] = acc
-    if acc + rest[0]:
-        raise InternalInvariantError("t^p - 1 mod (t - 1) f is not divisible by t - 1")
-    r = IntPoly(quotient)
+    r = divmod_exact(h - den, _T_MINUS_ONE)
     if r.is_zero:
         return 0
     value = resultant(f, r) * f.lc ** (p - 1 - r.degree)

@@ -8,7 +8,8 @@ From A one obtains:
   * the Alexander polynomial  Delta(t) = det(A - t A^T), normalized;
   * the Hermitian form  H(omega) = (1 - omega) A + (1 - conj omega) A^T
     at roots of unity omega != 1, whose signature and nullity are the
-    Levine-Tristram invariants;
+    Levine-Tristram invariants, and its signature at the rational points
+    (x + iy)/(x - iy) of the circle in integer arithmetic;
   * the full signature step function on the circle;
   * the Arf invariant (integral matrices): 0 iff Delta(-1) = +-1 mod 8;
   * the knot determinant |Delta(-1)| (integral matrices);
