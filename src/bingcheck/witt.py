@@ -4,14 +4,14 @@ pipeline.
 A knot's base is its own record: a Seifert matrix A, whose flag gives the
 coefficient ring, Z (integral) or Q; its Seifert form B(t) = (1 - t) A +
 (1 - 1/t) A^T, a square Laurent matrix, Hermitian for the involution
-t -> 1/t (B(t)^T = B(1/t) entrywise); and the factor list of Delta.  A Witt presentation
-is a formal sum of parts (base, k), standing for the block sum of the
-substituted forms phi_k B = B(t^k).  The paper's argument works on such
-sums: the infection J(p, q) of a pattern on a companion K has Witt class
-phi_p W(K) + phi_{p+q} W(K) + phi_q W(K).  So phi_n multiplies each k by n
-and block sum concatenates the parts; the ring, matrix, order and factor
-list are read off the parts, and the signature function is pulled back
-from each base's own (sigfunc.pullback_signature_function).
+t -> 1/t (B(t)^T = B(1/t) entrywise); and the factor list of Delta.  A
+Witt presentation is a formal sum of parts (base, k), standing for the
+block sum of the substituted forms phi_k B = B(t^k).  The paper's argument
+works on such sums: the infection J(p, q) of a pattern on a companion K has
+Witt class phi_p W(K) + phi_{p+q} W(K) + phi_q W(K).  So phi_n multiplies
+each k by n and block sum concatenates the parts; the ring, matrix, order
+and factor list are read off the parts, and the signature function is
+pulled back from each base's own (sigfunc.pullback_signature_function).
 
 The obstruction battery collects necessary conditions for algebraic
 sliceness -- Fox-Milnor factorization, vanishing signature function, Arf
