@@ -39,8 +39,9 @@ __all__ = ["main"]
 
 # Bounds on the size parameters, checked before any work.  Timed on one
 # core of a 2-vCPU Xeon (Python 3.11): at the largest power t -> t^64,
-# `cable -n 64` takes up to 3.5 s on a genus-1 catalog knot and 23 s on a
-# genus-2 form, and the time grows about 4x for each doubling of n.
+# `cable -n 64` takes up to 0.2 s on a genus-1 catalog knot and 0.9 s on a
+# genus-2 form (factoring Delta(t^64), of degree 256, is most of it), and
+# the time grows about 4x for each doubling of n.
 # `bing --range R` runs R(R + 1)/2 J(p, q) batteries with powers up to 2R:
 # at R = 8, 1-3 s on genus-1 catalog knots and 10 s on a genus-2 form;
 # R = 16 takes 33 s on 3_1.  At the largest covering degree p = 4096,

@@ -7,7 +7,17 @@ irreducibles (distinct-degree then Cantor-Zassenhaus equal-degree splitting),
 lift the modular factors with quadratic multifactor Hensel lifting past the
 Mignotte coefficient bound, and recombine subsets by exact trial division
 over Z.  Everything is deterministic: the equal-degree splitter draws from a
-locally seeded generator.
+locally seeded generator.  The degrees that the distinct-degree
+factorizations modulo several primes allow are intersected first (Musser,
+J. ACM 25, 1978): when only 0 and deg f are left, f is irreducible and
+nothing is split or lifted, and recombination tries only subsets of an
+allowed degree.
+
+Arithmetic mod p runs on lists of ints.  A product is Kronecker-packed:
+each list becomes one int with a 64-bit slot per coefficient, one big-int
+product gives every coefficient at once, and each is reduced mod p once.
+Powers modulo a monic m of degree n reduce each product with a table of
+the packed x^j mod m, j = n .. 2n - 2, built once per modulus.
 
 factor_rational is the public entry point.  It takes a Laurent polynomial
 with rational coefficients and returns (unit, factors) where unit is a
@@ -24,6 +34,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from itertools import combinations
 
 from .errors import InternalInvariantError
@@ -58,32 +70,48 @@ def _gf_sub(a, b, p):
     return _gf_add(a, [(-c) % p for c in b], p)
 
 
+def _pack(a) -> int:
+    """The int with a's entries in its 64-bit slots, entry i in bits
+    64 i to 64 i + 63."""
+    slots = array("Q", a)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
+
+
+def _slots(x: int, n: int):
+    """The n low 64-bit slots of x, low first; x < 2^(64 n)."""
+    slots = array("Q", x.to_bytes(8 * n, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
+
+
 def _gf_mul(a, b, p):
+    """The product mod p, Kronecker-packed: one big-int product gives every
+    coefficient, each reduced mod p once.  A slot holds each coefficient
+    of the product over Z while min(len a, len b) (p - 1)^2 < 2^64, which
+    _choose_prime checks for its primes."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _strip(out)
+    return _strip([c % p for c in _slots(_pack(a) * _pack(b), len(a) + len(b) - 1)])
 
 
 def _gf_divmod(a, b, p):
     if not b:
         raise ZeroDivisionError
     inv = pow(b[-1], p - 2, p)
+    n = len(b) - 1
     rem = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        c = rem[-1] * inv % p
-        k = len(rem) - len(b)
-        q[k] = c
-        for j, y in enumerate(b):
-            rem[k + j] = (rem[k + j] - c * y) % p
-        rem.pop()
-        _strip(rem)
-    return _strip(q), rem
+    q = [0] * max(len(a) - n, 0)
+    # each digit is reduced when it is read, each remainder entry at the end
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + n] % p * inv % p
+        if c:
+            q[k] = c
+            for j in range(n):
+                rem[k + j] -= c * b[j]
+    return _strip(q), _strip([c % p for c in rem[:n]])
 
 
 def _gf_monic(a, p):
@@ -115,15 +143,54 @@ def _gf_gcdex(a, b, p):
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
-def _gf_pow_mod(a, e, m, p):
+def _gf_modulus(m, p) -> tuple:
+    """What _gf_mulmod reads to reduce modulo the monic m of degree n >= 1,
+    built once per modulus: n, the mask of n slots, and x^j mod m for
+    j = n .. 2n - 2, packed (x^n = -(m - x^n), then one shift and one
+    subtraction of m per power)."""
+    n = len(m) - 1
+    power = [(-c) % p for c in m[:n]]
+    table = []
+    for _ in range(n - 1):
+        table.append(_pack(power))
+        top = power[-1]
+        power = [0] + power[:-1]
+        if top:
+            power = [(x - top * y) % p for x, y in zip(power, m)]
+    return n, (1 << 64 * n) - 1, table
+
+
+def _gf_mulmod(a, b, modulus, p):
+    """a b mod the monic m, for a and b reduced mod m; modulus is
+    _gf_modulus(m, p).  The packed product's slots from n up each add
+    their multiple of the packed x^j mod m to its low n slots, so each
+    coefficient is reduced mod p once.  A slot holds every sum while
+    2 (n + 1) (p - 1)^2 < 2^64, which _choose_prime checks."""
+    n, mask, table = modulus
+    packed = _pack(a)
+    product = packed * packed if a is b else packed * _pack(b)
+    k = len(a) + len(b) - 1
+    if k <= n:
+        return _strip([c % p for c in _slots(product, k)])
+    total = product & mask
+    for c, power in zip(_slots(product >> 64 * n, k - n), table):
+        c %= p
+        if c:
+            total += c * power
+    return _strip([c % p for c in _slots(total, n)])
+
+
+def _gf_pow_mod(a, e, modulus, p):
+    """a^e mod the monic m, for a reduced mod m and e >= 1; modulus is
+    _gf_modulus(m, p), built once per modulus by the caller."""
     out = [1]
-    base = _gf_divmod(a, m, p)[1]
-    while e:
+    while True:
         if e & 1:
-            out = _gf_divmod(_gf_mul(out, base, p), m, p)[1]
-        base = _gf_divmod(_gf_mul(base, base, p), m, p)[1]
+            out = _gf_mulmod(out, a, modulus, p)
         e >>= 1
-    return out
+        if not e:
+            return out
+        a = _gf_mulmod(a, a, modulus, p)
 
 
 def _gf_deriv(a, p):
@@ -143,14 +210,16 @@ def _gf_distinct_degree(f, p):
     x = [0, 1]
     h = list(x)
     d = 0
+    modulus = _gf_modulus(f, p)
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
-        h = _gf_pow_mod(h, p, f, p)
+        h = _gf_pow_mod(h, p, modulus, p)
         g = _gf_gcd(_gf_sub(h, x, p), f, p)
         if len(g) > 1:
             out.append((g, d))
             f = _gf_divmod(f, g, p)[0]
             h = _gf_divmod(h, f, p)[1]
+            modulus = _gf_modulus(f, p)
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
@@ -168,6 +237,7 @@ def _gf_equal_degree(f, d, p, rng):
         if n == d:
             out.append(f)
             continue
+        modulus = _gf_modulus(f, p)
         while True:
             a = _strip([rng.randrange(p) for _ in range(n)])
             if len(a) < 2:
@@ -176,7 +246,7 @@ def _gf_equal_degree(f, d, p, rng):
             if 1 < len(g) < len(f):
                 pass
             else:
-                b = _gf_pow_mod(a, exponent, f, p)
+                b = _gf_pow_mod(a, exponent, modulus, p)
                 g = _gf_gcd(_gf_sub(b, [1], p), f, p)
                 if not 1 < len(g) < len(f):
                     continue
@@ -245,10 +315,20 @@ def _hensel_lift(p, f, f_list, l):
 # -- Zassenhaus ---------------------------------------------------------------
 
 def _choose_prime(f: IntPoly):
-    """Small odd primes keeping f squarefree; pick one with fewest modular
-    factors (ties to the smaller prime), trying at most five candidates.
-    Returns the prime, the factor count and the distinct-degree
-    factorization of the monic image of f there."""
+    """The degrees a factor of f over Q can have, and a prime to lift from.
+
+    Each small odd prime p that keeps f squarefree, five at most, gives the
+    degrees of f's irreducible factors mod p (distinct-degree
+    factorization).  A factor of f over Q is a product of some of them mod
+    p, so its degree is a subset sum of theirs.  The sums are a bitmask,
+    intersected over the primes.  Returns None as soon as only 0 and deg f
+    are left: f is irreducible.  Else returns (p, ddf, mask): the prime
+    with the fewest modular factors (ties to the smaller), the
+    distinct-degree factorization of f's monic image there, and the
+    intersected mask."""
+    n = f.degree
+    irreducible = 1 | 1 << n
+    mask = (1 << (n + 1)) - 1
     best = None
     tried = 0
     p = 3
@@ -257,14 +337,23 @@ def _choose_prime(f: IntPoly):
         if is_prime and f.lc % p:
             fp = _gf_monic(_gf_from_int(f, p), p)
             if _gf_is_squarefree(fp, p):
+                if 2 * (n + 1) * (p - 1) ** 2 >> 64:
+                    raise InternalInvariantError("products mod %d overflow a 64-bit slot" % p)
                 tried += 1
                 ddf = _gf_distinct_degree(fp, p)
+                sums = 1
+                for g, d in ddf:
+                    for _ in range((len(g) - 1) // d):
+                        sums |= sums << d
+                mask &= sums
+                if mask == irreducible:
+                    return None
                 count = sum((len(g) - 1) // d for g, d in ddf)
                 # keep the best image only, so one DDF is held at a time
                 if best is None or count < best[1]:
                     best = p, count, ddf
         p += 2
-    return best
+    return best[0], best[2], mask
 
 
 def _zassenhaus(f: IntPoly):
@@ -275,7 +364,8 @@ def _zassenhaus(f: IntPoly):
     f must be squarefree, which is not checked: _choose_prime looks for
     primes that keep f squarefree, and for f with a square factor there is
     none, so the search never ends.  factor_rational passes only the
-    squarefree parts of Yun's decomposition."""
+    squarefree parts of Yun's decomposition.  A subset of the lifted
+    factors is tried only when its degree is one the primes allow."""
     n = f.degree
     if n == 1:
         return [f]
@@ -285,9 +375,10 @@ def _zassenhaus(f: IntPoly):
     if sq * sq < n + 1:
         sq += 1
     B = sq * 2 ** n * A * b
-    p, count, ddf = _choose_prime(f)
-    if count == 1:
+    chosen = _choose_prime(f)
+    if chosen is None:
         return [f]
+    p, ddf, mask = chosen
     rng = random.Random(p * 0x9E3779B1 + n)
     f_list = [h for g, d in ddf for h in _gf_equal_degree(g, d, p, rng)]
     l = 1
@@ -301,6 +392,8 @@ def _zassenhaus(f: IntPoly):
     while 2 * s <= len(T):
         found = False
         for S in combinations(T, s):
+            if not mask >> sum(g_list[i].degree for i in S) & 1:
+                continue
             G = IntPoly([b])
             for i in S:
                 G = _trunc_sym(G * g_list[i], pl)
@@ -373,9 +466,9 @@ def factor_rational(f):
         for g in _zassenhaus(part):
             factors.append((g, mult))
     factors.sort(key=_factor_key)
-    check = unit
+    product = IntPoly([1])
     for g, m in factors:
-        check = check * g.to_laurent() ** m
-    if check != f:
+        product = product * g ** m
+    if LaurentPoly.from_coeffs([sign * content * c for c in product.coeffs], shift) != f:
         raise InternalInvariantError("factorization failed to reconstruct input")
     return unit, factors

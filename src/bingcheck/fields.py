@@ -23,9 +23,10 @@ until the enclosure excludes zero -- which must happen, because a nonzero
 field element has a nonzero image under every embedding.  In Q(i) a real
 element is rational and its enclosure is the exact value cos 0 = 1.
 
-The same quotient-ring machinery over an arbitrary irreducible modulus gives
-ranks of Laurent matrices "at" a root of an irreducible factor, used for the
-nullity carried by each jump of a signature function.
+Ranks of Laurent matrices "at" a root of an irreducible factor P, used for
+the nullity carried by each jump of a signature function, do not use the
+quotient field: rank_over_factor eliminates fraction-free in Z[t], keeping
+every entry reduced modulo P, so PolyQuotientField serves only Q(zeta_q).
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from itertools import zip_longest
 from math import gcd
 
 from .errors import InternalInvariantError
-from .laurent import LaurentPoly, _strip, as_fraction, as_laurent, dense_divmod, dense_mul
-from .intpoly import IntPoly, cyclotomic, sturm_isolate, u_image
+from .laurent import _strip, as_fraction, as_laurent, dense_cross, dense_divmod, dense_mul
+from .intpoly import IntPoly, cyclotomic, pseudo_rem, sturm_isolate, u_image
 
 __all__ = [
     "CyclotomicField",
@@ -313,34 +314,47 @@ def evaluated_hermitian_signature(M, point):
     return sig, null
 
 
-def _coeffs_times_power(f: LaurentPoly, s: int):
-    """Dense ascending coefficients of t^s f from t^0; s >= -min_exp(f)."""
-    return [f.coeff(k - s) for k in range(f.max_exp + s + 1)] if f else []
+def _reduced_row(row, modulus: IntPoly) -> list:
+    """lc(P)^e row mod P in Z[t], divided by its integer content: a nonzero
+    scalar multiple of the row in Q[t]/(P), every entry of degree below
+    deg P.  One exponent e serves the whole row: pseudo_rem gives
+    lc^(deg f - deg P + 1) f mod P, and each entry is padded up to the
+    exponent of the row's highest degree."""
+    n = modulus.degree
+    top = max(len(e) for e in row) - 1
+    if top >= n:
+        lc = modulus.lc
+        row = [[c * lc ** (top - len(e) + 1) for c in pseudo_rem(IntPoly(e), modulus).coeffs]
+               if len(e) > n else [c * lc ** (top - n + 1) for c in e] for e in row]
+    content = 0
+    for e in row:
+        for c in e:
+            content = gcd(content, c)
+    return row if content < 2 else [[c // content for c in e] for e in row]
 
 
 @lru_cache(maxsize=8192)
 def _whole_rank_over_factor(M, modulus: IntPoly) -> int:
-    field = PolyQuotientField(modulus)
-    entries = [[as_laurent(e) for e in row] for row in M.entries]
-    # t is a unit modulo the modulus, so one t^s that clears every negative
-    # exponent keeps the rank
-    s = max([0] + [-f.min_exp for row in entries for f in row if f])
-    rows = [[field.element(_coeffs_times_power(f, s)) for f in row] for row in entries]
+    # t is a unit modulo the modulus, so the t^s that clears every negative
+    # exponent keeps the rank, and so does the integer scale L
+    rows = [_reduced_row(r, modulus) for r in M.integer_poly_rows()[0]]
     rank = 0
-    row = 0
     for col in range(M.cols):
-        pivot = next((r for r in range(row, M.rows) if any(rows[r][col])), None)
+        pivot = next((r for r in range(rank, M.rows) if rows[r][col]), None)
         if pivot is None:
             continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        below = [r for r in range(row + 1, M.rows) if any(rows[r][col])]
-        pinv = field.inv(rows[row][col]) if below else None
-        for r in below:
-            f = field.mul(rows[r][col], pinv)
-            rows[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[r], rows[row])]
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pivot_row = rows[rank]
+        p = pivot_row[col]
+        for r in range(rank + 1, M.rows):
+            a = rows[r][col]
+            if a:
+                # row_r <- p row_r - a row_pivot: a nonzero multiple of row_r
+                # minus a multiple of the pivot row, so the rank is kept
+                rows[r] = _reduced_row(
+                    [dense_cross(p, x, a, y) for x, y in zip(rows[r], pivot_row)], modulus)
         rank += 1
-        row += 1
-        if row == M.rows:
+        if rank == M.rows:
             break
     return rank
 
@@ -351,8 +365,14 @@ def rank_over_factor(M, modulus: IntPoly) -> int:
     The modulus must be irreducible with nonzero constant term (so t is a
     unit).  This is the rank of M(omega) for every root omega of the modulus.
     Rank adds over block-diagonal components, which are split off and
-    reduced separately (repeated blocks only once).
+    reduced separately (repeated blocks only once).  Each is eliminated
+    fraction-free in Z[t]: row_r <- p row_r - a row_pivot, every row kept
+    reduced modulo the modulus and divided by its content (_reduced_row).
     """
+    if modulus.degree < 1:
+        raise ValueError("modulus must have positive degree")
+    if modulus.coeff(0) == 0:
+        raise ValueError("modulus must not vanish at 0")
     return sum(
         _whole_rank_over_factor(M.submatrix(idx), modulus)
         for idx in M.components()

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd as int_gcd
 
 from .errors import InternalInvariantError
-from .laurent import LaurentPoly, dense_divmod, dense_mul, parse_poly
+from .laurent import LaurentPoly, dense_exact_div, dense_mul, parse_poly
 
 __all__ = [
     "IntPoly",
@@ -208,11 +208,10 @@ def _sign(c, x: Fraction) -> int:
 # -- exact division ----------------------------------------------------------
 
 def divmod_exact(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Quotient f/g known to be exact over Z; raises if it is not."""
-    quot, rem = dense_divmod(f.coeffs, g.coeffs)
-    if rem or any(q.denominator != 1 for q in quot):
-        raise ValueError("division is not exact")
-    return IntPoly(quot)
+    """The quotient f/g in Z[t], in ints: ValueError at the first quotient
+    digit that is not an integer or on a remainder, ZeroDivisionError on
+    g = 0 (dense_exact_div)."""
+    return IntPoly(dense_exact_div(f.coeffs, g.coeffs))
 
 
 def pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:

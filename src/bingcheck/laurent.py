@@ -9,7 +9,10 @@ so all arithmetic is exact; nothing in this module touches floating point.
 Products and exact quotients run on dense coefficient lists (dense_mul,
 dense_divmod) in which integral coefficients are Python ints: an integer
 Laurent product, or the exact quotient of one integer Laurent polynomial by
-another, is computed without building a Fraction until it is stored.
+another, is computed without building a Fraction until it is stored.  The
+fraction-free kernels of Z[t] -- determinants, ranks over a factor field,
+trial division in factoring -- run on int lists only, through dense_cross
+(a b - c d) and dense_exact_div, which never builds a Fraction.
 
 Units of Z[t, 1/t] are +-t^k.  normalize_unit picks the canonical associate:
 minimum exponent 0 and positive coefficient there.
@@ -32,7 +35,9 @@ __all__ = [
     "T",
     "as_fraction",
     "as_laurent",
+    "dense_cross",
     "dense_divmod",
+    "dense_exact_div",
     "dense_mul",
     "normalize_unit",
     "parse_poly",
@@ -74,6 +79,56 @@ def dense_mul(a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def dense_cross(a, b, c, d):
+    """a b - c d for dense ascending coefficient lists, without trailing
+    zeros: the cross-multiplication of fraction-free elimination.
+
+    >>> dense_cross([1, 1], [1, 1], [0, 1], [0, 1])   # (1 + t)^2 - t^2
+    [1, 2]
+    """
+    out = [0] * (max(len(a) + len(b), len(c) + len(d)) - 1)
+    if b:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+    if d:
+        for i, x in enumerate(c):
+            if x:
+                for j, y in enumerate(d):
+                    out[i + j] -= x * y
+    return _strip(out)
+
+
+def dense_exact_div(num, den):
+    """The quotient of dense ascending int lists that divide exactly in Z[t].
+
+    Runs in ints only: raises ValueError at the first quotient digit that
+    is not an integer, or on a nonzero remainder, and ZeroDivisionError on
+    an empty den.  den must end in a nonzero entry.
+
+    >>> dense_exact_div([-1, 0, 0, 1], [-1, 1])
+    [1, 1, 1]
+    """
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    n = len(den) - 1
+    lc = den[-1]
+    rem = list(num)
+    quot = [0] * max(len(rem) - n, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem[k + n], lc)
+        if r:
+            raise ValueError("division is not exact")
+        if q:
+            quot[k] = q
+            for j in range(n):
+                rem[k + j] -= q * den[j]
+    if any(rem[:n]):
+        raise ValueError("division is not exact")
+    return _strip(quot)
 
 
 def dense_divmod(num, den):

@@ -9,10 +9,13 @@ never stored: the determinant of such a matrix is a LaurentPoly even when it
 is constant, a block sum with one is padded with Laurent zeros, and inverses
 and signatures refuse it.
 
-Determinants use fraction-free Bareiss elimination, whose interior divisions
-are exact in any integral domain, so Laurent determinants never leave the
-Laurent ring.  Signatures of symmetric matrices come from one kernel on
-lists of Python ints, symmetric_signature: the same fraction-free
+Determinants come from one kernel on dense integer coefficient lists,
+bareiss_det: fraction-free Bareiss elimination over Z[t], whose interior
+divisions are exact.  det feeds it every matrix: its entries times t^s, the
+least power that clears every negative exponent, and times L, the lcm of
+every denominator (integer_poly_rows); the kernel's determinant is then
+divided by L^n t^(sn).  Signatures of symmetric matrices come from one
+kernel on lists of Python ints, symmetric_signature: the same fraction-free
 elimination with diagonal pivots, whose successive pivots are principal
 minors, so that their signs give the signature.  A rational matrix is first
 scaled to integers.
@@ -26,19 +29,31 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import SingularMatrixError
-from .laurent import LaurentPoly, as_fraction, as_laurent
+from .laurent import LaurentPoly, as_fraction, dense_cross, dense_exact_div
 
-__all__ = ["ExactMatrix", "symmetric_signature"]
+__all__ = ["ExactMatrix", "bareiss_det", "symmetric_signature"]
 
 
 def _entry(e):
     return e if isinstance(e, LaurentPoly) else as_fraction(e)
 
 
-def _exact_div(a, b):
-    if isinstance(a, LaurentPoly) or isinstance(b, LaurentPoly):
-        return as_laurent(a).exact_div(b)
-    return a / b
+def _denominator_lcm(values) -> int:
+    scale = 1
+    for e in values:
+        scale = scale * e.denominator // gcd(scale, e.denominator)
+    return scale
+
+
+def _shifted_coeffs(e, s: int) -> list:
+    """Dense ascending coefficients of t^s e from t^0 (ints where
+    integral); s at least -min_exp(e)."""
+    if not isinstance(e, LaurentPoly):
+        return [0] * s + [e] if e else []
+    if not e:
+        return []
+    coeffs, lo = e.coeff_list()
+    return [0] * (lo + s) + coeffs
 
 
 class ExactMatrix:
@@ -171,46 +186,40 @@ class ExactMatrix:
             groups.setdefault(find(i), []).append(i)
         return [tuple(g) for g in sorted(groups.values())]
 
-    def integer_rows(self) -> list:
-        """The rows of a rational matrix times the lcm of its denominators,
-        as new lists of ints: a positive scale, which keeps every
-        signature."""
-        scale = 1
-        for r in self._rows:
-            for e in r:
-                scale = scale * e.denominator // gcd(scale, e.denominator)
-        return [[e.numerator * (scale // e.denominator) for e in r] for r in self._rows]
+    def integer_rows(self) -> tuple:
+        """(rows, L): the rows of a rational matrix times L, the lcm of its
+        denominators, as new lists of ints.  L is a positive scale, which
+        keeps every signature."""
+        scale = _denominator_lcm(e for r in self._rows for e in r)
+        return [[e.numerator * (scale // e.denominator) for e in r]
+                for r in self._rows], scale
+
+    def integer_poly_rows(self) -> tuple:
+        """(rows, s, L): the entries of L t^s M as dense ascending lists of
+        ints, for s >= 0 the least shift that clears every negative
+        exponent and L the lcm of every coefficient's denominator.  A
+        rational matrix has s = 0 and constant lists; the zero entry is
+        the empty list."""
+        s = max([0] + [-e.min_exp for r in self._rows for e in r
+                       if isinstance(e, LaurentPoly) and e])
+        dense = [[_shifted_coeffs(e, s) for e in r] for r in self._rows]
+        scale = _denominator_lcm(c for r in dense for e in r for c in e)
+        return [[[c.numerator * (scale // c.denominator) for c in e] for e in r]
+                for r in dense], s, scale
 
     # -- determinant, inverse, signature -------------------------------------
     def det(self):
-        """Exact determinant by fraction-free (Bareiss) elimination; a
-        LaurentPoly for a Laurent matrix, else a Fraction."""
+        """Exact determinant: bareiss_det of the integer_poly_rows L t^s M,
+        divided by L^n t^(sn); a LaurentPoly for a Laurent matrix, else a
+        Fraction."""
         if not self.is_square:
             raise ValueError("determinant requires a square matrix")
-        n = self._m
-        if self._has_laurent_entry():
-            one, zero = LaurentPoly.one(), LaurentPoly.zero()
-        else:
-            one, zero = Fraction(1), Fraction(0)
-        if n == 0:
-            return one
-        M = [list(r) for r in self._rows]
-        sign = 1
-        prev = one
-        for k in range(n - 1):
-            if not M[k][k]:
-                pivot = next((r for r in range(k + 1, n) if M[r][k]), None)
-                if pivot is None:
-                    return zero
-                M[k], M[pivot] = M[pivot], M[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
-                    M[i][j] = _exact_div(num, prev)
-            prev = M[k][k]
-        d = M[n - 1][n - 1]
-        return -d if sign < 0 else d
+        rows, s, scale = self.integer_poly_rows()
+        d = bareiss_det(rows)
+        denominator = scale ** self._m
+        if not self._has_laurent_entry():
+            return Fraction(d[0] if d else 0, denominator)
+        return LaurentPoly.from_coeffs([Fraction(c, denominator) for c in d], -s * self._m)
 
     def inverse(self) -> "ExactMatrix":
         """Exact inverse of a nonsingular rational matrix."""
@@ -246,7 +255,47 @@ class ExactMatrix:
             for j in range(i):
                 if self._rows[i][j] != self._rows[j][i]:
                     raise ValueError("signature requires a symmetric matrix")
-        return symmetric_signature(self.integer_rows())
+        return symmetric_signature(self.integer_rows()[0])
+
+
+def bareiss_det(rows) -> list:
+    """The determinant of a square matrix over Z[t], each entry a dense
+    ascending list of ints ([] for 0), as such a list; the rows given are
+    not changed.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): each step
+    replaces every entry below and right of the pivot p by
+    (m_ij p - m_ik m_kj) / prev, prev the previous pivot ([1] at the
+    start); the division is exact in Z[t] and runs in ints
+    (dense_exact_div).  A zero pivot is swapped with a nonzero entry
+    below it, which flips the sign; a column with none gives 0.
+
+    >>> bareiss_det([[[0, 1], [1]], [[1], [0, 1]]])      # t^2 - 1
+    [-1, 0, 1]
+    >>> bareiss_det([])
+    [1]
+    """
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    sign, prev = 1, [1]
+    for k in range(n - 1):
+        if not rows[k][k]:
+            pivot = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if pivot is None:
+                return []
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[k]
+            for j in range(k + 1, n):
+                num = dense_cross(row[j], p, f, pivot_row[j])
+                row[j] = num if prev == [1] else dense_exact_div(num, prev)
+        prev = p
+    d = rows[-1][-1] if n else [1]
+    return [-c for c in d] if sign < 0 else d
 
 
 def symmetric_signature(rows) -> tuple:

@@ -21,15 +21,14 @@ Connected sum is block sum; the mirror image has Seifert matrix -A^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import AdmissibilityError, InternalInvariantError
-from .laurent import LaurentPoly, T, as_fraction, normalize_unit
+from .laurent import LaurentPoly, _strip, as_fraction, normalize_unit
 from .intpoly import IntPoly
 from .factor import factor_rational
-from .matrices import ExactMatrix, symmetric_signature
+from .matrices import ExactMatrix, bareiss_det, symmetric_signature
 from .fields import evaluated_hermitian_signature, root_of_unity
 from .sigfunc import SignatureFunction, signature_function_of_matrix
 
@@ -50,9 +49,11 @@ __all__ = [
 
 class SeifertMatrix:
     """A square rational matrix A with det(A - A^T) != 0, flagged integral
-    when every entry is an integer (then det(A - A^T) must be +-1)."""
+    when every entry is an integer (then det(A - A^T) must be +-1).  It
+    keeps X = L(A + A^T) and Y = L(A - A^T) as int rows, L the lcm of A's
+    denominators, which every cayley_signature call reads."""
 
-    __slots__ = ("_mat", "_integral", "name")
+    __slots__ = ("_mat", "_integral", "_cayley", "name")
 
     def __init__(self, rows, name: str = "", integral=None):
         """`integral=None` detects the flag from the entries; `False` forces
@@ -85,6 +86,9 @@ class SeifertMatrix:
             raise AdmissibilityError(
                 "integral Seifert matrices need det(A - A^T) = +-1, got %s" % d
             )
+        m, n = mat.integer_rows()[0], mat.rows
+        self._cayley = ([[m[i][j] + m[j][i] for j in range(n)] for i in range(n)],
+                        [[m[i][j] - m[j][i] for j in range(n)] for i in range(n)])
 
     @property
     def matrix(self) -> ExactMatrix:
@@ -127,13 +131,18 @@ class SeifertMatrix:
 
 
 def alexander(s: SeifertMatrix) -> LaurentPoly:
-    """Normalized Alexander polynomial det(A - t A^T).
+    """Normalized Alexander polynomial det(A - t A^T): bareiss_det of the
+    entries L a_ij - L a_ji t, L the lcm of A's denominators, divided by
+    L^n.  No Laurent matrix is built.
 
     >>> str(alexander(SeifertMatrix([[-1, 1], [0, -1]])))
     't^2 - t + 1'
     """
-    a = s.matrix
-    return normalize_unit((a - a.transpose().scale(T)).det())
+    m, scale = s.matrix.integer_rows()
+    n = s.size
+    d = bareiss_det([[_strip([m[i][j], -m[j][i]]) for j in range(n)] for i in range(n)])
+    denominator = scale ** n
+    return normalize_unit(LaurentPoly.from_coeffs([Fraction(c, denominator) for c in d]))
 
 
 def signature_at(s: SeifertMatrix, angle) -> tuple:
@@ -157,8 +166,9 @@ def cayley_signature(s: SeifertMatrix, x: int, y: int) -> tuple:
     |y| X - i (y/|y|) x Y, which is |y| X - i |x| Y or its complex
     conjugate, of the same signature.  At x = 0 (omega = -1) that is
     |y| X = |y| B(-1) / 2.  At y = 0, omega = 1 and B(1) = 0.
-    A rational A is first scaled by the lcm of its denominators, and x, y
-    divided by their gcd: positive scales keep the signature.  The
+    A rational A is scaled by the lcm of its denominators (s keeps X and Y
+    so scaled), and x, y divided by their gcd: positive scales keep the
+    signature.  The
     Hermitian a X - i b Y is read off the real symmetric
     [[a X, b Y], [-b Y, a X]], which has twice its signature and nullity.
 
@@ -171,11 +181,11 @@ def cayley_signature(s: SeifertMatrix, x: int, y: int) -> tuple:
         if not x:
             raise ValueError("(x + iy)/(x - iy) needs x or y nonzero")
         return 0, n
-    m = s.matrix.integer_rows()
+    X, Y = s._cayley
     g = gcd(x, y)
     a, b = abs(y) // g, abs(x) // g
-    sym = [[a * (m[i][j] + m[j][i]) for j in range(n)] for i in range(n)]
-    skew = [[b * (m[i][j] - m[j][i]) for j in range(n)] for i in range(n)]
+    sym = [[a * v for v in row] for row in X]
+    skew = [[b * v for v in row] for row in Y]
     rows = [sym[i] + skew[i] for i in range(n)] + \
         [[-e for e in skew[i]] + sym[i] for i in range(n)]
     signature, nullity = symmetric_signature(rows)
@@ -220,13 +230,40 @@ def determinant_invariant(s: SeifertMatrix) -> int:
     return _arf_and_determinant(s)[1]
 
 
-@dataclass(frozen=True)
 class FoxMilnorResult:
-    passes: bool
-    witness: LaurentPoly | None
+    """Whether Delta passes the Fox-Milnor test, decided from its factor
+    list alone, and a witness f (None on a fail), built from that list on
+    its first read.  Results are equal when they agree on both."""
+
+    __slots__ = ("_passes", "_delta", "_factors", "_witness")
+
+    def __init__(self, passes: bool, delta: LaurentPoly, factors):
+        self._passes, self._delta, self._factors = passes, delta, factors
+        self._witness = None
+
+    @property
+    def passes(self) -> bool:
+        return self._passes
+
+    @property
+    def witness(self) -> LaurentPoly | None:
+        if self._passes and self._witness is None:
+            self._witness = _fox_milnor_witness(self._delta, self._factors)
+        return self._witness
 
     def __bool__(self):
-        return self.passes
+        return self._passes
+
+    def __eq__(self, other):
+        if not isinstance(other, FoxMilnorResult):
+            return NotImplemented
+        return (self.passes, self.witness) == (other.passes, other.witness)
+
+    def __hash__(self):
+        return hash((self.passes, self.witness))
+
+    def __repr__(self):
+        return "FoxMilnorResult(passes=%r, witness=%r)" % (self.passes, self.witness)
 
 
 def _reciprocal_class(p: IntPoly) -> IntPoly:
@@ -269,31 +306,40 @@ def fox_milnor(delta: LaurentPoly, factors) -> FoxMilnorResult:
     if delta.is_zero:
         raise ValueError("the zero polynomial has no Fox-Milnor factorization")
     mult = dict(factors)
+    for p, m in factors:
+        if p.degree == 0:
+            continue
+        pr = _reciprocal_class(p)
+        unpaired = m % 2 if pr == p else mult.get(pr) != m
+        if unpaired:
+            return FoxMilnorResult(False, delta, factors)
+    return FoxMilnorResult(True, delta, factors)
+
+
+def _fox_milnor_witness(delta: LaurentPoly, factors) -> LaurentPoly:
+    """The witness of a passing fox_milnor: half of each self-reciprocal
+    factor's multiplicity, and the representative of each reciprocal pair,
+    rescaled when the ratio to delta is a rational square."""
     witness = LaurentPoly.one()
     for p, m in factors:
         if p.degree == 0:
             continue
         pr = _reciprocal_class(p)
         if pr == p:
-            if m % 2:
-                return FoxMilnorResult(False, None)
             witness = witness * (p.to_laurent() ** (m // 2))
-        else:
-            if mult.get(pr) != m:
-                return FoxMilnorResult(False, None)
-            if p == _pick_representative(p, pr):
-                witness = witness * (p.to_laurent() ** m)
-    # rescale so the factorization identity holds exactly when possible
+        elif p == _pick_representative(p, pr):
+            witness = witness * (p.to_laurent() ** m)
+    # rescale so the factorization identity holds exactly when possible:
+    # normalize_unit commutes with a positive scale, so the rescaled
+    # witness gives have * root^2
     target = normalize_unit(delta)
     have = normalize_unit(witness * witness.substitute_power(-1))
-    ratio = _constant_quotient(target, have)
-    root = _sqrt_fraction(ratio)
+    root = _sqrt_fraction(_constant_quotient(target, have))
     if root is not None:
         witness = witness * root
-        have = normalize_unit(witness * witness.substitute_power(-1))
-        if have != target:
+        if have * (root * root) != target:
             raise InternalInvariantError("rescaled witness no longer matches")
-    return FoxMilnorResult(True, witness)
+    return witness
 
 
 def _constant_quotient(f: LaurentPoly, g: LaurentPoly) -> Fraction:

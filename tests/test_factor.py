@@ -3,12 +3,16 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bingcheck import factor
+from bingcheck.catalog import builtin_catalog
 from bingcheck.factor import _zassenhaus, factor_rational
 from bingcheck.intpoly import IntPoly, cyclotomic
 from bingcheck.laurent import LaurentPoly, parse_poly
+from bingcheck.seifert import alexander
 
 
 def reconstruct(unit, factors):
@@ -81,6 +85,89 @@ class TestZassenhaus:
         assert sorted(g.coeffs for g in got) == sorted(
             [(-1, 2), (-1, 3), (5, 0, 1)]
         )
+
+
+class TestDegreeSieve:
+    @pytest.fixture
+    def ddf_primes(self, monkeypatch):
+        """The prime of every distinct-degree factorization taken."""
+        primes = []
+        original = factor._gf_distinct_degree
+
+        def counting(f, p):
+            primes.append(p)
+            return original(f, p)
+
+        monkeypatch.setattr(factor, "_gf_distinct_degree", counting)
+        return primes
+
+    # irreducible mod 3: Artin-Schreier t^3 - t - a, and Phi_7 (3 has
+    # order 6 mod 7)
+    @pytest.mark.parametrize("text", ["t^3 - t - 1", "t^3 - t + 1",
+                                      "t^6 + t^5 + t^4 + t^3 + t^2 + t + 1"])
+    def test_irreducible_mod_three_stops_after_one_ddf(self, ddf_primes, text):
+        f = IntPoly(text)
+        assert _zassenhaus(f) == [f]
+        assert ddf_primes == [3]
+
+    def test_split_mod_every_prime_is_still_proved_irreducible(self, ddf_primes):
+        # t^4 - 10t^2 + 1 splits mod every prime, into linear or quadratic
+        # factors, so degree 2 is allowed at every prime and nothing is
+        # proved: five primes are tried, and recombination finds no factor
+        f = IntPoly("t^4 - 10t^2 + 1")
+        assert _zassenhaus(f) == [f]
+        assert len(ddf_primes) == 5
+
+    @pytest.mark.parametrize("s", builtin_catalog()[1:], ids=lambda s: s.name)
+    def test_delta_of_t_to_the_fourth_is_fully_factored(self, s):
+        # g(t^4), as the cable ops of the benchmark factor it: 4_1's
+        # t^8 - 3t^4 + 1 = (t^4 - t^2 - 1)(t^4 + t^2 - 1) splits
+        f = alexander(s.seifert).substitute_power(4)
+        assert sympy_factors(f) == factor_rational(f)[1]
+
+    def test_genus_two_delta_of_t_to_the_fourth(self):
+        f = parse_poly("3t^4 + 4t^3 - 13t^2 + 4t + 3").substitute_power(4)
+        assert sympy_factors(f) == factor_rational(f)[1] == [(IntPoly(str(f)), 1)]
+
+
+X = sympy.Symbol("x")
+
+
+def sympy_factors(f: LaurentPoly):
+    """factor_rational(f)[1] as sympy.factor_list finds it."""
+    coeffs, _ = f.coeff_list()
+    poly = sum(sympy.Rational(str(c)) * X ** k for k, c in enumerate(coeffs))
+    out = []
+    for g, m in sympy.factor_list(poly)[1]:
+        c = sympy.Poly(g, X).all_coeffs()[::-1]
+        out.append((IntPoly([int(x) for x in c]).primitive(), m))
+    return sorted(out, key=lambda gm: (gm[0].degree, gm[0].coeffs))
+
+
+substituted = st.tuples(
+    st.one_of(
+        st.lists(st.integers(-4, 4), min_size=2, max_size=4).map(IntPoly)
+        .filter(lambda g: g.degree >= 1),
+        st.integers(1, 12).map(cyclotomic),
+        # non-monic, with lc 2 or 3
+        st.tuples(st.integers(2, 3), st.lists(st.integers(-4, 4), min_size=1, max_size=2))
+        .map(lambda lc_low: IntPoly(lc_low[1] + [lc_low[0]])),
+    ),
+    st.integers(1, 4),
+    st.integers(1, 2),
+)
+
+
+class TestAgainstSympy:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(substituted, min_size=1, max_size=3))
+    def test_products_of_substituted_factors(self, parts):
+        f = LaurentPoly.one()
+        for g, k, m in parts:
+            f = f * g.to_laurent().substitute_power(k) ** m
+        unit, fs = factor_rational(f)
+        assert fs == sympy_factors(f)
+        assert reconstruct(unit, fs) == f
 
 
 coeff = st.integers(-7, 7)

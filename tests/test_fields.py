@@ -24,8 +24,9 @@ from bingcheck.fields import (
 from bingcheck.intpoly import IntPoly, dickson
 from bingcheck.laurent import LaurentPoly, as_laurent, parse_poly
 from bingcheck.matrices import ExactMatrix
-from bingcheck.seifert import SeifertMatrix
-from strategies import admissible_forms
+from bingcheck.factor import factor_rational
+from bingcheck.seifert import SeifertMatrix, alexander
+from strategies import admissible_forms, integral_or_rational_forms
 
 
 class TestCosEnclosure:
@@ -263,6 +264,38 @@ class TestRankOverFactor:
         _, nullity = evaluated_hermitian_signature(b, root_of_unity(Fraction(1, 6)))
         assert nullity == 2 - rank_over_factor(b, IntPoly("t^2 - t + 1"))
 
+    @given(integral_or_rational_forms(), st.integers(1, 4), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_quotient_field_elimination(self, s, k, data):
+        # at the factors of Delta(t^k), where the rank drops, and at t + 1
+        B = s.seifert_form().substitute_power(k)
+        moduli = [g for g, _ in factor_rational(alexander(s).substitute_power(k))[1]]
+        modulus = data.draw(st.sampled_from(moduli + [IntPoly("t + 1")]))
+        assert rank_over_factor(B, modulus) == quotient_field_rank(B, modulus)
+
+
+def quotient_field_rank(M, modulus):
+    """Exact oracle: Gaussian elimination with entries in
+    PolyQuotientField(modulus), after clearing negative exponents."""
+    field = PolyQuotientField(modulus)
+    entries = [[as_laurent(e) for e in r] for r in M.entries]
+    s = max([0] + [-f.min_exp for r in entries for f in r if f])
+    rows = [[field.element([f.coeff(j - s) for j in range(f.max_exp + s + 1)] if f else [])
+             for f in r] for r in entries]
+    rank = 0
+    for col in range(M.cols):
+        pivot = next((r for r in range(rank, M.rows) if any(rows[r][col])), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = field.inv(rows[rank][col])
+        for r in range(rank + 1, M.rows):
+            if any(rows[r][col]):
+                f = field.mul(rows[r][col], inverse)
+                rows[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
 
 # -- property tests against a floating-point oracle ------------------------------
 
@@ -278,6 +311,11 @@ angles = st.integers(2, 16).flatmap(
 )
 laurent_polys = st.dictionaries(
     st.integers(-3, 3), st.integers(-3, 3), max_size=4
+).map(LaurentPoly)
+rational_laurent_polys = st.dictionaries(
+    st.integers(-3, 3),
+    st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)),
+    max_size=4,
 ).map(LaurentPoly)
 # irreducible over Q, with nonzero constant term
 MODULI = [IntPoly(m) for m in (
@@ -299,7 +337,8 @@ class TestAgainstNumericOracle:
     @given(st.integers(1, 4), st.sampled_from(MODULI), st.data())
     @settings(max_examples=40, deadline=None)
     def test_rank_over_factor_matches_every_root(self, n, modulus, data):
-        rows = [[data.draw(laurent_polys) for _ in range(n)] for _ in range(n)]
+        # rational coefficients, as covering Seifert matrices have
+        rows = [[data.draw(rational_laurent_polys) for _ in range(n)] for _ in range(n)]
         if n > 1 and data.draw(st.booleans()):
             # a row congruent to another modulo the modulus: rank drops at its
             # roots only

@@ -108,6 +108,22 @@ class TestGcdAndSquarefree:
             q = divmod_exact(poly, d)
             assert q * d == poly
 
+    def test_divmod_exact_rejects_a_fractional_quotient(self):
+        # (3t + 3) / (2t + 2) = 3/2 leaves no remainder, but is not in Z[t]
+        with pytest.raises(ValueError):
+            divmod_exact(IntPoly("3t + 3"), IntPoly("2t + 2"))
+        with pytest.raises(ValueError):
+            divmod_exact(IntPoly("3"), IntPoly("2"))
+        # an integral leading digit, then a remainder
+        with pytest.raises(ValueError):
+            divmod_exact(IntPoly("2t^2 + 1"), IntPoly("2t"))
+        assert divmod_exact(IntPoly("6t^2 - 6"), IntPoly("2t - 2")) == IntPoly("3t + 3")
+        assert divmod_exact(IntPoly(), IntPoly("2t - 2")) == IntPoly()
+
+    def test_divmod_exact_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod_exact(IntPoly("t + 1"), IntPoly())
+
     def test_pseudo_rem_identity(self):
         f = IntPoly("6t^4 - t^3 + 2t - 7")
         g = IntPoly("3t^2 + t - 1")

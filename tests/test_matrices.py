@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bingcheck.errors import SingularMatrixError
+from bingcheck.intpoly import IntPoly
 from bingcheck.laurent import LaurentPoly, T, parse_poly
-from bingcheck.matrices import ExactMatrix, symmetric_signature
+from bingcheck.matrices import ExactMatrix, bareiss_det, symmetric_signature
 
 
 def cofactor_det(rows):
@@ -89,6 +90,57 @@ class TestDet:
     def test_block_sum_multiplicative(self, a, b):
         ma, mb = ExactMatrix(a), ExactMatrix(b)
         assert ma.block_sum(mb).det() == ma.det() * mb.det()
+
+
+int_entry = st.integers(-9, 9)
+rational_laurent_entry = st.builds(
+    LaurentPoly.from_coeffs,
+    st.lists(rational, min_size=1, max_size=3),
+    st.integers(-3, 1),
+)
+kernel_entry = st.lists(st.integers(-9, 9), max_size=4).map(lambda c: list(IntPoly(c).coeffs))
+MATRICES = {
+    "int": square(int_entry, hi=5),
+    "rational": square(rational, hi=5),
+    "laurent": square(rational_laurent_entry, hi=5),
+    "mixed": square(st.one_of(int_entry, rational, rational_laurent_entry), hi=5),
+}
+
+
+class TestBareissKernel:
+    """bareiss_det, directly on integer lists and through ExactMatrix.det,
+    against the Leibniz expansion cofactor_det."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(square(kernel_entry, hi=5))
+    def test_kernel_matches_leibniz(self, rows):
+        given_rows = [[list(e) for e in r] for r in rows]
+        want = cofactor_det([[LaurentPoly.from_coeffs(e) for e in r] for r in rows])
+        assert LaurentPoly.from_coeffs(bareiss_det(rows)) == want
+        assert rows == given_rows  # the kernel leaves its input alone
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(MATRICES)).flatmap(lambda kind: MATRICES[kind]),
+           st.booleans(), st.data())
+    def test_det_matches_leibniz(self, rows, singular, data):
+        n = len(rows)
+        if singular and n >= 2:
+            # the last row a combination of two others (or a multiple of one)
+            i, j = data.draw(st.integers(0, n - 2)), data.draw(st.integers(0, n - 2))
+            c = data.draw(int_entry)
+            rows[-1] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        got = ExactMatrix(rows).det()
+        assert got == cofactor_det(rows)
+        laurent = any(isinstance(e, LaurentPoly) for r in rows for e in r)
+        assert isinstance(got, LaurentPoly if laurent else Fraction)
+        if singular and n >= 2:
+            assert got == 0
+
+    def test_zero_column_and_row_swaps(self):
+        assert bareiss_det([[[], [1]], [[], [2]]]) == []
+        # a zero first pivot is swapped with the row below: one sign flip
+        assert bareiss_det([[[], [1]], [[1], []]]) == [-1]
+        assert bareiss_det([[[0, 1]]]) == [0, 1]
 
 
 class TestEquality:
