@@ -341,14 +341,14 @@ def _choose_prime(f: IntPoly):
                     raise InternalInvariantError("products mod %d overflow a 64-bit slot" % p)
                 tried += 1
                 ddf = _gf_distinct_degree(fp, p)
-                sums = 1
+                sums, count = 1, 0
                 for g, d in ddf:
                     for _ in range((len(g) - 1) // d):
                         sums |= sums << d
+                        count += 1
                 mask &= sums
                 if mask == irreducible:
                     return None
-                count = sum((len(g) - 1) // d for g, d in ddf)
                 # keep the best image only, so one DDF is held at a time
                 if best is None or count < best[1]:
                     best = p, count, ddf

@@ -168,8 +168,7 @@ def cayley_signature(s: SeifertMatrix, x: int, y: int) -> tuple:
     |y| X = |y| B(-1) / 2.  At y = 0, omega = 1 and B(1) = 0.
     A rational A is scaled by the lcm of its denominators (s keeps X and Y
     so scaled), and x, y divided by their gcd: positive scales keep the
-    signature.  The
-    Hermitian a X - i b Y is read off the real symmetric
+    signature.  The Hermitian a X - i b Y is read off the real symmetric
     [[a X, b Y], [-b Y, a X]], which has twice its signature and nullity.
 
     >>> trefoil = SeifertMatrix([[-1, 1], [0, -1]])
@@ -289,10 +288,11 @@ def fox_milnor(delta: LaurentPoly, factors) -> FoxMilnorResult:
     The test is on multiplicities in the factorization over Q: every
     self-reciprocal irreducible factor must occur to even multiplicity, and
     every other irreducible factor exactly as often as its reciprocal
-    partner.  On pass the witness collects half / one of each, rescaled so
-    that normalize_unit(f(t) f(1/t)) equals normalize_unit(delta) whenever
-    the content of delta is a perfect square of a rational (always the case
-    for the Alexander polynomial of an integral Seifert matrix).
+    partner.  Pass or fail is read off the multiplicities alone.  On pass
+    the witness, built when first read, collects half / one of each,
+    rescaled so that normalize_unit(f(t) f(1/t)) equals normalize_unit(delta)
+    whenever the content of delta is a perfect square of a rational (always
+    the case for the Alexander polynomial of an integral Seifert matrix).
 
     >>> from .laurent import parse_poly
     >>> delta = parse_poly('2t^2 - 5t + 2')

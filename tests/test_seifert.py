@@ -191,6 +191,14 @@ class TestCayleySignature:
         with pytest.raises(ValueError):
             cayley_signature(TREFOIL, 0, 0)
 
+    def test_reads_the_forms_built_with_the_matrix(self, monkeypatch):
+        # A + A^T and A - A^T are built once, with the Seifert matrix
+        rational = SeifertMatrix([[Fraction(-1, 2), Fraction(1, 2)], [0, Fraction(-1, 2)]])
+        want = [cayley_signature(rational, x, 1) for x in range(-3, 4)]
+        monkeypatch.setattr(ExactMatrix, "integer_rows", lambda m: pytest.fail("rows rebuilt"))
+        assert [cayley_signature(rational, x, 1) for x in range(-3, 4)] == want
+        assert want == [cayley_signature(TREFOIL, x, 1) for x in range(-3, 4)]
+
 
 class TestSignatureFunction:
     def test_trefoil(self):
@@ -288,6 +296,25 @@ class TestFoxMilnor:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             fox_milnor(LaurentPoly.zero(), [])
+
+    def test_decided_without_laurent_products(self, monkeypatch):
+        # pass or fail comes from the multiplicities; only reading the
+        # witness multiplies Laurent polynomials
+        deltas = [parse_poly(d) for d in ("2t^2 - 5t + 2", "t^2 - 3t + 1")]
+        lists = [factor_rational(d)[1] for d in deltas]
+        products = []
+        original = LaurentPoly.__mul__
+
+        def counting(a, b):
+            products.append(b)
+            return original(a, b)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        passing, failing = (fox_milnor(d, fs) for d, fs in zip(deltas, lists))
+        assert passing.passes and not failing.passes and not products
+        assert failing.witness is None and not products
+        assert passing.witness == parse_poly("2t - 1") and products
+        assert passing == fox_milnor(deltas[0], lists[0]) != failing
 
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=3),
            st.integers(0, 2))
