@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import math
 import random
-import sys
-from array import array
+import struct
 from itertools import combinations
 
 from .errors import InternalInvariantError
@@ -73,18 +72,12 @@ def _gf_sub(a, b, p):
 def _pack(a) -> int:
     """The int with a's entries in its 64-bit slots, entry i in bits
     64 i to 64 i + 63."""
-    slots = array("Q", a)
-    if sys.byteorder == "big":
-        slots.byteswap()
-    return int.from_bytes(slots, "little")
+    return int.from_bytes(struct.pack("<%dQ" % len(a), *a), "little")
 
 
-def _slots(x: int, n: int):
+def _slots(x: int, n: int) -> tuple:
     """The n low 64-bit slots of x, low first; x < 2^(64 n)."""
-    slots = array("Q", x.to_bytes(8 * n, "little"))
-    if sys.byteorder == "big":
-        slots.byteswap()
-    return slots
+    return struct.unpack("<%dQ" % n, x.to_bytes(8 * n, "little"))
 
 
 def _gf_mul(a, b, p):
