@@ -6,8 +6,8 @@ rational coefficients, stored as given.  The two mix as numbers do
 hashes as the number it equals, so a matrix is compared and hashed by its
 entries alone.  Whether some entry is a LaurentPoly is read off the entries,
 never stored: the determinant of such a matrix is a LaurentPoly even when it
-is constant, a block sum with one is padded with Laurent zeros, and inverses
-and signatures refuse it.
+is constant, a block sum with one is padded with Laurent zeros, and the
+inverse refuses it.
 
 Determinants come from one kernel on dense integer coefficient lists,
 bareiss_det: fraction-free Bareiss elimination over Z[t], whose interior
@@ -18,7 +18,7 @@ divided by L^n t^(sn).  Signatures of symmetric matrices come from one
 kernel on lists of Python ints, symmetric_signature: the same fraction-free
 elimination with diagonal pivots, whose successive pivots are principal
 minors, so that their signs give the signature.  A rational matrix is first
-scaled to integers.
+scaled to integers (integer_rows).
 
 The 0x0 matrix is admitted everywhere: det Fraction(1), signature (0, 0).
 """
@@ -207,7 +207,7 @@ class ExactMatrix:
         return [[[c.numerator * (scale // c.denominator) for c in e] for e in r]
                 for r in dense], s, scale
 
-    # -- determinant, inverse, signature -------------------------------------
+    # -- determinant, inverse -------------------------------------------------
     def det(self):
         """Exact determinant: bareiss_det of the integer_poly_rows L t^s M,
         divided by L^n t^(sn); a LaurentPoly for a Laurent matrix, else a
@@ -242,20 +242,6 @@ class ExactMatrix:
                     f = aug[r][col]
                     aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
         return ExactMatrix([row[n:] for row in aug])
-
-    def sym_signature(self):
-        """(signature, nullity) of a symmetric rational matrix, by
-        symmetric_signature on its integer_rows."""
-        if not self.is_square:
-            raise ValueError("signature requires a square matrix")
-        if self._has_laurent_entry():
-            raise ValueError("signature is only defined for rational matrices")
-        n = self._m
-        for i in range(n):
-            for j in range(i):
-                if self._rows[i][j] != self._rows[j][i]:
-                    raise ValueError("signature requires a symmetric matrix")
-        return symmetric_signature(self.integer_rows()[0])
 
 
 def bareiss_det(rows) -> list:

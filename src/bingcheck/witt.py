@@ -16,15 +16,20 @@ pulled back from each base's own (sigfunc.pullback_signature_function).
 The obstruction battery collects necessary conditions for algebraic
 sliceness -- Fox-Milnor factorization, vanishing signature function, Arf
 invariant, squareness of the determinant -- and reports the first failing
-one as its certificate.  A failing battery on K certifies that the Bing
-double B(K) is not slice, since a knot whose Bing double is slice must be
-algebraically slice.  NO_OBSTRUCTION_FOUND never claims sliceness.
+one as its certificate.  Its report holds the evidence only: the order,
+its factors, the signature function and the Seifert matrix behind a
+knot's battery; every test, the certificate and the verdict are read off
+them.  A knot's presentation is built on its battery, so obstruction_battery
+is the one place where a knot's Delta, factors and function are gathered.
+A failing battery on K certifies that the Bing double B(K) is not slice,
+since a knot whose Bing double is slice must be algebraically slice.
+NO_OBSTRUCTION_FOUND never claims sliceness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, isqrt
 from operator import mul
 
@@ -75,26 +80,21 @@ _T_MINUS_ONE = IntPoly([-1, 1])
 
 
 class _Base:
-    """A knot's own record, built once: its Seifert matrix A, which gives
-    the ring and which the additivity check reads (seifert.cayley_signature),
-    its Seifert form B, Delta's factor list and B's order (t - 1)^n Delta, n
-    the size of B (det B is the order up to units).  It keeps B's signature
-    function and the factor list of each order(t^k) once computed."""
+    """A knot's own record, built once on its battery: the Seifert matrix A
+    behind it, which gives the ring and which the additivity check reads
+    (seifert.cayley_signature), its Seifert form B, the battery's factor
+    list of Delta and signature function of B, and B's order (t - 1)^n
+    Delta, n the size of B (det B is the order up to units).  It keeps the
+    factor list of each order(t^k) once computed."""
 
-    __slots__ = ("seifert", "form", "delta_factors", "order", "_function", "_factors")
+    __slots__ = ("seifert", "form", "delta_factors", "function", "order", "_factors")
 
-    def __init__(self, s: SeifertMatrix, delta: LaurentPoly, factors, function=None):
-        n = s.size
+    def __init__(self, battery: ObstructionReport):
+        s, factors, n = battery.seifert, battery.factors, battery.seifert.size
         self.seifert, self.form, self.delta_factors = s, s.seifert_form(), factors
-        self.order = _T_MINUS_ONE.to_laurent() ** n * delta
-        self._function = function
+        self.function = battery.signature
+        self.order = _T_MINUS_ONE.to_laurent() ** n * battery.alexander
         self._factors = {1: merge_factors(factors, [(_T_MINUS_ONE, n)] if n else [])}
-
-    def signature_function(self) -> SignatureFunction:
-        """B's signature function, by the matrix path unless given."""
-        if self._function is None:
-            self._function = signature_function_of_matrix(self.form, self.delta_factors)
-        return self._function
 
     def factors(self, k: int) -> list:
         """factor_rational(order(t^k))[1], not recomputed from order(t^k):
@@ -169,7 +169,7 @@ class WittPresentation:
         """Pulled back from the bases' own functions: only a base's form is
         evaluated or reduced over a factor field."""
         return pullback_signature_function(
-            [(base.form, base.delta_factors, base.signature_function(), k)
+            [(base.form, base.delta_factors, base.function, k)
              for base, k in self._parts],
             self.factors(),
         )
@@ -187,16 +187,16 @@ class WittPresentation:
 
 
 def from_seifert(s: SeifertMatrix) -> WittPresentation:
-    """The knot's own presentation, one part (base, 1): B(t) = (1 - t) A +
-    (1 - 1/t) A^T with ring Z (integral) or Q.  For even size n, det B =
-    (1 - t)^n t^-n Delta: the order is (t - 1)^n Delta and its factors are
-    Delta's with (t - 1, n) added.
+    """The knot's own presentation, one part (base, 1), its base built on
+    the knot's battery: B(t) = (1 - t) A + (1 - 1/t) A^T with ring Z
+    (integral) or Q and the battery's signature function.  For even size
+    n, det B = (1 - t)^n t^-n Delta: the order is (t - 1)^n Delta and its
+    factors are Delta's with (t - 1, n) added.
 
     >>> str(from_seifert(SeifertMatrix([[-1, 1], [0, -1]])).order())
     't^4 - 3t^3 + 4t^2 - 3t + 1'
     """
-    delta = alexander(s)
-    return WittPresentation(((_Base(s, delta, factor_rational(delta)[1]), 1),))
+    return WittPresentation(((_Base(obstruction_battery(s)), 1),))
 
 
 def phi(p: WittPresentation, n: int) -> WittPresentation:
@@ -247,96 +247,83 @@ def cyclotomic_factors(factors):
 class ObstructionReport:
     """Outcome of the algebraic-sliceness battery on one knot/presentation.
 
-    `arf` and `determinant` are None when not applicable (rational-class
-    input, or a bare presentation with no Seifert matrix behind it).
-    `factors` is factor_rational's list of `alexander`, read by every test."""
+    It holds the evidence only: the order (`alexander`), its factor list as
+    factor_rational gives it, the signature function and `seifert`, the
+    Seifert matrix behind a knot's battery (None for a bare presentation).
+    The Fox-Milnor result, the cyclotomic factors, Arf, the determinant,
+    the certificate (the first failing test, in the order Fox-Milnor,
+    signature function, Arf, determinant-square) and the verdict are read
+    off it on first access.  `arf` and `determinant` are None unless
+    `seifert` is integral.  t - 1 has no root on the open arc, so one
+    factor list serves every test that reads factors."""
 
     name: str
     ring: str
     alexander: LaurentPoly
     factors: tuple
-    fox_milnor: FoxMilnorResult
     signature: SignatureFunction
-    arf: int | None
-    determinant: int | None
-    cyclotomic: tuple
-    verdict: str
-    certificate: str | None
+    seifert: SeifertMatrix | None
+
+    @cached_property
+    def fox_milnor(self) -> FoxMilnorResult:
+        return fox_milnor(self.alexander, self.factors)
+
+    @cached_property
+    def cyclotomic(self) -> tuple:
+        return tuple(cyclotomic_factors(self.factors))
+
+    @cached_property
+    def _invariants(self) -> tuple:
+        s = self.seifert
+        return _arf_and_determinant(s) if s is not None and s.integral else (None, None)
 
     @property
-    def determinant_is_square(self):
-        if self.determinant is None:
-            return None
-        r = isqrt(self.determinant)
-        return r * r == self.determinant
+    def arf(self) -> int | None:
+        return self._invariants[0]
 
-    def __post_init__(self):
-        if self.verdict == NOT_ALG_SLICE and self.certificate is None:
-            raise InternalInvariantError("an obstruction verdict needs a certificate")
-        if self.verdict == NO_OBSTRUCTION_FOUND and self.certificate is not None:
-            raise InternalInvariantError("no certificate without an obstruction")
+    @property
+    def determinant(self) -> int | None:
+        return self._invariants[1]
 
+    @property
+    def determinant_is_square(self) -> bool | None:
+        d = self.determinant
+        return None if d is None else isqrt(d) ** 2 == d
 
-def _assemble_report(name, ring, order, factors, sigfn, arf_value,
-                     det_value) -> ObstructionReport:
-    """The battery on `order` and the signature function `sigfn` of a
-    presentation whose det is order times +-t^k (t - 1)^m.  `factors` is
-    factor_rational(order)[1], which the caller already holds; t - 1 has no
-    root on the open arc, so that one list serves every test that reads
-    factors."""
-    fm = fox_milnor(order, factors)
-    failures = {
-        "fox_milnor": not fm.passes,
-        "signature_function": not sigfn.is_zero,
-        "arf": arf_value is not None and arf_value != 0,
-        "determinant_square": (
-            det_value is not None and isqrt(det_value) ** 2 != det_value
-        ),
-    }
-    certificate = next((k for k in _CERTIFICATE_ORDER if failures[k]), None)
-    return ObstructionReport(
-        name=name,
-        ring=ring,
-        alexander=order,
-        factors=tuple(factors),
-        fox_milnor=fm,
-        signature=sigfn,
-        arf=arf_value,
-        determinant=det_value,
-        cyclotomic=tuple(cyclotomic_factors(factors)),
-        verdict=NOT_ALG_SLICE if certificate else NO_OBSTRUCTION_FOUND,
-        certificate=certificate,
-    )
+    @cached_property
+    def certificate(self) -> str | None:
+        failed = (not self.fox_milnor.passes, not self.signature.is_zero,
+                  self.arf == 1, self.determinant_is_square is False)
+        return next((test for test, f in zip(_CERTIFICATE_ORDER, failed) if f), None)
+
+    @property
+    def verdict(self) -> str:
+        return NOT_ALG_SLICE if self.certificate else NO_OBSTRUCTION_FOUND
 
 
 def obstruction_battery(s: SeifertMatrix) -> ObstructionReport:
     """Run every implemented necessary condition for algebraic sliceness on
-    a Seifert matrix; deterministic, with the first failing test (in the
-    order Fox-Milnor, signature function, Arf, determinant-square) as the
-    certificate."""
-    arf_value, det_value = _arf_and_determinant(s) if s.integral else (None, None)
+    a Seifert matrix: the one place where a knot's Delta, its factors and
+    its signature function (by the matrix path on its 2g x 2g form) are
+    gathered.  Deterministic; Arf and the determinant, from one
+    det(A + A^T), are computed on first read."""
     delta = alexander(s)
     factors = factor_rational(delta)[1]
-    return _assemble_report(
-        s.name or "(unnamed)",
-        "Z" if s.integral else "Q",
-        delta,
-        factors,
-        signature_function_of_matrix(s.seifert_form(), factors),
-        arf_value,
-        det_value,
-    )
+    return ObstructionReport(s.name or "(unnamed)", "Z" if s.integral else "Q", delta,
+                             tuple(factors),
+                             signature_function_of_matrix(s.seifert_form(), factors), s)
 
 
 def presentation_battery(p: WittPresentation, name: str = "(presentation)") -> ObstructionReport:
     """The battery applied to a bare presentation: the order det(B) takes
-    the Alexander polynomial's role, Arf and determinant do not apply.  The
-    order's factor list is merged from the bases' lists, each g(t^k)
-    factored once per base, and the signature function is pulled back from
-    the bases' own: no matrix but a base's 2g x 2g form is evaluated or
-    reduced over a factor field, and no presentation matrix is built."""
-    return _assemble_report(name, p.ring, p.order(), p.factors(), p.signature_function(),
-                            None, None)
+    the Alexander polynomial's role, and with no Seifert matrix behind it
+    Arf and determinant do not apply.  The order's factor list is merged
+    from the bases' lists, each g(t^k) factored once per base, and the
+    signature function is pulled back from the bases' own: no matrix but a
+    base's 2g x 2g form is evaluated or reduced over a factor field, and no
+    presentation matrix is built."""
+    return ObstructionReport(name, p.ring, p.order(), tuple(p.factors()),
+                             p.signature_function(), None)
 
 
 @dataclass(frozen=True)
@@ -345,13 +332,13 @@ class CrossCheck:
     J(p, q), checked at every arc sample of its signature function on the
     parts' own Seifert matrices in integer arithmetic, and the telescoping
     identity phi_{q-1} ~ phi_{q+1}, checked when J(p, q)'s battery finds no
-    obstruction.  A failure of either raises, so neither field can record
-    one."""
+    obstruction.  A failure of either raises, so neither can record one:
+    `additivity` is a class attribute, always "pass"."""
 
     p: int
     q: int
-    additivity: str  # always "pass"
     telescoping: str  # "verified" | "skipped"
+    additivity = "pass"
 
 
 def _additive_j_battery(knot: WittPresentation, p: int, q: int) -> ObstructionReport:
@@ -444,18 +431,17 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
     neither kernel nor points with K's values in Q(i): the pullback reads
     them at D_k(u).  The telescoping functions phi_k are pulled back too;
     phi_0 is the zero pairing, whose function vanishes identically.  K's
-    presentation reuses the battery's Delta and its factors: one Alexander
-    det, one factoring.
+    presentation is built on the battery (_Base(battery)): one Alexander
+    det, one factoring and one matrix-path function for K.
     """
     if not s.integral:
         raise AdmissibilityError("the Bing-double verdict needs an integral Seifert matrix")
     if check_range < 1:
         raise ValueError("cross-check range must be >= 1")
     battery = obstruction_battery(s)
-    # K's presentation, its base holding the battery's Delta, factors and
-    # function: every function below is pulled back from the battery's
-    knot = WittPresentation(
-        ((_Base(s, battery.alexander, battery.factors, battery.signature), 1),))
+    # K's presentation, built on the battery: every function below is
+    # pulled back from the battery's
+    knot = WittPresentation(((_Base(battery), 1),))
     # signature function of phi_k(K) by k, each built once; B(1) = 0 makes
     # phi_0 the zero pairing, whose function vanishes identically
     phi_functions = {0: pullback_signature_function((), []), 1: battery.signature}
@@ -484,5 +470,5 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
                         % (p, q, q - 1, q + 1))
                 telescoped.add(q)
                 telescoping = "verified"
-            crosschecks.append(CrossCheck(p, q, "pass", telescoping))
+            crosschecks.append(CrossCheck(p, q, telescoping))
     return BingReport(battery=battery, crosschecks=tuple(crosschecks), check_range=check_range)

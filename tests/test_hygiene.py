@@ -52,8 +52,6 @@ INTEGER_MATH = {"gcd", "isqrt"}
 # definitions nothing in READERS reads by name, kept on purpose
 API_EXEMPT = {
     "error",  # cli's ArgumentParser.error override: argparse calls it
-    "sym_signature",  # symmetric_signature on a rational matrix: tests/test_fields.py's
-    # oracle at omega = -1, independent of the Q(zeta_q) elimination
 }
 # (function, parameter) defaults no call in READERS passes, kept on purpose
 DEFAULT_EXEMPT = {

@@ -4,7 +4,7 @@ Bing-double verdict."""
 import dataclasses
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,15 +23,17 @@ from bingcheck.seifert import (
     arf,
     connected_sum,
     determinant_invariant,
+    fox_milnor,
     mirror,
+    signature_function,
 )
+from bingcheck.catalog import format_report
 from bingcheck.cli import main
 from bingcheck.cover import covering_seifert_matrix
 from strategies import admissible_forms, integral_or_rational_forms
 from bingcheck.witt import (
     NOT_ALG_SLICE,
     NO_OBSTRUCTION_FOUND,
-    ObstructionReport,
     bing_double_verdict,
     cyclotomic_factors,
     from_seifert,
@@ -531,16 +533,19 @@ class TestOneDeterminantPerBattery:
     @pytest.mark.parametrize("s", CATALOG, ids=lambda s: s.name)
     def test_one_det_of_symmetrized_form(self, dets, s):
         r = obstruction_battery(s)
+        # Arf and the determinant are read off one det(A + A^T), on first read
+        invariants = (r.arf, r.determinant)
         sym = kernel_rows(s.matrix + s.matrix.transpose())
         alexander_rows = kernel_rows(s.matrix - s.matrix.transpose().scale(T))
         # the unknot's A + A^T and A - tA^T are one matrix, the 0x0 one
         assert dets.count(sym) == 1 + (alexander_rows == sym)
-        assert (r.arf, r.determinant) == (arf(s), determinant_invariant(s))
+        assert invariants == (arf(s), determinant_invariant(s))
 
     def test_stevedore_verdict_takes_two_dets(self, dets):
-        bing_double_verdict(STEVEDORE, 3)
-        # det(A + A^T) and the Alexander det; the base presentation's order
-        # is (t - 1)^2 Delta, with no det of its own
+        r = bing_double_verdict(STEVEDORE, 3)
+        assert (r.verdict, r.arf_certificate) == (NO_OBSTRUCTION_FOUND, False)
+        # det(A + A^T), read by the verdict, and the Alexander det; the base
+        # presentation's order is (t - 1)^2 Delta, with no det of its own
         assert len(dets) == 2
 
     @pytest.mark.parametrize("s", CATALOG, ids=lambda s: s.name)
@@ -736,15 +741,46 @@ class TestObstructionBattery:
     def test_deterministic(self):
         assert obstruction_battery(TREFOIL) == obstruction_battery(TREFOIL)
 
-    def test_report_consistency_enforced(self):
-        r = obstruction_battery(TREFOIL)
-        with pytest.raises(InternalInvariantError):
-            ObstructionReport(
-                name=r.name, ring=r.ring, alexander=r.alexander, factors=r.factors,
-                fox_milnor=r.fox_milnor, signature=r.signature, arf=r.arf,
-                determinant=r.determinant, cyclotomic=r.cyclotomic,
-                verdict=NOT_ALG_SLICE, certificate=None,
-            )
+
+class TestDerivedReport:
+    """A report holds its evidence: the order, its factors, the signature
+    function and the Seifert matrix.  Each test, the certificate and the
+    verdict are read off it on first access."""
+
+    # K # K passes Fox-Milnor with Delta^2, and its signature function is
+    # twice K's: the signature test decides it
+    @given(admissible_forms(), st.sampled_from(["K", "K # -K", "K # K"]))
+    @settings(max_examples=20, deadline=None)
+    def test_certificate_is_the_first_failure(self, s, kind):
+        if kind != "K":
+            s = connected_sum(s, mirror(s) if kind == "K # -K" else s)
+        delta, det = alexander(s), determinant_invariant(s)
+        failed = [
+            ("fox_milnor", not fox_milnor(delta, factor_list(delta)).passes),
+            ("signature_function", not signature_function(s).is_zero),
+            ("arf", arf(s) != 0),
+            ("determinant_square", isqrt(det) ** 2 != det),
+        ]
+        certificate = next((test for test, fails in failed if fails), None)
+        r = obstruction_battery(s)
+        assert r.certificate == certificate
+        assert r.verdict == (NOT_ALG_SLICE if certificate else NO_OBSTRUCTION_FOUND)
+
+    @pytest.mark.parametrize("s", [TREFOIL, FIGURE_EIGHT, STEVEDORE],
+                             ids=["3_1", "4_1", "6_1"])
+    def test_verdict_lists_cyclotomic_factors_when_formatted(self, monkeypatch, s):
+        listed = count_calls(monkeypatch, cyclotomic_factors)
+        r = bing_double_verdict(s, 3)
+        # no J battery's cyclotomic factors are read, only K's, by the report
+        assert listed == []
+        format_report(r)
+        assert listed == [r.battery.factors]
+
+    @pytest.mark.parametrize("s", CATALOG, ids=lambda s: s.name)
+    def test_cable_takes_the_matrix_path_once(self, monkeypatch, s):
+        functions = count_calls(monkeypatch, signature_function_of_matrix)
+        presentation_battery(phi(from_seifert(s), 3))
+        assert functions == [s.seifert_form()]
 
 
 class TestPresentationBattery:
