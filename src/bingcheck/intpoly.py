@@ -3,7 +3,8 @@
 IntPoly stores dense ascending integer coefficients with a nonzero leading
 coefficient; the zero polynomial is the empty tuple and has degree -1.  The
 heavy primitives here are the subresultant polynomial remainder sequence
-(resultants and gcds without rational blowup), Yun's squarefree decomposition,
+(resultants without rational blowup), one primitive remainder sequence that
+gives both gcds and Sturm chains, Yun's squarefree decomposition,
 cyclotomic polynomials by iterated exact division of t^d - 1, the
 u-substitution u = t + 1/t of self-reciprocal polynomials, and Sturm-chain
 real root isolation returning refinable rational intervals.
@@ -306,22 +307,38 @@ def resultant(f, g):
     return s * t * (num // den)
 
 
+def _remainder_sequence(a: IntPoly, b: IntPoly) -> list:
+    """a, b (deg a >= deg b), then, while the last member has positive
+    degree and the remainder of the last two is not zero, a primitive
+    positive multiple of minus that remainder.
+
+    The remainder of positive multiples of two members is a positive
+    multiple of their remainder, and pseudo_rem(a, b) is lc(b)^(deg a -
+    deg b + 1) rem(a, b), so each member is the primitive part of a
+    pseudo-remainder with its sign set to that of -rem over Q, and a
+    positive multiple of its counterpart in the same sequence over Q.  For
+    (f, f') the sequence is f's Sturm chain; the last member is gcd(a, b)
+    up to a constant."""
+    seq = [a, b]
+    while b.degree > 0:
+        r = pseudo_rem(a, b)
+        if r.is_zero:
+            break
+        g = r.content() if b.lc < 0 and (a.degree - b.degree) % 2 == 0 else -r.content()
+        a, b = b, IntPoly([c // g for c in r.coeffs])
+        seq.append(b)
+    return seq
+
+
 def gcd_poly(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd over Z (positive leading coefficient), by primitive PRS."""
+    """Primitive gcd over Z (positive leading coefficient): the last member
+    of the remainder sequence, made primitive."""
     a, b = f.primitive(), g.primitive()
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
     if a.degree < b.degree:
         a, b = b, a
-    while not b.is_zero:
-        if a.degree < b.degree:
-            a, b = b, a
-            continue
-        r = pseudo_rem(a, b).primitive()
-        a, b = b, r
-    return a.primitive()
+    if b.is_zero:
+        return a
+    return _remainder_sequence(a, b)[-1].primitive()
 
 
 def squarefree_part(f: IntPoly) -> IntPoly:
@@ -474,26 +491,10 @@ def dickson(k: int, u: Fraction) -> Fraction:
 # -- Sturm sequences and real root isolation ----------------------------------
 
 def sturm_chain(f: IntPoly):
-    """Sturm chain of f (which should be squarefree) as dense integer lists,
-    each a positive multiple of the chain over Q, so it has the same signs.
-
-    The remainder of positive multiples of two members is a positive
-    multiple of their remainder, so each member is the primitive part of a
-    pseudo-remainder, with its sign set to that of -rem over Q:
-    pseudo_rem(a, b) is lc(b)^(deg a - deg b + 1) times rem(a, b)."""
-    chain = [list(f.coeffs)]
-    if len(chain[0]) <= 1:
-        return chain
-    chain.append(list(f.derivative().coeffs))
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        r = pseudo_rem(IntPoly(a), IntPoly(b))
-        if r.is_zero:
-            break
-        s = -1 if b[-1] > 0 or (len(a) - len(b)) % 2 else 1
-        g = r.content()
-        chain.append([s * c // g for c in r.coeffs])
-    return chain
+    """Sturm chain of f (which should be squarefree) as dense integer
+    coefficient tuples, each a positive multiple of the chain over Q, so it
+    has the same signs: the remainder sequence of (f, f')."""
+    return [m.coeffs for m in _remainder_sequence(f, f.derivative()) if not m.is_zero]
 
 
 def _variations(chain, x: Fraction) -> int:

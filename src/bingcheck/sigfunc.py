@@ -31,26 +31,27 @@ limits are available from the adjacent arcs.
 
 signature_function_of_matrix finds each nullity as a corank over Q[t]/(P)
 and each arc value as a Hermitian signature in Q(i); a Witt presentation
-calls it only on its bases' forms, each once.  A presentation is a formal
-sum of parts (B, k), the block sum of the substituted forms B(t^k) of a
-few base forms B (a cable has one part, J(p, q) three), and
-pullback_signature_function reads its function off the bases' own
-(Litherland, "Signatures of iterated torus knots", 1979):
+calls it only on its bases' forms, each once, by their batteries.  A
+presentation is a formal sum of parts (B, k), the block sum of the
+substituted forms B(t^k) of a few base forms B (a cable has one part,
+J(p, q) three), and pullback_signature_function reads its function off
+the bases' own (Litherland, "Signatures of iterated torus knots", 1979):
 (B(t^k))(omega) = B(omega^k), and the u-coordinate of omega^k is D_k(u),
 with D_k the Dickson polynomial (D_0 = 2, D_1 = u, D_(j+1) = u D_j -
 D_(j-1)), so the block sum's function is the sum of the fn_B o D_k.
 
   * Jumps and samples are found as above, from the block sum's factors.
-  * The nullity at the roots of a factor h adds, over the parts, the size
-    of B when h divides t^k - 1 (B(1) = 0), and else B's nullity at the
-    roots of the factor g of det B with h dividing g(t^k).
+  * The nullity at the roots of a factor h is given, not computed here:
+    B(t^k) has at the roots of h the nullity B has at the roots of the
+    factor g of det B with h dividing g(t^k), and the base that factors
+    g(t^k) (witt._Base) maps each h to it, summed over the parts.
   * The value at a sample u adds fn_B(D_k(u)) over the parts.  Each D_k(u)
     is rational: the isolating intervals of B's jumps are refined until it
     lies outside each, which places it in one arc of fn_B (fn_B(2) = 0 is
     the value of the last arc).  A D_k(u) on a jump of B would be a root of
     det, never a sample, so it raises.
 
-No matrix but the bases' is evaluated or reduced over a factor field.
+The pullback evaluates no form and reduces none over a factor field.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import InternalInvariantError
-from .intpoly import IntPoly, RootInterval, dickson, pseudo_rem, sturm_isolate, u_image
+from .intpoly import IntPoly, RootInterval, dickson, sturm_isolate, u_image
 from .fields import cayley_point, evaluated_hermitian_signature, rank_over_factor
 
 __all__ = [
@@ -319,17 +320,6 @@ def signature_function_of_matrix(B, factors) -> SignatureFunction:
     return _step_function(factors, n, lambda p: n - rank_over_factor(B, p), value_at)
 
 
-_T_MINUS_ONE, _T_PLUS_ONE = IntPoly([-1, 1]), IntPoly([1, 1])
-
-
-def _divides_substituted(h: IntPoly, g: IntPoly, k: int) -> bool:
-    """Whether h divides g(t^k) over Q (h primitive of positive degree)."""
-    c = [0] * (g.degree * k + 1)
-    c[::k] = g.coeffs
-    f = IntPoly(c)
-    return f.degree >= h.degree and pseudo_rem(f, h).is_zero
-
-
 def _value_at(fn: SignatureFunction, v: Fraction) -> int:
     """fn at a rational v in [-2, 2]: the value of the arc holding v.  Each
     jump's isolating interval is refined until v lies outside it; v on a
@@ -350,43 +340,26 @@ def _value_at(fn: SignatureFunction, v: Fraction) -> int:
     return fn.arcs[below].signature
 
 
-def pullback_signature_function(parts, factors) -> SignatureFunction:
+def pullback_signature_function(parts, factors, nullities) -> SignatureFunction:
     """SignatureFunction of the block sum of the forms B(t^k), from each
     B's own function: (B(t^k))(omega) = B(omega^k), and the u-coordinate of
     omega^k is D_k(u), so the sum's function is the sum of fn_B o D_k.
 
-    `parts` holds (B, B's factors, fn_B, k) for k >= 1, B a Hermitian
-    Laurent form with B(1) = 0, its factors as signature_function_of_matrix
-    takes them, and fn_B its SignatureFunction; `factors` lists the
-    irreducible factors of the block sum's det.  The jumps and samples are
-    those signature_function_of_matrix would find.  At the roots of a
-    factor h, part k adds the size of B if h divides t^k - 1, B's nullity
-    at the roots of g if h divides g(t^k) for a circle factor g of det B,
-    and B's nullity at -1 if h divides t^k + 1 and t + 1 divides det B.
-    At a sample, part k adds fn_B(D_k(u)); no form but B is evaluated.
+    `parts` holds (fn_B, k) for k >= 1, fn_B the SignatureFunction of a
+    Hermitian Laurent form B with B(1) = 0; `factors` lists the irreducible
+    factors of the block sum's det, and `nullities` maps each factor with
+    roots on the circle to the block sum's nullity there, as the bases
+    give it (a factor left out has none).  The jumps and samples are those
+    signature_function_of_matrix would find.  At a sample, part k adds
+    fn_B(D_k(u)); no form is evaluated.
     """
-
-    # per part, (g, nullity of B at the roots of g) for every g whose
-    # substituted g(t^k) can hold a circle factor of the sum
-    known = []
-    for b, base_factors, fn, k in parts:
-        pairs = [(_T_MINUS_ONE, fn.size)]
-        pairs += {j.factor: j.nullity for j in fn.jumps}.items()
-        if any(g == _T_PLUS_ONE for g, _ in base_factors):
-            pairs.append((_T_PLUS_ONE, b.rows - rank_over_factor(b, _T_PLUS_ONE)))
-        known.append((pairs, k))
-
-    def nullity_at(h):
-        # distinct irreducible g share no root, so at most one g(t^k) has h
-        return sum(next((nul for g, nul in pairs if _divides_substituted(h, g, k)), 0)
-                   for pairs, k in known)
 
     def value_at(s):
         u = 2 * (1 - s * s) / (1 + s * s)
-        return sum(_value_at(fn, dickson(k, u)) for _b, _f, fn, k in parts)
+        return sum(_value_at(fn, dickson(k, u)) for fn, k in parts)
 
-    return _step_function(factors, sum(fn.size for _b, _f, fn, _k in parts),
-                          nullity_at, value_at)
+    return _step_function(factors, sum(fn.size for fn, _ in parts),
+                          lambda h: nullities.get(h, 0), value_at)
 
 
 def _value_changes(fn: SignatureFunction):

@@ -1,17 +1,22 @@
 """Witt presentations over the Laurent ring and the Bing-double obstruction
 pipeline.
 
-A knot's base is its own record: a Seifert matrix A, whose flag gives the
-coefficient ring, Z (integral) or Q; its Seifert form B(t) = (1 - t) A +
-(1 - 1/t) A^T, a square Laurent matrix, Hermitian for the involution
-t -> 1/t (B(t)^T = B(1/t) entrywise); and the factor list of Delta.  A
-Witt presentation is a formal sum of parts (base, k), standing for the
-block sum of the substituted forms phi_k B = B(t^k).  The paper's argument
-works on such sums: the infection J(p, q) of a pattern on a companion K has
-Witt class phi_p W(K) + phi_{p+q} W(K) + phi_q W(K).  So phi_n multiplies
-each k by n and block sum concatenates the parts; the ring, matrix, order
-and factor list are read off the parts, and the signature function is
-pulled back from each base's own (sigfunc.pullback_signature_function).
+A knot's base is its own record, built on its battery: a Seifert matrix A,
+whose flag gives the coefficient ring, Z (integral) or Q, and which stands
+for its Seifert form B(t) = (1 - t) A + (1 - 1/t) A^T, a square Laurent
+matrix, Hermitian for the involution t -> 1/t (B(t)^T = B(1/t)
+entrywise); its signature function; and its order.  A Witt presentation
+is a formal sum of parts (base, k), standing for the block sum of the
+substituted forms phi_k B = B(t^k).  The paper's argument works on such
+sums: the infection J(p, q) of a pattern on a companion K has Witt class
+phi_p W(K) + phi_{p+q} W(K) + phi_q W(K).  So phi_n multiplies each k by
+n and block sum concatenates the parts; the ring, matrix, order and factor
+list are read off the parts, and the signature function is pulled back
+from each base's own (sigfunc.pullback_signature_function).  A base
+decides what each factor g of its order becomes under t -> t^k: the
+factors of g(t^k), and B's nullity at the roots of g, which B(t^k) has at
+theirs; the pullback sums those nullities over the parts and builds no
+Laurent form.
 
 The obstruction battery collects necessary conditions for algebraic
 sliceness -- Fox-Milnor factorization, vanishing signature function, Arf
@@ -28,6 +33,7 @@ NO_OBSTRUCTION_FOUND never claims sliceness.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import gcd, isqrt
@@ -76,46 +82,66 @@ NO_OBSTRUCTION_FOUND = "NO_OBSTRUCTION_FOUND"
 # fixed battery order; the first failing test becomes the certificate
 _CERTIFICATE_ORDER = ("fox_milnor", "signature_function", "arf", "determinant_square")
 
-_T_MINUS_ONE = IntPoly([-1, 1])
+_T_MINUS_ONE, _T_PLUS_ONE = IntPoly([-1, 1]), IntPoly([1, 1])
 
 
 class _Base:
     """A knot's own record, built once on its battery: the Seifert matrix A
-    behind it, which gives the ring and which the additivity check reads
-    (seifert.cayley_signature), its Seifert form B, the battery's factor
-    list of Delta and signature function of B, and B's order (t - 1)^n
-    Delta, n the size of B (det B is the order up to units).  It keeps the
-    factor list of each order(t^k) once computed."""
+    behind it, which gives the ring, the size and the form B(t) = (1 - t) A
+    + (1 - 1/t) A^T, and which the additivity check reads
+    (seifert.cayley_signature); the battery's signature function of B; and
+    B's order (t - 1)^n Delta, n the size of B (det B is the order up to
+    units).
 
-    __slots__ = ("seifert", "form", "delta_factors", "function", "order", "_factors")
+    It decides what each factor g of the order becomes under t -> t^k: the
+    factors h of g(t^k), and B's nullity at the roots of g, which is
+    B(t^k)'s at the roots of each h.  That nullity is n at the roots of
+    t - 1 (B(1) = 0), the jump's at a factor the function jumps at, and
+    the nullity of A + A^T at -1 (B(-1) = 2(A + A^T)) when t + 1 divides
+    Delta.  Any other g has no root on the circle, nor has any factor of
+    g(t^k), so it is given 0.  The cyclotomic order of each g is read
+    once, and the factor list and nullities of each order(t^k) are kept
+    once computed."""
+
+    __slots__ = ("seifert", "function", "order", "_owners", "_substituted")
 
     def __init__(self, battery: ObstructionReport):
-        s, factors, n = battery.seifert, battery.factors, battery.seifert.size
-        self.seifert, self.form, self.delta_factors = s, s.seifert_form(), factors
-        self.function = battery.signature
+        s, n = battery.seifert, battery.seifert.size
+        self.seifert, self.function = s, battery.signature
         self.order = _T_MINUS_ONE.to_laurent() ** n * battery.alexander
-        self._factors = {1: merge_factors(factors, [(_T_MINUS_ONE, n)] if n else [])}
+        factors = merge_factors(battery.factors, [(_T_MINUS_ONE, n)] if n else [])
+        nullity = {j.factor: j.nullity for j in self.function.jumps}
+        nullity[_T_MINUS_ONE] = n
+        if any(g == _T_PLUS_ONE for g, _ in factors):
+            nullity[_T_PLUS_ONE] = cayley_signature(s, 0, 1)[1]
+        self._owners = [(g, m, cyclotomic_order(g), nullity.get(g, 0)) for g, m in factors]
+        self._substituted = {1: (factors, {g: nul for g, _, _, nul in self._owners})}
 
-    def factors(self, k: int) -> list:
-        """factor_rational(order(t^k))[1], not recomputed from order(t^k):
-        each irreducible factor g of the order, of multiplicity m, adds the
-        factors of g(t^k) with multiplicities scaled by m.  Distinct
-        irreducible g have no common root, so neither do their g(t^k), and
-        the product is never factored."""
-        if k not in self._factors:
-            self._factors[k] = merge_factors(*(
-                [(h, m * j) for h, j in _substituted_factors(g, k)] for g, m in self._factors[1]
-            ))
-        return self._factors[k]
+    def substituted(self, k: int) -> tuple:
+        """(factors, nullities) of B(t^k): factor_rational(order(t^k))[1],
+        not recomputed from order(t^k), and the map from each factor h to
+        B(t^k)'s nullity at its roots.  Each irreducible factor g of the
+        order, of multiplicity m, adds the factors h of g(t^k) with
+        multiplicities scaled by m, each h mapped to g's nullity.  Distinct
+        irreducible g have no common root, so neither do their g(t^k): the
+        product is never factored, and each h has one g."""
+        if k not in self._substituted:
+            lists, nullities = [], {}
+            for g, m, d, nul in self._owners:
+                hs = _substituted_factors(g, d, k)
+                lists.append([(h, m * j) for h, j in hs])
+                nullities.update((h, nul) for h, _ in hs)
+            self._substituted[k] = merge_factors(*lists), nullities
+        return self._substituted[k]
 
 
-def _substituted_factors(g: IntPoly, n: int):
-    """factor_rational(g(t^n))[1] for an irreducible g.
+def _substituted_factors(g: IntPoly, d: int | None, n: int):
+    """factor_rational(g(t^n))[1] for an irreducible g, given its
+    cyclotomic order d (cyclotomic_order(g), None if g is not cyclotomic).
 
     A cyclotomic g = Phi_d is not factored: with n = n1 n2, every prime of
     n1 dividing d and n2 prime to d, Phi_d(t^n1) = Phi_(d n1), and
     Phi_(d n1)(t^n2) is the product of the Phi_(d n1 e) over e | n2."""
-    d = cyclotomic_order(g)
     if d is None:
         return factor_rational(g.to_laurent().substitute_power(n))[1]
     n1, n2 = 1, n
@@ -126,11 +152,13 @@ def _substituted_factors(g: IntPoly, n: int):
 
 class WittPresentation:
     """The block sum of the phi_k B = B(t^k) over its parts, the (base, k)
-    pairs, in order, each base a knot's own form B.  The parts are all it
-    stores; its ring, size, matrix, order and factor list are read off
-    them, the matrix built on each read.  Only from_seifert, phi, witt_sum,
-    jpq_presentation and the Bing verdict build one, and the constructor
-    checks nothing; the class stays exported for type use."""
+    pairs, in order, each base a knot's own record.  The parts are all it
+    stores; its ring, size, matrix, order, factor list and signature
+    function are read off them.  The matrix is built from the bases'
+    Seifert matrices on each read, which in the package is only __eq__
+    and __hash__.  Only from_seifert, phi, witt_sum, jpq_presentation and
+    the Bing verdict build one, and the constructor checks nothing; the
+    class stays exported for type use."""
 
     __slots__ = ("_parts",)
 
@@ -147,12 +175,12 @@ class WittPresentation:
 
     @property
     def size(self) -> int:
-        return sum(base.form.rows for base, _ in self._parts)
+        return sum(base.seifert.size for base, _ in self._parts)
 
     @property
     def matrix(self) -> ExactMatrix:
         return reduce(ExactMatrix.block_sum,
-                      (base.form.substitute_power(k) for base, k in self._parts))
+                      (base.seifert.seifert_form().substitute_power(k) for base, k in self._parts))
 
     def order(self) -> LaurentPoly:
         """Normalized determinant: the order of the presented torsion module
@@ -163,16 +191,17 @@ class WittPresentation:
         """The order's irreducible factors with multiplicities, exactly as
         factor_rational(self.order())[1] lists them: the bases' lists at
         t^k, merged."""
-        return merge_factors(*(base.factors(k) for base, k in self._parts))
+        return merge_factors(*(base.substituted(k)[0] for base, k in self._parts))
 
     def signature_function(self) -> SignatureFunction:
-        """Pulled back from the bases' own functions: only a base's form is
-        evaluated or reduced over a factor field."""
+        """Pulled back from the bases' own functions, with the nullity at
+        each factor summed over the parts from the bases' maps: no form is
+        built, evaluated or reduced over a factor field."""
+        nullities = Counter()
+        for base, k in self._parts:
+            nullities.update(base.substituted(k)[1])
         return pullback_signature_function(
-            [(base.form, base.delta_factors, base.function, k)
-             for base, k in self._parts],
-            self.factors(),
-        )
+            [(base.function, k) for base, k in self._parts], self.factors(), nullities)
 
     def __eq__(self, other):
         if not isinstance(other, WittPresentation):
@@ -188,10 +217,11 @@ class WittPresentation:
 
 def from_seifert(s: SeifertMatrix) -> WittPresentation:
     """The knot's own presentation, one part (base, 1), its base built on
-    the knot's battery: B(t) = (1 - t) A + (1 - 1/t) A^T with ring Z
-    (integral) or Q and the battery's signature function.  For even size
-    n, det B = (1 - t)^n t^-n Delta: the order is (t - 1)^n Delta and its
-    factors are Delta's with (t - 1, n) added.
+    the knot's battery: A, standing for B(t) = (1 - t) A + (1 - 1/t) A^T,
+    with ring Z (integral) or Q and the battery's signature function.  The
+    battery builds the knot's one form B; no presentation holds one.  For
+    even size n, det B = (1 - t)^n t^-n Delta: the order is (t - 1)^n Delta
+    and its factors are Delta's with (t - 1, n) added.
 
     >>> str(from_seifert(SeifertMatrix([[-1, 1], [0, -1]])).order())
     't^4 - 3t^3 + 4t^2 - 3t + 1'
@@ -304,9 +334,9 @@ class ObstructionReport:
 def obstruction_battery(s: SeifertMatrix) -> ObstructionReport:
     """Run every implemented necessary condition for algebraic sliceness on
     a Seifert matrix: the one place where a knot's Delta, its factors and
-    its signature function (by the matrix path on its 2g x 2g form) are
-    gathered.  Deterministic; Arf and the determinant, from one
-    det(A + A^T), are computed on first read."""
+    its signature function (by the matrix path on its 2g x 2g form, the
+    one B(t) built for the knot) are gathered.  Deterministic; Arf and the
+    determinant, from one det(A + A^T), are computed on first read."""
     delta = alexander(s)
     factors = factor_rational(delta)[1]
     return ObstructionReport(s.name or "(unnamed)", "Z" if s.integral else "Q", delta,
@@ -319,9 +349,9 @@ def presentation_battery(p: WittPresentation, name: str = "(presentation)") -> O
     the Alexander polynomial's role, and with no Seifert matrix behind it
     Arf and determinant do not apply.  The order's factor list is merged
     from the bases' lists, each g(t^k) factored once per base, and the
-    signature function is pulled back from the bases' own: no matrix but a
-    base's 2g x 2g form is evaluated or reduced over a factor field, and no
-    presentation matrix is built."""
+    signature function is pulled back from the bases' own functions with
+    the nullities the bases map their factors to: no form is built,
+    evaluated or reduced over a factor field."""
     return ObstructionReport(name, p.ring, p.order(), tuple(p.factors()),
                              p.signature_function(), None)
 
@@ -432,7 +462,8 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
     them at D_k(u).  The telescoping functions phi_k are pulled back too;
     phi_0 is the zero pairing, whose function vanishes identically.  K's
     presentation is built on the battery (_Base(battery)): one Alexander
-    det, one factoring and one matrix-path function for K.
+    det, one factoring, one form B(t) and one matrix-path function for
+    K, and its nullity at -1 read off A + A^T when t + 1 divides Delta.
     """
     if not s.integral:
         raise AdmissibilityError("the Bing-double verdict needs an integral Seifert matrix")
@@ -444,7 +475,7 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
     knot = WittPresentation(((_Base(battery), 1),))
     # signature function of phi_k(K) by k, each built once; B(1) = 0 makes
     # phi_0 the zero pairing, whose function vanishes identically
-    phi_functions = {0: pullback_signature_function((), []), 1: battery.signature}
+    phi_functions = {0: pullback_signature_function((), [], {}), 1: battery.signature}
 
     def phi_function(k):
         if k not in phi_functions:

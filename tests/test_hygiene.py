@@ -32,6 +32,12 @@ Calls are resolved by name alone (a method by its attribute name, a
 constructor by its class name); a call with ``*args`` or ``**kwargs``
 counts as passing every parameter it could reach.
 
+The export check reads the ``__all__`` of every module of the package that
+defines one and fails on any listed name that the module's top level
+neither defines (a function, a class or an assignment) nor imports: a
+name left in ``__all__`` after its definition is gone breaks ``import *``
+and misleads a reader of the module's API.
+
 The tracer check resolves every layer target of ``perfbench/tracer.py``
 against the package, so a renamed or deleted traced function fails here
 rather than in a traced benchmark run.
@@ -59,6 +65,13 @@ DEFAULT_EXEMPT = {
 }
 
 
+def exported(tree):
+    """The names a module's ``__all__`` lists, [] if it defines none."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
 def unused_imports(source):
     """Names bound by top-level imports of `source` that it never uses."""
     tree = ast.parse(source)
@@ -71,11 +84,7 @@ def unused_imports(source):
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    used.update(exported(tree))
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
@@ -171,6 +180,48 @@ def test_no_unicode_digit_class(path):
     assert not found, "%s: \\d, which matches any Unicode digit, at lines %s; write [0-9]" % (
         path.relative_to(ROOT), ", ".join(map(str, found))
     )
+
+
+def stale_exports(source):
+    """The names `source`'s ``__all__`` lists that its top level neither
+    defines nor imports."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return sorted(set(exported(tree)) - bound)
+
+
+def test_checker_finds_stale_exports():
+    source = (
+        "from . import errors\n"
+        "from .laurent import T as t, parse_poly\n"
+        "import xml.dom\n"
+        "X, (Y, Z) = 1, (2, 3)\n"
+        "W: int = 4\n"
+        "def f(): removed_local = 1\n"
+        "class C:\n"
+        "    def method(self): pass\n"
+        "if X:\n"
+        "    hidden = 5\n"
+        "__all__ = ['errors', 't', 'T', 'parse_poly', 'xml', 'X', 'Y', 'Z', 'W',\n"
+        "           'f', 'C', 'method', 'removed_local', 'hidden', 'gone']\n"
+    )
+    assert stale_exports(source) == ["T", "gone", "hidden", "method", "removed_local"]
+    assert stale_exports("def f(): pass\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_exported_names_exist(path):
+    stale = stale_exports(path.read_text(encoding="utf-8"))
+    assert not stale, "%s: __all__ lists names it neither defines nor imports: %s" % (
+        path.relative_to(ROOT), ", ".join(stale))
 
 
 def definitions(source):

@@ -300,6 +300,10 @@ class TestSturm:
             IntPoly("t^2 - 2") * IntPoly("t^2 - 3"),
             IntPoly("t^4 - 5t^2 + 3"),
             IntPoly("t^5 - 4t^3 + t + 1"),
+            # chains that drop two degrees below a member with a negative
+            # leading coefficient, where the remainder keeps its sign
+            IntPoly("t^4 + 3t + 2"),
+            IntPoly("t^5 - t^4 + 3"),
         ]
         for f in cases:
             ivs = sturm_isolate(f, Fraction(-3), Fraction(3))

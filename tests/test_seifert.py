@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from bingcheck.errors import AdmissibilityError
 from bingcheck.factor import factor_rational
-from bingcheck.fields import cayley_point, evaluated_hermitian_signature
+from bingcheck.fields import cayley_point, evaluated_hermitian_signature, rank_over_factor
+from bingcheck.intpoly import IntPoly
 from bingcheck.laurent import LaurentPoly, normalize_unit, parse_poly
 from bingcheck.matrices import ExactMatrix
 from bingcheck.seifert import (
@@ -158,6 +159,27 @@ def gaussian_power(d, n, k):
     return x, y
 
 
+@st.composite
+def half_symmetric_forms(draw):
+    """Rational A = S/2 + J of genus 1 to 3: S a symmetric integer matrix
+    with entries in -2..2, in some draws with row and column n - 1 copied
+    from row and column 0 (so S is singular), and J the standard
+    symplectic form.  A + A^T = S, so B(-1) = 2S, and A - A^T = 2J: the
+    form is rational even when S is even."""
+    n = 2 * draw(st.integers(1, 3))
+    S = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            S[i][j] = S[j][i] = draw(st.integers(-2, 2))
+    if draw(st.booleans()):
+        for j in range(n - 1):
+            S[n - 1][j] = S[j][n - 1] = S[0][j]
+        S[n - 1][n - 1] = S[0][0]
+    return SeifertMatrix([[Fraction(S[i][j], 2) + (j == i + 1 and i % 2 == 0)
+                           - (i == j + 1 and j % 2 == 0) for j in range(n)] for i in range(n)],
+                         integral=False)
+
+
 class TestCayleySignature:
     """cayley_signature reads the form at omega^k = (x + iy)/(x - iy),
     omega = (1 + i s)/(1 - i s), s = n/d and (d + i n)^k = x + iy, off the
@@ -186,6 +208,14 @@ class TestCayleySignature:
         assert cayley_signature(TREFOIL, -4, 0) == (0, 2)
         assert cayley_signature(genus_two, -4, 0) == (0, 4)
         assert cayley_signature(UNKNOT, 3, 4) == (0, 0)
+
+    @given(half_symmetric_forms())
+    @settings(max_examples=40, deadline=None)
+    def test_nullity_at_minus_one_is_the_rank_over_t_plus_one(self, s):
+        # the base reads B's nullity at -1 off A + A^T in integers; the
+        # Laurent rank over Q[t]/(t + 1) it replaced is the oracle
+        want = s.size - rank_over_factor(s.seifert_form(), IntPoly([1, 1]))
+        assert cayley_signature(s, 0, 1)[1] == want
 
     def test_needs_a_point(self):
         with pytest.raises(ValueError):

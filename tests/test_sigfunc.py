@@ -31,7 +31,7 @@ from bingcheck.fields import (
 from bingcheck.intpoly import IntPoly, RootInterval, u_image
 from bingcheck.laurent import LaurentPoly, parse_poly
 from bingcheck.matrices import ExactMatrix
-from bingcheck.seifert import SeifertMatrix, alexander, mirror
+from bingcheck.seifert import SeifertMatrix, alexander, connected_sum, mirror
 from bingcheck.sigfunc import (
     JumpPoint,
     _cayley_sample,
@@ -457,6 +457,12 @@ class TestCayleySample:
             assert u_of(Fraction(p, r)) <= lo, Fraction(p, r)
 
 
+# Delta = (t^2 - t + 1)(t + 1)^2 / 4: a factor of Phi_6(t^k) takes its
+# nullity from the trefoil's jump, one of t^k + 1 from B(-1)
+JUMP_AND_MINUS_ONE = connected_sum(
+    SeifertMatrix(TREFOIL), SeifertMatrix([[Fraction(1, 2), 1], [0, Fraction(1, 2)]]))
+
+
 def assert_pullback_is_matrix_path(pres):
     """The battery's function, pulled back from the bases' own, equals the
     matrix path's on the whole presentation, field for field."""
@@ -466,12 +472,14 @@ def assert_pullback_is_matrix_path(pres):
 
 class TestPullback:
     @given(admissible_forms(3), st.integers(1, 5))
+    @example(JUMP_AND_MINUS_ONE, 3)
     @settings(max_examples=20, deadline=None)
     def test_phi(self, s, k):
         assert_pullback_is_matrix_path(phi(from_seifert(s), k))
 
     @given(admissible_forms(3), st.integers(1, 3), st.integers(1, 3))
     @example(SeifertMatrix(T25), 2, 2)
+    @example(JUMP_AND_MINUS_ONE, 1, 2)
     @settings(max_examples=15, deadline=None)
     def test_jpq(self, s, p, q):
         assert_pullback_is_matrix_path(jpq_presentation(s, p, q))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from bingcheck.errors import AdmissibilityError, InternalInvariantError
 from bingcheck.factor import factor_rational, merge_factors
-from bingcheck.intpoly import IntPoly, cyclotomic, euler_phi
+from bingcheck.intpoly import IntPoly, cyclotomic, cyclotomic_order, euler_phi, pseudo_rem
 from bingcheck.laurent import LaurentPoly, dense_divmod, parse_poly, normalize_unit
 from bingcheck.matrices import ExactMatrix, bareiss_det
 from bingcheck import fields, sigfunc, witt
@@ -58,15 +58,17 @@ def factor_list(f):
     return factor_rational(f)[1]
 
 
-def count_calls(monkeypatch, fn, whole=False):
+def count_calls(monkeypatch, fn, whole=False, caller=None):
     """Wrap every binding of `fn` in the package, in its modules and in the
     classes they define, and return the list that collects the first
     argument of each call (the receiver, for a method), or with `whole`
-    the tuple of its arguments."""
+    the tuple of its arguments; with `caller`, only of the calls made from
+    the module of that name."""
     seen = []
 
     def counting(*args, **kwargs):
-        seen.append(args if whole else args[0])
+        if caller is None or sys._getframe(1).f_globals["__name__"] == caller:
+            seen.append(args if whole else args[0])
         return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -354,6 +356,29 @@ class TestBuildersOnlyMoveParts:
         assert factored == [delta.substitute_power(2), delta.substitute_power(3)]
 
 
+class TestBaseDecidesSubstitutions:
+    """A base maps each factor of g(t^k) to B's nullity at the roots of g:
+    the pullback tests no divisibility, takes no rank and asks no factor
+    whether it is cyclotomic."""
+
+    def test_pullback_reads_the_bases_maps(self, monkeypatch):
+        # Delta = (t^2 - t + 1)(t + 1)^2 / 4: a jump, and B(-1) singular
+        s = connected_sum(TREFOIL, SeifertMatrix([[Fraction(1, 2), 1], [0, Fraction(1, 2)]]))
+        divided = count_calls(monkeypatch, pseudo_rem, caller="bingcheck.sigfunc")
+        ranked = count_calls(monkeypatch, fields.rank_over_factor)
+        asked = count_calls(monkeypatch, cyclotomic_order)
+        fields._whole_rank_over_factor.cache_clear()
+        knot = from_seifert(s)
+        monkeypatch.setattr(witt, "from_seifert", lambda _: knot)
+        for pres in [phi(knot, k) for k in range(2, 7)] + [jpq_presentation(s, 1, 2)]:
+            presentation_battery(pres)
+        assert divided == []
+        # the base's own matrix path ranks B over its one jump factor
+        assert ranked == [s.seifert_form()]
+        assert asked == [g for g, _ in knot.factors()]
+        assert IntPoly([1, 1]) in asked
+
+
 class TestVerdictFactorArguments:
     @pytest.mark.parametrize("s", [TREFOIL, FIGURE_EIGHT, STEVEDORE],
                              ids=["3_1", "4_1", "6_1"])
@@ -381,7 +406,7 @@ class TestCyclotomicSubstitution:
         for d, k in self.GRID:
             if euler_phi(d) * k <= 24:
                 substituted = cyclotomic(d).to_laurent().substitute_power(k)
-                assert witt._substituted_factors(cyclotomic(d), k) \
+                assert witt._substituted_factors(cyclotomic(d), d, k) \
                     == factor_rational(substituted)[1], (d, k)
 
     def test_whole_grid_by_orders_of_roots(self):
@@ -390,7 +415,7 @@ class TestCyclotomicSubstitution:
         for d, k in self.GRID:
             orders = [m for m in range(1, d * k + 1)
                       if (d * k) % m == 0 and m // gcd(m, k) == d]
-            assert witt._substituted_factors(cyclotomic(d), k) \
+            assert witt._substituted_factors(cyclotomic(d), d, k) \
                 == merge_factors([(cyclotomic(m), 1) for m in orders]), (d, k)
 
     def test_phi_factors_a_cyclotomic_without_zassenhaus(self, monkeypatch):
