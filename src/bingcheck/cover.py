@@ -13,22 +13,21 @@ Gamma = (A - A^T)^{-1} A as
 
 provided Gamma^p - (Gamma-I)^p is nonsingular; Atilde may have rational
 entries and only determines the rational-coefficient Witt class, so it comes
-back flagged rational.
+back flagged rational.  It is evaluated in integers: for L the lcm of A's
+denominators and X = L(A - A^T), G = adj(X) L A is det(X) Gamma; with N1
+and N the (p-1)-th and p-th power differences of G and G - det(X) I, every
+power of det X cancels, and Atilde = A - (L A)^T N1 adj(N) G / (L det N).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
-from .errors import (
-    AdmissibilityError,
-    FormulaHypothesisError,
-    InternalInvariantError,
-    SingularMatrixError,
-)
+from .errors import AdmissibilityError, FormulaHypothesisError, InternalInvariantError
 from .laurent import LaurentPoly
 from .intpoly import IntPoly, divmod_exact, pseudo_rem, resultant
-from .matrices import ExactMatrix
+from .matrices import bareiss_adjugate
 from .seifert import SeifertMatrix
 
 __all__ = [
@@ -39,14 +38,7 @@ __all__ = [
 
 
 class _Infinite:
-    """Sentinel for an infinite homology group (resultant 0)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Sentinel for an infinite homology group (resultant 0): INFINITE."""
 
     def __repr__(self):
         return "INFINITE"
@@ -128,6 +120,16 @@ def branched_cover_homology_order(delta: LaurentPoly, p: int):
     return order.numerator if order.denominator == 1 else order
 
 
+def _matmul(a, b) -> list:
+    """The product of two integer matrices given as rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(r, c)) for c in cols] for r in a]
+
+
+def _difference(a, b) -> list:
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
 def covering_seifert_matrix(s: SeifertMatrix, p: int) -> SeifertMatrix:
     """Seifert matrix (rational flag) for the lifted knot in the p-fold cover.
 
@@ -141,26 +143,20 @@ def covering_seifert_matrix(s: SeifertMatrix, p: int) -> SeifertMatrix:
     """
     if p < 2:
         raise ValueError("covers need p >= 2")
-    a = s.matrix
-    at = a.transpose()
-    gamma = (a - at).inverse() @ a
-    eye = ExactMatrix.identity(s.size)
-
-    def last_powers(m):
-        """(m^(p-1), m^p): only these two are read, so no other is kept."""
-        before = eye
-        for _ in range(p - 1):
-            before = before @ m
-        return before, before @ m
-
-    (g1, g), (h1, h) = last_powers(gamma), last_powers(gamma - eye)
-    try:
-        denom_inv = (g - h).inverse()
-    except SingularMatrixError:
-        raise FormulaHypothesisError(
-            "Gamma^p - (Gamma - I)^p is singular; the covering formula does not apply"
-        ) from None
-    atilde = a - at @ (g1 - h1) @ denom_inv @ gamma
+    la, scale = s.matrix.integer_rows()
+    det_x, adj_x = bareiss_adjugate(_difference(la, zip(*la)))
+    gamma = _matmul(adj_x, la)
+    shifted = [[e - det_x * (i == j) for j, e in enumerate(r)] for i, r in enumerate(gamma)]
+    # only the (p-1)-th and p-th powers are read, so no other is kept
+    g1, h1 = gamma, shifted
+    for _ in range(p - 2):
+        g1, h1 = _matmul(g1, gamma), _matmul(h1, shifted)
+    det_n, adj_n = bareiss_adjugate(_difference(_matmul(g1, gamma), _matmul(h1, shifted)))
+    if not det_n:
+        raise FormulaHypothesisError("Gamma^p - (Gamma - I)^p is singular; "
+                                     "the covering formula does not apply")
+    m = _matmul(_matmul(_matmul(list(zip(*la)), _difference(g1, h1)), adj_n), gamma)
+    atilde = [[Fraction(x * det_n - y, scale * det_n) for x, y in zip(r, v)] for r, v in zip(la, m)]
     try:
         return SeifertMatrix(atilde, integral=False)
     except AdmissibilityError:

@@ -29,10 +29,6 @@ class SizeBoundError(BingcheckError):
     """A size parameter is above the bound the tool answers in seconds."""
 
 
-class SingularMatrixError(BingcheckError):
-    """Matrix inverse requested for a singular matrix."""
-
-
 class FormulaHypothesisError(BingcheckError):
     """A formula's nondegeneracy hypothesis failed for this input."""
 

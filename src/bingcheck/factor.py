@@ -50,23 +50,11 @@ def _gf_from_int(f: IntPoly, p: int):
     return _strip([c % p for c in f.coeffs])
 
 
-def _gf_to_int_sym(a, p: int) -> IntPoly:
-    half = p // 2
-    return IntPoly([c - p if c > half else c for c in a])
-
-
-def _gf_add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _strip(out)
-
-
 def _gf_sub(a, b, p):
-    return _gf_add(a, [(-c) % p for c in b], p)
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return _strip(out)
 
 
 def _pack(a) -> int:
@@ -252,14 +240,8 @@ def _gf_equal_degree(f, d, p, rng):
 # -- quadratic multifactor Hensel lifting --------------------------------------
 
 def _trunc_sym(f: IntPoly, m: int) -> IntPoly:
-    half = m // 2
-    out = []
-    for c in f.coeffs:
-        c %= m
-        if c > half:
-            c -= m
-        out.append(c)
-    return IntPoly(out)
+    """f with its coefficients reduced mod m into (-m/2, m/2]."""
+    return IntPoly([c % m - m if c % m > m // 2 else c % m for c in f.coeffs])
 
 
 def _hensel_step(m, f, g, h, s, t):
@@ -297,8 +279,7 @@ def _hensel_lift(p, f, f_list, l):
     for fi in f_list[k:]:
         h = _gf_mul(h, fi, p)
     s, t = _gf_gcdex(g, h, p)
-    g, h = _gf_to_int_sym(g, p), _gf_to_int_sym(h, p)
-    s, t = _gf_to_int_sym(s, p), _gf_to_int_sym(t, p)
+    g, h, s, t = (_trunc_sym(IntPoly(a), p) for a in (g, h, s, t))
     for _ in range(steps):
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
         m = m * m
@@ -358,10 +339,18 @@ def _zassenhaus(f: IntPoly):
     primes that keep f squarefree, and for f with a square factor there is
     none, so the search never ends.  factor_rational passes only the
     squarefree parts of Yun's decomposition.  A subset of the lifted
-    factors is tried only when its degree is one the primes allow."""
+    factors is tried only when its degree is one the primes allow.  A
+    quadratic splits iff its discriminant is a square, into the factors of
+    its roots (-b +- r) / 2a."""
     n = f.degree
     if n == 1:
         return [f]
+    if n == 2:
+        c, b, a = f.coeffs
+        r = math.isqrt(max(b * b - 4 * a * c, 0))
+        if r * r != b * b - 4 * a * c:
+            return [f]
+        return [IntPoly([b - r, 2 * a]).primitive(), IntPoly([b + r, 2 * a]).primitive()]
     A = max(abs(c) for c in f.coeffs)
     b = f.lc
     sq = math.isqrt(n + 1)

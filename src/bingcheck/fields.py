@@ -23,22 +23,22 @@ until the enclosure excludes zero -- which must happen, because a nonzero
 field element has a nonzero image under every embedding.  In Q(i) a real
 element is rational and its enclosure is the exact value cos 0 = 1.
 
-Ranks of Laurent matrices "at" a root of an irreducible factor P, used for
-the nullity carried by each jump of a signature function, do not use the
-quotient field: rank_over_factor eliminates fraction-free in Z[t], keeping
-every entry reduced modulo P, so PolyQuotientField serves only Q(zeta_q).
+A field element is int numerators over one positive int denominator.  Ranks
+"at" a root of an irreducible factor P (each jump's nullity) do not use the
+quotient field: rank_over_factor eliminates fraction-free in Z[t] modulo P,
+so PolyQuotientField serves only Q(zeta_q).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from math import gcd
 
 from .errors import InternalInvariantError
-from .laurent import _strip, as_fraction, as_laurent, dense_cross, dense_divmod, dense_mul
+from .laurent import _strip, as_fraction, as_laurent, dense_cross, dense_mul
 from .intpoly import IntPoly, cyclotomic, pseudo_rem, sturm_isolate, u_image
+from .matrices import _denominator_lcm
 
 __all__ = [
     "CyclotomicField",
@@ -85,126 +85,147 @@ def _cos_roots(q: int) -> tuple:
 
 # -- quotient fields of Q[x] ---------------------------------------------------
 
+def _lowest(nums, den: int) -> tuple:
+    """The element nums / den (int numerators, den > 0) in lowest terms."""
+    g = gcd(den, *nums)
+    return (tuple(nums), den) if g == 1 else (tuple(c // g for c in nums), den // g)
+
+
 class PolyQuotientField:
     """Q[x]/(m) for an irreducible m with m(0) != 0, so x is invertible.
 
-    An element is the tuple of its deg m reduced Fraction coefficients,
-    ascending; the field does all arithmetic on such tuples.
-    """
+    An element is a pair (c, d) in lowest terms: c the tuple of the deg m
+    int numerators of its reduced coefficients, ascending, over one common
+    denominator d > 0, so equal elements are equal pairs.  The field does
+    all arithmetic on such pairs in Python ints."""
 
     def __init__(self, modulus: IntPoly):
         if modulus.degree < 1:
             raise ValueError("modulus must have positive degree")
         if modulus.coeff(0) == 0:
             raise ValueError("modulus must not vanish at 0")
-        self.modulus = modulus
-        self.degree = modulus.degree
-        lc = Fraction(modulus.lc)
-        self._mod = [Fraction(c) / lc for c in modulus.coeffs]
+        self.modulus, self.degree = modulus, modulus.degree
+        # a positive leading coefficient keeps every denominator positive
+        self._mod = modulus.coeffs if modulus.lc > 0 else (-modulus).coeffs
+
+    def _reduce(self, c: list, den: int) -> tuple:
+        """The element c / den for a list c of ints, reduced mod m in place by
+        pseudo-division: a step that scales c by lc(m) scales den too."""
+        m, n = self._mod, self.degree
+        for top in range(len(c) - 1, n - 1, -1):
+            a = c[top]
+            if a:
+                if m[n] != 1:
+                    c, den = [m[n] * x for x in c], den * m[n]
+                for j in range(n):
+                    c[top - n + j] -= a * m[j]
+        return _lowest(c[:n] + [0] * (n - len(c)), den)
 
     def element(self, coeffs) -> tuple:
-        """The element a polynomial (dense ascending coefficients) reduces to."""
-        c = [Fraction(x) for x in coeffs]
-        if len(c) >= len(self._mod):
-            _, c = dense_divmod(c, self._mod)
-        return tuple(c) + (Fraction(0),) * (self.degree - len(c))
+        """The element an integer polynomial (dense ascending) reduces to."""
+        return self._reduce(list(coeffs), 1)
 
     def add(self, a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
+        return _lowest([x * b[1] + y * a[1] for x, y in zip(a[0], b[0])], a[1] * b[1])
 
     def sub(self, a: tuple, b: tuple) -> tuple:
-        return tuple(x - y for x, y in zip(a, b))
+        return _lowest([x * b[1] - y * a[1] for x, y in zip(a[0], b[0])], a[1] * b[1])
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        return self.element(dense_mul(a, b))
+        return self._reduce(dense_mul(a[0], b[0]), a[1] * b[1])
 
     def inv(self, a: tuple) -> tuple:
-        if not any(a):
+        """a^-1 for a = c / d, fraction-free: the pseudo-remainder sequence of
+        m and c carries with each member r a u, u c = r mod m, both divided
+        by their content, down to a constant k; then a^-1 = d u / k."""
+        c, d = a
+        if not any(c):
             raise ZeroDivisionError("inverse of zero field element")
-        r0, r1 = self._mod, _strip(list(a))
-        t0, t1 = [], [Fraction(1)]
-        while r1:
-            q, r = dense_divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _strip(
-                [x - y for x, y in zip_longest(t0, dense_mul(q, t1), fillvalue=0)]
-            )
-        if len(r0) != 1:
-            raise InternalInvariantError("modulus was not irreducible")
-        return self.element([c / r0[0] for c in t0])
+        r0, u0, r1, u1 = list(self._mod), [], _strip(list(c)), [1]
+        while len(r1) > 1:
+            while len(r0) >= len(r1):
+                s = [0] * (len(r0) - len(r1)) + [r0[-1]]
+                r0, u0 = dense_cross(r1[-1:], r0, s, r1), dense_cross(r1[-1:], u0, s, u1)
+            if not r0:
+                raise InternalInvariantError("modulus was not irreducible")
+            g = gcd(*r0, *u0)
+            r0, u0, r1, u1 = r1, u1, [x // g for x in r0], [x // g for x in u0]
+        u1 += [0] * (self.degree - len(u1))
+        return _lowest([d * x if r1[0] > 0 else -d * x for x in u1], abs(r1[0]))
 
 
 class CyclotomicField(PolyQuotientField):
     """Q(zeta_q) = Q[x]/(Phi_q), with x^q = 1 used to fold Laurent exponents,
-    conjugation x -> x^(q-1), and certified signs of real elements."""
+    conjugation x -> x^(q-1), and certified signs of real elements.  Phi_q
+    is monic, so each x^k and each product of numerators reduces in Z[x]."""
 
     def __init__(self, q: int):
         if q < 1:
             raise ValueError("root-of-unity order must be >= 1")
         self.q = q
         super().__init__(cyclotomic(q))
-        power = self.element([1])
-        self._xpow = []
-        for _ in range(q):
-            self._xpow.append(power)
-            power = self.element((0,) + power)  # times x
-
-    def _fold(self, terms) -> tuple:
-        """The sum of c * x^k over the (k, c) in terms, k read mod q."""
-        out = [Fraction(0)] * self.degree
-        for k, c in terms:
-            for i, x in enumerate(self._xpow[k % self.q]):
-                if x:
-                    out[i] += c * x
-        return tuple(out)
+        self._xpow = [(1,) + (0,) * (self.degree - 1)]
+        for _ in range(q - 1):
+            self._xpow.append(self._reduce([0] + list(self._xpow[-1]), 1)[0])  # times x
 
     def images(self, polys: list, omega: tuple) -> list:
-        """Images of the Laurent polynomials under t -> omega, for omega on
-        the unit circle, so that omega^-1 = conj(omega).  The powers of
-        omega are formed once for all the polynomials."""
-        up = max([0] + [f.max_exp for f in polys if f])
-        down = max([0] + [-f.min_exp for f in polys if f])
-        powers = [self.element([1])]
-        for _ in range(max(up, down)):
-            powers.append(self.mul(powers[-1], omega))
-        inverse = [self.conj(p) for p in powers[:down + 1]]
+        """Images of the Laurent polynomials under t -> omega = w / d on the
+        unit circle, omega^-1 = conj(omega): with omega^k = W_k / d^k, the W_k
+        formed once, f(omega) is one integer vector over L d^K, for L the lcm
+        of f's denominators and K its largest |exponent|."""
+        w, d = omega
+        powers, dpow = [self._xpow[0]], [1]
+        for _ in range(max([0] + [max(f.max_exp, -f.min_exp) for f in polys if f])):
+            powers.append(self._reduce(dense_mul(powers[-1], w), 1)[0])
+            dpow.append(dpow[-1] * d)
+        inverse = [self.conj((p, 1))[0] for p in powers]
         out = []
         for f in polys:
-            acc = [Fraction(0)] * self.degree
-            for k, c in f.items():
+            terms = f.items()
+            top = max([abs(k) for k, _ in terms] + [0])
+            den = _denominator_lcm(c for _, c in terms)
+            acc = [0] * self.degree
+            for k, c in terms:
+                scale = c.numerator * (den // c.denominator) * dpow[top - abs(k)]
                 for i, x in enumerate(powers[k] if k >= 0 else inverse[-k]):
                     if x:
-                        acc[i] += c * x
-            out.append(tuple(acc))
+                        acc[i] += scale * x
+            out.append(_lowest(acc, den * dpow[top]))
         return out
 
     def conj(self, e: tuple) -> tuple:
-        """Complex conjugate: x^i -> x^(-i)."""
-        return self._fold((-i, c) for i, c in enumerate(e) if c)
+        """Complex conjugate: x^i -> x^(-i).  It maps Z[zeta_q] onto
+        itself, so the numerators keep their content: no reduction."""
+        out = [0] * self.degree
+        for i, x in enumerate(e[0]):
+            if x:
+                for j, y in enumerate(self._xpow[-i % self.q]):
+                    if y:
+                        out[j] += x * y
+        return tuple(out), e[1]
 
     def real_sign(self, e: tuple) -> int:
-        """Sign (-1, 0, +1) of the real number e maps to under x -> zeta_q.
-
-        Requires e to be fixed by conjugation.  A nonzero element embeds to a
-        nonzero real, so refining the enclosure must eventually decide.
-        """
-        if not any(e):
+        """Sign (-1, 0, +1) of the real number e maps to under x -> zeta_q,
+        read off the numerators (the denominator is positive).  e must be
+        fixed by conjugation; a nonzero element embeds to a nonzero real, so
+        refining the enclosure must eventually decide."""
+        if not any(e[0]):
             return 0
         if self.conj(e) != e:
             raise ValueError("sign of a non-real element")
         bits = 48
         while bits <= 6144:
-            lo = hi = Fraction(0)
-            for i, c in enumerate(e):
-                if not c:
+            lo = hi = 0
+            for i, x in enumerate(e[0]):
+                if not x:
                     continue
                 clo, chi = cos_enclosure(Fraction(i, self.q), bits)
-                if c > 0:
-                    lo += c * clo
-                    hi += c * chi
+                if x > 0:
+                    lo += x * clo
+                    hi += x * chi
                 else:
-                    lo += c * chi
-                    hi += c * clo
+                    lo += x * chi
+                    hi += x * clo
             if lo > 0:
                 return 1
             if hi < 0:
@@ -232,11 +253,12 @@ def root_of_unity(angle) -> tuple:
 
 def cayley_point(s) -> tuple:
     """The rational point omega = (1 + i s)/(1 - i s) of the unit circle:
-    (4, omega) in Q(i) = Q(zeta_4), where omega = (1 - s^2 + 2 i s)/(1 + s^2).
+    (4, omega) in Q(i) = Q(zeta_4), where for s = n/d
+    omega = (d^2 - n^2 + 2 i n d)/(d^2 + n^2).
     s is exact (int, Fraction or numeric string); a float raises TypeError."""
     s = as_fraction(s)
-    d = 1 + s * s
-    return 4, ((1 - s * s) / d, 2 * s / d)
+    n, d = s.numerator, s.denominator
+    return 4, _lowest([d * d - n * n, 2 * n * d], d * d + n * n)
 
 
 # -- Hermitian signatures on the circle ----------------------------------------
@@ -251,9 +273,9 @@ def _hermitian_signature(field: CyclotomicField, H):
     active = list(range(len(H)))
     pos = neg = 0
     while active:
-        k = next((a for a in active if any(H[a][a])), None)
+        k = next((a for a in active if any(H[a][a][0])), None)
         if k is None:
-            pair = next(((i, j) for i in active for j in active if i < j and any(H[i][j])),
+            pair = next(((i, j) for i in active for j in active if i < j and any(H[i][j][0])),
                         None)
             if pair is None:
                 break
@@ -269,7 +291,7 @@ def _hermitian_signature(field: CyclotomicField, H):
         else:
             neg += 1
         active.remove(k)
-        rows = [r for r in active if any(H[r][k])]
+        rows = [r for r in active if any(H[r][k][0])]
         # a pivot with nothing left to clear (the last of each
         # component, for one) needs no inverse
         pinv = field.inv(p) if rows else None

@@ -490,13 +490,6 @@ def dickson(k: int, u: Fraction) -> Fraction:
 
 # -- Sturm sequences and real root isolation ----------------------------------
 
-def sturm_chain(f: IntPoly):
-    """Sturm chain of f (which should be squarefree) as dense integer
-    coefficient tuples, each a positive multiple of the chain over Q, so it
-    has the same signs: the remainder sequence of (f, f')."""
-    return [m.coeffs for m in _remainder_sequence(f, f.derivative()) if not m.is_zero]
-
-
 def _variations(chain, x: Fraction) -> int:
     signs = [v for v in (_sign(c, x) for c in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -578,21 +571,26 @@ def _isolating(g: IntPoly, a: Fraction, b: Fraction, exact) -> RootInterval:
 def sturm_isolate(f: IntPoly, lo, hi):
     """Disjoint isolating intervals for the distinct real roots of f in (lo, hi).
 
-    Multiplicities are ignored: one Sturm chain of the squarefree part g is
-    built, and g itself is never divided.  With zeros dropped, V(a) - V(b)
-    counts the roots of g in the half-open (a, b], so bisection needs no
-    special case: a root met at a bisection point is recorded exactly and
-    counted in its left half.  Rational roots found that way, and the roots
-    of linear g, come back with `exact` set; the intervals touch them only
-    at an end.
+    Multiplicities are ignored: f's Sturm chain (its remainder sequence
+    with f') ends in gcd(f, f'), and only when that is not constant is one
+    chain of the squarefree part g built; g is never divided.  With zeros
+    dropped, V(a) - V(b) counts the roots of g in the half-open (a, b], so
+    bisection needs no special case: a root met at a bisection point is
+    recorded exactly and counted in its left half.  Rational roots found
+    that way, and the roots of linear g, come back with `exact` set; the
+    intervals touch them only at an end.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError("need lo < hi")
     if f.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    g = squarefree_part(f)
-    chain = sturm_chain(g)
+    g = f.primitive()
+    chain = _remainder_sequence(g, g.derivative())
+    if chain[-1].degree > 0:
+        g = squarefree_part(f)
+        chain = _remainder_sequence(g, g.derivative())
+    chain = [m.coeffs for m in chain if not m.is_zero]
     exact = {end for end in (lo, hi) if not _sign(g.coeffs, end)}
     out = []
     stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]

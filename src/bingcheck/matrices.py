@@ -6,8 +6,7 @@ rational coefficients, stored as given.  The two mix as numbers do
 hashes as the number it equals, so a matrix is compared and hashed by its
 entries alone.  Whether some entry is a LaurentPoly is read off the entries,
 never stored: the determinant of such a matrix is a LaurentPoly even when it
-is constant, a block sum with one is padded with Laurent zeros, and the
-inverse refuses it.
+is constant, and a block sum with one is padded with Laurent zeros.
 
 Determinants come from one kernel on dense integer coefficient lists,
 bareiss_det: fraction-free Bareiss elimination over Z[t], whose interior
@@ -18,7 +17,8 @@ divided by L^n t^(sn).  Signatures of symmetric matrices come from one
 kernel on lists of Python ints, symmetric_signature: the same fraction-free
 elimination with diagonal pivots, whose successive pivots are principal
 minors, so that their signs give the signature.  A rational matrix is first
-scaled to integers (integer_rows).
+scaled to integers (integer_rows).  bareiss_adjugate gives the adjugate and
+determinant of an integer matrix by the same elimination, Gauss-Jordan.
 
 The 0x0 matrix is admitted everywhere: det Fraction(1), signature (0, 0).
 """
@@ -28,10 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import SingularMatrixError
 from .laurent import LaurentPoly, as_fraction, dense_cross, dense_exact_div
 
-__all__ = ["ExactMatrix", "bareiss_det", "symmetric_signature"]
+__all__ = ["ExactMatrix", "bareiss_adjugate", "bareiss_det", "symmetric_signature"]
 
 
 def _entry(e):
@@ -104,11 +103,6 @@ class ExactMatrix:
         body = "; ".join(" ".join(str(e) for e in r) for r in self._rows)
         return f"ExactMatrix({self._m}x{self._n}: {body})"
 
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
         if (self._m, self._n) != (other._m, other._n):
@@ -126,14 +120,6 @@ class ExactMatrix:
     def scale(self, c) -> "ExactMatrix":
         c = _entry(c)
         return ExactMatrix([[c * e for e in r] for r in self._rows])
-
-    def __matmul__(self, other):
-        if self._n != other._m:
-            raise ValueError("shape mismatch")
-        cols = list(zip(*other._rows))
-        return ExactMatrix(
-            [[sum(x * y for x, y in zip(r, c)) for c in cols] for r in self._rows]
-        )
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(zip(*self._rows))
@@ -207,7 +193,7 @@ class ExactMatrix:
         return [[[c.numerator * (scale // c.denominator) for c in e] for e in r]
                 for r in dense], s, scale
 
-    # -- determinant, inverse -------------------------------------------------
+    # -- determinant ---------------------------------------------------------
     def det(self):
         """Exact determinant: bareiss_det of the integer_poly_rows L t^s M,
         divided by L^n t^(sn); a LaurentPoly for a Laurent matrix, else a
@@ -220,28 +206,6 @@ class ExactMatrix:
         if not self._has_laurent_entry():
             return Fraction(d[0] if d else 0, denominator)
         return LaurentPoly.from_coeffs([Fraction(c, denominator) for c in d], -s * self._m)
-
-    def inverse(self) -> "ExactMatrix":
-        """Exact inverse of a nonsingular rational matrix."""
-        if not self.is_square:
-            raise ValueError("inverse requires a square matrix")
-        if self._has_laurent_entry():
-            raise ValueError("inverse is only defined for rational matrices")
-        n = self._m
-        aug = [list(r) + [Fraction(i == j) for j in range(n)]
-               for i, r in enumerate(self._rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col]), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            p = aug[col][col]
-            aug[col] = [x / p for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return ExactMatrix([row[n:] for row in aug])
 
 
 def bareiss_det(rows) -> list:
@@ -282,6 +246,36 @@ def bareiss_det(rows) -> list:
         prev = p
     d = rows[-1][-1] if n else [1]
     return [-c for c in d] if sign < 0 else d
+
+
+def bareiss_adjugate(rows) -> tuple:
+    """(det M, adj M) of a square integer matrix M given as int rows, which
+    are not changed; adj M is a list of int rows, None when det M = 0.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
+    on [M | I]: each step replaces every row i but the pivot row k by
+    (p row_i - m_ik row_k) / prev, an exact division, p and prev as in
+    bareiss_det.  The last pivot is det M up to the sign of the row swaps;
+    M's block ends as it times I, I's as it times M^-1.
+
+    >>> bareiss_adjugate([[2, 1], [1, 1]])
+    (1, [[1, -1], [-1, 2]])
+    """
+    n, sign, prev = len(rows), 1, 1
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    for k in range(n):
+        if not aug[k][k]:
+            pivot = next((r for r in range(k + 1, n) if aug[r][k]), None)
+            if pivot is None:
+                return 0, None
+            aug[k], aug[pivot] = aug[pivot], aug[k]
+            sign = -sign
+        pivot_row, p = aug[k], aug[k][k]
+        for i, row in enumerate(aug):
+            if i != k:
+                aug[i] = [(x * p - row[k] * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return sign * prev, [[sign * x for x in r[n:]] for r in aug]
 
 
 def symmetric_signature(rows) -> tuple:

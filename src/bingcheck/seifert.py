@@ -119,11 +119,12 @@ class SeifertMatrix:
         return "SeifertMatrix(%r, %s)" % (self._mat.entries, flag)
 
     def seifert_form(self) -> ExactMatrix:
-        """B(t) = (1 - t) A + (1 - t^-1) A^T, the Hermitian Laurent matrix
-        whose unit-circle evaluations give the Levine-Tristram forms."""
-        a = self._mat.entries
+        """L B(t) for B(t) = (1 - t) A + (1 - t^-1) A^T, the Hermitian form of
+        the Levine-Tristram signatures, and L the lcm of A's denominators:
+        integer coefficients, with B's signatures, nullities and ranks."""
+        a = self._mat.integer_rows()[0]
         n = self.size
-        # B_ij = (a_ij + a_ji) - a_ij t - a_ji t^-1
+        # L B_ij = (a_ij + a_ji) - a_ij t - a_ji t^-1, a = L A
         return ExactMatrix(
             [[LaurentPoly({-1: -a[j][i], 0: a[i][j] + a[j][i], 1: -a[i][j]})
               for j in range(n)] for i in range(n)]

@@ -53,6 +53,7 @@ from .sigfunc import (
 from .seifert import (
     SeifertMatrix,
     _arf_and_determinant,
+    _reciprocal_class,
     alexander,
     cayley_signature,
     fox_milnor,
@@ -126,9 +127,12 @@ class _Base:
         irreducible g have no common root, so neither do their g(t^k): the
         product is never factored, and each h has one g."""
         if k not in self._substituted:
-            lists, nullities = [], {}
+            lists, nullities, done = [], {}, {}
             for g, m, d, nul in self._owners:
-                hs = _substituted_factors(g, d, k)
+                # Delta is symmetric: g* owns the reciprocals of g(t^k)'s factors
+                rev = _reciprocal_class(g)
+                hs = done[g] = (_substituted_factors(g, d, k) if rev not in done else
+                                merge_factors([(_reciprocal_class(h), j) for h, j in done[rev]]))
                 lists.append([(h, m * j) for h, j in hs])
                 nullities.update((h, nul) for h, _ in hs)
             self._substituted[k] = merge_factors(*lists), nullities
@@ -154,9 +158,9 @@ class WittPresentation:
     """The block sum of the phi_k B = B(t^k) over its parts, the (base, k)
     pairs, in order, each base a knot's own record.  The parts are all it
     stores; its ring, size, matrix, order, factor list and signature
-    function are read off them.  The matrix is built from the bases'
-    Seifert matrices on each read, which in the package is only __eq__
-    and __hash__.  Only from_seifert, phi, witt_sum, jpq_presentation and
+    function are read off them.  The matrix, the block sum of the bases'
+    seifert_form L B at t^k, is built on each read, which in the package
+    is only __eq__ and __hash__.  Only from_seifert, phi, witt_sum, jpq_presentation and
     the Bing verdict build one, and the constructor checks nothing; the
     class stays exported for type use."""
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from time import perf_counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bingcheck import cover
 from bingcheck.catalog import builtin_catalog
@@ -26,6 +26,7 @@ from bingcheck.intpoly import IntPoly, resultant
 from bingcheck.laurent import LaurentPoly, parse_poly
 from bingcheck.matrices import ExactMatrix
 from bingcheck.seifert import SeifertMatrix, alexander, fox_milnor, signature_function
+from strategies import integral_or_rational_forms
 
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
 FIGURE_EIGHT = SeifertMatrix([[1, 1], [0, -1]])
@@ -43,10 +44,9 @@ def order_by_field_product(delta, p):
     prod = field.element([1])
     for i in range(1, p):
         prod = field.mul(prod, field.images([delta], field.element([0] * i + [1]))[0])
-    tail = prod[1:] if len(prod) > 1 else ()
-    assert all(c == 0 for c in tail), "product must be rational"
-    val = abs(prod[0]) if prod else Fraction(0)
-    return val
+    numerators, den = prod
+    assert not any(numerators[1:]), "product must be rational"
+    return Fraction(abs(numerators[0]), den)
 
 
 def order_by_subresultant(delta, p):
@@ -163,7 +163,72 @@ class TestHomologyOrder:
         assert r is INFINITE
 
 
+def fraction_inverse(rows):
+    """The inverse of a square Fraction matrix by Gauss-Jordan elimination,
+    None when it is singular."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in r] + [Fraction(i == j) for j in range(n)]
+           for i, r in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def matmul(a, b):
+    return [[sum((x * y for x, y in zip(r, c)), Fraction(0)) for c in zip(*b)] for r in a]
+
+
+def minus(a, b):
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def covering_by_fractions(s, p):
+    """Oracle: the covering formula term by term on Fraction matrices,
+    A - A^T (Gamma^(p-1) - (Gamma-I)^(p-1)) (Gamma^p - (Gamma-I)^p)^-1 Gamma
+    for Gamma = (A - A^T)^-1 A; None when Gamma^p - (Gamma-I)^p is singular."""
+    a = [list(r) for r in s.entries]
+    at = [list(r) for r in zip(*a)]
+    eye = [[Fraction(i == j) for j in range(s.size)] for i in range(s.size)]
+    gamma = matmul(fraction_inverse(minus(a, at)), a)
+
+    def last_powers(m):
+        before = eye
+        for _ in range(p - 1):
+            before = matmul(before, m)
+        return before, matmul(before, m)
+
+    (g1, g), (h1, h) = last_powers(gamma), last_powers(minus(gamma, eye))
+    inverse = fraction_inverse(minus(g, h))
+    if inverse is None:
+        return None
+    return minus(a, matmul(matmul(matmul(at, minus(g1, h1)), inverse), gamma))
+
+
 class TestCoveringSeifertMatrix:
+    @given(integral_or_rational_forms(), st.integers(2, 8))
+    # Delta of the trefoil is Phi_6, so Gamma^6 - (Gamma - I)^6 is singular
+    @example(TREFOIL, 6)
+    @example(SeifertMatrix([[Fraction(1, 2), 1], [0, Fraction(1, 2)]]), 2)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_fraction_formula(self, s, p):
+        want = covering_by_fractions(s, p)
+        if want is None:
+            with pytest.raises(FormulaHypothesisError, match="is singular"):
+                covering_seifert_matrix(s, p)
+        elif ExactMatrix(minus(want, [list(r) for r in zip(*want)])).det() == 0:
+            with pytest.raises(FormulaHypothesisError, match="fails det"):
+                covering_seifert_matrix(s, p)
+        else:
+            assert covering_seifert_matrix(s, p).entries == tuple(map(tuple, want))
+
     def test_trefoil_triple_cover_golden(self):
         c = covering_seifert_matrix(TREFOIL, 3)
         assert c.entries == (

@@ -87,6 +87,35 @@ class TestZassenhaus:
         )
 
 
+quadratics = st.one_of(
+    st.tuples(st.integers(1, 60), st.integers(-60, 60), st.integers(-60, 60)),
+    # products of two linear factors, so that splitting is common
+    st.tuples(st.integers(1, 8), st.integers(-8, 8), st.integers(1, 8), st.integers(-8, 8))
+    .map(lambda f: (f[0] * f[2], f[0] * f[3] + f[1] * f[2], f[1] * f[3])),
+).filter(lambda abc: abc[2] != 0 and abc[1] ** 2 != 4 * abc[0] * abc[2])
+
+
+class TestQuadratics:
+    """A squarefree quadratic is split by its discriminant, with no prime
+    chosen and nothing lifted."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(quadratics)
+    def test_closed_form_matches_sympy(self, abc):
+        a, b, c = abc
+        f = LaurentPoly.from_coeffs([c, b, a])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(factor, "_choose_prime", None)
+            unit, fs = factor_rational(f)
+        assert fs == sympy_factors(f)
+        assert reconstruct(unit, fs) == f
+
+    def test_frozen(self):
+        assert _zassenhaus(IntPoly("2t^2 - 5t + 2")) == [IntPoly("t - 2"), IntPoly("2t - 1")]
+        assert _zassenhaus(IntPoly("t^2 - 3t + 1")) == [IntPoly("t^2 - 3t + 1")]
+        assert _zassenhaus(IntPoly("t^2 + 1")) == [IntPoly("t^2 + 1")]
+
+
 class TestDegreeSieve:
     @pytest.fixture
     def ddf_primes(self, monkeypatch):

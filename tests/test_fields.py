@@ -21,7 +21,7 @@ from bingcheck.fields import (
     rank_over_factor,
     root_of_unity,
 )
-from bingcheck.intpoly import IntPoly, dickson
+from bingcheck.intpoly import IntPoly, cyclotomic, dickson
 from bingcheck.laurent import LaurentPoly, as_laurent, parse_poly
 from bingcheck.matrices import ExactMatrix, symmetric_signature
 from bingcheck.factor import factor_rational
@@ -134,7 +134,7 @@ class TestQuotientField:
             a = f.element(coeffs)
             n = f.mul(a, f.conj(a))
             assert f.conj(n) == n
-            if any(a):
+            if any(a[0]):
                 assert f.real_sign(n) == 1
 
     def test_real_sign_frozen(self):
@@ -143,9 +143,11 @@ class TestQuotientField:
         assert f.real_sign(two_cos_72) == 1
         assert f.real_sign(image(f, parse_poly("t^2 + t^-2"))) == -1
         assert f.real_sign(f.element([0])) == 0
-        # 2cos(72) = 0.618...: straddle it from both sides
-        assert f.real_sign(f.sub(two_cos_72, f.element([Fraction(1, 2)]))) == 1
-        assert f.real_sign(f.sub(two_cos_72, f.element([Fraction(7, 10)]))) == -1
+        # 2cos(72) = 0.618...: straddle it from both sides, with 1/2 and 7/10
+        half = f.inv(f.element([2]))
+        seven_tenths = f.mul(f.element([7]), f.inv(f.element([10])))
+        assert f.real_sign(f.sub(two_cos_72, half)) == 1
+        assert f.real_sign(f.sub(two_cos_72, seven_tenths)) == -1
 
     def test_real_sign_rejects_non_real(self):
         f = cyclotomic_field(5)
@@ -276,21 +278,23 @@ class TestRankOverFactor:
 
 def quotient_field_rank(M, modulus):
     """Exact oracle: Gaussian elimination with entries in
-    PolyQuotientField(modulus), after clearing negative exponents."""
+    PolyQuotientField(modulus), after clearing negative exponents and
+    denominators (t is a unit mod the modulus, and so is a constant)."""
     field = PolyQuotientField(modulus)
     entries = [[as_laurent(e) for e in r] for r in M.entries]
     s = max([0] + [-f.min_exp for r in entries for f in r if f])
-    rows = [[field.element([f.coeff(j - s) for j in range(f.max_exp + s + 1)] if f else [])
-             for f in r] for r in entries]
+    scale = math.lcm(*(c.denominator for r in entries for f in r for _, c in f.items()))
+    rows = [[field.element([int(f.coeff(j - s) * scale) for j in range(f.max_exp + s + 1)]
+                           if f else []) for f in r] for r in entries]
     rank = 0
     for col in range(M.cols):
-        pivot = next((r for r in range(rank, M.rows) if any(rows[r][col])), None)
+        pivot = next((r for r in range(rank, M.rows) if any(rows[r][col][0])), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inverse = field.inv(rows[rank][col])
         for r in range(rank + 1, M.rows):
-            if any(rows[r][col]):
+            if any(rows[r][col][0]):
                 f = field.mul(rows[r][col], inverse)
                 rows[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
         rank += 1
@@ -359,7 +363,7 @@ class TestAgainstNumericOracle:
     def test_cyclotomic_field_inverse_and_images(self, q, data):
         f = cyclotomic_field(q)
         a = f.element(data.draw(st.lists(st.integers(-3, 3), max_size=2 * f.degree)))
-        if any(a):
+        if any(a[0]):
             assert f.mul(a, f.inv(a)) == f.element([1])
         g, h = data.draw(laurent_polys), data.draw(laurent_polys)
         k = data.draw(st.integers(1, q))
@@ -416,13 +420,13 @@ class TestPointPower:
         # u(omega^k) = D_k(u(omega)) at the Cayley point omega, with omega^k
         # multiplied out here as an exact pair (re, im)
         s = Fraction(num, den)
-        q, omega = cayley_point(s)
+        q, ((x, y), d) = cayley_point(s)
         assert q == 4
         re, im = Fraction(1), Fraction(0)
         for _ in range(k):
-            re, im = re * omega[0] - im * omega[1], re * omega[1] + im * omega[0]
+            re, im = (re * x - im * y) / d, (re * y + im * x) / d
         u = 2 * (1 - s * s) / (1 + s * s)
-        assert u == 2 * omega[0]
+        assert u == Fraction(2 * x, d)
         assert dickson(k, u) == 2 * re
         z = complex(re, im)
         assert abs(z - ((1 + 1j * float(s)) / (1 - 1j * float(s))) ** k) < 1e-9
@@ -436,3 +440,110 @@ class TestExactArguments:
         with pytest.raises(TypeError):
             build(0.1)
         assert build("1/3") == build(Fraction(1, 3))
+
+
+# -- the integer field against Fraction tuples ------------------------------------
+
+def as_fractions(e):
+    """An element (numerators, denominator) as its Fraction coefficients."""
+    nums, den = e
+    return tuple(Fraction(c, den) for c in nums)
+
+
+def fraction_reduce(c, q):
+    """Fraction coefficients reduced mod the monic Phi_q, deg Phi_q of them."""
+    m = cyclotomic(q).coeffs
+    n = len(m) - 1
+    c = list(c) + [Fraction(0)] * n
+    for top in range(len(c) - 1, n - 1, -1):
+        a = c[top]
+        for j in range(n + 1):
+            c[top - n + j] -= a * m[j]
+    return tuple(c[:n])
+
+
+def fraction_mul(a, b, q):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return fraction_reduce(out, q)
+
+
+def fraction_conj(a, q):
+    out = [Fraction(0)] * q
+    for i, x in enumerate(a):
+        out[-i % q] += x
+    return fraction_reduce(out, q)
+
+
+def fraction_inv(a, q):
+    """a^-1 by Gauss-Jordan on the matrix of multiplication by a."""
+    n = len(a)
+    cols = [fraction_mul(a, [0] * j + [1], q) for j in range(n)]
+    aug = [[cols[j][i] for j in range(n)] + [Fraction(i == 0)] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(row[n] for row in aug)
+
+
+def fraction_image(poly, omega, q):
+    """poly(omega) for omega on the unit circle, omega^-1 = conj(omega)."""
+    total = [Fraction(0)] * len(omega)
+    for e, c in poly.items():
+        power = (Fraction(1),) + (Fraction(0),) * (len(omega) - 1)
+        for _ in range(abs(e)):
+            power = fraction_mul(power, omega, q)
+        if e < 0:
+            power = fraction_conj(power, q)
+        total = [t + c * x for t, x in zip(total, power)]
+    return tuple(total)
+
+
+class TestIntegerField:
+    """Elements are (int numerators, positive denominator) in lowest terms;
+    every operation agrees with Fraction-tuple arithmetic mod Phi_q."""
+
+    @given(st.sampled_from([3, 4, 5, 7, 8, 12]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fraction_tuples(self, q, data):
+        f = cyclotomic_field(q)
+
+        def draw():
+            nums = data.draw(st.lists(st.integers(-9, 9), min_size=f.degree,
+                                      max_size=f.degree))
+            den = data.draw(st.integers(1, 12))
+            g = math.gcd(den, *nums)
+            assert f.element(nums) == (tuple(nums), 1)
+            return (tuple(c // g for c in nums), den // g), tuple(Fraction(c, den) for c in nums)
+
+        (a, fa), (b, fb) = draw(), draw()
+        results = [f.add(a, b), f.sub(a, b), f.mul(a, b), f.conj(a)]
+        for (nums, den) in results + [a]:
+            assert den > 0 and math.gcd(den, *nums) == 1
+        assert [as_fractions(e) for e in results] == [
+            tuple(x + y for x, y in zip(fa, fb)), tuple(x - y for x, y in zip(fa, fb)),
+            fraction_mul(fa, fb, q), fraction_conj(fa, q)]
+        if any(fa):
+            assert as_fractions(f.inv(a)) == fraction_inv(fa, q)
+        real = f.add(a, f.conj(a))
+        value = sum(float(x) * math.cos(2 * math.pi * i / q)
+                    for i, x in enumerate(as_fractions(real)))
+        if any(real[0]):
+            assert abs(value) > 1e-9 and f.real_sign(real) == (1 if value > 0 else -1)
+        else:
+            assert f.real_sign(real) == 0
+        if q == 4 and data.draw(st.booleans()):
+            omega = cayley_point(Fraction(data.draw(st.integers(-20, 20)),
+                                          data.draw(st.integers(1, 20))))[1]
+        else:
+            omega = f.element([0] * data.draw(st.integers(0, q - 1)) + [1])
+        polys = [data.draw(rational_laurent_polys) for _ in range(2)]
+        assert [as_fractions(e) for e in f.images(polys, omega)] == [
+            fraction_image(g, as_fractions(omega), q) for g in polys]

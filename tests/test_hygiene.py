@@ -1,5 +1,6 @@
 """Source hygiene: no module imports a name it never uses, the package
-computes without floating point, and it defines no API that only tests call.
+computes without floating point, it defines no API that only tests call,
+and it raises every error it defines.
 
 A stdlib-only stand-in for a linter's unused-import rule.  Only imports at
 module level are checked.  A name counts as used when the module reads it
@@ -37,6 +38,12 @@ defines one and fails on any listed name that the module's top level
 neither defines (a function, a class or an assignment) nor imports: a
 name left in ``__all__`` after its definition is gone breaks ``import *``
 and misleads a reader of the module's API.
+
+The exception check reads the classes of ``errors.py`` and fails on any
+that no module of the package raises (``raise X`` or ``raise X(...)``,
+by name or as an attribute) unless another class there derives from it:
+an error nothing raises is an exit code nothing can reach and a branch no
+caller needs.
 
 The tracer check resolves every layer target of ``perfbench/tracer.py``
 against the package, so a renamed or deleted traced function fails here
@@ -416,6 +423,52 @@ def test_no_stale_default_exemption():
               for _, name, param, _ in defaulted_parameters(path.read_text(encoding="utf-8"))}
     stale = sorted(DEFAULT_EXEMPT - params)
     assert not stale, "DEFAULT_EXEMPT names no defaulted parameter: %s" % stale
+
+
+def raised_names(source):
+    """The names of the exceptions `source` raises: X of ``raise X`` and
+    ``raise X(...)``, X also read as an attribute (``raise errors.X``)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                names.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    return names
+
+
+def unraised_exceptions(errors_source, sources):
+    """(line, name) of the classes `errors_source` defines at top level
+    that no class there derives from and no source in `sources` raises."""
+    classes = [n for n in ast.parse(errors_source).body if isinstance(n, ast.ClassDef)]
+    bases = {b.id for c in classes for b in c.bases if isinstance(b, ast.Name)}
+    raised = set().union(*(raised_names(source) for source in sources))
+    return [(c.lineno, c.name) for c in classes if c.name not in bases | raised]
+
+
+def test_checker_finds_unraised_exceptions():
+    errors = (
+        "class BaseError(Exception): pass\n"
+        "class ParseError(BaseError): pass\n"
+        "class CaughtError(BaseError): pass\n"
+        "class AttributeRaised(BaseError): pass\n"
+        "class Gone(BaseError): pass\n"
+    )
+    sources = [
+        "def f(x):\n    raise ParseError('bad %s' % x) from None\n",
+        "try:\n    g()\nexcept CaughtError:\n    raise\n",
+        "from . import errors\nraise errors.AttributeRaised\n",
+        "Gone('built, never raised')\n",
+    ]
+    assert unraised_exceptions(errors, sources) == [(3, "CaughtError"), (5, "Gone")]
+
+
+def test_every_error_is_raised():
+    errors = ROOT / "src" / "bingcheck" / "errors.py"
+    unraised = unraised_exceptions(errors.read_text(encoding="utf-8"),
+                                   [p.read_text(encoding="utf-8") for p in PACKAGE])
+    assert not unraised, "errors.py classes the package never raises: " + ", ".join(
+        "%s (line %d)" % (name, line) for line, name in unraised)
 
 
 def test_tracer_targets_resolve():

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bingcheck import intpoly
 from bingcheck.intpoly import (
     IntPoly,
     cyclotomic,
@@ -383,6 +384,25 @@ class TestSturm:
         w = Fraction(1, 2 ** 20)
         assert ([(iv.lo, iv.hi, iv.exact) for iv in (iv.refine(w) for iv in ivs)]
                 == fraction_isolation(f, lo, hi, w))
+
+    @given(st.lists(st.integers(-5, 5), min_size=2, max_size=5).map(IntPoly),
+           st.lists(st.integers(-5, 5), min_size=2, max_size=3).map(IntPoly),
+           st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_squarefree_part_only_for_square_factors(self, g, h, m):
+        # f's own chain ends in gcd(f, f'): a constant there means f is
+        # squarefree, and only otherwise is squarefree_part taken
+        assume(g.degree >= 1 and h.degree >= 1)
+        calls = []
+        original = intpoly.squarefree_part
+        for f in (g, g * h ** (m + 1)):
+            g_sq = original(f)
+            want = sturm_isolate(g_sq, -6, 6)
+            calls.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(intpoly, "squarefree_part", lambda f: calls.append(f) or original(f))
+                assert sturm_isolate(f, -6, 6) == want
+            assert len(calls) == (0 if g_sq == f.primitive() else 1)
 
     def test_refine_narrows(self):
         (iv,) = sturm_isolate(IntPoly("t^2 - 2"), 0, 2)

@@ -8,6 +8,7 @@ passes Fox-Milnor with witness 2t - 1.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,10 +83,16 @@ class TestAdmissibility:
 class TestSeifertForm:
     @staticmethod
     def by_matrix_products(s):
-        """(1 - t) A + (1 - t^-1) A^T through Laurent matrix products."""
-        eye = ExactMatrix.identity(s.size)
-        return (eye.scale(parse_poly("1 - t")) @ s.matrix
-                + eye.scale(parse_poly("1 - t^-1")) @ s.matrix.transpose())
+        """L ((1 - t) A + (1 - t^-1) A^T), L the lcm of A's denominators,
+        through Laurent products entry by entry."""
+        scale = 1
+        for row in s.entries:
+            for e in row:
+                scale = scale * e.denominator // gcd(scale, e.denominator)
+        u, v = parse_poly("1 - t") * scale, parse_poly("1 - t^-1") * scale
+        a = s.matrix
+        return ExactMatrix([[u * a[i, j] + v * a[j, i] for j in range(s.size)]
+                            for i in range(s.size)])
 
     @given(admissible_2x2, admissible_2x2)
     @settings(max_examples=40, deadline=None)
@@ -95,6 +102,9 @@ class TestSeifertForm:
             b = s.seifert_form()
             assert all(isinstance(e, LaurentPoly) for row in b.entries for e in row)
             assert b.entries == self.by_matrix_products(s).entries
+            # a positive multiple of B with integer coefficients
+            assert all(c.denominator == 1 for row in b.entries for e in row
+                       for _, c in e.items())
 
 
 class TestAlexander:

@@ -355,6 +355,18 @@ class TestBuildersOnlyMoveParts:
         delta = alexander(FIGURE_EIGHT)
         assert factored == [delta.substitute_power(2), delta.substitute_power(3)]
 
+    def test_a_reciprocal_pair_is_factored_once(self, monkeypatch):
+        # 6_1's Delta = (t - 2)(2t - 1): the factors of 2t^k - 1 are the
+        # reciprocals of t^k - 2's, so only t^k - 2 is factored
+        knot = from_seifert(STEVEDORE)
+        monkeypatch.setattr(witt, "from_seifert", lambda _: knot)
+        factored = count_calls(monkeypatch, factor_rational, caller="bingcheck.witt")
+        for pres, ks in ((phi(knot, 4), [4]), (jpq_presentation(STEVEDORE, 1, 6), [7, 6])):
+            factored.clear()
+            got = pres.factors()
+            assert factored == [parse_poly("t - 2").substitute_power(k) for k in ks]
+            assert got == factor_rational(pres.order())[1]
+
 
 class TestBaseDecidesSubstitutions:
     """A base maps each factor of g(t^k) to B's nullity at the roots of g:
@@ -460,12 +472,17 @@ class TestCarriedFactorLists:
 
 def assert_admissible(p, ring):
     """What a presentation promises, from its matrix: B is Hermitian for
-    t -> 1/t, its normalized det is the order, the carried factors are
-    factor_rational's list of the order, and the ring flag is `ring`."""
+    t -> 1/t, its normalized det is the order times the L^n of each part
+    (the block of a base with Seifert matrix A of size n is L B(t^k), L the
+    lcm of A's denominators), the carried factors are factor_rational's
+    list of the order, and the ring flag is `ring`."""
     b = p.matrix
     assert all(b[i, j].substitute_power(-1) == b[j, i]
                for i in range(b.rows) for j in range(b.cols))
-    assert normalize_unit(b.det()) == p.order()
+    scale = 1
+    for base, _ in p.parts:
+        scale *= base.seifert.matrix.integer_rows()[1] ** base.seifert.size
+    assert normalize_unit(b.det()) == p.order() * scale
     assert factor_rational(p.order())[1] == p.factors()
     assert p.ring == ring
 
