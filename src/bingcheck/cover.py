@@ -110,10 +110,9 @@ def branched_cover_homology_order(delta: LaurentPoly, p: int):
         raise ValueError("the zero polynomial does not present a homology group")
     if p < 2:
         raise ValueError("covers need p >= 2")
-    content = delta.content()
-    primitive = IntPoly.from_laurent(delta * (1 / content))
+    content, primitive, _ = delta.split_content()
     # Res(psi, f) = prod over the p-th roots of unity zeta != 1 of f(zeta)
-    r = _psi_resultant(primitive, p)
+    r = _psi_resultant(IntPoly(primitive), p)
     if r == 0:
         return INFINITE
     order = abs(r) * content ** (p - 1)

@@ -38,7 +38,7 @@ import struct
 from itertools import combinations
 
 from .errors import InternalInvariantError
-from .laurent import LaurentPoly, _strip, as_laurent, dense_divmod
+from .laurent import LaurentPoly, _strip, as_laurent, dense_pseudo_divmod
 from .intpoly import IntPoly, divmod_exact, squarefree_decomposition
 
 __all__ = ["factor_rational", "merge_factors"]
@@ -246,15 +246,16 @@ def _trunc_sym(f: IntPoly, m: int) -> IntPoly:
 
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic lift: from f = g h and s g + t h = 1 (mod m), with h
-    monic, to the same congruences mod m^2."""
+    monic, to the same congruences mod m^2.  h and H are monic, so
+    pseudo-division by them is division in Z[t]."""
     M = m * m
     e = _trunc_sym(f - g * h, M)
-    q, r = dense_divmod((s * e).coeffs, h.coeffs)
+    q, r = dense_pseudo_divmod((s * e).coeffs, h.coeffs)
     q, r = _trunc_sym(IntPoly(q), M), _trunc_sym(IntPoly(r), M)
     G = _trunc_sym(g + t * e + q * g, M)
     H = _trunc_sym(h + r, M)
     b = _trunc_sym(s * G + t * H - IntPoly([1]), M)
-    c, d = dense_divmod((s * b).coeffs, H.coeffs)
+    c, d = dense_pseudo_divmod((s * b).coeffs, H.coeffs)
     c, d = _trunc_sym(IntPoly(c), M), _trunc_sym(IntPoly(d), M)
     S = _trunc_sym(s - d, M)
     T = _trunc_sym(t - t * b - c * G, M)
@@ -433,10 +434,7 @@ def factor_rational(f):
     f = f.to_laurent() if isinstance(f, IntPoly) else as_laurent(f)
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    shift = f.min_exp
-    content = f.content()
-    coeffs, _ = f.coeff_list()
-    ints = [int(c / content) for c in coeffs]
+    content, ints, shift = f.split_content()
     F = IntPoly(ints)
     sign = 1
     if F.lc < 0:

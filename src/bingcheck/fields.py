@@ -23,7 +23,10 @@ until the enclosure excludes zero -- which must happen, because a nonzero
 field element has a nonzero image under every embedding.  In Q(i) a real
 element is rational and its enclosure is the exact value cos 0 = 1.
 
-A field element is int numerators over one positive int denominator.  Ranks
+A field element is int numerators over one positive int denominator.
+Reduction mod m, and each step of an inverse's remainder sequence, is one
+call of laurent.dense_pseudo_divmod; the power of lc(m) it scales by goes
+into the denominator.  Ranks
 "at" a root of an irreducible factor P (each jump's nullity) do not use the
 quotient field: rank_over_factor eliminates fraction-free in Z[t] modulo P,
 so PolyQuotientField serves only Q(zeta_q).
@@ -36,8 +39,8 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import InternalInvariantError
-from .laurent import _strip, as_fraction, as_laurent, dense_cross, dense_mul
-from .intpoly import IntPoly, cyclotomic, pseudo_rem, sturm_isolate, u_image
+from .laurent import _strip, as_fraction, as_laurent, dense_cross, dense_mul, dense_pseudo_divmod
+from .intpoly import IntPoly, cyclotomic, sturm_isolate, u_image
 from .matrices import _denominator_lcm
 
 __all__ = [
@@ -109,17 +112,11 @@ class PolyQuotientField:
         self._mod = modulus.coeffs if modulus.lc > 0 else (-modulus).coeffs
 
     def _reduce(self, c: list, den: int) -> tuple:
-        """The element c / den for a list c of ints, reduced mod m in place by
-        pseudo-division: a step that scales c by lc(m) scales den too."""
-        m, n = self._mod, self.degree
-        for top in range(len(c) - 1, n - 1, -1):
-            a = c[top]
-            if a:
-                if m[n] != 1:
-                    c, den = [m[n] * x for x in c], den * m[n]
-                for j in range(n):
-                    c[top - n + j] -= a * m[j]
-        return _lowest(c[:n] + [0] * (n - len(c)), den)
+        """The element c / den for a list c of ints: lc(m)^e c = q m + r
+        (dense_pseudo_divmod), so it is r / (lc(m)^e den)."""
+        r = dense_pseudo_divmod(c, self._mod)[1]
+        e = max(len(c) - self.degree, 0)
+        return _lowest(r + [0] * (self.degree - len(r)), den * self._mod[-1] ** e)
 
     def element(self, coeffs) -> tuple:
         """The element an integer polynomial (dense ascending) reduces to."""
@@ -137,19 +134,19 @@ class PolyQuotientField:
     def inv(self, a: tuple) -> tuple:
         """a^-1 for a = c / d, fraction-free: the pseudo-remainder sequence of
         m and c carries with each member r a u, u c = r mod m, both divided
-        by their content, down to a constant k; then a^-1 = d u / k."""
+        by their content, down to a constant k; then a^-1 = d u / k.  From
+        lc^e r0 = q r1 + r, with e = len(q), the new u is lc^e u0 - q u1."""
         c, d = a
         if not any(c):
             raise ZeroDivisionError("inverse of zero field element")
         r0, u0, r1, u1 = list(self._mod), [], _strip(list(c)), [1]
         while len(r1) > 1:
-            while len(r0) >= len(r1):
-                s = [0] * (len(r0) - len(r1)) + [r0[-1]]
-                r0, u0 = dense_cross(r1[-1:], r0, s, r1), dense_cross(r1[-1:], u0, s, u1)
-            if not r0:
+            q, r = dense_pseudo_divmod(r0, r1)
+            if not r:
                 raise InternalInvariantError("modulus was not irreducible")
-            g = gcd(*r0, *u0)
-            r0, u0, r1, u1 = r1, u1, [x // g for x in r0], [x // g for x in u0]
+            u = dense_cross([r1[-1] ** len(q)], u0, q, u1)
+            g = gcd(*r, *u)
+            r0, u0, r1, u1 = r1, u1, [x // g for x in r], [x // g for x in u]
         u1 += [0] * (self.degree - len(u1))
         return _lowest([d * x if r1[0] > 0 else -d * x for x in u1], abs(r1[0]))
 
@@ -339,20 +336,17 @@ def evaluated_hermitian_signature(M, point):
 def _reduced_row(row, modulus: IntPoly) -> list:
     """lc(P)^e row mod P in Z[t], divided by its integer content: a nonzero
     scalar multiple of the row in Q[t]/(P), every entry of degree below
-    deg P.  One exponent e serves the whole row: pseudo_rem gives
-    lc^(deg f - deg P + 1) f mod P, and each entry is padded up to the
-    exponent of the row's highest degree."""
-    n = modulus.degree
-    top = max(len(e) for e in row) - 1
-    if top >= n:
-        lc = modulus.lc
-        row = [[c * lc ** (top - len(e) + 1) for c in pseudo_rem(IntPoly(e), modulus).coeffs]
-               if len(e) > n else [c * lc ** (top - n + 1) for c in e] for e in row]
+    deg P.  One exponent e serves the whole row: every entry is padded with
+    zeros to the length of the longest, and dense_pseudo_divmod's exponent
+    is fixed by the lengths."""
+    top = max(len(x) for x in row)
+    if top > modulus.degree:
+        row = [dense_pseudo_divmod(x + [0] * (top - len(x)), modulus.coeffs)[1] for x in row]
     content = 0
-    for e in row:
-        for c in e:
+    for x in row:
+        for c in x:
             content = gcd(content, c)
-    return row if content < 2 else [[c // content for c in e] for e in row]
+    return row if content < 2 else [[c // content for c in x] for x in row]
 
 
 @lru_cache(maxsize=8192)

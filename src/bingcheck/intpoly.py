@@ -6,8 +6,10 @@ heavy primitives here are the subresultant polynomial remainder sequence
 (resultants without rational blowup), one primitive remainder sequence that
 gives both gcds and Sturm chains, Yun's squarefree decomposition,
 cyclotomic polynomials by iterated exact division of t^d - 1, the
-u-substitution u = t + 1/t of self-reciprocal polynomials, and Sturm-chain
-real root isolation returning refinable rational intervals.
+cyclotomic order of f as the order of t modulo f, the u-substitution
+u = t + 1/t of self-reciprocal polynomials, and Sturm-chain real root
+isolation returning refinable rational intervals.  Every remainder is a
+pseudo-remainder of laurent.dense_pseudo_divmod.
 
 Evaluation at a rational n/d runs in ints: homogeneous Horner gives the
 integer d^deg f(n/d), whose sign is that of f(n/d).  Root isolation reads
@@ -24,7 +26,7 @@ from functools import lru_cache
 from math import gcd as int_gcd
 
 from .errors import InternalInvariantError
-from .laurent import LaurentPoly, dense_exact_div, dense_mul, parse_poly
+from .laurent import LaurentPoly, dense_exact_div, dense_mul, dense_pseudo_divmod, parse_poly
 
 __all__ = [
     "IntPoly",
@@ -33,7 +35,6 @@ __all__ = [
     "cyclotomic_order",
     "dickson",
     "divmod_exact",
-    "euler_phi",
     "gcd_poly",
     "resultant",
     "squarefree_decomposition",
@@ -170,19 +171,6 @@ class IntPoly:
     def to_laurent(self) -> LaurentPoly:
         return LaurentPoly.from_coeffs(self._c, 0)
 
-    @classmethod
-    def from_laurent(cls, f: LaurentPoly) -> "IntPoly":
-        """Shift min exponent to 0; requires integer coefficients."""
-        if f.is_zero:
-            return cls()
-        coeffs, _ = f.coeff_list()
-        out = []
-        for c in coeffs:
-            if c.denominator != 1:
-                raise ValueError("Laurent polynomial has non-integer coefficients")
-            out.append(c.numerator)
-        return cls(out)
-
     def __str__(self):
         return str(self.to_laurent())
 
@@ -216,32 +204,11 @@ def divmod_exact(f: IntPoly, g: IntPoly) -> IntPoly:
 
 
 def pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
-    """lc(g)^(deg f - deg g + 1) * f mod g, staying inside Z[t].
-
-    Requires deg f >= deg g >= 0.
-    """
-    n = g.degree
-    if n < 0:
-        raise ZeroDivisionError("pseudo-division by zero")
-    if f.degree < n:
+    """lc(g)^(deg f - deg g + 1) * f mod g, staying inside Z[t]
+    (dense_pseudo_divmod).  Requires deg f >= deg g >= 0."""
+    if f.degree < g.degree:
         raise ValueError("pseudo_rem requires deg f >= deg g")
-    d = g.lc
-    gc = g.coeffs
-    r = list(f.coeffs)
-    e = f.degree - n + 1
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        k = len(r) - 1 - n
-        if not r or k < 0:
-            break
-        lr = r[-1]
-        r = [d * x for x in r]
-        for j, c in enumerate(gc):
-            r[k + j] -= lr * c
-        e -= 1
-    scale = d**e
-    return IntPoly([scale * x for x in r])
+    return IntPoly(dense_pseudo_divmod(f.coeffs, g.coeffs)[1])
 
 
 def resultant(f, g):
@@ -249,7 +216,7 @@ def resultant(f, g):
 
     Uses the subresultant polynomial remainder sequence, which keeps every
     intermediate value in Z with no rational blowup.  Laurent input should be
-    shifted to an ordinary polynomial first (IntPoly.from_laurent); a unit
+    shifted to an ordinary polynomial first (LaurentPoly.split_content); a unit
     factor t^k only changes the resultant by a sign when the other argument
     has constant term +-1, and callers here always take absolute values.
 
@@ -259,7 +226,7 @@ def resultant(f, g):
     3
     """
     if isinstance(f, LaurentPoly) or isinstance(g, LaurentPoly):
-        raise TypeError("resultant takes IntPoly; shift Laurent input by IntPoly.from_laurent")
+        raise TypeError("resultant takes IntPoly; shift Laurent input by LaurentPoly.split_content")
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of the zero polynomial is undefined here")
 
@@ -378,30 +345,14 @@ def squarefree_decomposition(f: IntPoly):
     return out
 
 
-def euler_phi(n: int) -> int:
-    """Euler's totient, by trial factorization (inputs here are small)."""
-    out = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out *= (p - 1) * p ** (e - 1)
-        p += 1
-    if m > 1:
-        out *= m - 1
-    return out
-
-
 def cyclotomic_order(f: IntPoly):
     """d if f is the d-th cyclotomic polynomial, else None.
 
-    Uses phi(d) >= sqrt(d/2), so phi(d) = m forces d <= 2 m^2; a
-    cyclotomic polynomial is monic with constant term +-1, so no other
-    polynomial is compared.
+    Phi_d is monic with constant term +-1, and d is the order of t modulo
+    it, so that order is found by repeated t x mod f and only cyclotomic(d)
+    is compared with f.  phi(d) >= sqrt(d/2), so deg f = phi(d) forces
+    d <= 2 deg^2: a power of t that has not come back to 1 by then never
+    gives a cyclotomic f.
 
     >>> cyclotomic_order(IntPoly('t^2 - t + 1'))
     6
@@ -411,9 +362,11 @@ def cyclotomic_order(f: IntPoly):
     m = f.degree
     if m < 1 or f.lc != 1 or abs(f.coeff(0)) != 1:
         return None
+    x = [1]
     for d in range(1, 2 * m * m + 2):
-        if euler_phi(d) == m and cyclotomic(d) == f:
-            return d
+        x = dense_pseudo_divmod([0] + x, f.coeffs)[1]
+        if x == [1]:
+            return d if cyclotomic(d) == f else None
     return None
 
 

@@ -6,13 +6,22 @@ exponent -> coefficient mapping with no zero coefficients; the zero polynomial
 is the empty mapping.  Stored coefficients are fractions.Fraction throughout,
 so all arithmetic is exact; nothing in this module touches floating point.
 
-Products and exact quotients run on dense coefficient lists (dense_mul,
-dense_divmod) in which integral coefficients are Python ints: an integer
-Laurent product, or the exact quotient of one integer Laurent polynomial by
-another, is computed without building a Fraction until it is stored.  The
-fraction-free kernels of Z[t] -- determinants, ranks over a factor field,
-trial division in factoring -- run on int lists only, through dense_cross
-(a b - c d) and dense_exact_div, which never builds a Fraction.
+Products run on dense coefficient lists (dense_mul) in which integral
+coefficients are Python ints, so an integer Laurent product builds no
+Fraction until it is stored.  Division runs in Z[t] on int lists only, in
+two kernels, and nothing divides digit by digit over Q:
+
+  * dense_exact_div, the exact quotient, which stops at the first digit
+    that is not an integer: Bareiss determinants, trial division in
+    factoring, and LaurentPoly.exact_div on the primitive parts (Gauss's
+    lemma);
+  * dense_pseudo_divmod, pseudo-division lc^e num = quot den + rem with e
+    fixed by the lengths: every remainder of the package -- resultants and
+    remainder sequences, reduction and inverses in a quotient field, ranks
+    over a factor field, Hensel lifting, the order of t modulo f.
+
+dense_cross (a b - c d) is the cross-multiplication of fraction-free
+elimination.
 
 Units of Z[t, 1/t] are +-t^k.  normalize_unit picks the canonical associate:
 minimum exponent 0 and positive coefficient there.
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 
@@ -36,9 +46,9 @@ __all__ = [
     "as_fraction",
     "as_laurent",
     "dense_cross",
-    "dense_divmod",
     "dense_exact_div",
     "dense_mul",
+    "dense_pseudo_divmod",
     "normalize_unit",
     "parse_poly",
 ]
@@ -131,45 +141,35 @@ def dense_exact_div(num, den):
     return _strip(quot)
 
 
-def dense_divmod(num, den):
-    """Long division of dense ascending coefficient lists over Q.
+def dense_pseudo_divmod(num, den):
+    """Pseudo-division of dense ascending int lists (Knuth, TAOCP vol. 2,
+    4.6.1, Algorithm R): (quot, rem) with lc^e num = quot den + rem and
+    len(rem) < len(den), both without trailing zeros, for lc the last entry
+    of den and e = len(num) - len(den) + 1 (0 if num is shorter).
 
-    Returns (quot, rem) with num == quot * den + rem and len(rem) < len(den),
-    both as lists without trailing zeros.  den must end in a nonzero entry.
-    Entries may be ints or Fractions.  Each digit is divided by the leading
-    coefficient of den unless that is 1; an int digit over an int leading
-    coefficient stays an int when the division is exact and becomes a
-    Fraction otherwise.  So an exact division of int lists whose quotient is
-    integral runs in ints throughout.
+    Each step multiplies what is left of num by lc and takes off a multiple
+    a t^k den, so a's quotient digit is a lc^k, written once.  A monic den
+    scales nothing: the result is division in Z[t].  den must end in a
+    nonzero entry; an empty den raises ZeroDivisionError.
 
-    >>> dense_divmod([-1, 0, 0, 1], [-1, 1])      # t^3 - 1 = (t^2 + t + 1)(t - 1)
-    ([1, 1, 1], [])
-    >>> dense_divmod([1, 0, 1], [1, 2])           # t^2 + 1 = (t/2 - 1/4)(2t + 1) + 5/4
-    ([Fraction(-1, 4), Fraction(1, 2)], [Fraction(5, 4)])
+    >>> dense_pseudo_divmod([1, 0, 1], [1, 2])    # 4(t^2 + 1) = (2t - 1)(2t + 1) + 5
+    ([-1, 2], [5])
     """
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     n = len(den) - 1
     lc = den[-1]
-    monic = lc == 1
-    int_lc = type(lc) is int
     rem = list(num)
     quot = [0] * max(len(rem) - n, 0)
     for k in range(len(quot) - 1, -1, -1):
-        q = rem[k + n]
-        if not q:
-            continue
-        if monic:
-            pass
-        elif int_lc and type(q) is int:
-            # an int / int digit would be a float
-            q = q // lc if not q % lc else Fraction(q, lc)
-        else:
-            q = q / lc
-        quot[k] = q
-        for j, d in enumerate(den):
-            rem[k + j] -= q * d
-    return _strip(quot), _strip(rem[:n])
+        a = rem.pop()
+        if lc != 1:
+            rem = [lc * x for x in rem]
+        if a:
+            quot[k] = a * lc**k
+            for j in range(n):
+                rem[k + j] -= a * den[j]
+    return _strip(quot), _strip(rem)
 
 
 class LaurentPoly:
@@ -233,8 +233,7 @@ class LaurentPoly:
         """Dense ascending coefficients from min_exp, plus min_exp itself.
 
         Integral coefficients, and the zeros between terms, are ints; the
-        others are Fractions.  This is the input of dense_mul and
-        dense_divmod."""
+        others are Fractions.  This is the input of dense_mul."""
         lo, hi = self.min_exp, self.max_exp
         out = [0] * (hi - lo + 1)
         for k, c in self._terms.items():
@@ -375,32 +374,38 @@ class LaurentPoly:
             f = -f
         return f
 
-    def content(self) -> Fraction:
-        """Positive rational c with f = c * (primitive integer Laurent poly)."""
+    def split_content(self):
+        """(c, coeffs, lo) with self = c t^lo (coeffs[0] + coeffs[1] t + ...):
+        c the positive rational content, coeffs a primitive dense int list.
+
+        >>> parse_poly("3/2t - 9/4").split_content()
+        (Fraction(3, 4), [-3, 2], 0)
+        """
         if not self._terms:
             raise ValueError("the zero polynomial has no content")
-        from math import gcd
-
-        num = 0
-        den = 1
+        num, den = 0, 1
         for c in self._terms.values():
-            num = gcd(num, abs(c.numerator))
+            num = gcd(num, c.numerator)
             den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        lo = self.min_exp
+        coeffs = [0] * (self.max_exp - lo + 1)
+        for k, c in self._terms.items():
+            coeffs[k - lo] = c.numerator * (den // c.denominator) // num
+        return Fraction(num, den), coeffs, lo
 
     def exact_div(self, other) -> "LaurentPoly":
-        """Exact quotient self / other; raises if the division is not exact."""
+        """Exact quotient self / other; ValueError if the division is not
+        exact.  By Gauss's lemma it is the quotient of the primitive parts in
+        Z[t] (dense_exact_div) times the ratio of the contents."""
         other = self._coerce(other)
         if other is NotImplemented or other.is_zero:
             raise ZeroDivisionError("Laurent polynomial division by zero")
         if self.is_zero:
             return LaurentPoly.zero()
-        num, nlo = self.coeff_list()
-        den, dlo = other.coeff_list()
-        quot, rem = dense_divmod(num, den)
-        if rem:
-            raise ValueError("division is not exact")
-        return LaurentPoly.from_coeffs(quot, nlo - dlo)
+        cn, num, nlo = self.split_content()
+        cd, den, dlo = other.split_content()
+        ratio = cn / cd
+        return LaurentPoly.from_coeffs([ratio * c for c in dense_exact_div(num, den)], nlo - dlo)
 
     # -- text --------------------------------------------------------------
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,8 @@ from bingcheck import intpoly
 from bingcheck.intpoly import (
     IntPoly,
     cyclotomic,
+    cyclotomic_order,
     divmod_exact,
-    euler_phi,
     gcd_poly,
     pseudo_rem,
     resultant,
@@ -70,9 +71,9 @@ class TestResultant:
 
     def test_laurent_input_names_the_shift(self):
         f = IntPoly("t^2 - t + 1")
-        with pytest.raises(TypeError, match=r"IntPoly\.from_laurent"):
+        with pytest.raises(TypeError, match=r"LaurentPoly\.split_content"):
             resultant(f.to_laurent().shift(-1), f)
-        with pytest.raises(TypeError, match=r"IntPoly\.from_laurent"):
+        with pytest.raises(TypeError, match=r"LaurentPoly\.split_content"):
             resultant(f, f.to_laurent())
 
     @settings(max_examples=150, deadline=None)
@@ -169,7 +170,7 @@ class TestCyclotomic:
 
     def test_degree_is_totient(self):
         for d in range(1, 40):
-            assert cyclotomic(d).degree == euler_phi(d)
+            assert cyclotomic(d).degree == sympy.totient(d)
 
     def test_product_over_divisors(self):
         for n in (6, 8, 12, 30):
@@ -190,6 +191,59 @@ class TestCyclotomic:
         for d in range(2, 20):
             r = cyclotomic(d).reverse()
             assert r == cyclotomic(d) or r == -cyclotomic(d)
+
+
+T = sympy.Symbol("t")
+
+
+def sympy_cyclotomic(d: int) -> IntPoly:
+    return IntPoly(sympy.Poly(sympy.cyclotomic_poly(d, T), T).all_coeffs()[::-1])
+
+
+class TestCyclotomicOrder:
+    def test_matches_sympy_cyclotomic_polys(self):
+        for d in range(1, 301):
+            assert cyclotomic_order(sympy_cyclotomic(d)) == d
+
+    def test_products_and_non_cyclotomics_are_none(self):
+        for a in range(1, 16):
+            for b in range(a, 16):
+                assert cyclotomic_order(sympy_cyclotomic(a) * sympy_cyclotomic(b)) is None
+        # 4_1's Delta; monic with constant term 1, but a root off the circle
+        assert cyclotomic_order(IntPoly("t^2 - 3t + 1")) is None
+        for text in ("t^2 - t - 1", "2t - 1", "t^2 + 2", "t^4 + t^3 + t + 1", "3", "t"):
+            assert cyclotomic_order(IntPoly(text)) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), max_size=7), st.sampled_from([1, -1]))
+    def test_monic_with_unit_constant_matches_the_totient_scan(self, middle, constant):
+        # the degree-m cyclotomics are the Phi_d with totient(d) = m, d <= 2 m^2
+        f = IntPoly([constant] + middle + [1])
+        m = f.degree
+        scan = [d for d in range(1, 2 * m * m + 2)
+                if sympy.totient(d) == m and sympy_cyclotomic(d) == f]
+        assert cyclotomic_order(f) == (scan[0] if scan else None)
+
+    @pytest.mark.parametrize("f, builds", [
+        (IntPoly("t^2 - t + 1"), [6]),
+        (IntPoly("t^4 - t^2 + 1"), [12]),
+        (IntPoly("t - 1"), [1]),
+        (IntPoly("t^2 - 1"), [2]),  # Phi_1 Phi_2: t has order 2, Phi_2 != f
+        (IntPoly("t^2 - 3t + 1"), []),
+        (IntPoly("t^4 + 1") * IntPoly("t^4 + 1"), []),  # a square never reaches 1
+    ])
+    def test_builds_at_most_one_cyclotomic(self, monkeypatch, f, builds):
+        for d in builds:
+            cyclotomic(d)  # cached, so a count of its builds is of this call's only
+        built = []
+
+        def counting(d):
+            built.append(d)
+            return cyclotomic(d)
+
+        monkeypatch.setattr(intpoly, "cyclotomic", counting)
+        cyclotomic_order(f)
+        assert built == builds
 
 
 def brute_root_count(f: IntPoly, lo: Fraction, hi: Fraction, grid: int = 2048) -> int:

@@ -8,12 +8,13 @@ dense coefficient lists) before the implementation existed; the helper
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bingcheck.errors import ParseError
 from bingcheck.intpoly import IntPoly
-from bingcheck.laurent import LaurentPoly, T, dense_divmod, dense_mul, parse_poly
+from bingcheck.laurent import LaurentPoly, T, dense_mul, dense_pseudo_divmod, parse_poly
 
 
 def naive_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -114,9 +115,12 @@ def test_exact_div():
 
 
 def test_content():
-    assert L("2t^2 - 4t + 6").content() == 2
-    assert L("t + 1").content() == 1
-    assert L("3/2t - 9/4").content() == Fraction(3, 4)
+    assert L("2t^2 - 4t + 6").split_content() == (2, [3, -2, 1], 0)
+    assert L("t + 1").split_content() == (1, [1, 1], 0)
+    assert L("3/2t - 9/4").split_content() == (Fraction(3, 4), [-3, 2], 0)
+    assert L("-2t^-1 + 4/3t^2").split_content() == (Fraction(2, 3), [-3, 0, 0, 2], -1)
+    with pytest.raises(ValueError):
+        LaurentPoly.zero().split_content()
 
 
 # -- parsing and printing ----------------------------------------------------
@@ -199,46 +203,77 @@ def test_exact_div_recovers_factor(f, g):
     assert_stored_as_fractions(q)
 
 
-# -- the dense long-division kernel ------------------------------------------
+# -- the pseudo-division kernel ----------------------------------------------
+
+X = sympy.Symbol("x")
 
 
-def assert_division(num, den, quot, rem):
-    """num == quot * den + rem exactly, rem shorter than den, no trailing zeros."""
-    assert all(isinstance(c, (int, Fraction)) for c in quot + rem)
+def sympy_pseudo_divmod(num, den):
+    """(pquo, prem) of sympy, as dense ascending int lists."""
+    f, g = (sympy.Poly(list(reversed(c)) or [0], X, domain="ZZ") for c in (num, den))
+    return tuple([int(c) for c in reversed(h.all_coeffs())] if h else []
+                 for h in (f.pquo(g), f.prem(g)))
+
+
+def assert_pseudo_division(num, den, quot, rem):
+    """lc^e num == quot * den + rem, e = len(num) - len(den) + 1 (0 if num is
+    shorter), rem shorter than den, no trailing zeros."""
+    e = max(len(num) - len(den) + 1, 0)
+    scaled = [den[-1] ** e * c for c in num]
     dense = LaurentPoly.from_coeffs
-    assert naive_mul(dense(quot), dense(den)) + dense(rem) == dense(num)
+    assert naive_mul(dense(quot), dense(den)) + dense(rem) == dense(scaled)
     assert len(rem) < len(den)
     assert not quot or quot[-1] != 0
     assert not rem or rem[-1] != 0
 
 
+nonzero_coeffs = coeffs.filter(lambda c: c != 0)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(rationals, max_size=7),
-       st.lists(rationals, min_size=1, max_size=4).filter(lambda c: c[-1] != 0))
-def test_dense_divmod_over_q(num, den):
-    quot, rem = dense_divmod(num, den)
-    assert_division(num, den, quot, rem)
+@given(st.lists(coeffs, max_size=7).filter(lambda c: not c or c[-1] != 0),
+       st.lists(coeffs, max_size=3), nonzero_coeffs)
+@example([], [1, 2], 3)              # zero num
+@example([4, -1], [0, 5, 7], 2)      # num shorter than den: nothing is scaled
+@example([1, 0, 1], [1], 2)          # non-monic: 4(t^2 + 1) = (2t - 1)(2t + 1) + 5
+def test_dense_pseudo_divmod_matches_sympy(num, low, lead):
+    den = low + [lead]
+    quot, rem = dense_pseudo_divmod(num, den)
+    assert (quot, rem) == sympy_pseudo_divmod(num, den)
+    assert_pseudo_division(num, den, quot, rem)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(coeffs, max_size=8), st.lists(coeffs, max_size=3))
-def test_dense_divmod_monic_keeps_integers(num, low):
+def test_dense_pseudo_divmod_monic_is_division_in_z(num, low):
+    # a monic den scales nothing: num == quot * den + rem, in ints
     den = low + [1]
-    quot, rem = dense_divmod(num, den)
+    quot, rem = dense_pseudo_divmod(num, den)
     assert all(type(c) is int for c in quot + rem)
-    assert_division(num, den, quot, rem)
+    dense = LaurentPoly.from_coeffs
+    assert naive_mul(dense(quot), dense(den)) + dense(rem) == dense(num)
+    assert len(rem) < len(den)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(coeffs, max_size=6).filter(lambda c: not c or c[-1] != 0),
        st.lists(coeffs, max_size=3),
        st.integers(min_value=-9, max_value=9).filter(lambda c: abs(c) >= 2))
-def test_dense_divmod_exact_integer_quotient_keeps_integers(q, low, lead):
-    # the Bareiss det divides integer Laurent minors exactly: no Fraction digit
+def test_dense_pseudo_divmod_exact_multiple_has_no_remainder(q, low, lead):
+    # lc^e (q d) = (lc^e q) d: the quotient is q scaled, the remainder empty
     d = low + [lead]
-    quot, rem = dense_divmod(dense_mul(q, d), d)
-    assert (quot, rem) == (q, [])
+    num = dense_mul(q, d)
+    quot, rem = dense_pseudo_divmod(num, d)
+    e = max(len(num) - len(d) + 1, 0)
+    assert (quot, rem) == ([lead ** e * c for c in q], [])
     assert all(type(c) is int for c in quot)
+
+
+def test_dense_pseudo_divmod_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        dense_pseudo_divmod([1, 2], [])
+    with pytest.raises(ZeroDivisionError):
+        dense_pseudo_divmod([], [])
 
 
 # ints, Fractions, and constant and non-constant LaurentPoly and IntPoly

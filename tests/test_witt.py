@@ -7,12 +7,13 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from bingcheck.errors import AdmissibilityError, InternalInvariantError
 from bingcheck.factor import factor_rational, merge_factors
-from bingcheck.intpoly import IntPoly, cyclotomic, cyclotomic_order, euler_phi, pseudo_rem
-from bingcheck.laurent import LaurentPoly, dense_divmod, parse_poly, normalize_unit
+from bingcheck.intpoly import IntPoly, cyclotomic, cyclotomic_order, pseudo_rem
+from bingcheck.laurent import LaurentPoly, parse_poly, normalize_unit
 from bingcheck.matrices import ExactMatrix, bareiss_det
 from bingcheck import fields, sigfunc, witt
 from bingcheck.fields import cayley_point, evaluated_hermitian_signature, root_of_unity
@@ -235,15 +236,19 @@ class TestJpqPresentation:
 NON_CYCLOTOMIC = ("t^2 - 3t + 1", "2t - 1", "t^3 - t - 1", "3t^2 - 7t + 3", "t^2 + 2")
 
 
+X = sympy.Symbol("x")
+
+
 def trial_division_scan(delta):
-    """Every d with Phi_d dividing delta: trial division by each Phi_d with
-    euler_phi(d) <= deg delta, as cyclotomic_factors once did."""
-    f = IntPoly.from_laurent(delta * (1 / delta.content())).primitive()
-    deg = f.degree
-    # euler_phi(d) >= sqrt(d/2), so phi(d) <= deg forces d <= 2 deg^2 + 1
+    """Every d with Phi_d dividing delta: trial division (sympy.rem) by each
+    Phi_d with totient(d) <= deg delta, as cyclotomic_factors once did."""
+    f = delta.split_content()[1]
+    deg = len(f) - 1
+    # totient(d) >= sqrt(d/2), so totient(d) <= deg forces d <= 2 deg^2 + 1
     return [
         d for d in range(1, 2 * deg * deg + 2)
-        if euler_phi(d) <= deg and not dense_divmod(f.coeffs, cyclotomic(d).coeffs)[1]
+        if sympy.totient(d) <= deg
+        and sympy.rem(sympy.Poly(f[::-1], X), sympy.cyclotomic_poly(d, X, polys=True)).is_zero
     ]
 
 
@@ -416,7 +421,7 @@ class TestCyclotomicSubstitution:
         # Zassenhaus is the oracle up to degree 24 (Phi_60(t^12), of degree
         # 192, alone takes minutes)
         for d, k in self.GRID:
-            if euler_phi(d) * k <= 24:
+            if sympy.totient(d) * k <= 24:
                 substituted = cyclotomic(d).to_laurent().substitute_power(k)
                 assert witt._substituted_factors(cyclotomic(d), d, k) \
                     == factor_rational(substituted)[1], (d, k)
