@@ -299,8 +299,15 @@ def _hermitian_signature(field: CyclotomicField, H):
     return pos - neg, len(active)
 
 
-@lru_cache(maxsize=8192)
-def _whole_hermitian_signature(M, point):
+def evaluated_hermitian_signature(M, point):
+    """(signature, nullity) of M(omega) at the point (q, omega) of the unit
+    circle, omega in Q(zeta_q), as root_of_unity or cayley_point builds it.
+
+    M is an ExactMatrix (rational or Laurent entries), and the evaluated
+    matrix must be Hermitian, which is checked.
+    """
+    if M.cols != M.rows:
+        raise ValueError("square matrix required")
     q, omega = point
     field = cyclotomic_field(q)
     n = M.rows
@@ -312,25 +319,6 @@ def _whole_hermitian_signature(M, point):
             if field.conj(H[i][j]) != H[j][i]:
                 raise ValueError("matrix is not Hermitian at this point")
     return _hermitian_signature(field, H)
-
-
-def evaluated_hermitian_signature(M, point):
-    """(signature, nullity) of M(omega) at the point (q, omega) of the unit
-    circle, omega in Q(zeta_q), as root_of_unity or cayley_point builds it.
-
-    M is an ExactMatrix (rational or Laurent entries), and the evaluated
-    matrix must be Hermitian, which is checked.  Signature and nullity add
-    over block-diagonal components, which are split off and evaluated
-    separately (repeated blocks only once).
-    """
-    if M.cols != M.rows:
-        raise ValueError("square matrix required")
-    sig = null = 0
-    for idx in M.components():
-        s, n = _whole_hermitian_signature(M.submatrix(idx), point)
-        sig += s
-        null += n
-    return sig, null
 
 
 def _reduced_row(row, modulus: IntPoly) -> list:
@@ -349,8 +337,21 @@ def _reduced_row(row, modulus: IntPoly) -> list:
     return row if content < 2 else [[c // content for c in x] for x in row]
 
 
-@lru_cache(maxsize=8192)
-def _whole_rank_over_factor(M, modulus: IntPoly) -> int:
+def rank_over_factor(M, modulus: IntPoly) -> int:
+    """Rank of a square Laurent matrix over the field Q[t]/(modulus).
+
+    The modulus must be irreducible with nonzero constant term (so t is a
+    unit).  This is the rank of M(omega) for every root omega of the modulus.
+    M is eliminated fraction-free in Z[t]: row_r <- p row_r - a row_pivot,
+    every row kept reduced modulo the modulus and divided by its content
+    (_reduced_row).
+    """
+    if M.cols != M.rows:
+        raise ValueError("square matrix required")
+    if modulus.degree < 1:
+        raise ValueError("modulus must have positive degree")
+    if modulus.coeff(0) == 0:
+        raise ValueError("modulus must not vanish at 0")
     # t is a unit modulo the modulus, so the t^s that clears every negative
     # exponent keeps the rank, and so does the integer scale L
     rows = [_reduced_row(r, modulus) for r in M.integer_poly_rows()[0]]
@@ -373,23 +374,3 @@ def _whole_rank_over_factor(M, modulus: IntPoly) -> int:
         if rank == M.rows:
             break
     return rank
-
-
-def rank_over_factor(M, modulus: IntPoly) -> int:
-    """Rank of a square Laurent matrix over the field Q[t]/(modulus).
-
-    The modulus must be irreducible with nonzero constant term (so t is a
-    unit).  This is the rank of M(omega) for every root omega of the modulus.
-    Rank adds over block-diagonal components, which are split off and
-    reduced separately (repeated blocks only once).  Each is eliminated
-    fraction-free in Z[t]: row_r <- p row_r - a row_pivot, every row kept
-    reduced modulo the modulus and divided by its content (_reduced_row).
-    """
-    if modulus.degree < 1:
-        raise ValueError("modulus must have positive degree")
-    if modulus.coeff(0) == 0:
-        raise ValueError("modulus must not vanish at 0")
-    return sum(
-        _whole_rank_over_factor(M.submatrix(idx), modulus)
-        for idx in M.components()
-    )

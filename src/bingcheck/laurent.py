@@ -175,7 +175,7 @@ def dense_pseudo_divmod(num, den):
 class LaurentPoly:
     """Immutable exact Laurent polynomial over Q."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         clean = {}
@@ -185,7 +185,6 @@ class LaurentPoly:
                 if c:
                     clean[int(k)] = c
         self._terms = clean
-        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -202,7 +201,6 @@ class LaurentPoly:
         """Build from a dense ascending coefficient list starting at min_exp."""
         out = cls.__new__(cls)
         out._terms = {min_exp + i: f for i, c in enumerate(coeffs) if (f := as_fraction(c))}
-        out._hash = None
         return out
 
     # -- basic structure ---------------------------------------------------
@@ -255,7 +253,6 @@ class LaurentPoly:
                 terms.pop(k, None)
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = terms
-        out._hash = None
         return out
 
     __radd__ = __add__
@@ -263,7 +260,6 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = {k: -c for k, c in self._terms.items()}
-        out._hash = None
         return out
 
     def __sub__(self, other):
@@ -318,13 +314,10 @@ class LaurentPoly:
 
     def __hash__(self):
         # a constant hashes as the number it equals
-        if self._hash is None:
-            terms = self._terms
-            if terms.keys() <= {0}:
-                self._hash = hash(terms.get(0, 0))
-            else:
-                self._hash = hash(tuple(sorted(terms.items())))
-        return self._hash
+        terms = self._terms
+        if terms.keys() <= {0}:
+            return hash(terms.get(0, 0))
+        return hash(tuple(sorted(terms.items())))
 
     def __bool__(self):
         return bool(self._terms)

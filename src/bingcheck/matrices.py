@@ -144,34 +144,6 @@ class ExactMatrix:
              for r in self._rows]
         )
 
-    def submatrix(self, indices) -> "ExactMatrix":
-        """Principal submatrix on the given row/column indices."""
-        idx = list(indices)
-        return ExactMatrix([[self._rows[i][j] for j in idx] for i in idx])
-
-    def components(self):
-        """Partition of a square matrix into the index sets of its
-        block-diagonal components (connected via nonzero entries in either
-        the (i, j) or (j, i) position), each sorted ascending."""
-        if not self.is_square:
-            raise ValueError("components require a square matrix")
-        parent = list(range(self._m))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(self._m):
-            for j in range(i + 1, self._n):
-                if self._rows[i][j] or self._rows[j][i]:
-                    parent[find(i)] = find(j)
-        groups = {}
-        for i in range(self._m):
-            groups.setdefault(find(i), []).append(i)
-        return [tuple(g) for g in sorted(groups.values())]
-
     def integer_rows(self) -> tuple:
         """(rows, L): the rows of a rational matrix times L, the lcm of its
         denominators, as new lists of ints.  L is a positive scale, which

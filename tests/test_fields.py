@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bingcheck.fields import (
     PolyQuotientField,
@@ -26,6 +26,7 @@ from bingcheck.laurent import LaurentPoly, as_laurent, parse_poly
 from bingcheck.matrices import ExactMatrix, symmetric_signature
 from bingcheck.factor import factor_rational
 from bingcheck.seifert import SeifertMatrix, alexander
+from bingcheck.sigfunc import circle_jump_factors
 from strategies import admissible_forms, integral_or_rational_forms
 
 
@@ -217,14 +218,23 @@ class TestHermitianSignature:
             ).integer_rows()[0])
             assert evaluated_hermitian_signature(b, root_of_unity(Fraction(1, 2))) == direct
 
-    def test_block_additivity(self):
-        b1 = seifert_form_matrix(TREFOIL)
-        b2 = seifert_form_matrix(FIGURE_EIGHT)
-        both = b1.block_sum(b2)
-        for theta in (Fraction(1, 5), Fraction(1, 6), Fraction(4, 9)):
-            s1, n1 = evaluated_hermitian_signature(b1, root_of_unity(theta))
-            s2, n2 = evaluated_hermitian_signature(b2, root_of_unity(theta))
-            assert evaluated_hermitian_signature(both, root_of_unity(theta)) == (s1 + s2, n1 + n2)
+    @given(integral_or_rational_forms(max_genus=2), integral_or_rational_forms(max_genus=2))
+    @example(SeifertMatrix(TREFOIL), SeifertMatrix(FIGURE_EIGHT))
+    @settings(max_examples=20, deadline=None)
+    def test_block_additivity(self, a, b):
+        # signature and nullity at points of both kinds, and the rank over
+        # each circle factor of Delta_A Delta_B, are sums over the two blocks
+        blocks = [a.seifert_form(), b.seifert_form()]
+        both = blocks[0].block_sum(blocks[1])
+        points = [cayley_point(s) for s in (Fraction(1, 3), 1, -3)] + \
+            [root_of_unity(theta) for theta in (Fraction(1, 5), Fraction(1, 6), Fraction(4, 9))]
+        for point in points:
+            parts = [evaluated_hermitian_signature(m, point) for m in blocks]
+            assert evaluated_hermitian_signature(both, point) == \
+                tuple(map(sum, zip(*parts))), point
+        _, factors = factor_rational(alexander(a) * alexander(b))
+        for g, _ in circle_jump_factors(factors):
+            assert rank_over_factor(both, g) == sum(rank_over_factor(m, g) for m in blocks), g
 
     def test_points_of_both_kinds(self):
         # i = exp(2 pi i / 4) = (1 + i)/(1 - i): one point, one field
@@ -258,6 +268,10 @@ class TestRankOverFactor:
         b = seifert_form_matrix(FIGURE_EIGHT)
         assert rank_over_factor(b, IntPoly("t^2 - 3t + 1")) == 1
         assert rank_over_factor(b, IntPoly("t^2 - t + 1")) == 2
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            rank_over_factor(ExactMatrix([[1, 2]]), IntPoly("t^2 + 1"))
 
     def test_nullity_matches_jump_angle_evaluation(self):
         # at the root of t^2 - t + 1 (angle 1/6) the corank from the exact

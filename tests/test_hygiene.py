@@ -48,12 +48,21 @@ caller needs.
 The tracer check resolves every layer target of ``perfbench/tracer.py``
 against the package, so a renamed or deleted traced function fails here
 rather than in a traced benchmark run.
+
+The cache check finds every module-level ``lru_cache`` of the package by
+its ``cache_info``, as ``perfbench/worker.py`` does, and fails on any that
+no tracer layer with ``cache=True`` wraps: a cache whose hit rate no traced
+run reads cannot show whether it earns its memory.  Every name exempted
+from that rule must still be a cache of the package.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
+from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -69,6 +78,11 @@ API_EXEMPT = {
 # (function, parameter) defaults no call in READERS passes, kept on purpose
 DEFAULT_EXEMPT = {
     ("main", "argv"),  # cli's entry point: the console script passes nothing, tests pass argv
+}
+# package lru_caches no tracer layer reads a hit rate from, kept on purpose
+CACHE_EXEMPT = {
+    "bingcheck.fields._cos_roots":
+        "the per-q root table behind cos_enclosure, whose hit rate the tracer reads",
 }
 
 
@@ -471,11 +485,17 @@ def test_every_error_is_raised():
         "%s (line %d)" % (name, line) for line, name in unraised)
 
 
-def test_tracer_targets_resolve():
+def load_tracer():
+    """perfbench/tracer.py as a module (perfbench is not a package)."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    tracer = load_tracer()
     broken = []
     for layer in tracer.LAYERS:
         importlib.import_module(layer.target.split(":")[0])
@@ -487,3 +507,50 @@ def test_tracer_targets_resolve():
         if layer.cache and not hasattr(fn, "cache_info"):
             broken.append("%s: %s has no cache_info" % (layer.name, layer.target))
     assert not broken, "; ".join(broken)
+
+
+def package_caches():
+    """name -> cache for every module-level lru_cache of the package, found
+    by its cache_info; a cache imported into other modules is named once,
+    after the module that defines it."""
+    for path in PACKAGE:
+        importlib.import_module("bingcheck" if path.stem == "__init__" else "bingcheck." + path.stem)
+    return {"%s.%s" % (value.__module__, value.__qualname__): value
+            for modname, mod in list(sys.modules.items())
+            if modname == "bingcheck" or modname.startswith("bingcheck.")
+            for value in vars(mod).values() if callable(getattr(value, "cache_info", None))}
+
+
+def untraced_caches(caches, layers, resolve):
+    """The names in `caches` whose cache no layer with cache=True wraps."""
+    traced = {id(resolve(layer.target)) for layer in layers if layer.cache}
+    return sorted(name for name, cache in caches.items() if id(cache) not in traced)
+
+
+def test_checker_finds_untraced_caches():
+    @lru_cache(maxsize=None)
+    def traced(x):
+        return x
+
+    @lru_cache(maxsize=None)
+    def idle(x):
+        return x
+
+    targets = {"m:traced": traced, "m:idle": idle}
+    layers = [SimpleNamespace(target="m:traced", cache=True),
+              SimpleNamespace(target="m:idle", cache=False)]
+    caches = {"m.traced": traced, "m.idle": idle}
+    assert untraced_caches(caches, layers, targets.__getitem__) == ["m.idle"]
+
+
+def test_every_cache_is_traced():
+    tracer = load_tracer()
+    missing = [name for name in untraced_caches(package_caches(), tracer.LAYERS, tracer._resolve)
+               if name not in CACHE_EXEMPT]
+    assert not missing, "lru_caches no tracer layer reads a hit rate from: " + ", ".join(missing)
+
+
+def test_no_stale_cache_exemption():
+    # an exemption whose cache is gone would exempt any later cache of that name
+    stale = sorted(set(CACHE_EXEMPT) - set(package_caches()))
+    assert not stale, "CACHE_EXEMPT names no lru_cache of the package: " + ", ".join(stale)

@@ -550,7 +550,6 @@ class TestAgainstRootOfUnitySampler:
             return original(q)
 
         monkeypatch.setattr(fields, "cyclotomic_field", counting)
-        fields._whole_hermitian_signature.cache_clear()
         presentations = [from_seifert(e.seifert) for e in builtin_catalog()]
         presentations.append(phi(from_seifert(GENUS_TWO), 5))
         arcs = sum(len(function_of(p).arcs) for p in presentations)

@@ -384,7 +384,6 @@ class TestBaseDecidesSubstitutions:
         divided = count_calls(monkeypatch, pseudo_rem, caller="bingcheck.sigfunc")
         ranked = count_calls(monkeypatch, fields.rank_over_factor)
         asked = count_calls(monkeypatch, cyclotomic_order)
-        fields._whole_rank_over_factor.cache_clear()
         knot = from_seifert(s)
         monkeypatch.setattr(witt, "from_seifert", lambda _: knot)
         for pres in [phi(knot, k) for k in range(2, 7)] + [jpq_presentation(s, 1, 2)]:
@@ -651,7 +650,6 @@ class TestAdditivityAtArcSamples:
             return original(q)
 
         monkeypatch.setattr(fields, "cyclotomic_field", counting)
-        fields._whole_hermitian_signature.cache_clear()
         bing_double_verdict(s, check_range)
         assert set(orders) == {4}
 
@@ -694,7 +692,6 @@ class TestPullbackInVerdict:
     def test_only_the_companion_form_takes_the_matrix_path(self, monkeypatch, s, check_range):
         functions = count_calls(monkeypatch, signature_function_of_matrix)
         ranked = count_calls(monkeypatch, fields.rank_over_factor)
-        fields._whole_rank_over_factor.cache_clear()
         bing_double_verdict(s, check_range)
         form = s.seifert_form()
         assert functions == [form]
