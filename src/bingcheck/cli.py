@@ -45,9 +45,9 @@ __all__ = ["main"]
 # `bing --range R` runs R(R + 1)/2 J(p, q) batteries with powers up to 2R:
 # at R = 8, 1-3 s on genus-1 catalog knots and 10 s on a genus-2 form;
 # R = 16 takes 33 s on 3_1.  At the largest covering degree p = 4096,
-# `foxorder -p` takes at most 5 ms on a catalog knot (twist(5)) and
-# 0.03-0.45 s on four random genus-2 forms (at p = 8000, 13 ms and
-# 0.1-1.6 s); `cover -p` takes 0.4-0.6 s on genus-1 catalog knots and
+# `foxorder -p` takes at most 3 ms on a catalog knot (twist(5)) and
+# 0.01-0.16 s on four random genus-2 forms (at p = 8000, 10 ms and
+# 0.04-0.54 s); `cover -p` takes 0.4-0.6 s on genus-1 catalog knots and
 # 2.7 s on a genus-2 form.
 MAX_POWER = 64
 MAX_RANGE = 8

@@ -26,8 +26,8 @@ from math import gcd
 
 from .errors import AdmissibilityError, FormulaHypothesisError, InternalInvariantError
 from .laurent import LaurentPoly
-from .intpoly import IntPoly, divmod_exact, pseudo_rem, resultant
-from .matrices import bareiss_adjugate
+from .intpoly import IntPoly, divmod_exact, pseudo_rem
+from .matrices import bareiss_adjugate, resultant
 from .seifert import SeifertMatrix
 
 __all__ = [
@@ -53,8 +53,9 @@ _T_MINUS_ONE = IntPoly([-1, 1])
 
 def _psi_resultant(f: IntPoly, p: int) -> int:
     """Res(psi, f) for psi = (t^p - 1)/(t - 1) and a nonzero integer f with
-    f(0) != 0, from about log2 p squarings instead of a remainder sequence
-    that starts at degree p - 1.
+    f(0) != 0, from about log2 p squarings and the Sylvester determinant of
+    f and psi mod f, of size at most 2 deg f - 1, instead of one of size
+    p - 1 + deg f.
 
     With r = psi mod f, Res(psi, f) = (-1)^((p - 1) deg f)
     lc(f)^(p - 1 - deg r) Res(f, r), and Res(psi, f) = 0 when r = 0.  As
@@ -64,7 +65,8 @@ def _psi_resultant(f: IntPoly, p: int) -> int:
     of the modulus's leading coefficient, and the common content of h and
     den is divided out.  Then r = R / den for the integral
     R = (h - den)/(t - 1), and Res(f, r) = Res(f, R) / den^deg f, an exact
-    division.
+    division; Res(f, R) is the Bareiss determinant of their Sylvester matrix
+    (matrices.resultant).
 
     >>> _psi_resultant(IntPoly([1, -1, 1]), 3)
     4
@@ -85,7 +87,7 @@ def _psi_resultant(f: IntPoly, p: int) -> int:
     r = divmod_exact(h - den, _T_MINUS_ONE)
     if r.is_zero:
         return 0
-    value = resultant(f, r) * f.lc ** (p - 1 - r.degree)
+    value = resultant(f.coeffs, r.coeffs) * f.lc ** (p - 1 - r.degree)
     if value % den ** m:
         raise InternalInvariantError("Res(f, r) was not divisible by den^deg f")
     return (-1) ** ((p - 1) * m) * (value // den ** m)

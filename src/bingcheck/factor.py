@@ -1,12 +1,13 @@
 """Factorization of integer and rational Laurent polynomials over Q.
 
-The pipeline is the classical one: Yun's squarefree decomposition, then for
-each squarefree part a Zassenhaus factorization -- reduce modulo a small odd
-prime p chosen so the image stays squarefree, split the image into monic
-irreducibles (distinct-degree then Cantor-Zassenhaus equal-degree splitting),
-lift the modular factors with quadratic multifactor Hensel lifting past the
+The pipeline is the classical one.  The squarefree part of f gets a
+Zassenhaus factorization: reduce modulo a small odd prime p chosen so the
+image stays squarefree, split the image into monic irreducibles
+(distinct-degree then Cantor-Zassenhaus equal-degree splitting), lift the
+modular factors with quadratic multifactor Hensel lifting past the
 Mignotte coefficient bound, and recombine subsets by exact trial division
-over Z.  Everything is deterministic: the equal-degree splitter draws from a
+over Z.  Each factor's multiplicity is the number of times it divides f.
+Everything is deterministic: the equal-degree splitter draws from a
 locally seeded generator.  The degrees that the distinct-degree
 factorizations modulo several primes allow are intersected first (Musser,
 J. ACM 25, 1978): when only 0 and deg f are left, f is irreducible and
@@ -39,7 +40,7 @@ from itertools import combinations
 
 from .errors import InternalInvariantError
 from .laurent import LaurentPoly, _strip, as_laurent, dense_pseudo_divmod
-from .intpoly import IntPoly, divmod_exact, squarefree_decomposition
+from .intpoly import IntPoly, divmod_exact, squarefree_part
 
 __all__ = ["factor_rational", "merge_factors"]
 
@@ -338,8 +339,8 @@ def _zassenhaus(f: IntPoly):
 
     f must be squarefree, which is not checked: _choose_prime looks for
     primes that keep f squarefree, and for f with a square factor there is
-    none, so the search never ends.  factor_rational passes only the
-    squarefree parts of Yun's decomposition.  A subset of the lifted
+    none, so the search never ends.  factor_rational passes only a
+    squarefree part (intpoly.squarefree_part).  A subset of the lifted
     factors is tried only when its degree is one the primes allow.  A
     quadratic splits iff its discriminant is a square, into the factors of
     its roots (-b +- r) / 2a."""
@@ -420,6 +421,17 @@ def merge_factors(*lists):
     return sorted(total.items(), key=_factor_key)
 
 
+def _divide_out(f: IntPoly, g: IntPoly) -> tuple:
+    """(f / g^m, m) for the largest m with g^m dividing f in Z[t]."""
+    m = 0
+    while True:
+        try:
+            f = divmod_exact(f, g)
+        except ValueError:
+            return f, m
+        m += 1
+
+
 def factor_rational(f):
     """Factor a rational Laurent polynomial (or IntPoly, or a number) over Q.
 
@@ -442,8 +454,10 @@ def factor_rational(f):
         F = -F
     unit = LaurentPoly({shift: sign * content})
     factors = []
-    for part, mult in squarefree_decomposition(F):
-        for g in _zassenhaus(part):
+    if F.degree > 0:
+        rest = F
+        for g in _zassenhaus(squarefree_part(F)):
+            rest, mult = _divide_out(rest, g)
             factors.append((g, mult))
     factors.sort(key=_factor_key)
     product = IntPoly([1])

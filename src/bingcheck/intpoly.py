@@ -1,15 +1,14 @@
-"""Integer polynomials: exact resultants, gcd, cyclotomics, Sturm isolation.
+"""Integer polynomials: gcd, squarefree parts, cyclotomics, Sturm isolation.
 
 IntPoly stores dense ascending integer coefficients with a nonzero leading
 coefficient; the zero polynomial is the empty tuple and has degree -1.  The
-heavy primitives here are the subresultant polynomial remainder sequence
-(resultants without rational blowup), one primitive remainder sequence that
-gives both gcds and Sturm chains, Yun's squarefree decomposition,
-cyclotomic polynomials by iterated exact division of t^d - 1, the
-cyclotomic order of f as the order of t modulo f, the u-substitution
-u = t + 1/t of self-reciprocal polynomials, and Sturm-chain real root
-isolation returning refinable rational intervals.  Every remainder is a
-pseudo-remainder of laurent.dense_pseudo_divmod.
+heavy primitives here are one primitive remainder sequence that gives gcds,
+squarefree parts and Sturm chains, cyclotomic polynomials by iterated exact
+division of t^d - 1, the cyclotomic order of f as the order of t modulo f,
+the u-substitution u = t + 1/t of self-reciprocal polynomials, and
+Sturm-chain real root isolation returning refinable rational intervals.
+Every remainder is a pseudo-remainder of laurent.dense_pseudo_divmod.
+Resultants are Sylvester determinants, in matrices.
 
 Evaluation at a rational n/d runs in ints: homogeneous Horner gives the
 integer d^deg f(n/d), whose sign is that of f(n/d).  Root isolation reads
@@ -36,8 +35,6 @@ __all__ = [
     "dickson",
     "divmod_exact",
     "gcd_poly",
-    "resultant",
-    "squarefree_decomposition",
     "squarefree_part",
     "sturm_isolate",
     "u_image",
@@ -211,69 +208,6 @@ def pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
     return IntPoly(dense_pseudo_divmod(f.coeffs, g.coeffs)[1])
 
 
-def resultant(f, g):
-    """Exact resultant of two nonzero polynomials over Z or Q.
-
-    Uses the subresultant polynomial remainder sequence, which keeps every
-    intermediate value in Z with no rational blowup.  Laurent input should be
-    shifted to an ordinary polynomial first (LaurentPoly.split_content); a unit
-    factor t^k only changes the resultant by a sign when the other argument
-    has constant term +-1, and callers here always take absolute values.
-
-    >>> resultant(IntPoly([-2, 1]), IntPoly([-3, 1]))
-    -1
-    >>> resultant(IntPoly([1, -1, 1]), IntPoly([1, 1]))
-    3
-    """
-    if isinstance(f, LaurentPoly) or isinstance(g, LaurentPoly):
-        raise TypeError("resultant takes IntPoly; shift Laurent input by LaurentPoly.split_content")
-    if f.is_zero or g.is_zero:
-        raise ValueError("resultant of the zero polynomial is undefined here")
-
-    A, B = f, g
-    s = 1
-    if A.degree < B.degree:
-        if A.degree % 2 == 1 and B.degree % 2 == 1:
-            s = -1
-        A, B = B, A
-    if B.degree == 0:
-        return s * B.coeff(0) ** A.degree
-
-    a, b = A.content(), B.content()
-    A = IntPoly([c // a for c in A.coeffs])
-    B = IntPoly([c // b for c in B.coeffs])
-    t = a**B.degree * b**A.degree
-    gpart, h = 1, 1
-    while True:
-        dA, dB = A.degree, B.degree
-        delta = dA - dB
-        if dA % 2 == 1 and dB % 2 == 1:
-            s = -s
-        R = pseudo_rem(A, B)
-        A = B
-        divisor = gpart * h**delta
-        B = IntPoly([c // divisor for c in R.coeffs])
-        if not R.is_zero and any(c % divisor for c in R.coeffs):
-            raise InternalInvariantError("subresultant PRS division was not exact")
-        gpart = A.lc
-        if delta == 0:
-            pass
-        elif delta == 1:
-            h = gpart
-        else:
-            h = gpart**delta // h ** (delta - 1)
-        if B.degree <= 0:
-            break
-    if B.is_zero:
-        return 0
-    dA = A.degree
-    num = B.coeff(0) ** dA
-    den = h ** (dA - 1)
-    if num % den:
-        raise InternalInvariantError("subresultant final division was not exact")
-    return s * t * (num // den)
-
-
 def _remainder_sequence(a: IntPoly, b: IntPoly) -> list:
     """a, b (deg a >= deg b), then, while the last member has positive
     degree and the remainder of the last two is not zero, a primitive
@@ -314,35 +248,6 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     if f.degree <= 0:
         return f
     return divmod_exact(f, gcd_poly(f, f.derivative())).primitive()
-
-
-def squarefree_decomposition(f: IntPoly):
-    """Yun's algorithm: [(a_i, i)] with f = +-content * prod a_i^i.
-
-    Each a_i is primitive, squarefree and pairwise coprime with the others;
-    entries with a_i = 1 are omitted.
-    """
-    f = f.primitive()
-    if f.degree < 1:
-        return []
-    df = f.derivative()
-    g = gcd_poly(f, df)
-    if g.degree == 0:
-        return [(f, 1)]
-    b = divmod_exact(f, g)
-    c = divmod_exact(df, g)
-    d = c - b.derivative()
-    out = []
-    i = 1
-    while b.degree > 0:
-        a = gcd_poly(b, d)
-        if a.degree > 0:
-            out.append((a, i))
-        b = divmod_exact(b, a)
-        c = divmod_exact(d, a)
-        d = c - b.derivative()
-        i += 1
-    return out
 
 
 def cyclotomic_order(f: IntPoly):

@@ -16,9 +16,10 @@ two kernels, and nothing divides digit by digit over Q:
     factoring, and LaurentPoly.exact_div on the primitive parts (Gauss's
     lemma);
   * dense_pseudo_divmod, pseudo-division lc^e num = quot den + rem with e
-    fixed by the lengths: every remainder of the package -- resultants and
-    remainder sequences, reduction and inverses in a quotient field, ranks
-    over a factor field, Hensel lifting, the order of t modulo f.
+    fixed by the lengths: every remainder of the package -- t^p mod
+    (t - 1) Delta for the cover orders, the remainder sequences of gcds and
+    Sturm chains, reduction and inverses in a quotient field, ranks over a
+    factor field, Hensel lifting, the order of t modulo f.
 
 dense_cross (a b - c d) is the cross-multiplication of fraction-free
 elimination.

@@ -13,12 +13,14 @@ bareiss_det: fraction-free Bareiss elimination over Z[t], whose interior
 divisions are exact.  det feeds it every matrix: its entries times t^s, the
 least power that clears every negative exponent, and times L, the lcm of
 every denominator (integer_poly_rows); the kernel's determinant is then
-divided by L^n t^(sn).  Signatures of symmetric matrices come from one
-kernel on lists of Python ints, symmetric_signature: the same fraction-free
-elimination with diagonal pivots, whose successive pivots are principal
-minors, so that their signs give the signature.  A rational matrix is first
-scaled to integers (integer_rows).  bareiss_adjugate gives the adjugate and
-determinant of an integer matrix by the same elimination, Gauss-Jordan.
+divided by L^n t^(sn).  resultant feeds it the Sylvester matrix of two
+integer polynomials, whose determinant is their resultant.  Signatures of
+symmetric matrices come from one kernel on lists of Python ints,
+symmetric_signature: the same fraction-free elimination with diagonal
+pivots, whose successive pivots are principal minors, so that their signs
+give the signature.  A rational matrix is first scaled to integers
+(integer_rows).  bareiss_adjugate gives the adjugate and determinant of an
+integer matrix by the same elimination, Gauss-Jordan.
 
 The 0x0 matrix is admitted everywhere: det Fraction(1), signature (0, 0).
 """
@@ -30,7 +32,7 @@ from math import gcd
 
 from .laurent import LaurentPoly, as_fraction, dense_cross, dense_exact_div
 
-__all__ = ["ExactMatrix", "bareiss_adjugate", "bareiss_det", "symmetric_signature"]
+__all__ = ["ExactMatrix", "bareiss_adjugate", "bareiss_det", "resultant", "symmetric_signature"]
 
 
 def _entry(e):
@@ -218,6 +220,28 @@ def bareiss_det(rows) -> list:
         prev = p
     d = rows[-1][-1] if n else [1]
     return [-c for c in d] if sign < 0 else d
+
+
+def resultant(f, g) -> int:
+    """Res(f, g) of two nonzero integer polynomials, given as dense
+    ascending sequences of ints: one bareiss_det of their Sylvester matrix,
+    deg g rows of f's coefficients and deg f rows of g's, highest first,
+    each row shifted one column right of the one above.  A constant g = c
+    gives c^(deg f); two constants give 1, the 0 x 0 determinant.
+
+    >>> resultant([-2, 1], [-3, 1])
+    -1
+    >>> resultant([1, -1, 1], [1, 1])
+    3
+    """
+    if not f or not g:
+        raise ValueError("resultant of the zero polynomial is undefined here")
+    m, n = len(f) - 1, len(g) - 1
+    high_f, high_g = list(f)[::-1], list(g)[::-1]
+    rows = [[0] * i + high_f + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + high_g + [0] * (m - 1 - i) for i in range(m)]
+    d = bareiss_det([[[c] if c else [] for c in r] for r in rows])
+    return d[0] if d else 0
 
 
 def bareiss_adjugate(rows) -> tuple:

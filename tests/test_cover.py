@@ -1,8 +1,9 @@
 """Branched-cover calculus: homology orders and covering Seifert matrices.
 
-The homology-order oracle is independent of the resultant implementation:
+The homology-order oracles are independent of the package's resultant:
 |H_1| of the p-fold branched cover equals |prod_{i=1..p-1} Delta(zeta_p^i)|,
-computed directly in the cyclotomic field Q(zeta_p).
+computed directly in the cyclotomic field Q(zeta_p), and the absolute
+resultant of Delta with (t^p - 1)/(t - 1), from sympy's subresultant PRS.
 """
 
 import tracemalloc
@@ -11,8 +12,10 @@ from time import perf_counter
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from sympy import ZZ
+from sympy.polys.euclidtools import dup_resultant
 
-from bingcheck import cover
+from bingcheck import cover, matrices
 from bingcheck.catalog import builtin_catalog
 from bingcheck.cover import (
     INFINITE,
@@ -22,7 +25,7 @@ from bingcheck.cover import (
 from bingcheck.errors import AdmissibilityError, FormulaHypothesisError
 from bingcheck.factor import factor_rational
 from bingcheck.fields import cyclotomic_field
-from bingcheck.intpoly import IntPoly, resultant
+from bingcheck.intpoly import IntPoly
 from bingcheck.laurent import LaurentPoly, parse_poly
 from bingcheck.matrices import ExactMatrix
 from bingcheck.seifert import SeifertMatrix, alexander, fox_milnor, signature_function
@@ -49,14 +52,21 @@ def order_by_field_product(delta, p):
     return Fraction(abs(numerators[0]), den)
 
 
-def order_by_subresultant(delta, p):
-    """The order from the subresultant PRS of psi = (t^p - 1)/(t - 1)
-    against Delta's primitive part, scaled by the content to the p - 1."""
+def sympy_resultant(f, g) -> int:
+    """|Res(f, g)| for dense ascending int lists, from sympy's subresultant
+    PRS.  Only the absolute value is read: sympy's sign can differ from that
+    of det Syl(f, g) when a leading coefficient is negative."""
+    return abs(int(dup_resultant(list(reversed(f)), list(reversed(g)), ZZ)))
+
+
+def order_by_sympy_resultant(delta, p):
+    """The order from sympy's resultant of psi = (t^p - 1)/(t - 1) and
+    Delta's primitive part, scaled by the content to the p - 1."""
     content, primitive, _ = delta.split_content()
-    r = resultant(IntPoly([1] * p), IntPoly(primitive))
+    r = sympy_resultant([1] * p, primitive)
     if r == 0:
         return INFINITE
-    order = abs(r) * content ** (p - 1)
+    order = r * content ** (p - 1)
     return order.numerator if order.denominator == 1 else order
 
 
@@ -75,35 +85,49 @@ def non_monic_polys(draw):
 
 class TestOrderFromTheRemainder:
     """The order comes from psi mod Delta, t^p mod (t - 1) Delta found by
-    repeated squaring; the subresultant PRS of psi against Delta is the
-    oracle."""
+    repeated squaring; sympy's subresultant PRS of psi against Delta is
+    the oracle."""
 
     @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.name)
     def test_catalog_matches_the_subresultant(self, entry):
         delta = alexander(entry.seifert)
         for p in range(2, 65):
-            assert branched_cover_homology_order(delta, p) == order_by_subresultant(delta, p), p
+            assert branched_cover_homology_order(delta, p) == order_by_sympy_resultant(delta, p), p
 
     @given(non_monic_polys())
     @settings(max_examples=25, deadline=None)
     def test_non_monic_matches_the_subresultant(self, delta):
         primitive = IntPoly(delta.split_content()[1])
         for p in range(2, 65):
-            assert branched_cover_homology_order(delta, p) == order_by_subresultant(delta, p), p
-            assert cover._psi_resultant(primitive, p) == resultant(IntPoly([1] * p), primitive)
+            assert branched_cover_homology_order(delta, p) == order_by_sympy_resultant(delta, p), p
+            assert abs(cover._psi_resultant(primitive, p)) == \
+                sympy_resultant([1] * p, primitive.coeffs)
 
     def test_root_at_one_and_roots_of_unity(self):
         # (t - 1)(2t - 1): Delta(1) = 0 yet psi(1) = p; (2t - 1)(t^2 + t + 1)
         # vanishes at the cube roots of unity
         assert branched_cover_homology_order(parse_poly("2t^2 - 3t + 1"), 4) == \
-            order_by_subresultant(parse_poly("2t^2 - 3t + 1"), 4) == 4 * 15
+            order_by_sympy_resultant(parse_poly("2t^2 - 3t + 1"), 4) == 4 * 15
         cubic = parse_poly("2t^3 + t^2 + t - 1")
         assert branched_cover_homology_order(cubic, 6) is INFINITE
-        assert branched_cover_homology_order(cubic, 5) == order_by_subresultant(cubic, 5)
+        assert branched_cover_homology_order(cubic, 5) == order_by_sympy_resultant(cubic, 5)
+
+    def test_one_det_per_order(self, monkeypatch):
+        # Res(f, psi mod f), a Sylvester determinant, is the only one
+        dets = []
+        det = matrices.bareiss_det
+        monkeypatch.setattr(matrices, "bareiss_det", lambda rows: dets.append(rows) or det(rows))
+        for text in ("t^2 - t + 1", "5t^2 - 11t + 5", "2t^3 + t^2 + t - 1",
+                     "3t^4 + 4t^3 - 13t^2 + 4t + 3"):
+            for p in (2, 5, 64):
+                dets.clear()
+                assert branched_cover_homology_order(parse_poly(text), p) is not INFINITE
+                assert len(dets) == 1, (text, p)
 
     def test_non_monic_at_the_degree_bound_is_fast(self):
         # twist(5), Delta = 5t^2 - 11t + 5 = 5(t - a)(t - 1/a): the
-        # subresultant PRS took 2.5 s at p = 4096, the remainder milliseconds
+        # remainder sequence of psi itself took 2.5 s at p = 4096, the
+        # remainder of psi mod Delta takes milliseconds
         p = 4096
         delta = alexander(next(e for e in builtin_catalog() if e.name == "twist(5)").seifert)
         assert delta == parse_poly("5t^2 - 11t + 5")

@@ -49,6 +49,9 @@ class TestFrozenFactorizations:
         f = parse_poly("t - 1") ** 3 * parse_poly("t^2 + 1")
         _, fs = factor_rational(f)
         assert fs == [(IntPoly("t - 1"), 3), (IntPoly("t^2 + 1"), 1)]
+        f = parse_poly("t - 1") * parse_poly("t + 2") ** 2 * parse_poly("t^2 + 1") ** 3
+        _, fs = factor_rational(f)
+        assert fs == [(IntPoly("t - 1"), 1), (IntPoly("t + 2"), 2), (IntPoly("t^2 + 1"), 3)]
 
     def test_constant_input(self):
         unit, fs = factor_rational(parse_poly("7/3"))
@@ -61,7 +64,7 @@ class TestFrozenFactorizations:
 
     def test_square_factor_is_split_before_zassenhaus(self):
         # _zassenhaus needs a squarefree argument; factor_rational gives it
-        # only the squarefree parts
+        # only the squarefree part of its input
         _, fs = factor_rational(parse_poly("t + 1") ** 2 * parse_poly("t^2 + 2"))
         assert fs == [(IntPoly("t + 1"), 2), (IntPoly("t^2 + 2"), 1)]
 
