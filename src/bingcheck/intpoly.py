@@ -356,16 +356,15 @@ def _variations(chain, x: Fraction) -> int:
 @dataclass(frozen=True)
 class RootInterval:
     """Isolating data for one real root: the open interval (lo, hi), or an
-    exactly-known rational root (lo == hi == exact).  `poly` is a squarefree
+    exactly-known rational root, lo == hi.  `poly` is a squarefree
     polynomial with that root as a simple root, used for refinement."""
 
     lo: Fraction
     hi: Fraction
     poly: IntPoly
-    exact: Fraction | None = None
 
     def __post_init__(self):
-        if self.exact is None:
+        if self.lo != self.hi:
             c = self.poly.coeffs
             if _sign(c, self.lo) * _sign(c, self.hi) != -1:
                 raise InternalInvariantError("isolating interval lacks a sign change")
@@ -383,7 +382,7 @@ class RootInterval:
         The interval is kept as (a/d, b/d) in integers, and each halving
         doubles d: every midpoint and sign is the one Fraction bisection
         would meet."""
-        if self.exact is not None:
+        if self.lo == self.hi:
             return self
         c = self.poly.coeffs
         lo, hi = self.lo, self.hi
@@ -409,7 +408,7 @@ def _linear_min_poly(r: Fraction) -> IntPoly:
 
 
 def _exact_root(r: Fraction) -> RootInterval:
-    return RootInterval(r, r, _linear_min_poly(r), exact=r)
+    return RootInterval(r, r, _linear_min_poly(r))
 
 
 def _isolating(g: IntPoly, a: Fraction, b: Fraction, exact) -> RootInterval:
@@ -435,7 +434,7 @@ def sturm_isolate(f: IntPoly, lo, hi):
     dropped, V(a) - V(b) counts the roots of g in the half-open (a, b], so
     bisection needs no special case: a root met at a bisection point is
     recorded exactly and counted in its left half.  Rational roots found
-    that way, and the roots of linear g, come back with `exact` set; the
+    that way, and the roots of linear g, come back exact, as lo == hi; the
     intervals touch them only at an end.
     """
     lo, hi = Fraction(lo), Fraction(hi)

@@ -21,7 +21,9 @@ Connected sum is block sum; the mirror image has Seifert matrix -A^T.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import AdmissibilityError, InternalInvariantError
@@ -230,40 +232,24 @@ def determinant_invariant(s: SeifertMatrix) -> int:
     return _arf_and_determinant(s)[1]
 
 
+@dataclass(frozen=True)
 class FoxMilnorResult:
-    """Whether Delta passes the Fox-Milnor test, decided from its factor
-    list alone, and a witness f (None on a fail), built from that list on
-    its first read.  Results are equal when they agree on both."""
+    """Whether Delta passes the Fox-Milnor test, with the evidence it was
+    decided on: Delta and its factor list, a tuple of (factor,
+    multiplicity) pairs.  The witness f (None on a fail) is built from
+    that list on its first read.  Results are equal, and hash alike, when
+    their evidence is."""
 
-    __slots__ = ("_passes", "_delta", "_factors", "_witness")
-
-    def __init__(self, passes: bool, delta: LaurentPoly, factors):
-        self._passes, self._delta, self._factors = passes, delta, factors
-        self._witness = None
-
-    @property
-    def passes(self) -> bool:
-        return self._passes
-
-    @property
-    def witness(self) -> LaurentPoly | None:
-        if self._passes and self._witness is None:
-            self._witness = _fox_milnor_witness(self._delta, self._factors)
-        return self._witness
+    passes: bool
+    delta: LaurentPoly
+    factors: tuple
 
     def __bool__(self):
-        return self._passes
+        return self.passes
 
-    def __eq__(self, other):
-        if not isinstance(other, FoxMilnorResult):
-            return NotImplemented
-        return (self.passes, self.witness) == (other.passes, other.witness)
-
-    def __hash__(self):
-        return hash((self.passes, self.witness))
-
-    def __repr__(self):
-        return "FoxMilnorResult(passes=%r, witness=%r)" % (self.passes, self.witness)
+    @cached_property
+    def witness(self) -> LaurentPoly | None:
+        return _fox_milnor_witness(self.delta, self.factors) if self.passes else None
 
 
 def _reciprocal_class(p: IntPoly) -> IntPoly:
@@ -306,6 +292,7 @@ def fox_milnor(delta: LaurentPoly, factors) -> FoxMilnorResult:
     """
     if delta.is_zero:
         raise ValueError("the zero polynomial has no Fox-Milnor factorization")
+    factors = tuple(factors)
     mult = dict(factors)
     for p, m in factors:
         if p.degree == 0:

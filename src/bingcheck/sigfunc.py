@@ -80,21 +80,12 @@ _PRINT_WIDTH = Fraction(1, 2 ** 20)
 @dataclass(frozen=True)
 class JumpPoint:
     """A circle zero of det B: the u-coordinate as certified isolating data
-    (width at most 2^-20), the irreducible factor owning it, and the nullity
-    of B there."""
+    (width at most 2^-20; lo == hi for an exact rational root), the
+    irreducible factor owning it, and the nullity of B there."""
 
     root: RootInterval
     factor: IntPoly
     nullity: int
-
-    @property
-    def exact(self):
-        return self.root.exact
-
-    def printable_u(self) -> Fraction:
-        if self.root.exact is not None:
-            return self.root.exact
-        return self.root.midpoint()
 
 
 @dataclass(frozen=True)
@@ -104,15 +95,10 @@ class Arc:
 
     `sample_angle` holds the Cayley parameter s of the sample point
     omega(s) = (1 + i s)/(1 - i s), not an angle; the attribute keeps the
-    name of the root-of-unity sampler it replaced.
-
-    The printed bounds stand in for the true arc endpoints: exact roots and
-    the interval ends -2, 2 are themselves; irrational roots are represented
-    by the midpoint of their printed isolating interval.
+    name of the root-of-unity sampler it replaced.  The arc's bounds are
+    read off the function's jumps (SignatureFunction.arc_rows).
     """
 
-    u_lo: Fraction
-    u_hi: Fraction
     signature: int
     sample_angle: Fraction
 
@@ -123,23 +109,22 @@ class SignatureFunction:
 
     arcs: tuple
     jumps: tuple
-    size: int
 
     @property
     def is_zero(self) -> bool:
         return all(a.signature == 0 for a in self.arcs)
 
     def arc_rows(self):
-        """(u_lo, u_hi, signature) rows with printable rational bounds."""
-        return [(a.u_lo, a.u_hi, a.signature) for a in self.arcs]
+        """(u_lo, u_hi, signature) rows with printable rational bounds, which
+        stand in for the true arc endpoints: the ends -2 and 2 are
+        themselves, and a jump is the midpoint of its printed isolating
+        interval (an exact root is its own midpoint)."""
+        bounds = [Fraction(-2)] + [j.root.midpoint() for j in self.jumps] + [Fraction(2)]
+        return [(lo, hi, a.signature) for lo, hi, a in zip(bounds, bounds[1:], self.arcs)]
 
     def jump_rows(self):
         """(u_lo, u_hi, nullity) rows; exact roots give u_lo == u_hi."""
-        return [
-            (j.exact, j.exact, j.nullity) if j.exact is not None
-            else (j.root.lo, j.root.hi, j.nullity)
-            for j in self.jumps
-        ]
+        return [(j.root.lo, j.root.hi, j.nullity) for j in self.jumps]
 
 
 def circle_jump_factors(factors):
@@ -185,10 +170,10 @@ def _gap(left: RootInterval | None, right: RootInterval | None):
     """Open rational u-interval (lo, hi), nonempty and inside the arc between
     two neighbouring jump roots; None stands for the end -2 or 2.
 
-    Each root lies strictly inside its isolating interval or equals its
-    exact value, so every u strictly between left.hi and right.lo lies in
-    the arc.  Neighbours that touch are refined as copies: the jumps keep
-    the intervals they print.
+    Each root lies strictly inside its isolating interval, or is the
+    interval when lo == hi, so every u strictly between left.hi and
+    right.lo lies in the arc.  Neighbours that touch are refined as copies:
+    the jumps keep the intervals they print.
     """
     while True:
         lo = Fraction(-2) if left is None else left.hi
@@ -267,11 +252,11 @@ def _cayley_sample(lo: Fraction, hi: Fraction) -> Fraction:
     return s
 
 
-def _step_function(factors, size, nullity_at, value_at) -> SignatureFunction:
-    """The SignatureFunction of a form of the given size whose det has the
-    irreducible factors `factors`: nullity_at(p) is its nullity at the
-    roots of the factor p, and value_at(s) its signature at the Cayley
-    point omega(s), which is not a root of det."""
+def _step_function(factors, nullity_at, value_at) -> SignatureFunction:
+    """The SignatureFunction of a form whose det has the irreducible factors
+    `factors`: nullity_at(p) is its nullity at the roots of the factor p,
+    and value_at(s) its signature at the Cayley point omega(s), which is
+    not a root of det."""
     raw = []
     for p, g in circle_jump_factors(factors):
         roots = sturm_isolate(g, Fraction(-2), Fraction(2))
@@ -292,15 +277,11 @@ def _step_function(factors, size, nullity_at, value_at) -> SignatureFunction:
     )
 
     ends = [None] + [j.root for j in jumps] + [None]
-    printable = (
-        [Fraction(-2)] + [j.printable_u() for j in jumps] + [Fraction(2)]
-    )
-
     arcs = []
-    for i in range(len(jumps) + 1):
-        s = _cayley_sample(*_gap(ends[i], ends[i + 1]))
-        arcs.append(Arc(printable[i], printable[i + 1], value_at(s), s))
-    return SignatureFunction(arcs=tuple(arcs), jumps=jumps, size=size)
+    for left, right in zip(ends, ends[1:]):
+        s = _cayley_sample(*_gap(left, right))
+        arcs.append(Arc(value_at(s), s))
+    return SignatureFunction(tuple(arcs), jumps)
 
 
 def signature_function_of_matrix(B, factors) -> SignatureFunction:
@@ -317,7 +298,7 @@ def signature_function_of_matrix(B, factors) -> SignatureFunction:
             raise InternalInvariantError("arc sample landed on a singular point")
         return sig
 
-    return _step_function(factors, n, lambda p: n - rank_over_factor(B, p), value_at)
+    return _step_function(factors, lambda p: n - rank_over_factor(B, p), value_at)
 
 
 def _value_at(fn: SignatureFunction, v: Fraction) -> int:
@@ -330,9 +311,9 @@ def _value_at(fn: SignatureFunction, v: Fraction) -> int:
     below = 0
     for j in fn.jumps:
         r = j.root
-        while r.exact is None and r.lo < v < r.hi:
+        while r.lo < v < r.hi:
             r = r.refine(r.width / 2)
-        if r.exact == v:
+        if r.lo == v == r.hi:
             raise InternalInvariantError("pulled-back sample lands on a jump at u = %s" % v)
         if r.hi > v:
             break
@@ -358,8 +339,7 @@ def pullback_signature_function(parts, factors, nullities) -> SignatureFunction:
         u = 2 * (1 - s * s) / (1 + s * s)
         return sum(_value_at(fn, dickson(k, u)) for fn, k in parts)
 
-    return _step_function(factors, sum(fn.size for fn, _ in parts),
-                          lambda h: nullities.get(h, 0), value_at)
+    return _step_function(factors, lambda h: nullities.get(h, 0), value_at)
 
 
 def _value_changes(fn: SignatureFunction):

@@ -284,7 +284,7 @@ def fraction_divmod(num, den):
 def fraction_isolation(f: IntPoly, lo: Fraction, hi: Fraction, width: Fraction):
     """Reference isolation: a Sturm chain of Fraction lists evaluated by
     Fraction Horner, then sign bisection of each interval below `width`;
-    (lo, hi, exact) triples, an exact root r as (r, r, r)."""
+    (lo, hi) pairs, an exact root r as (r, r)."""
     g = [Fraction(c) for c in squarefree_part(f).coeffs]
     chain = [g, [i * c for i, c in enumerate(g)][1:]]
     while len(chain[-1]) > 1:
@@ -303,12 +303,12 @@ def fraction_isolation(f: IntPoly, lo: Fraction, hi: Fraction, width: Fraction):
             mid = (a + b) / 2
             v = fraction_horner(p, mid)
             if v == 0:
-                return mid, mid, mid
+                return mid, mid
             if (v > 0) == slo:
                 a = mid
             else:
                 b = mid
-        return a, b, None
+        return a, b
 
     exact = {end for end in (lo, hi) if fraction_horner(g, end) == 0}
     found = []
@@ -335,7 +335,7 @@ def fraction_isolation(f: IntPoly, lo: Fraction, hi: Fraction, width: Fraction):
             stack.append((a, mid, va, vm))
             stack.append((mid, b, vm, vb))
     found.sort(key=lambda item: item[:2])
-    return [(a, a, a) if p is None else bisect(p, a, b) for a, b, p in found]
+    return [(a, a) if p is None else bisect(p, a, b) for a, b, p in found]
 
 
 class TestSturm:
@@ -373,13 +373,13 @@ class TestSturm:
     def test_linear_factor_gives_exact_root(self):
         ivs = sturm_isolate(IntPoly("3t - 2"), -2, 2)
         assert len(ivs) == 1
-        assert ivs[0].exact == Fraction(2, 3)
+        assert ivs[0].lo == ivs[0].hi == Fraction(2, 3)
 
     def test_multiplicities_ignored(self):
         f = IntPoly("t - 1") ** 4
         ivs = sturm_isolate(f, -2, 2)
         assert len(ivs) == 1
-        assert ivs[0].exact == 1
+        assert ivs[0].lo == ivs[0].hi == 1
 
     def test_open_interval_excludes_endpoints(self):
         f = IntPoly("t^2 - 4")
@@ -419,15 +419,15 @@ class TestSturm:
         ivs = sturm_isolate(f, lo, hi)
         assert len(ivs) == len(roots_in(lo, hi))
         for iv in ivs:
-            if iv.exact is not None:
-                assert iv.exact in rational and f(iv.exact) == 0
+            if iv.lo == iv.hi:
+                assert iv.lo in rational and f(iv.lo) == 0
             else:
                 assert len(roots_in(iv.lo, iv.hi)) == 1
         for a, b in zip(ivs, ivs[1:]):
             assert a.hi <= b.lo
         # the intervals that reports print must not drift with the kernel
         w = Fraction(1, 2 ** 20)
-        assert ([(iv.lo, iv.hi, iv.exact) for iv in (iv.refine(w) for iv in ivs)]
+        assert ([(iv.lo, iv.hi) for iv in (iv.refine(w) for iv in ivs)]
                 == fraction_isolation(f, lo, hi, w))
 
     @given(st.lists(st.integers(-5, 5), min_size=2, max_size=5).map(IntPoly),
@@ -452,7 +452,6 @@ class TestSturm:
     def test_refine_narrows(self):
         (iv,) = sturm_isolate(IntPoly("t^2 - 2"), 0, 2)
         narrow = iv.refine(Fraction(1, 2 ** 30))
-        assert narrow.exact is None
         assert narrow.hi - narrow.lo <= Fraction(1, 2 ** 30)
         assert iv.lo <= narrow.lo < narrow.hi <= iv.hi
 

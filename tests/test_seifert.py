@@ -13,6 +13,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bingcheck.seifert as seifert_module
 from bingcheck.errors import AdmissibilityError
 from bingcheck.factor import factor_rational
 from bingcheck.fields import cayley_point, evaluated_hermitian_signature, rank_over_factor
@@ -31,7 +32,7 @@ from bingcheck.seifert import (
     signature_at,
     signature_function,
 )
-from strategies import integral_or_rational_forms
+from strategies import admissible_forms, integral_or_rational_forms
 
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]], name="3_1")
 FIGURE_EIGHT = SeifertMatrix([[1, 1], [0, -1]], name="4_1")
@@ -114,7 +115,7 @@ class TestAlexander:
         assert alexander(STEVEDORE) == parse_poly("2t^2 - 5t + 2")
         assert alexander(UNKNOT) == parse_poly("1")
 
-    @given(admissible_2x2)
+    @given(st.one_of(admissible_2x2, admissible_forms(4)))
     @settings(max_examples=60, deadline=None)
     def test_integral_evaluates_to_unit_at_one(self, s):
         d = alexander(s)(Fraction(1))
@@ -285,6 +286,14 @@ class TestArfAndDeterminant:
     def test_arf_additive_mod_two(self, s):
         assert arf(connected_sum(s, TREFOIL)) == (arf(s) + arf(TREFOIL)) % 2
 
+    @given(admissible_forms(4))
+    @settings(max_examples=40, deadline=None)
+    def test_arf_of_the_quadratic_form_on_a_symplectic_basis(self, s):
+        # A - A^T is the standard symplectic form, so e_2i and e_2i+1 pair
+        # to 1, and Arf(q) = sum q(e_2i) q(e_2i+1) mod 2 for q(x) = x^T A x
+        A, g = s.entries, s.size // 2
+        assert arf(s) == sum(A[2 * i][2 * i] * A[2 * i + 1][2 * i + 1] for i in range(g)) % 2
+
     @given(admissible_2x2)
     @settings(max_examples=40, deadline=None)
     def test_determinant_odd(self, s):
@@ -350,11 +359,31 @@ class TestFoxMilnor:
             return original(a, b)
 
         monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        built = []
+        witness_of = seifert_module._fox_milnor_witness
+        monkeypatch.setattr(seifert_module, "_fox_milnor_witness",
+                            lambda d, fs: built.append(d) or witness_of(d, fs))
         passing, failing = (fox_milnor(d, fs) for d, fs in zip(deltas, lists))
         assert passing.passes and not failing.passes and not products
-        assert failing.witness is None and not products
+        # a failing result never builds its witness, however often it is
+        # read; a passing one builds it on the first read only
+        assert failing.witness is None and failing.witness is None
+        assert not products and not built
         assert passing.witness == parse_poly("2t - 1") and products
+        assert passing.witness is passing.witness and built == [deltas[0]]
         assert passing == fox_milnor(deltas[0], lists[0]) != failing
+
+    @given(admissible_forms(2))
+    @settings(max_examples=30, deadline=None)
+    def test_equal_evidence_is_equal(self, s):
+        # equal (passes, delta, factors) as a list or a tuple: equal results
+        # and hashes, whether or not one has built its witness
+        delta = alexander(s)
+        fs = factor_rational(delta)[1]
+        a, b = fox_milnor(delta, list(fs)), fox_milnor(delta, tuple(fs))
+        assert (a.witness is None) == (not a.passes)
+        assert a == b and hash(a) == hash(b)
+        assert a != fox_milnor_of(delta * parse_poly("t^2 - t + 1"))
 
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=3),
            st.integers(0, 2))

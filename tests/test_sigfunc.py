@@ -31,7 +31,13 @@ from bingcheck.fields import (
 from bingcheck.intpoly import IntPoly, RootInterval, u_image
 from bingcheck.laurent import LaurentPoly, parse_poly
 from bingcheck.matrices import ExactMatrix
-from bingcheck.seifert import SeifertMatrix, alexander, connected_sum, mirror
+from bingcheck.seifert import (
+    SeifertMatrix,
+    alexander,
+    connected_sum,
+    mirror,
+    signature_function,
+)
 from bingcheck.sigfunc import (
     JumpPoint,
     _cayley_sample,
@@ -209,7 +215,7 @@ class TestTrefoil:
             (Fraction(1), Fraction(2), 0),
         ]
         assert f.jump_rows() == [(Fraction(1), Fraction(1), 1)]
-        assert f.jumps[0].exact == 1
+        assert f.jumps[0].root.lo == f.jumps[0].root.hi == 1
         assert f.jumps[0].factor == IntPoly("t^2 - t + 1")
         assert not f.is_zero
         assert max(abs(sig) for _, _, sig in f.arc_rows()) == 2
@@ -256,7 +262,7 @@ class TestBlockSums:
         assert [a.signature for a in f.arcs] == [-6, -4, -2, 0]
         assert [j.nullity for j in f.jumps] == [1, 1, 1]
         # middle jump is the exact rational root u = 1 from the trefoil factor
-        assert f.jumps[1].exact == 1
+        assert f.jumps[1].root.lo == f.jumps[1].root.hi == 1
 
     def test_trefoil_plus_mirror_cancels(self):
         mirror = [[1, 0], [-1, 1]]  # -A^T for the trefoil matrix
@@ -264,6 +270,48 @@ class TestBlockSums:
         f = signature_function_of_matrix(B, factor_list(B.det()))
         assert f.is_zero
         assert f.jump_rows() == [(Fraction(1), Fraction(1), 2)]
+
+
+class TestDerivedRows:
+    @given(admissible_forms(3))
+    @example(SeifertMatrix(TREFOIL))
+    @example(SeifertMatrix(T25))
+    @settings(max_examples=15, deadline=None)
+    def test_rows_are_read_off_the_jumps(self, s):
+        # on K's function, phi_2 K's and J(1, 2)'s: the arc bounds run from
+        # -2 through each jump's midpoint to 2, and a jump prints its
+        # isolating interval, a point exactly when its factor's u-image is
+        # linear (an irreducible u-image of higher degree has no rational
+        # root)
+        for fn in (signature_function(s),
+                   presentation_battery(phi(from_seifert(s), 2)).signature,
+                   presentation_battery(jpq_presentation(s, 1, 2)).signature):
+            rows = fn.arc_rows()
+            assert len(rows) == len(fn.jumps) + 1
+            assert rows[0][0] == -2 and rows[-1][1] == 2
+            assert [hi for _, hi, _ in rows[:-1]] == [j.root.midpoint() for j in fn.jumps]
+            assert [lo for lo, _, _ in rows[1:]] == [hi for _, hi, _ in rows[:-1]]
+            assert all(lo < hi for lo, hi, _ in rows)
+            assert [sig for _, _, sig in rows] == [a.signature for a in fn.arcs]
+            assert fn.jump_rows() == [(j.root.lo, j.root.hi, j.nullity) for j in fn.jumps]
+            for j in fn.jumps:
+                g = u_image(j.factor)
+                assert (j.root.lo == j.root.hi) == (g.degree == 1)
+                if g.degree == 1:
+                    assert g(j.root.lo) == 0
+
+
+class TestSignatureBound:
+    @given(admissible_forms(4))
+    @settings(max_examples=30, deadline=None)
+    def test_arcs_are_bounded_by_the_size(self, s):
+        # off its jumps B(omega) is a nonsingular 2g x 2g Hermitian form, of
+        # even signature at most 2g in absolute value: on K's matrix-path
+        # function and on its pullback to phi_2 K, again of size 2g
+        for fn in (signature_function(s),
+                   presentation_battery(phi(from_seifert(s), 2)).signature):
+            assert all(a.signature % 2 == 0 and abs(a.signature) <= s.size
+                       for a in fn.arcs)
 
 
 class TestSameStepFunction:
@@ -337,18 +385,18 @@ class TestGap:
     # sqrt 2 and sqrt 3 isolated by intervals that touch at 3/2
     SQRT2 = RootInterval(Fraction(1), Fraction(3, 2), IntPoly("t^2 - 2"))
     SQRT3 = RootInterval(Fraction(3, 2), Fraction(2), IntPoly("t^2 - 3"))
-    ONE = RootInterval(Fraction(1), Fraction(1), IntPoly("t - 1"), exact=Fraction(1))
+    ONE = RootInterval(Fraction(1), Fraction(1), IntPoly("t - 1"))
 
     def check(self, left, right, lo_bound, hi_bound):
         """_gap of the two jumps is nonempty, lies in [lo_bound, hi_bound]
         given as predicates on its ends, and leaves the jumps as they were."""
         jumps = [JumpPoint(root=r, factor=r.poly, nullity=1)
                  for r in (left, right) if r is not None]
-        printed = [(j.root.lo, j.root.hi, j.root.exact) for j in jumps]
+        printed = [(j.root.lo, j.root.hi) for j in jumps]
         lo, hi = _gap(left, right)
         assert lo < hi
         assert lo_bound(lo) and hi_bound(hi)
-        assert [(j.root.lo, j.root.hi, j.root.exact) for j in jumps] == printed
+        assert [(j.root.lo, j.root.hi) for j in jumps] == printed
         return lo, hi
 
     def test_touching_intervals(self):
