@@ -16,7 +16,7 @@ LF line endings, byte-identical across runs on equal inputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import AdmissibilityError, ParseError, UnknownEntryError
@@ -33,11 +33,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    seifert: SeifertMatrix
-    notes: str
+class CatalogEntry(namedtuple("CatalogEntry", "name seifert notes")):
+    """A built-in knot: its `name` and `notes` (strs) and its
+    SeifertMatrix `seifert`."""
+
+    __slots__ = ()
 
 
 def _entry(name, rows, notes):

@@ -19,7 +19,7 @@ numerators over a common denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
@@ -353,21 +353,18 @@ def _variations(chain, x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-@dataclass(frozen=True)
-class RootInterval:
-    """Isolating data for one real root: the open interval (lo, hi), or an
-    exactly-known rational root, lo == hi.  `poly` is a squarefree
-    polynomial with that root as a simple root, used for refinement."""
+class RootInterval(namedtuple("RootInterval", "lo hi poly")):
+    """Isolating data for one real root: the open interval (lo, hi) of
+    Fractions, or an exactly-known rational root, lo == hi.  `poly` is a
+    squarefree IntPoly with that root as a simple root, used for
+    refinement; an interval across which it does not change sign raises."""
 
-    lo: Fraction
-    hi: Fraction
-    poly: IntPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo != self.hi:
-            c = self.poly.coeffs
-            if _sign(c, self.lo) * _sign(c, self.hi) != -1:
-                raise InternalInvariantError("isolating interval lacks a sign change")
+    def __new__(cls, lo: Fraction, hi: Fraction, poly: IntPoly):
+        if lo != hi and _sign(poly.coeffs, lo) * _sign(poly.coeffs, hi) != -1:
+            raise InternalInvariantError("isolating interval lacks a sign change")
+        return super().__new__(cls, lo, hi, poly)
 
     @property
     def width(self) -> Fraction:

@@ -21,7 +21,7 @@ Connected sum is block sum; the mirror image has Seifert matrix -A^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -232,17 +232,13 @@ def determinant_invariant(s: SeifertMatrix) -> int:
     return _arf_and_determinant(s)[1]
 
 
-@dataclass(frozen=True)
-class FoxMilnorResult:
-    """Whether Delta passes the Fox-Milnor test, with the evidence it was
-    decided on: Delta and its factor list, a tuple of (factor,
-    multiplicity) pairs.  The witness f (None on a fail) is built from
-    that list on its first read.  Results are equal, and hash alike, when
-    their evidence is."""
-
-    passes: bool
-    delta: LaurentPoly
-    factors: tuple
+class FoxMilnorResult(namedtuple("FoxMilnorResult", "passes delta factors")):
+    """Whether Delta passes the Fox-Milnor test (`passes`, a bool), with
+    the evidence it was decided on: `delta`, the LaurentPoly Delta, and
+    `factors`, its factor list, a tuple of (IntPoly, int multiplicity)
+    pairs.  The witness f (None on a fail) is built from that list on its
+    first read and kept in the instance's __dict__.  Results are equal,
+    and hash alike, when their evidence is."""
 
     def __bool__(self):
         return self.passes

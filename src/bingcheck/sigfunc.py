@@ -44,7 +44,9 @@ D_(j-1)), so the block sum's function is the sum of the fn_B o D_k.
   * The nullity at the roots of a factor h is given, not computed here:
     B(t^k) has at the roots of h the nullity B has at the roots of the
     factor g of det B with h dividing g(t^k), and the base that factors
-    g(t^k) (witt._Base) maps each h to it, summed over the parts.
+    g(t^k) (witt._Base) maps each h to it, summed over the parts.  The
+    same map gives h's isolating intervals, which a base isolates once for
+    all the k it is substituted at.
   * The value at a sample u adds fn_B(D_k(u)) over the parts.  Each D_k(u)
     is rational: the isolating intervals of B's jumps are refined until it
     lies outside each, which places it in one arc of fn_B (fn_B(2) = 0 is
@@ -56,12 +58,12 @@ The pullback evaluates no form and reduces none over a factor field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
 from .errors import InternalInvariantError
-from .intpoly import IntPoly, RootInterval, dickson, sturm_isolate, u_image
+from .intpoly import RootInterval, dickson, sturm_isolate, u_image
 from .fields import cayley_point, evaluated_hermitian_signature, rank_over_factor
 
 __all__ = [
@@ -77,38 +79,33 @@ __all__ = [
 _PRINT_WIDTH = Fraction(1, 2 ** 20)
 
 
-@dataclass(frozen=True)
-class JumpPoint:
-    """A circle zero of det B: the u-coordinate as certified isolating data
-    (width at most 2^-20; lo == hi for an exact rational root), the
-    irreducible factor owning it, and the nullity of B there."""
+class JumpPoint(namedtuple("JumpPoint", "root factor nullity")):
+    """A circle zero of det B: `root`, the u-coordinate as a certified
+    RootInterval (width at most 2^-20; lo == hi for an exact rational
+    root), `factor`, the irreducible IntPoly owning it, and `nullity`, the
+    int nullity of B there."""
 
-    root: RootInterval
-    factor: IntPoly
-    nullity: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Arc:
-    """Maximal open u-interval free of jumps, with the constant signature
-    there and the sample it was evaluated at.
+class Arc(namedtuple("Arc", "signature sample_angle")):
+    """Maximal open u-interval free of jumps, with `signature`, the int
+    signature there, and the sample it was evaluated at.
 
-    `sample_angle` holds the Cayley parameter s of the sample point
-    omega(s) = (1 + i s)/(1 - i s), not an angle; the attribute keeps the
-    name of the root-of-unity sampler it replaced.  The arc's bounds are
-    read off the function's jumps (SignatureFunction.arc_rows).
+    `sample_angle` holds the Cayley parameter s, a Fraction, of the sample
+    point omega(s) = (1 + i s)/(1 - i s), not an angle; the attribute
+    keeps the name of the root-of-unity sampler it replaced.  The arc's
+    bounds are read off the function's jumps (SignatureFunction.arc_rows).
     """
 
-    signature: int
-    sample_angle: Fraction
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SignatureFunction:
-    """Arcs ascending in u on (-2, 2), separated by the jump points."""
+class SignatureFunction(namedtuple("SignatureFunction", "arcs jumps")):
+    """`arcs`, a tuple of Arcs ascending in u on (-2, 2), separated by
+    `jumps`, a tuple of JumpPoints."""
 
-    arcs: tuple
-    jumps: tuple
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -252,21 +249,26 @@ def _cayley_sample(lo: Fraction, hi: Fraction) -> Fraction:
     return s
 
 
-def _step_function(factors, nullity_at, value_at) -> SignatureFunction:
+def _step_function(factors, circle, value_at) -> SignatureFunction:
     """The SignatureFunction of a form whose det has the irreducible factors
-    `factors`: nullity_at(p) is its nullity at the roots of the factor p,
-    and value_at(s) its signature at the Cayley point omega(s), which is
-    not a root of det."""
+    `factors` (pairs (factor, multiplicity)): `circle` yields, for each
+    circle factor p of `factors` in their order, (p, the form's nullity
+    at p's roots, 0 when there are none, the intervals sturm_isolate gives
+    for the roots of p's u-image in (-2, 2)), and value_at(s) is the
+    form's signature at the Cayley point omega(s), which is not a root of
+    det.
+
+    Over the PID Q[t], the nullity of B at the roots of P is at most
+    v_P(det B), P's multiplicity; a nullity outside [1, v_P] at a factor
+    with roots raises."""
+    multiplicity = dict(factors)
     raw = []
-    for p, g in circle_jump_factors(factors):
-        roots = sturm_isolate(g, Fraction(-2), Fraction(2))
-        if not roots:
-            continue
-        nullity = nullity_at(p)
-        if nullity <= 0:
-            raise InternalInvariantError("circle factor of det B with full rank")
-        for r in roots:
-            raw.append((r, (p, nullity)))
+    for p, nullity, roots in circle:
+        if roots and not 1 <= nullity <= multiplicity[p]:
+            raise InternalInvariantError(
+                "nullity %d at a circle factor of det B of multiplicity %d"
+                % (nullity, multiplicity[p]))
+        raw.extend((r, (p, nullity)) for r in roots)
 
     # distinct irreducible factors have disjoint root sets; refine the
     # isolating intervals until pairwise disjoint so the jump order is exact,
@@ -298,7 +300,12 @@ def signature_function_of_matrix(B, factors) -> SignatureFunction:
             raise InternalInvariantError("arc sample landed on a singular point")
         return sig
 
-    return _step_function(factors, lambda p: n - rank_over_factor(B, p), value_at)
+    def circle():
+        for p, g in circle_jump_factors(factors):
+            roots = sturm_isolate(g, Fraction(-2), Fraction(2))
+            yield p, n - rank_over_factor(B, p) if roots else 0, roots
+
+    return _step_function(factors, circle(), value_at)
 
 
 def _value_at(fn: SignatureFunction, v: Fraction) -> int:
@@ -321,25 +328,27 @@ def _value_at(fn: SignatureFunction, v: Fraction) -> int:
     return fn.arcs[below].signature
 
 
-def pullback_signature_function(parts, factors, nullities) -> SignatureFunction:
+def pullback_signature_function(parts, factors, jumps) -> SignatureFunction:
     """SignatureFunction of the block sum of the forms B(t^k), from each
     B's own function: (B(t^k))(omega) = B(omega^k), and the u-coordinate of
     omega^k is D_k(u), so the sum's function is the sum of fn_B o D_k.
 
     `parts` holds (fn_B, k) for k >= 1, fn_B the SignatureFunction of a
     Hermitian Laurent form B with B(1) = 0; `factors` lists the irreducible
-    factors of the block sum's det, and `nullities` maps each factor with
-    roots on the circle to the block sum's nullity there, as the bases
-    give it (a factor left out has none).  The jumps and samples are those
-    signature_function_of_matrix would find.  At a sample, part k adds
-    fn_B(D_k(u)); no form is evaluated.
+    factors of the block sum's det, and `jumps` maps each of its circle
+    factors (circle_jump_factors), and no other, to a pair, as the bases
+    give it: the block sum's nullity at its roots, and sturm_isolate's
+    unrefined isolating intervals of its u-image's roots in (-2, 2).  The
+    jumps and samples are those signature_function_of_matrix would find.
+    At a sample, part k adds fn_B(D_k(u)); no form is evaluated.
     """
 
     def value_at(s):
         u = 2 * (1 - s * s) / (1 + s * s)
         return sum(_value_at(fn, dickson(k, u)) for fn, k in parts)
 
-    return _step_function(factors, lambda h: nullities.get(h, 0), value_at)
+    circle = ((h, *jumps[h]) for h, _ in factors if h in jumps)
+    return _step_function(factors, circle, value_at)
 
 
 def _value_changes(fn: SignatureFunction):

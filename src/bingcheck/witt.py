@@ -33,19 +33,20 @@ NO_OBSTRUCTION_FOUND never claims sliceness.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import namedtuple
+from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, isqrt
 from operator import mul
 
 from .errors import AdmissibilityError, InternalInvariantError
 from .laurent import LaurentPoly
-from .intpoly import IntPoly, cyclotomic, cyclotomic_order
+from .intpoly import IntPoly, cyclotomic, cyclotomic_order, sturm_isolate
 from .factor import factor_rational, merge_factors
 from .matrices import ExactMatrix
 from .sigfunc import (
     SignatureFunction,
+    circle_jump_factors,
     pullback_signature_function,
     same_step_function,
     signature_function_of_matrix,
@@ -101,10 +102,12 @@ class _Base:
     the nullity of A + A^T at -1 (B(-1) = 2(A + A^T)) when t + 1 divides
     Delta.  Any other g has no root on the circle, nor has any factor of
     g(t^k), so it is given 0.  The cyclotomic order of each g is read
-    once, and the factor list and nullities of each order(t^k) are kept
-    once computed."""
+    once, and the factor list and jump map of each order(t^k) are kept
+    once computed.  So are the unrefined isolating intervals of each
+    circle factor h, isolated on first use: an h of g(t^k) recurs at
+    other k (Phi_3 divides both t^3 - 1 and t^6 - 1)."""
 
-    __slots__ = ("seifert", "function", "order", "_owners", "_substituted")
+    __slots__ = ("seifert", "function", "order", "_owners", "_substituted", "_isolated")
 
     def __init__(self, battery: ObstructionReport):
         s, n = battery.seifert, battery.seifert.size
@@ -116,16 +119,18 @@ class _Base:
         if any(g == _T_PLUS_ONE for g, _ in factors):
             nullity[_T_PLUS_ONE] = cayley_signature(s, 0, 1)[1]
         self._owners = [(g, m, cyclotomic_order(g), nullity.get(g, 0)) for g, m in factors]
-        self._substituted = {1: (factors, {g: nul for g, _, _, nul in self._owners})}
+        self._substituted, self._isolated = {}, {}
 
     def substituted(self, k: int) -> tuple:
-        """(factors, nullities) of B(t^k): factor_rational(order(t^k))[1],
-        not recomputed from order(t^k), and the map from each factor h to
-        B(t^k)'s nullity at its roots.  Each irreducible factor g of the
-        order, of multiplicity m, adds the factors h of g(t^k) with
-        multiplicities scaled by m, each h mapped to g's nullity.  Distinct
-        irreducible g have no common root, so neither do their g(t^k): the
-        product is never factored, and each h has one g."""
+        """(factors, jumps) of B(t^k): factor_rational(order(t^k))[1],
+        not recomputed from order(t^k), and the map from each of its circle
+        factors h (sigfunc.circle_jump_factors) to B(t^k)'s nullity at
+        h's roots and sturm_isolate's intervals of the roots of h's u-image
+        in (-2, 2).  Each irreducible factor g of the order, of
+        multiplicity m, adds the factors h of g(t^k) with multiplicities
+        scaled by m, each h given g's nullity.  Distinct irreducible g have
+        no common root, so neither do their g(t^k): the product is never
+        factored, and each h has one g."""
         if k not in self._substituted:
             lists, nullities, done = [], {}, {}
             for g, m, d, nul in self._owners:
@@ -135,7 +140,11 @@ class _Base:
                                 merge_factors([(_reciprocal_class(h), j) for h, j in done[rev]]))
                 lists.append([(h, m * j) for h, j in hs])
                 nullities.update((h, nul) for h, _ in hs)
-            self._substituted[k] = merge_factors(*lists), nullities
+            factors = merge_factors(*lists)
+            for h, u in circle_jump_factors([f for f in factors if f[0] not in self._isolated]):
+                self._isolated[h] = sturm_isolate(u, Fraction(-2), Fraction(2))
+            self._substituted[k] = factors, {h: (nullities[h], self._isolated[h])
+                                             for h, _ in factors if h in self._isolated}
         return self._substituted[k]
 
 
@@ -143,9 +152,12 @@ def _substituted_factors(g: IntPoly, d: int | None, n: int):
     """factor_rational(g(t^n))[1] for an irreducible g, given its
     cyclotomic order d (cyclotomic_order(g), None if g is not cyclotomic).
 
-    A cyclotomic g = Phi_d is not factored: with n = n1 n2, every prime of
-    n1 dividing d and n2 prime to d, Phi_d(t^n1) = Phi_(d n1), and
-    Phi_(d n1)(t^n2) is the product of the Phi_(d n1 e) over e | n2."""
+    g(t) is its own list.  A cyclotomic g = Phi_d is not factored: with
+    n = n1 n2, every prime of n1 dividing d and n2 prime to d,
+    Phi_d(t^n1) = Phi_(d n1), and Phi_(d n1)(t^n2) is the product of the
+    Phi_(d n1 e) over e | n2."""
+    if n == 1:
+        return [(g, 1)]
     if d is None:
         return factor_rational(g.to_laurent().substitute_power(n))[1]
     n1, n2 = 1, n
@@ -201,11 +213,13 @@ class WittPresentation:
         """Pulled back from the bases' own functions, with the nullity at
         each factor summed over the parts from the bases' maps: no form is
         built, evaluated or reduced over a factor field."""
-        nullities = Counter()
+        jumps = {}
         for base, k in self._parts:
-            nullities.update(base.substituted(k)[1])
+            for h, (nullity, roots) in base.substituted(k)[1].items():
+                summed = jumps[h][0] if h in jumps else 0
+                jumps[h] = summed + nullity, roots
         return pullback_signature_function(
-            [(base.function, k) for base, k in self._parts], self.factors(), nullities)
+            [(base.function, k) for base, k in self._parts], self.factors(), jumps)
 
     def __eq__(self, other):
         if not isinstance(other, WittPresentation):
@@ -277,26 +291,21 @@ def cyclotomic_factors(factors):
     return sorted(d for g, _ in factors if (d := cyclotomic_order(g)) is not None)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(namedtuple("ObstructionReport",
+                                   "name ring alexander factors signature seifert")):
     """Outcome of the algebraic-sliceness battery on one knot/presentation.
 
-    It holds the evidence only: the order (`alexander`), its factor list as
-    factor_rational gives it, the signature function and `seifert`, the
-    Seifert matrix behind a knot's battery (None for a bare presentation).
-    The Fox-Milnor result, the cyclotomic factors, Arf, the determinant,
-    the certificate (the first failing test, in the order Fox-Milnor,
-    signature function, Arf, determinant-square) and the verdict are read
-    off it on first access.  `arf` and `determinant` are None unless
-    `seifert` is integral.  t - 1 has no root on the open arc, so one
-    factor list serves every test that reads factors."""
-
-    name: str
-    ring: str
-    alexander: LaurentPoly
-    factors: tuple
-    signature: SignatureFunction
-    seifert: SeifertMatrix | None
+    It holds the evidence only: `name` and `ring` ("Z" or "Q"), strs; the
+    order `alexander`, a LaurentPoly; `factors`, its factor list as
+    factor_rational gives it, a tuple of (IntPoly, int) pairs; `signature`,
+    the SignatureFunction; and `seifert`, the SeifertMatrix behind a
+    knot's battery (None for a bare presentation).  The Fox-Milnor result,
+    the cyclotomic factors, Arf, the determinant, the certificate (the
+    first failing test, in the order Fox-Milnor, signature function, Arf,
+    determinant-square) and the verdict are read off it on first access
+    and kept in the instance's __dict__.  `arf` and `determinant` are None
+    unless `seifert` is integral.  t - 1 has no root on the open arc, so
+    one factor list serves every test that reads factors."""
 
     @cached_property
     def fox_milnor(self) -> FoxMilnorResult:
@@ -360,18 +369,16 @@ def presentation_battery(p: WittPresentation, name: str = "(presentation)") -> O
                              p.signature_function(), None)
 
 
-@dataclass(frozen=True)
-class CrossCheck:
-    """Checked diagnostics for one (p, q) pair: the signature additivity of
-    J(p, q), checked at every arc sample of its signature function on the
-    parts' own Seifert matrices in integer arithmetic, and the telescoping
-    identity phi_{q-1} ~ phi_{q+1}, checked when J(p, q)'s battery finds no
-    obstruction.  A failure of either raises, so neither can record one:
-    `additivity` is a class attribute, always "pass"."""
+class CrossCheck(namedtuple("CrossCheck", "p q telescoping")):
+    """Checked diagnostics for the pair of ints (p, q): the signature
+    additivity of J(p, q), checked at every arc sample of its signature
+    function on the parts' own Seifert matrices in integer arithmetic, and
+    the telescoping identity phi_{q-1} ~ phi_{q+1}, checked when J(p, q)'s
+    battery finds no obstruction (`telescoping`, "verified" or "skipped").
+    A failure of either raises, so neither can record one: `additivity` is
+    a class attribute, always "pass"."""
 
-    p: int
-    q: int
-    telescoping: str  # "verified" | "skipped"
+    __slots__ = ()
     additivity = "pass"
 
 
@@ -405,15 +412,14 @@ def _additive_j_battery(knot: WittPresentation, p: int, q: int) -> ObstructionRe
     return report
 
 
-@dataclass(frozen=True)
-class BingReport:
-    """Verdict about the Bing double B(K): the battery on K and the machinery
-    cross-checks.  The verdict, certificate, conclusion and Arf
-    side-certificate are read off the battery."""
+class BingReport(namedtuple("BingReport", "battery crosschecks check_range")):
+    """Verdict about the Bing double B(K): `battery`, the ObstructionReport
+    on K, `crosschecks`, a tuple of the machinery's CrossChecks, and
+    `check_range`, the int bound on their p and q.  The verdict,
+    certificate, conclusion and Arf side-certificate are read off the
+    battery."""
 
-    battery: ObstructionReport
-    crosschecks: tuple
-    check_range: int
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:

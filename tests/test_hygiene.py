@@ -54,11 +54,18 @@ its ``cache_info``, as ``perfbench/worker.py`` does, and fails on any that
 no tracer layer with ``cache=True`` wraps: a cache whose hit rate no traced
 run reads cannot show whether it earns its memory.  Every name exempted
 from that rule must still be a cache of the package.
+
+The import-footprint check imports the package in a fresh ``python -S``
+and fails if that loaded ``dataclasses``, ``inspect`` or ``ast``: each
+verdict and CLI call is a fresh process, and those three modules cost
+about 5.6 ms of its start-up for nothing the package needs.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -554,3 +561,14 @@ def test_no_stale_cache_exemption():
     # an exemption whose cache is gone would exempt any later cache of that name
     stale = sorted(set(CACHE_EXEMPT) - set(package_caches()))
     assert not stale, "CACHE_EXEMPT names no lru_cache of the package: " + ", ".join(stale)
+
+
+def test_import_loads_no_introspection_modules():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, bingcheck; print(' '.join(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "bingcheck.witt" in loaded
+    heavy = sorted({"dataclasses", "inspect", "ast"} & set(loaded))
+    assert not heavy, "import bingcheck loads " + ", ".join(heavy)

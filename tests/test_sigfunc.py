@@ -21,7 +21,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from bingcheck.catalog import builtin_catalog
 from bingcheck.factor import factor_rational
 import bingcheck.fields as fields
+import bingcheck.sigfunc as sigfunc
 import bingcheck.witt as witt_module
+from bingcheck.errors import InternalInvariantError
 from bingcheck.fields import (
     cayley_point,
     cos_enclosure,
@@ -44,6 +46,7 @@ from bingcheck.sigfunc import (
     _gap,
     _separate_all,
     circle_jump_factors,
+    pullback_signature_function,
     same_step_function,
     signature_function_of_matrix,
 )
@@ -573,6 +576,45 @@ class TestPullback:
         for pres in (phi(base, 2), witt_sum(phi(base, 3), base)):
             presentation_battery(pres)
         assert built == [base.matrix]
+
+    def test_forged_nullity_raises(self):
+        # the nullity at a factor's roots lies in [1, its multiplicity]
+        base, _ = from_seifert(SeifertMatrix(TREFOIL)).parts[0]
+        factors, jumps = base.substituted(2)
+        function = pullback_signature_function([(base.function, 2)], factors, jumps)
+        assert function.jumps
+        multiplicity = dict(factors)
+        for h, (_, roots) in jumps.items():
+            if not roots:
+                continue
+            for forged in (0, multiplicity[h] + 1):
+                with pytest.raises(InternalInvariantError, match="nullity %d" % forged):
+                    pullback_signature_function([(base.function, 2)], factors,
+                                                {**jumps, h: (forged, roots)})
+
+    def test_matrix_path_bounds_each_nullity(self, monkeypatch):
+        # a rank of 0 gives the trefoil's 2 x 2 form nullity 2 at the simple
+        # factor t^2 - t + 1
+        monkeypatch.setattr(sigfunc, "rank_over_factor", lambda B, p: 0)
+        s = SeifertMatrix(TREFOIL)
+        with pytest.raises(InternalInvariantError, match="nullity 2 .* multiplicity 1"):
+            signature_function_of_matrix(s.seifert_form(), factor_list(alexander(s)))
+
+    def test_a_base_isolates_each_circle_factor_once(self, monkeypatch):
+        isolated = []
+        original = witt_module.sturm_isolate
+
+        def recording(g, lo, hi):
+            isolated.append(g)
+            return original(g, lo, hi)
+
+        monkeypatch.setattr(witt_module, "sturm_isolate", recording)
+        base = from_seifert(SeifertMatrix(T25))
+        # t - 1 and Phi_10 of T(2, 5)'s order share factors between k
+        for k in (1, 2, 3, 6):
+            presentation_battery(phi(base, k))
+        presentation_battery(witt_sum(phi(base, 2), witt_sum(phi(base, 6), phi(base, 4))))
+        assert isolated and len(isolated) == len(set(isolated))
 
 
 class TestAgainstRootOfUnitySampler:

@@ -1,7 +1,6 @@
 """Tests for Witt presentations, the obstruction battery, and the
 Bing-double verdict."""
 
-import dataclasses
 import sys
 from fractions import Fraction
 from math import gcd, isqrt
@@ -671,9 +670,9 @@ class TestAdditivityAtArcSamples:
             def shifted(p, i=i):
                 report = original(p)
                 moved = list(report.signature.arcs)
-                moved[i] = dataclasses.replace(moved[i], signature=moved[i].signature + 2)
-                signature = dataclasses.replace(report.signature, arcs=tuple(moved))
-                return dataclasses.replace(report, signature=signature)
+                moved[i] = moved[i]._replace(signature=moved[i].signature + 2)
+                signature = report.signature._replace(arcs=tuple(moved))
+                return report._replace(signature=signature)
 
             monkeypatch.setattr(witt, "presentation_battery", shifted)
             with pytest.raises(InternalInvariantError, match=r"J\(1, 1\)"):
@@ -709,9 +708,9 @@ class TestPullbackInVerdict:
             def shifted(s, i=i):
                 report = original(s)
                 moved = list(report.signature.arcs)
-                moved[i] = dataclasses.replace(moved[i], signature=moved[i].signature + 2)
-                signature = dataclasses.replace(report.signature, arcs=tuple(moved))
-                return dataclasses.replace(report, signature=signature)
+                moved[i] = moved[i]._replace(signature=moved[i].signature + 2)
+                signature = report.signature._replace(arcs=tuple(moved))
+                return report._replace(signature=signature)
 
             monkeypatch.setattr(witt, "obstruction_battery", shifted)
             with pytest.raises(InternalInvariantError, match=r"J\(1, 1\)"):
