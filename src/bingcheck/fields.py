@@ -26,10 +26,10 @@ element is rational and its enclosure is the exact value cos 0 = 1.
 A field element is int numerators over one positive int denominator.
 Reduction mod m, and each step of an inverse's remainder sequence, is one
 call of laurent.dense_pseudo_divmod; the power of lc(m) it scales by goes
-into the denominator.  Ranks
-"at" a root of an irreducible factor P (each jump's nullity) do not use the
-quotient field: rank_over_factor eliminates fraction-free in Z[t] modulo P,
-so PolyQuotientField serves only Q(zeta_q).
+into the denominator.  Ranks "at" a root of an irreducible factor P (each
+jump's nullity) do not use the quotient field: rank_over_factor runs the
+determinant's Bareiss loop over Z[t], so PolyQuotientField serves only
+Q(zeta_q).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from math import gcd
 from .errors import InternalInvariantError
 from .laurent import _strip, as_fraction, as_laurent, dense_cross, dense_mul, dense_pseudo_divmod
 from .intpoly import IntPoly, cyclotomic, sturm_isolate, u_image
-from .matrices import _denominator_lcm
+from .matrices import _bareiss, _denominator_lcm
 
 __all__ = [
     "CyclotomicField",
@@ -321,30 +321,13 @@ def evaluated_hermitian_signature(M, point):
     return _hermitian_signature(field, H)
 
 
-def _reduced_row(row, modulus: IntPoly) -> list:
-    """lc(P)^e row mod P in Z[t], divided by its integer content: a nonzero
-    scalar multiple of the row in Q[t]/(P), every entry of degree below
-    deg P.  One exponent e serves the whole row: every entry is padded with
-    zeros to the length of the longest, and dense_pseudo_divmod's exponent
-    is fixed by the lengths."""
-    top = max(len(x) for x in row)
-    if top > modulus.degree:
-        row = [dense_pseudo_divmod(x + [0] * (top - len(x)), modulus.coeffs)[1] for x in row]
-    content = 0
-    for x in row:
-        for c in x:
-            content = gcd(content, c)
-    return row if content < 2 else [[c // content for c in x] for x in row]
-
-
 def rank_over_factor(M, modulus: IntPoly) -> int:
     """Rank of a square Laurent matrix over the field Q[t]/(modulus).
 
     The modulus must be irreducible with nonzero constant term (so t is a
     unit).  This is the rank of M(omega) for every root omega of the modulus.
-    M is eliminated fraction-free in Z[t]: row_r <- p row_r - a row_pivot,
-    every row kept reduced modulo the modulus and divided by its content
-    (_reduced_row).
+    It counts the pivots of matrices._bareiss on the integer rows t^s L M,
+    an entry a pivot when the modulus does not divide it.
     """
     if M.cols != M.rows:
         raise ValueError("square matrix required")
@@ -352,25 +335,6 @@ def rank_over_factor(M, modulus: IntPoly) -> int:
         raise ValueError("modulus must have positive degree")
     if modulus.coeff(0) == 0:
         raise ValueError("modulus must not vanish at 0")
-    # t is a unit modulo the modulus, so the t^s that clears every negative
-    # exponent keeps the rank, and so does the integer scale L
-    rows = [_reduced_row(r, modulus) for r in M.integer_poly_rows()[0]]
-    rank = 0
-    for col in range(M.cols):
-        pivot = next((r for r in range(rank, M.rows) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pivot_row = rows[rank]
-        p = pivot_row[col]
-        for r in range(rank + 1, M.rows):
-            a = rows[r][col]
-            if a:
-                # row_r <- p row_r - a row_pivot: a nonzero multiple of row_r
-                # minus a multiple of the pivot row, so the rank is kept
-                rows[r] = _reduced_row(
-                    [dense_cross(p, x, a, y) for x, y in zip(rows[r], pivot_row)], modulus)
-        rank += 1
-        if rank == M.rows:
-            break
-    return rank
+    # t^s and L are units modulo the modulus: they keep the rank
+    return _bareiss(M.integer_poly_rows()[0],
+                    lambda x: bool(dense_pseudo_divmod(x, modulus.coeffs)[1]))[0]

@@ -366,6 +366,11 @@ class RootInterval(namedtuple("RootInterval", "lo hi poly")):
             raise InternalInvariantError("isolating interval lacks a sign change")
         return super().__new__(cls, lo, hi, poly)
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo

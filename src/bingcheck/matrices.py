@@ -8,14 +8,15 @@ entries alone.  Whether some entry is a LaurentPoly is read off the entries,
 never stored: the determinant of such a matrix is a LaurentPoly even when it
 is constant, and a block sum with one is padded with Laurent zeros.
 
-Determinants come from one kernel on dense integer coefficient lists,
-bareiss_det: fraction-free Bareiss elimination over Z[t], whose interior
-divisions are exact.  det feeds it every matrix: its entries times t^s, the
-least power that clears every negative exponent, and times L, the lcm of
-every denominator (integer_poly_rows); the kernel's determinant is then
-divided by L^n t^(sn).  resultant feeds it the Sylvester matrix of two
-integer polynomials, whose determinant is their resultant.  Signatures of
-symmetric matrices come from one kernel on lists of Python ints,
+Determinants and ranks over Q[t]/(P) come from one loop on dense integer
+coefficient lists, _bareiss: fraction-free Bareiss elimination over Z[t],
+with exact divisions; its pivot test is "nonzero" for bareiss_det and "P
+does not divide it" for fields.rank_over_factor.  det feeds bareiss_det
+every matrix: its entries times t^s, the least power that clears every
+negative exponent, and times L, the lcm of every denominator
+(integer_poly_rows), and divides by L^n t^(sn).  resultant feeds it the
+Sylvester matrix of two integer polynomials.  Signatures of symmetric
+matrices come from one kernel on lists of Python ints,
 symmetric_signature: the same fraction-free elimination with diagonal
 pivots, whose successive pivots are principal minors, so that their signs
 give the signature.  A rational matrix is first scaled to integers
@@ -30,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .laurent import LaurentPoly, as_fraction, dense_cross, dense_exact_div
+from .laurent import LaurentPoly, as_fraction, dense_cross, dense_exact_div, dense_mul
 
 __all__ = ["ExactMatrix", "bareiss_adjugate", "bareiss_det", "resultant", "symmetric_signature"]
 
@@ -185,41 +186,64 @@ class ExactMatrix:
 def bareiss_det(rows) -> list:
     """The determinant of a square matrix over Z[t], each entry a dense
     ascending list of ints ([] for 0), as such a list; the rows given are
-    not changed.
-
-    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): each step
-    replaces every entry below and right of the pivot p by
-    (m_ij p - m_ik m_kj) / prev, prev the previous pivot ([1] at the
-    start); the division is exact in Z[t] and runs in ints
-    (dense_exact_div).  A zero pivot is swapped with a nonzero entry
-    below it, which flips the sign; a column with none gives 0.
+    not changed: the signed last pivot of _bareiss, or 0 if it skips a
+    column.
 
     >>> bareiss_det([[[0, 1], [1]], [[1], [0, 1]]])      # t^2 - 1
     [-1, 0, 1]
     >>> bareiss_det([])
     [1]
     """
-    rows = [list(r) for r in rows]
+    rank, sign, d = _bareiss([list(r) for r in rows], bool)
+    return [] if rank < len(rows) else [sign * c for c in d]
+
+
+def _bareiss(rows, is_pivot) -> tuple:
+    """(r, sign, p) of fraction-free elimination (Bareiss, Math. Comp. 22,
+    1968) of square rows over Z[t] (dense ascending int lists, [] for 0),
+    in place: r pivots, sign that of the row swaps, p the last pivot.
+
+    Column by column, the first entry at or below row r that passes
+    is_pivot is swapped up (a column with none is skipped), and each row
+    below with m_ik != 0 becomes (p m_ij - m_ik m_kj) / d, exactly in Z[t],
+    d the pivot of the row's own last step: a row with m_ik = 0 is left
+    alone, as the step would only scale it by p / prev, and a pivot row is
+    first scaled by prev / d.  By Sylvester's identity, entry (i, j) right
+    of the last pivot column is then, up to a ratio of pivots, the
+    (r+1)-minor on the pivot rows and i and the pivot columns and j, which
+    borders the r-minor p.  Tested "nonzero", r is the rank.  Tested
+    "nonzero mod P", every pivot is a unit of Q[t]/(P), a skipped column is
+    there a combination of the pivot columns left of it (the minors
+    bordering the one before it vanish), and at the end every (r+1)-minor
+    bordering p vanishes mod P: r is the rank over Q[t]/(P).
+    """
     n = len(rows)
-    sign, prev = 1, [1]
-    for k in range(n - 1):
-        if not rows[k][k]:
-            pivot = next((r for r in range(k + 1, n) if rows[r][k]), None)
-            if pivot is None:
-                return []
-            rows[k], rows[pivot] = rows[pivot], rows[k]
+    rank, sign, prev = 0, 1, [1]
+    last = [prev] * n
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if is_pivot(rows[r][col])), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            last[rank], last[pivot] = last[pivot], last[rank]
             sign = -sign
-        pivot_row = rows[k]
-        p = pivot_row[k]
-        for i in range(k + 1, n):
-            row = rows[i]
-            f = row[k]
-            for j in range(k + 1, n):
-                num = dense_cross(row[j], p, f, pivot_row[j])
-                row[j] = num if prev == [1] else dense_exact_div(num, prev)
+        pivot_row = rows[rank]
+        if last[rank] != prev:
+            pivot_row[col:] = [dense_exact_div(dense_mul(x, prev), last[rank])
+                               for x in pivot_row[col:]]
+        p = pivot_row[col]
+        for i in range(rank + 1, n):
+            row, d = rows[i], last[i]
+            f = row[col]
+            if f:
+                for j in range(col + 1, n):
+                    num = dense_cross(row[j], p, f, pivot_row[j])
+                    row[j] = num if d == [1] else dense_exact_div(num, d)
+                last[i] = p
         prev = p
-    d = rows[-1][-1] if n else [1]
-    return [-c for c in d] if sign < 0 else d
+        rank += 1
+    return rank, sign, prev
 
 
 def resultant(f, g) -> int:
@@ -251,7 +275,7 @@ def bareiss_adjugate(rows) -> tuple:
     Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
     on [M | I]: each step replaces every row i but the pivot row k by
     (p row_i - m_ik row_k) / prev, an exact division, p and prev as in
-    bareiss_det.  The last pivot is det M up to the sign of the row swaps;
+    _bareiss.  The last pivot is det M up to the sign of the row swaps;
     M's block ends as it times I, I's as it times M^-1.
 
     >>> bareiss_adjugate([[2, 1], [1, 1]])

@@ -6,6 +6,8 @@ against numpy, a floating-point oracle used only here.
 
 import cmath
 import math
+import random
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -25,9 +27,10 @@ from bingcheck.intpoly import IntPoly, cyclotomic, dickson
 from bingcheck.laurent import LaurentPoly, as_laurent, parse_poly
 from bingcheck.matrices import ExactMatrix, symmetric_signature
 from bingcheck.factor import factor_rational
-from bingcheck.seifert import SeifertMatrix, alexander
+from bingcheck.seifert import SeifertMatrix, alexander, connected_sum
 from bingcheck.sigfunc import circle_jump_factors
-from strategies import admissible_forms, integral_or_rational_forms
+from bingcheck.witt import obstruction_battery
+from strategies import admissible_forms, integral_or_rational_forms, symplectic_seifert
 
 
 class TestCosEnclosure:
@@ -257,6 +260,21 @@ class TestHermitianSignature:
             evaluated_hermitian_signature(m, root_of_unity(Fraction(1, 3)))
 
 
+laurent_polys = st.dictionaries(
+    st.integers(-3, 3), st.integers(-3, 3), max_size=4
+).map(LaurentPoly)
+rational_laurent_polys = st.dictionaries(
+    st.integers(-3, 3),
+    st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)),
+    max_size=4,
+).map(LaurentPoly)
+# irreducible over Q, with nonzero constant term
+MODULI = [IntPoly(m) for m in (
+    "2t - 1", "t + 3", "t^2 + 1", "t^2 - t + 1", "t^2 - 3t + 1", "2t^2 + t + 3",
+    "t^3 - t - 1", "t^4 + t^3 + t^2 + t + 1", "t^4 - 2",
+)]
+
+
 class TestRankOverFactor:
     def test_trefoil_drops_rank_at_its_alexander_factor(self):
         b = seifert_form_matrix(TREFOIL)
@@ -283,11 +301,53 @@ class TestRankOverFactor:
     @given(integral_or_rational_forms(), st.integers(1, 4), st.data())
     @settings(max_examples=30, deadline=None)
     def test_matches_quotient_field_elimination(self, s, k, data):
-        # at the factors of Delta(t^k), where the rank drops, and at t + 1
+        # at the factors of Delta(t^k), where the rank drops, and at t + 1;
+        # s # s repeats each factor, so its rank drops by 2 or more there
+        if data.draw(st.booleans()):
+            s = connected_sum(s, s)
         B = s.seifert_form().substitute_power(k)
         moduli = [g for g, _ in factor_rational(alexander(s).substitute_power(k))[1]]
         modulus = data.draw(st.sampled_from(moduli + [IntPoly("t + 1")]))
         assert rank_over_factor(B, modulus) == quotient_field_rank(B, modulus)
+
+    @given(st.integers(1, 4), st.sampled_from(MODULI), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_columns_divisible_by_the_modulus(self, n, modulus, data):
+        # such a column vanishes mod the modulus, so the elimination skips it,
+        # a path the determinant never takes
+        rows = [[data.draw(rational_laurent_polys) for _ in range(n)] for _ in range(n)]
+        P = modulus.to_laurent()
+        for j in data.draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            f = P * data.draw(laurent_polys)
+            for r in rows:
+                r[j] *= f
+        M = ExactMatrix(rows)
+        assert rank_over_factor(M, modulus) == quotient_field_rank(M, modulus)
+
+    def test_dense_genus_eight_forms(self):
+        # the recipe of five dense genus-8 forms whose batteries once ran
+        # for minutes in the rank; the alarm turns a return of that stall
+        # into a failure with a traceback
+        def stalled(signum, frame):
+            raise TimeoutError("genus-8 battery ran over 60 s")
+
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(60)
+        try:
+            for i in range(5):
+                rng = random.Random(8000 + i)
+                s = symplectic_seifert(8, [rng.randint(-3, 3) for _ in range(136)])
+                report = obstruction_battery(s)
+                B = s.seifert_form()
+                ranks = {p: quotient_field_rank(B, p)
+                         for p, _ in circle_jump_factors(report.factors)}
+                for p, want in ranks.items():
+                    assert rank_over_factor(B, p) == want, (i, p)
+                for j in report.signature.jumps:
+                    assert j.nullity == 16 - ranks[j.factor], (i, j)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def quotient_field_rank(M, modulus):
@@ -327,21 +387,6 @@ seifert_forms = admissible_forms().map(SeifertMatrix.seifert_form)
 angles = st.integers(2, 16).flatmap(
     lambda q: st.integers(1, q - 1).map(lambda a: Fraction(a, q))
 )
-laurent_polys = st.dictionaries(
-    st.integers(-3, 3), st.integers(-3, 3), max_size=4
-).map(LaurentPoly)
-rational_laurent_polys = st.dictionaries(
-    st.integers(-3, 3),
-    st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)),
-    max_size=4,
-).map(LaurentPoly)
-# irreducible over Q, with nonzero constant term
-MODULI = [IntPoly(m) for m in (
-    "2t - 1", "t + 3", "t^2 + 1", "t^2 - t + 1", "t^2 - 3t + 1", "2t^2 + t + 3",
-    "t^3 - t - 1", "t^4 + t^3 + t^2 + t + 1", "t^4 - 2",
-)]
-
-
 class TestAgainstNumericOracle:
     @given(seifert_forms, st.integers(1, 3), angles)
     @settings(max_examples=30, deadline=None)

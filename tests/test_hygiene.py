@@ -81,6 +81,7 @@ INTEGER_MATH = {"gcd", "isqrt"}
 # definitions nothing in READERS reads by name, kept on purpose
 API_EXEMPT = {
     "error",  # cli's ArgumentParser.error override: argparse calls it
+    "_make",  # RootInterval's namedtuple override: namedtuple's _replace calls it
 }
 # (function, parameter) defaults no call in READERS passes, kept on purpose
 DEFAULT_EXEMPT = {

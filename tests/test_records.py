@@ -90,3 +90,12 @@ def test_root_interval_without_a_sign_change_raises():
     # an exact root needs none, and a sign change passes
     assert RootInterval(Fraction(1), Fraction(1), IntPoly("t - 1")).lo == 1
     assert RootInterval(Fraction(0), Fraction(2), IntPoly("t^2 - 2")).hi == 2
+
+
+def test_root_interval_replace_keeps_the_sign_change_check():
+    root = RootInterval(Fraction(0), Fraction(2), IntPoly("t^2 - 2"))
+    with pytest.raises(InternalInvariantError, match="sign change"):
+        root._replace(hi=Fraction(1))
+    with pytest.raises(InternalInvariantError, match="sign change"):
+        RootInterval._make([Fraction(0), Fraction(1), root.poly])
+    assert root._replace(lo=Fraction(1)) == (1, 2, root.poly)

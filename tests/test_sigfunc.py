@@ -50,7 +50,7 @@ from bingcheck.sigfunc import (
     same_step_function,
     signature_function_of_matrix,
 )
-from strategies import admissible_forms
+from strategies import admissible_forms, symplectic_seifert
 from bingcheck.witt import (
     from_seifert,
     jpq_presentation,
@@ -93,21 +93,6 @@ def block_diag(*mats):
                 out[off + i][off + j] = m[i][j]
         off += len(m)
     return out
-
-
-def symplectic_seifert(genus, upper):
-    """Integral 2g x 2g Seifert matrix with A - A^T the standard symplectic
-    form, its upper triangle (diagonal included) read row by row from
-    `upper`."""
-    n = 2 * genus
-    entries = iter(upper)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = next(entries)
-            if j > i:
-                rows[j][i] = rows[i][j] - (1 if j == i + 1 and i % 2 == 0 else 0)
-    return SeifertMatrix(rows)
 
 
 # phi_5 of its form has 8 arcs, with values -2 and 0
