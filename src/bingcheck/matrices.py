@@ -6,7 +6,8 @@ rational coefficients, stored as given.  The two mix as numbers do
 hashes as the number it equals, so a matrix is compared and hashed by its
 entries alone.  Whether some entry is a LaurentPoly is read off the entries,
 never stored: the determinant of such a matrix is a LaurentPoly even when it
-is constant, and a block sum with one is padded with Laurent zeros.
+is constant.  A block sum is padded with 0, which equals and hashes as the
+zero LaurentPoly.
 
 Determinants and ranks over Q[t]/(P) come from one loop on dense integer
 coefficient lists, _bareiss: fraction-free Bareiss elimination over Z[t],
@@ -128,23 +129,12 @@ class ExactMatrix:
         return ExactMatrix(zip(*self._rows))
 
     def block_sum(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Block-diagonal sum, padded with the zero of the Laurent ring if
-        either summand has a LaurentPoly entry."""
-        laurent = self._has_laurent_entry() or other._has_laurent_entry()
-        zero = LaurentPoly.zero() if laurent else 0
+        """Block-diagonal sum, padded with 0: a zero LaurentPoly equals and
+        hashes as 0, so a Laurent block sum has the same det, equality and
+        hash either way."""
         return ExactMatrix(
-            [r + (zero,) * other._n for r in self._rows]
-            + [(zero,) * self._n + r for r in other._rows]
-        )
-
-    def substitute_power(self, n: int) -> "ExactMatrix":
-        """Entrywise t -> t^n, constant (Fraction) entries kept; n must be
-        nonzero."""
-        if n == 0:
-            raise ValueError("power must be nonzero")
-        return ExactMatrix(
-            [[e.substitute_power(n) if isinstance(e, LaurentPoly) else e for e in r]
-             for r in self._rows]
+            [r + (0,) * other._n for r in self._rows]
+            + [(0,) * self._n + r for r in other._rows]
         )
 
     def integer_rows(self) -> tuple:

@@ -10,9 +10,9 @@ is a formal sum of parts (base, k), standing for the block sum of the
 substituted forms phi_k B = B(t^k).  The paper's argument works on such
 sums: the infection J(p, q) of a pattern on a companion K has Witt class
 phi_p W(K) + phi_{p+q} W(K) + phi_q W(K).  So phi_n multiplies each k by
-n and block sum concatenates the parts; the ring, matrix, order and factor
-list are read off the parts, and the signature function is pulled back
-from each base's own (sigfunc.pullback_signature_function).  A base
+n and block sum concatenates the parts; the ring, order and factor list
+are read off the parts, and the signature function is pulled back from
+each base's own (sigfunc.pullback_signature_function).  A base
 decides what each factor g of its order becomes under t -> t^k: the
 factors of g(t^k), and B's nullity at the roots of g, which B(t^k) has at
 theirs; the pullback sums those nullities over the parts and builds no
@@ -43,7 +43,6 @@ from .errors import AdmissibilityError, InternalInvariantError
 from .laurent import LaurentPoly
 from .intpoly import IntPoly, cyclotomic, cyclotomic_order, sturm_isolate
 from .factor import factor_rational, merge_factors
-from .matrices import ExactMatrix
 from .sigfunc import (
     SignatureFunction,
     circle_jump_factors,
@@ -169,12 +168,12 @@ def _substituted_factors(g: IntPoly, d: int | None, n: int):
 class WittPresentation:
     """The block sum of the phi_k B = B(t^k) over its parts, the (base, k)
     pairs, in order, each base a knot's own record.  The parts are all it
-    stores; its ring, size, matrix, order, factor list and signature
-    function are read off them.  The matrix, the block sum of the bases'
-    seifert_form L B at t^k, is built on each read, which in the package
-    is only __eq__ and __hash__.  Only from_seifert, phi, witt_sum, jpq_presentation and
-    the Bing verdict build one, and the constructor checks nothing; the
-    class stays exported for type use."""
+    stores; its ring, order, factor list and signature function are read
+    off them, and no Laurent form is built.  Two presentations are compared
+    through their parts; the class defines no equality of its own.  Only
+    from_seifert, phi, witt_sum, jpq_presentation and the Bing verdict
+    build one, and the constructor checks nothing; the class stays
+    exported for type use."""
 
     __slots__ = ("_parts",)
 
@@ -188,15 +187,6 @@ class WittPresentation:
     @property
     def ring(self) -> str:
         return "Z" if all(base.seifert.integral for base, _ in self._parts) else "Q"
-
-    @property
-    def size(self) -> int:
-        return sum(base.seifert.size for base, _ in self._parts)
-
-    @property
-    def matrix(self) -> ExactMatrix:
-        return reduce(ExactMatrix.block_sum,
-                      (base.seifert.seifert_form().substitute_power(k) for base, k in self._parts))
 
     def order(self) -> LaurentPoly:
         """Normalized determinant: the order of the presented torsion module
@@ -221,16 +211,9 @@ class WittPresentation:
         return pullback_signature_function(
             [(base.function, k) for base, k in self._parts], self.factors(), jumps)
 
-    def __eq__(self, other):
-        if not isinstance(other, WittPresentation):
-            return NotImplemented
-        return self.matrix == other.matrix and self.ring == other.ring
-
-    def __hash__(self):
-        return hash((self.matrix, self.ring))
-
     def __repr__(self):
-        return "WittPresentation(size=%d, ring=%s)" % (self.size, self.ring)
+        size = sum(base.seifert.size for base, _ in self._parts)
+        return "WittPresentation(size=%d, ring=%s)" % (size, self.ring)
 
 
 def from_seifert(s: SeifertMatrix) -> WittPresentation:

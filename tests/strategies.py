@@ -1,11 +1,17 @@
-"""Seifert matrices shared by the test modules: hypothesis strategies for
-admissible ones of genus 1 and up, integral or rational, and
-symplectic_seifert, which builds one from its upper triangle."""
+"""Seifert matrices and Laurent forms shared by the test modules:
+hypothesis strategies for admissible Seifert matrices of genus 1 and up,
+integral or rational; symplectic_seifert, which builds one from its upper
+triangle; and the reference Laurent matrix of a Witt presentation, which
+the package never builds: presentation_matrix, the block sum of its parts'
+forms substituted by t -> t^k (substituted)."""
 
 from fractions import Fraction
+from functools import reduce
 
 from hypothesis import strategies as st
 
+from bingcheck.laurent import LaurentPoly
+from bingcheck.matrices import ExactMatrix
 from bingcheck.seifert import SeifertMatrix
 
 
@@ -42,3 +48,18 @@ def symplectic_seifert(genus, upper):
             if j > i:
                 rows[j][i] = rows[i][j] - (1 if j == i + 1 and i % 2 == 0 else 0)
     return SeifertMatrix(rows)
+
+
+def substituted(m, k):
+    """The matrix m(t^k): t -> t^k on each LaurentPoly entry, a constant
+    entry kept."""
+    return ExactMatrix([[e.substitute_power(k) if isinstance(e, LaurentPoly) else e
+                         for e in row] for row in m.entries])
+
+
+def presentation_matrix(p):
+    """The Laurent matrix a Witt presentation stands for: the block sum over
+    its parts (base, k) of the base's seifert_form at t^k."""
+    return reduce(ExactMatrix.block_sum,
+                  (substituted(base.seifert.seifert_form(), k) for base, k in p.parts),
+                  ExactMatrix([]))

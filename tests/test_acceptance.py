@@ -37,6 +37,7 @@ from bingcheck.witt import (
 )
 from bingcheck.catalog import builtin_catalog, catalog_lookup, print_seifert
 from bingcheck.cli import main
+from strategies import presentation_matrix
 
 CATALOG = builtin_catalog()
 TREFOIL = catalog_lookup("3_1").seifert
@@ -132,7 +133,7 @@ def test_criterion_4_jpq_consistency():
         b = s.seifert_form()
         for p in (1, 2, 3):
             for q in (1, 2, 3):
-                j = jpq_presentation(s, p, q).matrix
+                j = presentation_matrix(jpq_presentation(s, p, q))
                 for theta in ANGLES_20:
                     lhs = evaluated_hermitian_signature(j, root_of_unity(theta))
                     parts = [_sig_with_basepoint(b, k * theta)
@@ -188,16 +189,17 @@ def test_criterion_6_phi_laws():
                     Fraction(1, 9), Fraction(4, 11))
     for entry in CATALOG:
         pres = from_seifert(entry.seifert)
-        assert phi(phi(pres, 3), 5) == phi(pres, 15)
-        assert phi(phi(pres, 5), 3) == phi(pres, 15)
+        assert phi(phi(pres, 3), 5).parts == phi(pres, 15).parts
+        assert phi(phi(pres, 5), 3).parts == phi(pres, 15).parts
+        b = presentation_matrix(pres)
         for n in (3, 5):
             image = phi(pres, n)
+            bn = presentation_matrix(image)
             assert image.order() \
                 == normalize_unit(pres.order().substitute_power(n))
-            assert image.order() == normalize_unit(image.matrix.det())
+            assert image.order() == normalize_unit(bn.det())
             for theta in check_angles:
-                assert _sig_with_basepoint(image.matrix, theta) \
-                    == _sig_with_basepoint(pres.matrix, n * theta)
+                assert _sig_with_basepoint(bn, theta) == _sig_with_basepoint(b, n * theta)
     _ok(6, "phi composition, order substitution, signature "
            "reparametrization (n = 3, 5) on the full catalog")
 

@@ -30,7 +30,12 @@ from bingcheck.factor import factor_rational
 from bingcheck.seifert import SeifertMatrix, alexander, connected_sum
 from bingcheck.sigfunc import circle_jump_factors
 from bingcheck.witt import obstruction_battery
-from strategies import admissible_forms, integral_or_rational_forms, symplectic_seifert
+from strategies import (
+    admissible_forms,
+    integral_or_rational_forms,
+    substituted,
+    symplectic_seifert,
+)
 
 
 class TestCosEnclosure:
@@ -305,7 +310,7 @@ class TestRankOverFactor:
         # s # s repeats each factor, so its rank drops by 2 or more there
         if data.draw(st.booleans()):
             s = connected_sum(s, s)
-        B = s.seifert_form().substitute_power(k)
+        B = substituted(s.seifert_form(), k)
         moduli = [g for g, _ in factor_rational(alexander(s).substitute_power(k))[1]]
         modulus = data.draw(st.sampled_from(moduli + [IntPoly("t + 1")]))
         assert rank_over_factor(B, modulus) == quotient_field_rank(B, modulus)
@@ -391,7 +396,7 @@ class TestAgainstNumericOracle:
     @given(seifert_forms, st.integers(1, 3), angles)
     @settings(max_examples=30, deadline=None)
     def test_hermitian_signature_matches_eigenvalues(self, B, n, angle):
-        M = B.substitute_power(n)
+        M = substituted(B, n)
         eig = np.linalg.eigvalsh(numeric(M, cmath.exp(2j * math.pi * angle)))
         assume(all(abs(e) > 1e-6 for e in eig))
         want = sum(1 for e in eig if e > 0) - sum(1 for e in eig if e < 0)
@@ -432,7 +437,7 @@ class TestAgainstNumericOracle:
     @settings(max_examples=30, deadline=None)
     def test_cayley_signature_matches_eigenvalues(self, B, n, a, b):
         # omega(s) = (1 + i s)/(1 - i s), s of either sign, in Q(i)
-        M = B.substitute_power(n)
+        M = substituted(B, n)
         s = Fraction(a, b)
         eig = np.linalg.eigvalsh(numeric(M, complex(1, a / b) / complex(1, -a / b)))
         assume(all(abs(e) > 1e-6 for e in eig))

@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never uses, the package
-computes without floating point, it defines no API that only tests call,
-and it raises every error it defines.
+computes without floating point, it defines no API that only tests call
+or that only they run, and it raises every error it defines.
 
 A stdlib-only stand-in for a linter's unused-import rule.  Only imports at
 module level are checked.  A name counts as used when the module reads it
@@ -24,6 +24,18 @@ API.  A function or class counts as read as a Name or an Attribute, a
 method only as an Attribute, so a local variable that shares its name does
 not hide it.  Every name exempted from that rule must still be defined in
 the package, so a stale exemption cannot hide a later definition.
+
+The run check runs the package outside the tests under ``sys.setprofile``:
+every CLI subcommand over the catalog and one usage error, ``bing --file``
+and ``batch`` on the golden matrix files, the demos, and the benchmark's
+ops (``perfbench/worker.run_op``) over every workload at one seed.  It
+fails on any function, method or property of the package (dunders are
+exempt) whose code never runs there.  It sees what the API check cannot:
+a method read only by a dunder, or one whose name another class's reader
+shares.  A function's code object starts at its first decorator, so a
+call is matched to a definition by that line or the ``def`` line, and by
+name.  Every exemption from that rule must name a definition of the
+package that the drive does not run.
 
 The parameter check reads every defaulted parameter of every function,
 method and constructor the package defines and fails on any that no call
@@ -64,9 +76,13 @@ about 5.6 ms of its start-up for nothing the package needs.
 import ast
 import importlib
 import importlib.util
+import io
+import json
 import os
+import runpy
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -82,6 +98,14 @@ INTEGER_MATH = {"gcd", "isqrt"}
 API_EXEMPT = {
     "error",  # cli's ArgumentParser.error override: argparse calls it
     "_make",  # RootInterval's namedtuple override: namedtuple's _replace calls it
+}
+# package functions the run check's drive never runs, kept on purpose
+RUN_EXEMPT = {
+    "intpoly.RootInterval._make": "namedtuple's _replace calls it; the package replaces none",
+    "laurent.parse_poly": "the README's polynomial syntax, which IntPoly(str) reads",
+    "laurent.LaurentPoly.zero": "__mul__ and exact_div call it on a zero operand, never driven",
+    "fields._cos_roots": "only signature_at reaches it, at q outside 1, 2, 3, 4, 6; demo 02 "
+                         "samples q = 6, 3, 2",
 }
 # (function, parameter) defaults no call in READERS passes, kept on purpose
 DEFAULT_EXEMPT = {
@@ -344,6 +368,147 @@ def test_no_stale_api_exemption():
     assert not stale, "API_EXEMPT names nothing the package defines: " + ", ".join(stale)
 
 
+def function_definitions(source):
+    """(lines, name, qualified name) for each function, method and property
+    defined in `source`, dunders left out: lines holds the ``def`` line and
+    a decorated function's first decorator line, where its code object
+    starts; the qualified name joins the enclosing classes and functions
+    with dots."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    lines = {child.lineno} | {d.lineno for d in child.decorator_list[:1]}
+                    found.append((lines, child.name, prefix + child.name))
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def functions_run(drive):
+    """(file, first line, name) of each code object under a directory named
+    ``bingcheck`` that is called while drive() runs."""
+    ran = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and "bingcheck" in code.co_filename:
+            ran.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        drive()
+    finally:
+        sys.setprofile(previous)
+    return {(str(Path(f).resolve()), line, name) for f, line, name in ran}
+
+
+def never_run(path, source, ran):
+    """The qualified names of the definitions in `source`, read from
+    `path`, that no code object in `ran` matches by line and name."""
+    path = str(Path(path).resolve())
+    return [qualified for lines, name, qualified in function_definitions(source)
+            if not any((path, line, name) in ran for line in lines)]
+
+
+def test_checker_finds_functions_never_run(tmp_path):
+    source = (
+        "import functools\n"
+        "class Poly:\n"
+        "    def __init__(self): pass\n"
+        "    @property\n"
+        "    def degree(self): return 1\n"
+        "    @functools.lru_cache\n"
+        "    def roots(self): return []\n"
+        "    @classmethod\n"
+        "    def zero(cls): return cls()\n"
+        "    def unused(self):\n"
+        "        def inner(): pass\n"
+        "        return inner\n"
+        "def helper():\n"
+        "    def inner(): pass\n"
+        "    return [inner() for _ in range(2)]\n"
+    )
+    path = tmp_path / "bingcheck" / "toy.py"
+    path.parent.mkdir()
+    path.write_text(source, encoding="utf-8")
+    module = runpy.run_path(str(path))
+
+    def drive():
+        p = module["Poly"]()
+        return p.degree, module["helper"]()
+
+    assert never_run(path, source, functions_run(drive)) == [
+        "Poly.roots", "Poly.zero", "Poly.unused", "Poly.unused.inner"]
+
+
+def drive_outside_the_tests():
+    """Every CLI subcommand over the catalog and one usage error, ``bing
+    --file`` and ``batch`` on the golden matrix files, the demos and the
+    benchmark's ops over every workload at seed 1, all in this process,
+    their output discarded; the package's lru_caches are emptied first, so
+    that a cached function runs however warm the tests left it."""
+    import bingcheck
+    from bingcheck.catalog import builtin_catalog
+    from bingcheck.cli import main
+
+    for cache in package_caches().values():
+        cache.cache_clear()
+    argvs = [["catalog", "list"]]
+    for name in (e.name for e in builtin_catalog()):
+        argvs += [[cmd, name] for cmd in ("invariants", "alexander", "sigfn", "arf",
+                                          "foxmilnor", "bing")]
+        argvs += [["cable", "-n", "2", name], ["cover", "-p", "2", name],
+                  ["foxorder", "-p", "2", name], ["jpq", "-p", "1", "-q", "2", name],
+                  ["catalog", "show", name]]
+    files = sorted(str(p) for p in (ROOT / "tests" / "golden" / "bing").glob("*.matrix"))
+    argvs += [["bing", "--file", f] for f in files] + [["batch"] + files]
+    worker = load_perfbench("worker")
+    workloads = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        codes = [main(argv) for argv in argvs]
+        usage = main(["no-such-command"])
+        for demo in sorted((ROOT / "demos").glob("*.py")):
+            runpy.run_path(str(demo), run_name="__main__")
+        for workload in workloads:
+            ops = worker.load_ops(workload["name"])
+            for op, text in zip(ops, worker.build_inputs(ops, 1)):
+                worker.run_op(bingcheck, op, text)
+    assert codes == [0] * len(argvs) and usage == 1
+
+
+@lru_cache(maxsize=None)
+def package_functions_never_run():
+    """The package's definitions that drive_outside_the_tests never runs,
+    as module.qualified names."""
+    ran = functions_run(drive_outside_the_tests)
+    return [
+        "%s.%s" % (path.stem, qualified) for path in PACKAGE
+        for qualified in never_run(path, path.read_text(encoding="utf-8"), ran)
+    ]
+
+
+def test_every_function_runs_outside_the_tests():
+    missing = [name for name in package_functions_never_run() if name not in RUN_EXEMPT]
+    assert not missing, "never run outside the tests: " + ", ".join(missing)
+
+
+def test_no_stale_run_exemption():
+    # an exemption for a function that is gone, or that now runs, would
+    # hide a later definition of that name that never runs
+    stale = sorted(set(RUN_EXEMPT) - set(package_functions_never_run()))
+    assert not stale, "RUN_EXEMPT names no package function the drive leaves unrun: " \
+        + ", ".join(stale)
+
+
 def defaulted_parameters(source):
     """(line, call name, parameter, position) for each parameter with a
     default of each function in `source`.  The call name of a method is its
@@ -493,17 +658,17 @@ def test_every_error_is_raised():
         "%s (line %d)" % (name, line) for line, name in unraised)
 
 
-def load_tracer():
-    """perfbench/tracer.py as a module (perfbench is not a package)."""
+def load_perfbench(name):
+    """perfbench/<name>.py as a module (perfbench is not a package)."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+        "perfbench_" + name, ROOT / "perfbench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_targets_resolve():
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     broken = []
     for layer in tracer.LAYERS:
         importlib.import_module(layer.target.split(":")[0])
@@ -552,7 +717,7 @@ def test_checker_finds_untraced_caches():
 
 
 def test_every_cache_is_traced():
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     missing = [name for name in untraced_caches(package_caches(), tracer.LAYERS, tracer._resolve)
                if name not in CACHE_EXEMPT]
     assert not missing, "lru_caches no tracer layer reads a hit rate from: " + ", ".join(missing)

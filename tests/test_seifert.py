@@ -32,7 +32,7 @@ from bingcheck.seifert import (
     signature_at,
     signature_function,
 )
-from strategies import admissible_forms, integral_or_rational_forms
+from strategies import admissible_forms, integral_or_rational_forms, substituted
 
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]], name="3_1")
 FIGURE_EIGHT = SeifertMatrix([[1, 1], [0, -1]], name="4_1")
@@ -202,7 +202,7 @@ class TestCayleySignature:
     @settings(max_examples=40, deadline=None)
     def test_matches_the_substituted_form_in_q_i(self, s, n, d, k):
         want = evaluated_hermitian_signature(
-            s.seifert_form().substitute_power(k), cayley_point(Fraction(n, d)))
+            substituted(s.seifert_form(), k), cayley_point(Fraction(n, d)))
         assert cayley_signature(s, *gaussian_power(d, n, k)) == want
 
     def test_omega_squared_is_minus_one(self):

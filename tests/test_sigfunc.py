@@ -50,7 +50,7 @@ from bingcheck.sigfunc import (
     same_step_function,
     signature_function_of_matrix,
 )
-from strategies import admissible_forms, symplectic_seifert
+from strategies import admissible_forms, presentation_matrix, symplectic_seifert
 from bingcheck.witt import (
     from_seifert,
     jpq_presentation,
@@ -130,7 +130,7 @@ def sample_angle_oracle(lo, hi):
 
 
 def function_of(pres):
-    return signature_function_of_matrix(pres.matrix, factor_list(pres.order()))
+    return signature_function_of_matrix(presentation_matrix(pres), factor_list(pres.order()))
 
 
 def resampling_oracle(f, g, B_f, B_g):
@@ -363,7 +363,8 @@ class TestSameStepFunction:
             second = witt_sum(first, witt_sum(
                 phi(p2, b), phi(from_seifert(mirror(s2)), b)))
         f, g = function_of(first), function_of(second)
-        expected = resampling_oracle(f, g, first.matrix, second.matrix)
+        expected = resampling_oracle(f, g, presentation_matrix(first),
+                                     presentation_matrix(second))
         assert same_step_function(f, g) == expected
         if kind == "cancel":
             assert expected
@@ -503,7 +504,7 @@ def assert_pullback_is_matrix_path(pres):
     """The battery's function, pulled back from the bases' own, equals the
     matrix path's on the whole presentation, field for field."""
     assert presentation_battery(pres).signature \
-        == signature_function_of_matrix(pres.matrix, pres.factors())
+        == signature_function_of_matrix(presentation_matrix(pres), pres.factors())
 
 
 class TestPullback:
@@ -560,7 +561,7 @@ class TestPullback:
         base = from_seifert(SeifertMatrix(TREFOIL))
         for pres in (phi(base, 2), witt_sum(phi(base, 3), base)):
             presentation_battery(pres)
-        assert built == [base.matrix]
+        assert built == [presentation_matrix(base)]
 
     def test_forged_nullity_raises(self):
         # the nullity at a factor's roots lies in [1, its multiplicity]
@@ -610,10 +611,11 @@ class TestAgainstRootOfUnitySampler:
         # the battery pulls f back from the function of the form of s
         pres = phi(from_seifert(s), n)
         f = presentation_battery(pres).signature
+        b = presentation_matrix(pres)
         ends = [None] + [j.root for j in f.jumps] + [None]
         for arc, left, right in zip(f.arcs, ends, ends[1:]):
             theta = sample_angle_oracle(*_gap(left, right))
-            assert evaluated_hermitian_signature(pres.matrix, root_of_unity(theta)) \
+            assert evaluated_hermitian_signature(b, root_of_unity(theta)) \
                 == (arc.signature, 0)
 
     def test_arc_path_works_in_q_i_only(self, monkeypatch):
