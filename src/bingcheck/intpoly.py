@@ -32,7 +32,6 @@ __all__ = [
     "RootInterval",
     "cyclotomic",
     "cyclotomic_order",
-    "dickson",
     "divmod_exact",
     "gcd_poly",
     "squarefree_part",
@@ -257,7 +256,10 @@ def cyclotomic_order(f: IntPoly):
     it, so that order is found by repeated t x mod f and only cyclotomic(d)
     is compared with f.  phi(d) >= sqrt(d/2), so deg f = phi(d) forces
     d <= 2 deg^2: a power of t that has not come back to 1 by then never
-    gives a cyclotomic f.
+    gives a cyclotomic f.  Before that scan, f(1) and f(-1) must be values
+    a Phi_d of degree m takes: Phi_d(+-1) lies in {-2, 0, 1, 2, p}, with p
+    a prime of phi(d) >= p - 1, so 0 <= f(1) <= m + 1 and
+    -2 <= f(-1) <= m + 1.
 
     >>> cyclotomic_order(IntPoly('t^2 - t + 1'))
     6
@@ -266,6 +268,10 @@ def cyclotomic_order(f: IntPoly):
     """
     m = f.degree
     if m < 1 or f.lc != 1 or abs(f.coeff(0)) != 1:
+        return None
+    c = f.coeffs
+    at_one, at_minus_one = sum(c), sum(c[0::2]) - sum(c[1::2])
+    if not (0 <= at_one <= m + 1 and -2 <= at_minus_one <= m + 1):
         return None
     x = [1]
     for d in range(1, 2 * m * m + 2):
@@ -325,25 +331,6 @@ def u_image(p: IntPoly) -> IntPoly:
     if any(q.values()):
         raise InternalInvariantError("u-substitution did not terminate cleanly")
     return IntPoly(g)
-
-
-def dickson(k: int, u: Fraction) -> Fraction:
-    """D_k(u) for k >= 0: D_0 = 2, D_1 = u, D_(j+1) = u D_j - D_(j-1).
-
-    D_k(t + 1/t) = t^k + t^-k, so on the circle the u-coordinate of
-    omega^k is D_k of that of omega.
-
-    >>> dickson(3, Fraction(1))
-    Fraction(-2, 1)
-    """
-    if k < 0:
-        raise ValueError("Dickson index must be >= 0")
-    before, d = Fraction(2), Fraction(u)
-    if k == 0:
-        return before
-    for _ in range(k - 1):
-        before, d = d, u * d - before
-    return d
 
 
 # -- Sturm sequences and real root isolation ----------------------------------

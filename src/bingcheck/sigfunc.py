@@ -23,9 +23,10 @@ in (-2, 2).  The construction therefore:
 The s with u(s) in a gap (lo, hi) fill the open interval between the
 quadratic surds s(hi) and s(lo), s(u) = sqrt((2 - u)/(2 + u)); its simplest
 rational comes from their continued fractions (isqrt gives the exact
-partial quotients) and is confirmed by one exact comparison of u(s) with
-the gap.  B(omega(s)) has entries in Q(i) and rational Hermitian pivots, so
-no field of higher degree is needed.
+partial quotients), walked on numerators and denominators in ints, and is
+confirmed by one cross-multiplied comparison of u(s) with the gap.
+B(omega(s)) has entries in Q(i) and rational Hermitian pivots, so no field
+of higher degree is needed.
 Values exactly at jump points are not part of the description; one-sided
 limits are available from the adjacent arcs.
 
@@ -48,10 +49,13 @@ D_(j-1)), so the block sum's function is the sum of the fn_B o D_k.
     same map gives h's isolating intervals, which a base isolates once for
     all the k it is substituted at.
   * The value at a sample u adds fn_B(D_k(u)) over the parts.  Each D_k(u)
-    is rational: the isolating intervals of B's jumps are refined until it
-    lies outside each, which places it in one arc of fn_B (fn_B(2) = 0 is
-    the value of the last arc).  A D_k(u) on a jump of B would be a root of
-    det, never a sample, so it raises.
+    is rational, read in ints without the recursion: at omega(s), s = n/d,
+    it is 2(x^2 - y^2)/(x^2 + y^2) for x + iy = (d + i n)^k.  The isolating
+    intervals of B's jumps are compared with it by cross-multiplication,
+    each refined while it holds D_k(u), which places it in one arc of fn_B
+    (fn_B(2) = 0 is the value of the last arc).  A D_k(u) on a jump of B
+    would be a root of det, never a sample, so it raises.  Equal parts are
+    read once and weighted by their count.
 
 The pullback evaluates no form and reduces none over a factor field.
 """
@@ -63,7 +67,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import InternalInvariantError
-from .intpoly import RootInterval, dickson, sturm_isolate, u_image
+from .intpoly import RootInterval, sturm_isolate, u_image
 from .fields import cayley_point, evaluated_hermitian_signature, rank_over_factor
 
 __all__ = [
@@ -184,54 +188,63 @@ def _gap(left: RootInterval | None, right: RootInterval | None):
 
 
 def _s_of(u: Fraction):
-    """s = sqrt((2 - u)/(2 + u)) >= 0 for -2 < u <= 2, the s with u(s) = u:
-    a Fraction when rational, else the surd (P, D, Q) = (P + sqrt D)/Q with
-    D not a square, Q > 0 and Q dividing D - P^2."""
-    a = (2 - u) / (2 + u)
-    d = a.numerator * a.denominator
+    """s = sqrt((2 - u)/(2 + u)) >= 0 for -2 < u <= 2, the s with u(s) = u,
+    from u = n/d in ints: the rational (P, Q) = P/Q, Q > 0, when a square,
+    else the surd (P, D, Q) = (P + sqrt D)/Q with D not a square, Q > 0 and
+    Q dividing D - P^2."""
+    a, b = 2 * u.denominator - u.numerator, 2 * u.denominator + u.numerator
+    d = a * b
     r = isqrt(d)
     if r * r == d:
-        return Fraction(r, a.denominator)
-    return 0, d, a.denominator
+        return r, b
+    return 0, d, b
 
 
 def _floor(x) -> int:
-    """Floor of a Fraction or of a surd (P + sqrt D)/Q, Q > 0."""
-    if isinstance(x, Fraction):
-        return x.numerator // x.denominator
+    """Floor of a rational (P, Q) or of a surd (P, D, Q), Q > 0."""
+    if len(x) == 2:
+        return x[0] // x[1]
     p, d, q = x
     # sqrt D lies strictly between isqrt(D) and isqrt(D) + 1
     return (p + isqrt(d)) // q
 
 
 def _reciprocal_minus(x, a: int):
-    """1/(x - a) for x > a, x a Fraction or a surd with floor a.
+    """1/(x - a) for x > a, x a rational or a surd with floor a.
 
     A surd stays in the form (P + sqrt D)/Q with Q dividing D - P^2, and Q
     stays positive: for p = P - aQ, x - a > 0 gives -sqrt D < p, and
     P < sqrt D with a >= 0 gives p < sqrt D, so D - p^2 > 0; the new P = -p
     is again below sqrt D, as P = 0 is for s(u)."""
-    if isinstance(x, Fraction):
-        return 1 / (x - a)
+    if len(x) == 2:
+        return x[1], x[0] - a * x[1]
     p, d, q = x
     p -= a * q
     return -p, d, (d - p * p) // q
 
 
-def _simplest_between(lo, hi) -> Fraction:
-    """The rational of least denominator (and then least numerator) strictly
-    between lo and hi, 0 <= lo < hi; hi None stands for infinity.
+def _simplest_between(lo, hi) -> tuple:
+    """(n, d) for the rational n/d of least denominator (and then least
+    numerator) strictly between lo and hi, 0 <= lo < hi; hi None stands
+    for infinity.
 
     The least integer above lo if it lies below hi; otherwise lo and hi
     share the integer part a and the answer is a + 1/x for the simplest x
-    strictly between 1/(hi - a) and 1/(lo - a), which walks the common
-    prefix of their continued fractions.  A surd is never an integer.
+    strictly between 1/(hi - a) and 1/(lo - a).  So the loop walks the
+    common prefix of their continued fractions, carrying the convergents
+    h/k of the partial quotients a met so far, and ends it with the least
+    integer c of the last step: [a_0; ..., c] = (c h + h')/(c k + k').
+    A surd is never an integer.
     """
-    a = _floor(lo)
-    if hi is None or _floor(hi) > a + 1 or (_floor(hi) == a + 1 and hi != a + 1):
-        return Fraction(a + 1)
-    rest = None if lo == a else _reciprocal_minus(lo, a)
-    return a + 1 / _simplest_between(_reciprocal_minus(hi, a), rest)
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:
+        a = _floor(lo)
+        if hi is None or (b := _floor(hi)) > a + 1 or (
+                b == a + 1 and (len(hi) == 3 or hi[0] != b * hi[1])):
+            return (a + 1) * h1 + h0, (a + 1) * k1 + k0
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        rest = None if len(lo) == 2 and lo[0] == a * lo[1] else _reciprocal_minus(lo, a)
+        lo, hi = _reciprocal_minus(hi, a), rest
 
 
 def _cayley_sample(lo: Fraction, hi: Fraction) -> Fraction:
@@ -241,12 +254,16 @@ def _cayley_sample(lo: Fraction, hi: Fraction) -> Fraction:
     u(s) falls from 2 to -2 as s runs over (0, infinity), so these s fill
     the open interval (s(hi), s(lo)), s(-2) being infinity.  A u(s) that is
     a jump root lies in that jump's isolating interval, outside (lo, hi).
+    With s = n/d, u(s) = 2(d^2 - n^2)/(d^2 + n^2), compared with the gap
+    by cross-multiplication.
     """
-    s = _simplest_between(_s_of(hi), None if lo == -2 else _s_of(lo))
-    # u = omega + 1/omega at omega = cayley_point(s)
-    if not lo < 2 * (1 - s * s) / (1 + s * s) < hi:
+    n, d = _simplest_between(_s_of(hi), None if lo == -2 else _s_of(lo))
+    # u = omega + 1/omega at omega = cayley_point(n/d)
+    num, den = 2 * (d * d - n * n), d * d + n * n
+    if not (lo.numerator * den < num * lo.denominator
+            and num * hi.denominator < hi.numerator * den):
         raise InternalInvariantError("Cayley sample outside its gap")
-    return s
+    return Fraction(n, d)
 
 
 def _step_function(factors, circle, value_at) -> SignatureFunction:
@@ -308,30 +325,49 @@ def signature_function_of_matrix(B, factors) -> SignatureFunction:
     return _step_function(factors, circle(), value_at)
 
 
-def _value_at(fn: SignatureFunction, v: Fraction) -> int:
-    """fn at a rational v in [-2, 2]: the value of the arc holding v.  Each
-    jump's isolating interval is refined until v lies outside it; v on a
-    jump raises.  v = 2 lies in the last arc, whose value is the form's
-    signature 0 at t = 1 when the form is that of a Seifert matrix A: near
-    1, B(omega)/|1 - omega| tends to a nonsingular multiple of i(A - A^T),
-    of signature 0, and B(1) = 0."""
-    below = 0
-    for j in fn.jumps:
+def cayley_power(s: Fraction, k: int) -> tuple:
+    """(x, y) with x + iy = (d + i n)^k for s = n/d and k >= 1, in ints:
+    the Cayley point omega(s) = (d + i n)/(d - i n) has
+    omega^k = (x + iy)/(x - iy), whose u-coordinate omega^k + omega^-k is
+    2(x^2 - y^2)/(x^2 + y^2).
+
+    >>> cayley_power(Fraction(1, 2), 3)
+    (2, 11)
+    """
+    d, n = s.denominator, s.numerator
+    x, y = d, n
+    for _ in range(k - 1):
+        x, y = x * d - y * n, x * n + y * d
+    return x, y
+
+
+def _arc_index(jumps, num: int, den: int) -> int:
+    """Index of the arc of a function with jumps `jumps` that holds the
+    rational v = num/den in [-2, 2], den > 0.  Each jump's isolating
+    interval (lo, hi) is compared with v by cross-multiplication and
+    refined while it holds v; v on a jump raises."""
+    for i, j in enumerate(jumps):
         r = j.root
-        while r.lo < v < r.hi:
+        while True:
+            above_lo = num * r.lo.denominator - r.lo.numerator * den
+            below_hi = r.hi.numerator * den - num * r.hi.denominator
+            if above_lo <= 0 or below_hi <= 0:
+                break
             r = r.refine(r.width / 2)
-        if r.lo == v == r.hi:
-            raise InternalInvariantError("pulled-back sample lands on a jump at u = %s" % v)
-        if r.hi > v:
-            break
-        below += 1
-    return fn.arcs[below].signature
+        if above_lo == 0 == below_hi:
+            raise InternalInvariantError(
+                "pulled-back sample lands on a jump at u = %s" % Fraction(num, den))
+        if below_hi > 0:
+            return i
+    return len(jumps)
 
 
 def pullback_signature_function(parts, factors, jumps) -> SignatureFunction:
     """SignatureFunction of the block sum of the forms B(t^k), from each
     B's own function: (B(t^k))(omega) = B(omega^k), and the u-coordinate of
-    omega^k is D_k(u), so the sum's function is the sum of fn_B o D_k.
+    omega^k is D_k(u), D_k the Dickson polynomial (D_0 = 2, D_1 = u,
+    D_(j+1) = u D_j - D_(j-1)), so the sum's function is the sum of
+    fn_B o D_k.
 
     `parts` holds (fn_B, k) for k >= 1, fn_B the SignatureFunction of a
     Hermitian Laurent form B with B(1) = 0; `factors` lists the irreducible
@@ -340,12 +376,28 @@ def pullback_signature_function(parts, factors, jumps) -> SignatureFunction:
     give it: the block sum's nullity at its roots, and sturm_isolate's
     unrefined isolating intervals of its u-image's roots in (-2, 2).  The
     jumps and samples are those signature_function_of_matrix would find.
-    At a sample, part k adds fn_B(D_k(u)); no form is evaluated.
+
+    At a sample s, part k adds fn_B(D_k(u(s))); no form is evaluated.
+    D_k(u(s)) is 2(x^2 - y^2)/(x^2 + y^2) for (x, y) = cayley_power(s, k),
+    read once per distinct k and placed among fn_B's jumps by _arc_index.
+    Equal parts, as the two phi_p of J(p, p), are read once and weighted
+    by their count.  fn_B(2) = 0 is the value of the last arc: near 1,
+    B(omega)/|1 - omega| tends to a nonsingular multiple of i(A - A^T), of
+    signature 0, when B is the form of a Seifert matrix A.
     """
+    by_k = {}
+    for fn, k in parts:
+        weights = by_k.setdefault(k, {})
+        weights[fn] = weights.get(fn, 0) + 1
 
     def value_at(s):
-        u = 2 * (1 - s * s) / (1 + s * s)
-        return sum(_value_at(fn, dickson(k, u)) for fn, k in parts)
+        total = 0
+        for k, weights in by_k.items():
+            x, y = cayley_power(s, k)
+            num, den = 2 * (x * x - y * y), x * x + y * y
+            for fn, count in weights.items():
+                total += count * fn.arcs[_arc_index(fn.jumps, num, den)].signature
+        return total
 
     circle = ((h, *jumps[h]) for h, _ in factors if h in jumps)
     return _step_function(factors, circle, value_at)

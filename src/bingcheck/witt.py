@@ -45,6 +45,7 @@ from .intpoly import IntPoly, cyclotomic, cyclotomic_order, sturm_isolate
 from .factor import factor_rational, merge_factors
 from .sigfunc import (
     SignatureFunction,
+    cayley_power,
     circle_jump_factors,
     pullback_signature_function,
     same_step_function,
@@ -104,9 +105,12 @@ class _Base:
     once, and the factor list and jump map of each order(t^k) are kept
     once computed.  So are the unrefined isolating intervals of each
     circle factor h, isolated on first use: an h of g(t^k) recurs at
-    other k (Phi_3 divides both t^3 - 1 and t^6 - 1)."""
+    other k (Phi_3 divides both t^3 - 1 and t^6 - 1).  The additivity
+    check's signatures of B at omega(s)^k are kept too, by (k, s): a
+    verdict's J batteries share most of their samples."""
 
-    __slots__ = ("seifert", "function", "order", "_owners", "_substituted", "_isolated")
+    __slots__ = ("seifert", "function", "order", "_owners", "_substituted", "_isolated",
+                 "_signatures")
 
     def __init__(self, battery: ObstructionReport):
         s, n = battery.seifert, battery.seifert.size
@@ -118,7 +122,7 @@ class _Base:
         if any(g == _T_PLUS_ONE for g, _ in factors):
             nullity[_T_PLUS_ONE] = cayley_signature(s, 0, 1)[1]
         self._owners = [(g, m, cyclotomic_order(g), nullity.get(g, 0)) for g, m in factors]
-        self._substituted, self._isolated = {}, {}
+        self._substituted, self._isolated, self._signatures = {}, {}, {}
 
     def substituted(self, k: int) -> tuple:
         """(factors, jumps) of B(t^k): factor_rational(order(t^k))[1],
@@ -145,6 +149,16 @@ class _Base:
             self._substituted[k] = factors, {h: (nullities[h], self._isolated[h])
                                              for h, _ in factors if h in self._isolated}
         return self._substituted[k]
+
+    def signature_at(self, k: int, s: Fraction) -> tuple:
+        """(signature, nullity) of B(t^k) at the Cayley point omega(s),
+        which is B's at omega(s)^k: cayley_signature on the Seifert matrix
+        at (x, y) = cayley_power(s, k), computed once per (k, s)."""
+        key = k, s
+        value = self._signatures.get(key)
+        if value is None:
+            value = self._signatures[key] = cayley_signature(self.seifert, *cayley_power(s, k))
+        return value
 
 
 def _substituted_factors(g: IntPoly, d: int | None, n: int):
@@ -371,23 +385,25 @@ def _additive_j_battery(knot: WittPresentation, p: int, q: int) -> ObstructionRe
     value back from the knot's function, as the sum of its values at
     D_k(u), k = p, p + q, q; at each sample omega = (1 + i s)/(1 - i s),
     s = n/d, that sum must equal the sum over J's parts (B, k) of the
-    signature of B at omega^k = (x + iy)/(x - iy), (d + i n)^k = x + iy,
-    with every B(omega^k) nonsingular (omega^k = 1, where B vanishes, would
-    be a root of t^k - 1, a jump of J and never a sample).  Each value is
+    signature of B at omega^k = (x + iy)/(x - iy), (d + i n)^k = x + iy
+    (sigfunc.cayley_power, which the pullback reads D_k(u) from too), with
+    every B(omega^k) nonsingular (omega^k = 1, where B vanishes, would be
+    a root of t^k - 1, a jump of J and never a sample).  Each value is
     cayley_signature's on the part's own Seifert matrix, in integer
     arithmetic: no substituted form is built and nothing is evaluated in
-    Q(i)."""
+    Q(i).  Equal parts, as the two phi_p of J(p, p), are read once and
+    weighted by their count, and each value is the base's, kept by (k, s)
+    (_Base.signature_at) for the verdict's other J batteries."""
     j = _jpq(knot, p, q)
     report = presentation_battery(j)
+    counts = {}
+    for part in j.parts:
+        counts[part] = counts.get(part, 0) + 1
     for arc in report.signature.arcs:
-        d, n = arc.sample_angle.denominator, arc.sample_angle.numerator
         signature = nullity = 0
-        for base, k in j.parts:
-            x, y = 1, 0
-            for _ in range(k):
-                x, y = x * d - y * n, x * n + y * d
-            sig, null = cayley_signature(base.seifert, x, y)
-            signature, nullity = signature + sig, nullity + null
+        for (base, k), count in counts.items():
+            sig, null = base.signature_at(k, arc.sample_angle)
+            signature, nullity = signature + count * sig, nullity + count * null
         if (signature, nullity) != (arc.signature, 0):
             raise InternalInvariantError(
                 "J(%d, %d) signature additivity failed at s = %s" % (p, q, arc.sample_angle)
@@ -450,13 +466,17 @@ def bing_double_verdict(s: SeifertMatrix, check_range: int = 3) -> BingReport:
     checked at each J battery's own arc samples: at each Cayley point omega
     the pulled-back arc value must equal the sum over J's parts (B, k) of
     the signature of B at omega^k, which seifert.cayley_signature reads off
-    the part's Seifert matrix in integer arithmetic.  The check thus shares
-    neither kernel nor points with K's values in Q(i): the pullback reads
-    them at D_k(u).  The telescoping functions phi_k are pulled back too;
-    phi_0 is the zero pairing, whose function vanishes identically.  K's
-    presentation is built on the battery (_Base(battery)): one Alexander
-    det, one factoring, one form B(t) and one matrix-path function for
-    K, and its nullity at -1 read off A + A^T when t + 1 divides Delta.
+    the part's Seifert matrix in integer arithmetic, once per (k, omega)
+    across the J batteries: K's base keeps each value, and the batteries
+    share most of their samples.  The check thus shares no kernel with K's
+    values in Q(i), which the pullback reads at D_k(u) =
+    2(x^2 - y^2)/(x^2 + y^2); both read the point omega^k off the same
+    x + iy = (d + i n)^k (sigfunc.cayley_power).  The telescoping
+    functions phi_k are pulled back too; phi_0 is the zero pairing, whose
+    function vanishes identically.  K's presentation is built on the
+    battery (_Base(battery)): one Alexander det, one factoring, one form
+    B(t) and one matrix-path function for K, and its nullity at -1 read
+    off A + A^T when t + 1 divides Delta.
     """
     if not s.integral:
         raise AdmissibilityError("the Bing-double verdict needs an integral Seifert matrix")

@@ -1,9 +1,11 @@
 """Seifert matrices and Laurent forms shared by the test modules:
 hypothesis strategies for admissible Seifert matrices of genus 1 and up,
 integral or rational; symplectic_seifert, which builds one from its upper
-triangle; and the reference Laurent matrix of a Witt presentation, which
+triangle; the reference Laurent matrix of a Witt presentation, which
 the package never builds: presentation_matrix, the block sum of its parts'
-forms substituted by t -> t^k (substituted)."""
+forms substituted by t -> t^k (substituted); and dickson, the Fraction
+recursion for the u-coordinate of omega^k, which the package reads off in
+ints instead."""
 
 from fractions import Fraction
 from functools import reduce
@@ -63,3 +65,15 @@ def presentation_matrix(p):
     return reduce(ExactMatrix.block_sum,
                   (substituted(base.seifert.seifert_form(), k) for base, k in p.parts),
                   ExactMatrix([]))
+
+
+def dickson(k, u):
+    """D_k(u) for k >= 0: D_0 = 2, D_1 = u, D_(j+1) = u D_j - D_(j-1), in
+    Fractions.  D_k(t + 1/t) = t^k + t^-k, so on the circle the
+    u-coordinate of omega^k is D_k of that of omega."""
+    before, d = Fraction(2), Fraction(u)
+    if k == 0:
+        return before
+    for _ in range(k - 1):
+        before, d = d, u * d - before
+    return d

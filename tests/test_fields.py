@@ -23,15 +23,16 @@ from bingcheck.fields import (
     rank_over_factor,
     root_of_unity,
 )
-from bingcheck.intpoly import IntPoly, cyclotomic, dickson
+from bingcheck.intpoly import IntPoly, cyclotomic
 from bingcheck.laurent import LaurentPoly, as_laurent, parse_poly
 from bingcheck.matrices import ExactMatrix, symmetric_signature
 from bingcheck.factor import factor_rational
 from bingcheck.seifert import SeifertMatrix, alexander, connected_sum
-from bingcheck.sigfunc import circle_jump_factors
+from bingcheck.sigfunc import cayley_power, circle_jump_factors
 from bingcheck.witt import obstruction_battery
 from strategies import (
     admissible_forms,
+    dickson,
     integral_or_rational_forms,
     substituted,
     symplectic_seifert,
@@ -482,7 +483,8 @@ class TestPointPower:
     @settings(max_examples=60, deadline=None)
     def test_cayley_powers_match_dickson_and_numpy(self, num, den, k):
         # u(omega^k) = D_k(u(omega)) at the Cayley point omega, with omega^k
-        # multiplied out here as an exact pair (re, im)
+        # multiplied out here as an exact pair (re, im); cayley_power's
+        # (x, y) gives omega^k = (x + iy)/(x - iy) for k >= 1
         s = Fraction(num, den)
         q, ((x, y), d) = cayley_point(s)
         assert q == 4
@@ -492,6 +494,12 @@ class TestPointPower:
         u = 2 * (1 - s * s) / (1 + s * s)
         assert u == Fraction(2 * x, d)
         assert dickson(k, u) == 2 * re
+        if k:
+            a, b = cayley_power(s, k)
+            assert isinstance(a, int) and isinstance(b, int)
+            norm = a * a + b * b
+            assert (Fraction(a * a - b * b, norm), Fraction(2 * a * b, norm)) == (re, im)
+            assert Fraction(2 * (a * a - b * b), norm) == dickson(k, u)
         z = complex(re, im)
         assert abs(z - ((1 + 1j * float(s)) / (1 - 1j * float(s))) ** k) < 1e-9
 

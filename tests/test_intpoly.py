@@ -236,6 +236,27 @@ class TestCyclotomicOrder:
         cyclotomic_order(f)
         assert built == builds
 
+    def test_values_at_plus_and_minus_one_bound_every_cyclotomic(self):
+        # the pre-check's necessary condition: Phi_d(1) and Phi_d(-1) lie in
+        # [0, m + 1] and [-2, m + 1], m = phi(d)
+        for d in range(1, 301):
+            f = cyclotomic(d)
+            m = f.degree
+            assert 0 <= f(1) <= m + 1 and -2 <= f(-1) <= m + 1, d
+
+    @pytest.mark.parametrize("f", [
+        IntPoly("t^2 - 3t + 1"),  # 4_1's Delta: f(1) = -1
+        IntPoly("t^4 + 3t^3 + t^2 + 3t + 1"),  # f(1) = 9 > 5
+        IntPoly([1, -3] + [0] * 93 + [-3, 1]),  # degree 96, f(1) = -4
+        IntPoly([1, 3] + [0] * 93 + [3, 1]),  # degree 96, f(1) = 8 but f(-1) = -4
+    ])
+    def test_values_outside_the_bounds_scan_nothing(self, monkeypatch, f):
+        scans = []
+        monkeypatch.setattr(intpoly, "dense_pseudo_divmod",
+                            lambda *args: scans.append(args) or (None, None))
+        assert cyclotomic_order(f) is None
+        assert scans == []
+
 
 def brute_root_count(f: IntPoly, lo: Fraction, hi: Fraction, grid: int = 2048) -> int:
     """Oracle: count sign changes of the squarefree part on a fine grid.

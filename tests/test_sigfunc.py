@@ -13,7 +13,7 @@ unity certified inside the same arcs by cosine enclosures.
 import random
 from fractions import Fraction
 from itertools import count
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -50,7 +50,7 @@ from bingcheck.sigfunc import (
     same_step_function,
     signature_function_of_matrix,
 )
-from strategies import admissible_forms, presentation_matrix, symplectic_seifert
+from strategies import admissible_forms, dickson, presentation_matrix, symplectic_seifert
 from bingcheck.witt import (
     from_seifert,
     jpq_presentation,
@@ -127,6 +127,58 @@ def sample_angle_oracle(lo, hi):
                 if 2 * c_hi <= lo or 2 * c_lo >= hi:
                     break
                 bits *= 2
+
+
+def reference_cayley_sample(lo, hi):
+    """The simplest s > 0 with lo < u(s) < hi, in Fractions: the least
+    denominator in the open interval (s(hi), s(lo)), s(-2) infinite, from
+    the continued fractions of the surds s(u) = sqrt((2 - u)/(2 + u)) =
+    (P + sqrt D)/Q, by recursion on 1/(x - floor x)."""
+
+    def s_of(u):
+        a = (2 - u) / (2 + u)
+        d = a.numerator * a.denominator
+        r = isqrt(d)
+        return Fraction(r, a.denominator) if r * r == d else (0, d, a.denominator)
+
+    def floor(x):
+        if isinstance(x, Fraction):
+            return x.numerator // x.denominator
+        p, d, q = x
+        return (p + isqrt(d)) // q
+
+    def reciprocal_minus(x, a):
+        if isinstance(x, Fraction):
+            return 1 / (x - a)
+        p, d, q = x
+        p -= a * q
+        return -p, d, (d - p * p) // q
+
+    def simplest(lo, hi):
+        a = floor(lo)
+        if hi is None or floor(hi) > a + 1 or (floor(hi) == a + 1 and hi != a + 1):
+            return Fraction(a + 1)
+        rest = None if lo == a else reciprocal_minus(lo, a)
+        return a + 1 / simplest(reciprocal_minus(hi, a), rest)
+
+    return simplest(s_of(hi), None if lo == -2 else s_of(lo))
+
+
+def fraction_value_at(fn, v):
+    """fn at a rational v in [-2, 2] by Fraction comparisons: the value of
+    the arc holding v, each jump's interval refined until v lies outside
+    it; None when v is a jump root."""
+    below = 0
+    for j in fn.jumps:
+        r = j.root
+        while r.lo < v < r.hi:
+            r = r.refine(r.width / 2)
+        if r.lo == v == r.hi:
+            return None
+        if r.hi > v:
+            break
+        below += 1
+    return fn.arcs[below].signature
 
 
 def function_of(pres):
@@ -492,6 +544,69 @@ class TestCayleySample:
             while u_of(Fraction(p, r)) >= hi:
                 p += 1
             assert u_of(Fraction(p, r)) <= lo, Fraction(p, r)
+
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_reference(self, data):
+        # gap ends as the sampler meets them: the ends -2 and 2, exact roots
+        # and the dyadic ends of refined isolating intervals
+        end = st.one_of(st.sampled_from([Fraction(-2), Fraction(2)]),
+                        st.fractions(-2, 2, max_denominator=1000),
+                        st.builds(lambda a, e: Fraction(a, 2 ** e),
+                                  st.integers(-2 ** 20, 2 ** 20), st.integers(18, 22)))
+        lo, hi = sorted(data.draw(st.lists(end, min_size=2, max_size=2, unique=True)))
+        assume(-2 <= lo < hi <= 2)
+        assert self.check(lo, hi) == reference_cayley_sample(lo, hi)
+
+
+class TestIntegerPlacement:
+    """pullback_signature_function places D_k(u(s)) among a base's jumps
+    in ints; the reference computes D_k by the Dickson recursion and
+    compares in Fractions."""
+
+    @given(admissible_forms(3), st.integers(1, 8), st.integers(-40, 40), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_fraction_oracle(self, s, k, n, d):
+        fn = signature_function(s)
+        x, y = sigfunc.cayley_power(Fraction(n, d), k)
+        want = fraction_value_at(fn, dickson(k, u_of(Fraction(n, d))))
+        if want is None:
+            with pytest.raises(InternalInvariantError, match="lands on a jump"):
+                sigfunc._arc_index(fn.jumps, 2 * (x * x - y * y), x * x + y * y)
+        else:
+            assert fn.arcs[sigfunc._arc_index(
+                fn.jumps, 2 * (x * x - y * y), x * x + y * y)].signature == want
+
+    def test_refines_an_interval_that_holds_the_point(self):
+        # jumps at the exact root u = -1 and at sqrt 2, isolated in (1, 2)
+        sqrt2 = RootInterval(Fraction(1), Fraction(2), IntPoly([-2, 0, 1]))
+        jumps = (JumpPoint(RootInterval(Fraction(-1), Fraction(-1), IntPoly([1, 1])), None, 1),
+                 JumpPoint(sqrt2, None, 1))
+        for num, den, arc in [(-2, 1, 0), (-3, 2, 0), (1, 1, 1), (5, 4, 1), (3, 2, 2),
+                              (7, 5, 1), (2, 1, 2)]:
+            assert sigfunc._arc_index(jumps, num, den) == arc, (num, den)
+        with pytest.raises(InternalInvariantError, match="lands on a jump at u = -1"):
+            sigfunc._arc_index(jumps, -2, 2)
+
+    def test_equal_parts_are_read_once(self, monkeypatch):
+        # J(1, 1) = 2 phi_1 + phi_2: two part kinds, so two placements a sample
+        fn = signature_function(SeifertMatrix(TREFOIL))
+        placed = []
+        original = sigfunc._arc_index
+
+        def counting(jumps, num, den):
+            placed.append((num, den))
+            return original(jumps, num, den)
+
+        monkeypatch.setattr(sigfunc, "_arc_index", counting)
+        pres = jpq_presentation(SeifertMatrix(TREFOIL), 1, 1)
+        got = presentation_battery(pres).signature
+        assert len(placed) == 2 * len(got.arcs)
+        for arc in got.arcs:
+            u = u_of(arc.sample_angle)
+            assert arc.signature == 2 * fraction_value_at(fn, u) \
+                + fraction_value_at(fn, dickson(2, u))
 
 
 # Delta = (t^2 - t + 1)(t + 1)^2 / 4: a factor of Phi_6(t^k) takes its

@@ -14,7 +14,7 @@ from bingcheck.factor import factor_rational, merge_factors
 from bingcheck.intpoly import IntPoly, cyclotomic, cyclotomic_order, pseudo_rem
 from bingcheck.laurent import LaurentPoly, parse_poly, normalize_unit
 from bingcheck.matrices import ExactMatrix, bareiss_det
-from bingcheck import fields, sigfunc, witt
+from bingcheck import fields, seifert, sigfunc, witt
 from bingcheck.fields import cayley_point, evaluated_hermitian_signature, root_of_unity
 from bingcheck.sigfunc import signature_function_of_matrix
 from bingcheck.seifert import (
@@ -719,9 +719,25 @@ class TestPullbackInVerdict:
             with pytest.raises(InternalInvariantError, match=r"J\(1, 1\)"):
                 bing_double_verdict(TREFOIL, 1)
 
+    def test_one_cayley_signature_per_part_and_sample(self, monkeypatch):
+        # the J batteries of a verdict share most of their arc samples: the
+        # additivity check reads each (k, s) off the Seifert matrix once
+        points = set()
+        for p in range(1, 4):
+            for q in range(p, 4):
+                arcs = presentation_battery(jpq_presentation(TREFOIL, p, q)).signature.arcs
+                points |= {(k, arc.sample_angle) for arc in arcs for k in (p, p + q, q)}
+        calls = count_calls(monkeypatch, seifert.cayley_signature, whole=True)
+        bing_double_verdict(TREFOIL, 3)
+        assert all(s is TREFOIL for s, _, _ in calls)
+        assert sorted((x, y) for _, x, y in calls) \
+            == sorted(sigfunc.cayley_power(s, k) for k, s in points)
+
     def test_sample_on_a_base_jump_raises(self, monkeypatch):
-        # D_k(u) forced onto the trefoil's exact jump u = 1
-        monkeypatch.setattr(sigfunc, "dickson", lambda k, u: Fraction(1))
+        # D_k(u) forced onto the trefoil's exact jump u = 1: (x, y) =
+        # (sqrt 3, 1) gives 2(x^2 - y^2)/(x^2 + y^2) = 1, which no pair of
+        # ints reaches (x^2 = 3 y^2)
+        monkeypatch.setattr(sigfunc, "cayley_power", lambda s, k: (sympy.sqrt(3), 1))
         with pytest.raises(InternalInvariantError, match="lands on a jump"):
             presentation_battery(phi(from_seifert(TREFOIL), 2))
 
